@@ -10,6 +10,13 @@ inference code can treat the model as a generic density over R^K.  Flattening
 order is [beta0, beta, gamma0, Gamma row-major]; ``flatten``/``unflatten``
 are exact inverses of each other.
 
+Every score comes from one kernel, :func:`scores_many`, over S parameter
+vectors in an (S, k, n) layout; the single-network functions wrap it.  Row s
+of its output depends only on parameter row s, so any contiguous split of the
+rows is byte-identical.  Hidden units use sigmoid(z) = 0.5 + 0.5*tanh(z/2),
+exact to a few ulps in absolute terms; output probabilities (``sigmoid``) and
+the likelihood (``softplus``) stay tail-exact.
+
 Everything here is pure and side-effect free, so the functions are safe to
 call from worker threads.
 """
@@ -103,19 +110,15 @@ class NetworkParams:
     gamma: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
-        object.__setattr__(self, "gamma0", np.asarray(self.gamma0, dtype=float))
-        object.__setattr__(self, "gamma", np.asarray(self.gamma, dtype=float))
+        for name in ("beta", "gamma0", "gamma"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         k = self.beta.shape[0]
         if self.beta.ndim != 1 or self.gamma0.shape != (k,):
             raise ShapeMismatchError("beta and gamma0 must be 1-d with equal length")
         if self.gamma.ndim != 2 or self.gamma.shape[0] != k:
             raise ShapeMismatchError("gamma must be (k, p)")
-        if not np.isfinite(self.beta0) or not (
-            np.all(np.isfinite(self.beta))
-            and np.all(np.isfinite(self.gamma0))
-            and np.all(np.isfinite(self.gamma))
-        ):
+        arrays = (self.beta, self.gamma0, self.gamma)
+        if not (np.isfinite(self.beta0) and all(np.all(np.isfinite(a)) for a in arrays)):
             raise ValueError("network parameters must be finite")
 
     @property
@@ -135,13 +138,9 @@ def unflatten(flat: np.ndarray, shape: NetworkShape) -> NetworkParams:
     flat = np.asarray(flat, dtype=float)
     if flat.shape != (shape.K,):
         raise ShapeMismatchError(f"expected flat length {shape.K}, got {flat.shape}")
-    k, p = shape.k, shape.p
-    return NetworkParams(
-        beta0=float(flat[0]),
-        beta=flat[1 : 1 + k].copy(),
-        gamma0=flat[1 + k : 1 + 2 * k].copy(),
-        gamma=flat[1 + 2 * k :].reshape(k, p).copy(),
-    )
+    beta0, beta, gamma0, gamma = unflatten_many(flat, shape)
+    return NetworkParams(beta0=float(beta0), beta=beta.copy(),
+                         gamma0=gamma0.copy(), gamma=gamma.copy())
 
 
 def unflatten_many(thetas: np.ndarray, shape: NetworkShape):
@@ -215,55 +214,53 @@ class LabeledBatch:
         return self.x.shape[1]
 
 
-def forward_score(theta: NetworkParams, x: np.ndarray) -> float:
-    """Network score for a single point x of shape (p,)."""
-    x = np.asarray(x, dtype=float)
-    hidden = sigmoid(theta.gamma0 + theta.gamma @ x)
-    return float(theta.beta0 + theta.beta @ hidden)
-
-
-def batch_scores(theta: NetworkParams, x: np.ndarray) -> np.ndarray:
-    """Network scores for a design matrix x of shape (n, p)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != theta.gamma.shape[1]:
-        raise ShapeMismatchError("x must be (n, p) matching the network input width")
-    hidden = sigmoid(theta.gamma0[None, :] + x @ theta.gamma.T)
-    return theta.beta0 + hidden @ theta.beta
-
-
 def scores_many(thetas: np.ndarray, x: np.ndarray, shape: NetworkShape) -> np.ndarray:
-    """Scores for S flat parameter vectors at once; returns (S, n)."""
+    """Scores of S flat parameter vectors (S, K) on x (n, p); returns (S, n)."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != shape.p:
         raise ShapeMismatchError("x must be (n, p) matching the network input width")
     beta0, beta, gamma0, gamma = unflatten_many(np.atleast_2d(thetas), shape)
-    # pre-activations: (S, n, k) = (S, 1, k) + x . Gamma^T per sample
-    pre = gamma0[:, None, :] + np.einsum("np,skp->snk", x, gamma)
-    hidden = sigmoid(pre)
-    return beta0[:, None] + np.einsum("snk,sk->sn", hidden, beta)
+    # With t_j = tanh((gamma0_j + gamma_j . x) / 2) the score is
+    # beta0 + sum(beta)/2 + sum_j (beta_j/2) t_j.  The halvings scale the small
+    # weights, where they are exact, instead of the (S, k, n) array.
+    weights = 0.5 * np.concatenate([gamma, gamma0[:, :, None]], axis=2)
+    hidden = weights @ np.vstack([x.T, np.ones(x.shape[0])])
+    np.tanh(hidden, out=hidden)
+    half_beta = 0.5 * beta
+    out = (half_beta[:, None, :] @ hidden)[:, 0, :]
+    out += (beta0 + half_beta.sum(axis=1))[:, None]
+    return out
 
 
-def log_sigmoid_likelihood(theta: NetworkParams, batch: LabeledBatch) -> float:
-    """Bernoulli log-likelihood sum_i [y_i * score_i - softplus(score_i)].
+def batch_scores(theta: NetworkParams, x: np.ndarray) -> np.ndarray:
+    """Network scores for a design matrix x of shape (n, p)."""
+    return scores_many(flatten(theta)[None], x, theta.shape)[0]
 
-    Evaluated through the identity y*z - softplus(z) = -softplus((1-2y)*z),
-    which keeps the tiny tail contributions of saturated scores (for y=1,
-    z=50 the exact value is about -1.93e-22, which the subtraction form would
-    cancel to -0.0).  Always <= 0; an empty batch contributes exactly 0.
-    """
-    scores = batch_scores(theta, batch.x)
-    return float(-np.sum(softplus((1 - 2 * batch.y) * scores)))
+
+def forward_score(theta: NetworkParams, x: np.ndarray) -> float:
+    """Network score for a single point x of shape (p,)."""
+    return float(batch_scores(theta, np.asarray(x, dtype=float)[None])[0])
 
 
 def log_likelihood_many(
     thetas: np.ndarray, batch: LabeledBatch, shape: NetworkShape
 ) -> np.ndarray:
-    """Bernoulli log-likelihood of the batch under each of S flat vectors."""
-    if batch.n == 0:
-        return np.zeros(np.atleast_2d(thetas).shape[0])
+    """Bernoulli log-likelihood of the batch under each of S flat vectors.
+
+    Per row, sum_i [y_i * score_i - softplus(score_i)], evaluated through the
+    identity y*z - softplus(z) = -softplus((1-2y)*z), which keeps the tiny
+    tail contributions of saturated scores (for y=1, z=50 the exact value is
+    about -1.93e-22, which the subtraction form would cancel to -0.0).
+    Always <= 0; an empty batch contributes exactly 0.
+    """
     scores = scores_many(thetas, batch.x, shape)
-    signs = (1 - 2 * batch.y).astype(float)
-    return -softplus(scores * signs).sum(axis=1)
+    scores *= (1 - 2 * batch.y).astype(float)
+    return -softplus(scores).sum(axis=1)
+
+
+def log_sigmoid_likelihood(theta: NetworkParams, batch: LabeledBatch) -> float:
+    """Bernoulli log-likelihood of one network; see :func:`log_likelihood_many`."""
+    return float(log_likelihood_many(flatten(theta)[None], batch, theta.shape)[0])
 
 
 def normal_logpdf_total(x, mean, sd) -> np.ndarray:
@@ -284,7 +281,7 @@ def log_prior(theta, prior: PriorConfig):
 
 def log_joint(theta: NetworkParams, batch: LabeledBatch, prior: PriorConfig) -> float:
     """log p(y | theta, x) + log p(theta); the unnormalized posterior density."""
-    return log_sigmoid_likelihood(theta, batch) + log_prior(theta, prior)
+    return float(log_joint_many(flatten(theta)[None], batch, prior, theta.shape)[0])
 
 
 def log_joint_many(
@@ -297,10 +294,7 @@ def log_joint_many(
 def network_to_json_dict(theta: NetworkParams) -> dict:
     """Portable artifact form: {"shape": {"p", "k"}, "flat_theta": [...]}."""
     shape = theta.shape
-    return {
-        "shape": {"p": shape.p, "k": shape.k},
-        "flat_theta": [float(v) for v in flatten(theta)],
-    }
+    return {"shape": {"p": shape.p, "k": shape.k}, "flat_theta": flatten(theta).tolist()}
 
 
 def network_from_json_dict(doc: dict) -> NetworkParams:

@@ -20,9 +20,12 @@ its variance dramatically.
 
 Determinism: the sampling RNG for iteration t is spawned as
 SeedSequence(entropy=seed, spawn_key=(1, t)), so traces are reproducible for
-a given seed and independent of thread count.  Threading only chunks the
-per-sample log-joint evaluation over fixed-size row blocks; every reduction
-happens in a single deterministic pass afterwards.
+a given seed and independent of thread count.  Threading only splits the
+per-sample log-joint evaluation into one contiguous block of sample rows per
+thread.  Rows are independent (each depends only on its own theta), so any
+contiguous split is byte-identical; every reduction happens in a single
+deterministic pass afterwards.  ``train`` keeps one thread pool for the whole
+run.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from __future__ import annotations
 import csv
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,11 +70,6 @@ __all__ = [
     "save_report_csv",
     "report_summary",
 ]
-
-# Rows of the sample matrix handled per task when threading; fixed so results
-# do not depend on the thread count.
-_CHUNK_ROWS = 128
-
 
 class NonFiniteGradientError(RuntimeError):
     """A NaN/Inf gradient was about to be applied; carries the iteration."""
@@ -238,24 +237,38 @@ class TrainReport:
                 raise ValueError(f"{name} must have one entry per iteration run")
 
 
-def _log_joint_chunked(
+def _log_joint_split(
     thetas: np.ndarray,
     batch: LabeledBatch,
     prior: PriorConfig,
     shape: NetworkShape,
     threads: int,
+    pool: ThreadPoolExecutor | None = None,
 ) -> np.ndarray:
+    """log_joint_many over ``threads`` equal contiguous row blocks, in parallel.
+
+    Uses ``pool`` when given, else a pool of its own for this call.  Workers
+    run under the caller's floating-point error settings (``np.errstate`` is
+    per thread), so threading never changes which warnings are raised.
+    """
     S = thetas.shape[0]
-    if threads <= 1 or S <= _CHUNK_ROWS:
+    blocks = min(threads, S)
+    if blocks <= 1:
         return log_joint_many(thetas, batch, prior, shape)
+    bounds = [S * b // blocks for b in range(blocks + 1)]
     out = np.empty(S)
+    errors = np.geterr()
 
-    def run(start: int) -> None:
-        stop = min(start + _CHUNK_ROWS, S)
-        out[start:stop] = log_joint_many(thetas[start:stop], batch, prior, shape)
+    def run(b: int) -> None:
+        lo, hi = bounds[b], bounds[b + 1]
+        with np.errstate(**errors):
+            out[lo:hi] = log_joint_many(thetas[lo:hi], batch, prior, shape)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(run, range(0, S, _CHUNK_ROWS)))
+    if pool is not None:
+        list(pool.map(run, range(blocks)))
+    else:
+        with ThreadPoolExecutor(max_workers=blocks) as own:
+            list(own.map(run, range(blocks)))
     return out
 
 
@@ -266,10 +279,12 @@ def _per_sample_terms(
     shape: NetworkShape,
     draws: SampleMatrix,
     threads: int = 1,
+    pool: ThreadPoolExecutor | None = None,
 ):
     """Weights w, score-times-weight matrix u and plain score matrix v."""
     thetas = draws.thetas
-    weights = _log_joint_chunked(thetas, batch, prior, shape, threads) - log_q(q, thetas)
+    lj = _log_joint_split(thetas, batch, prior, shape, threads, pool)
+    weights = lj - log_q(q, thetas)
     v = np.concatenate(
         [grad_log_q_mean(q, thetas), grad_log_q_raw(q, thetas)], axis=1
     )
@@ -290,7 +305,7 @@ def estimate_elbo(
 ) -> float:
     """Monte Carlo ELBO estimate mean_i [log p(y, theta[i]) - log q(theta[i])]."""
     shape = _resolve_shape(q, batch)
-    lj = _log_joint_chunked(draws.thetas, batch, prior, shape, threads)
+    lj = _log_joint_split(draws.thetas, batch, prior, shape, threads)
     return float(np.mean(lj - log_q(q, draws.thetas)))
 
 
@@ -418,50 +433,52 @@ def train(
     w = config.conv_window
 
     start = time.perf_counter()
-    for t in range(config.max_iters):
-        draws = sample(
-            q, config.S, np.random.SeedSequence(entropy=config.seed, spawn_key=(1, t))
-        )
-        # overflow here is divergence, detected below, not a warning condition
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            weights, u, v = _per_sample_terms(
-                q, batch, prior, shape, draws, config.threads
+    threads = config.threads
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        for t in range(config.max_iters):
+            draws = sample(
+                q, config.S, np.random.SeedSequence(entropy=config.seed, spawn_key=(1, t))
             )
-            elbo_t = float(weights.mean())
-            if not np.isfinite(elbo_t):
+            # overflow here is divergence, detected below, not a warning condition
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                weights, u, v = _per_sample_terms(
+                    q, batch, prior, shape, draws, threads, pool
+                )
+                elbo_t = float(weights.mean())
+                if not np.isfinite(elbo_t):
+                    diverged, diverged_at = True, t
+                    break
+                if config.use_control_variates:
+                    contrib = _cv_contributions(u, v, config.cv_holdout, config.cv_pooled)
+                else:
+                    contrib = u
+                grad = contrib.mean(axis=0)
+            if not np.all(np.isfinite(grad)):
                 diverged, diverged_at = True, t
                 break
-            if config.use_control_variates:
-                contrib = _cv_contributions(u, v, config.cv_holdout, config.cv_pooled)
-            else:
-                contrib = u
-            grad = contrib.mean(axis=0)
-        if not np.all(np.isfinite(grad)):
-            diverged, diverged_at = True, t
-            break
-        gvar_t = (
-            float(np.mean(np.var(contrib, axis=0, ddof=1)))
-            if contrib.shape[0] > 1
-            else 0.0
-        )
-        elbos.append(elbo_t)
-        gvars.append(gvar_t)
-        rhos.append(config.schedule.rate(t))
-        if len(elbos) >= 2 * w:
-            recent = float(np.mean(elbos[-w:]))
-            previous = float(np.mean(elbos[-2 * w : -w]))
-            if abs(recent - previous) / (abs(previous) + 1e-12) < config.conv_rel_tol:
-                converged = True
+            gvar_t = (
+                float(np.mean(np.var(contrib, axis=0, ddof=1)))
+                if contrib.shape[0] > 1
+                else 0.0
+            )
+            elbos.append(elbo_t)
+            gvars.append(gvar_t)
+            rhos.append(config.schedule.rate(t))
+            if len(elbos) >= 2 * w:
+                recent = float(np.mean(elbos[-w:]))
+                previous = float(np.mean(elbos[-2 * w : -w]))
+                if abs(recent - previous) / (abs(previous) + 1e-12) < config.conv_rel_tol:
+                    converged = True
+                    break
+            if config.grad_clip is not None:
+                grad = np.clip(grad, -config.grad_clip, config.grad_clip)
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    q = step(q, grad, t, config.schedule)
+            except (NonFiniteGradientError, ValueError):
+                # the update itself overflowed; keep the last healthy iterate
+                diverged, diverged_at = True, t
                 break
-        if config.grad_clip is not None:
-            grad = np.clip(grad, -config.grad_clip, config.grad_clip)
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                q = step(q, grad, t, config.schedule)
-        except (NonFiniteGradientError, ValueError):
-            # the update itself overflowed; keep the last healthy iterate
-            diverged, diverged_at = True, t
-            break
 
     report = TrainReport(
         elbo_trace=np.asarray(elbos),

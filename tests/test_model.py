@@ -47,7 +47,10 @@ def scalar_forward_oracle(theta: NetworkParams, x) -> float:
         pre = theta.gamma0[j]
         for d in range(theta.gamma.shape[1]):
             pre += theta.gamma[j, d] * x[d]
-        total += theta.beta[j] / (1.0 + math.exp(-pre))
+        if pre >= 0:
+            total += theta.beta[j] / (1.0 + math.exp(-pre))
+        else:  # same logistic, without overflowing math.exp for pre << 0
+            total += theta.beta[j] * math.exp(pre) / (1.0 + math.exp(pre))
     return total
 
 
@@ -97,6 +100,46 @@ class TestForwardScore:
         theta = random_theta(BENCH_SHAPE)
         with pytest.raises(ShapeMismatchError):
             batch_scores(theta, np.zeros((4, 3)))
+
+    def test_single_point_width_mismatch_raises(self, random_theta):
+        theta = random_theta(BENCH_SHAPE)
+        for x in (np.zeros(3), np.zeros(1), np.zeros((1, 2))):
+            with pytest.raises(ShapeMismatchError):
+                forward_score(theta, x)
+
+    @pytest.mark.parametrize("pre", [40.0, 800.0])
+    def test_saturated_hidden_units_match_oracle(self, rng, pre):
+        # hidden pre-activations at exactly +pre and -pre (x[0] = 1, gamma0 = 0)
+        theta = NetworkParams(beta0=0.7, beta=rng.normal(0, 3, 4), gamma0=np.zeros(4),
+                              gamma=np.array([[pre, 0.0], [-pre, 0.0],
+                                              [pre, 1.0], [-pre, -1.0]]))
+        x = np.column_stack([np.ones(9), np.linspace(0, 1, 9)])
+        tol = 1e-12 * (1.0 + np.sum(np.abs(theta.beta)))
+        scores = batch_scores(theta, x)
+        assert np.all(np.isfinite(scores))
+        for row, score in zip(x, scores):
+            assert abs(score - scalar_forward_oracle(theta, row)) <= tol
+            assert abs(forward_score(theta, row) - scalar_forward_oracle(theta, row)) <= tol
+        batch = LabeledBatch(x=x, y=np.arange(9) % 2)
+        assert np.isfinite(log_sigmoid_likelihood(theta, batch))
+
+
+class TestKernelRows:
+    """Row s of the kernel's output depends only on parameter row s."""
+
+    SPLITS = (slice(None, 7), slice(7, 130), slice(130, None))
+
+    def test_uneven_row_splits_are_byte_identical(self, rng):
+        thetas = rng.normal(0, 2, (200, BENCH_SHAPE.K))
+        batch = LabeledBatch(x=rng.uniform(0, 1, (37, 2)), y=rng.integers(0, 2, 37))
+        prior = PriorConfig.standard(BENCH_SHAPE.K)
+        for fn, args in ((scores_many, (batch.x, BENCH_SHAPE)),
+                         (log_joint_many, (batch, prior, BENCH_SHAPE))):
+            whole = fn(thetas, *args)
+            parts = np.concatenate([fn(thetas[rows], *args) for rows in self.SPLITS])
+            assert parts.tobytes() == whole.tobytes()
+            for i in (0, 6, 7, 199):
+                assert fn(thetas[i : i + 1], *args).tobytes() == whole[i : i + 1].tobytes()
 
 
 class TestSoftplus:

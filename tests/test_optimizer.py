@@ -332,6 +332,20 @@ class TestTrain:
             np.testing.assert_array_equal(report.grad_var_trace,
                                           runs[0][1].grad_var_trace)
 
+    def test_byte_identical_for_one_two_and_three_threads(self):
+        # S=200 is split into 100+100 sample rows for two threads and
+        # 66+67+67 for three; the split must never show in the results
+        batch = bench_batch(n=150)
+        prior = PriorConfig.standard(BENCH_SHAPE.K)
+        base = dict(S=200, max_iters=20, seed=11, use_control_variates=True,
+                    grad_clip=10.0, schedule=Schedule(kind="rm", rho0=1.0, b=100.0, c=0.3))
+        runs = [train(batch, prior, BENCH_SHAPE, TrainConfig(threads=t, **base))
+                for t in (1, 2, 3)]
+        for q, report in runs[1:]:
+            assert report.elbo_trace.tobytes() == runs[0][1].elbo_trace.tobytes()
+            assert q.mean.tobytes() == runs[0][0].mean.tobytes()
+            assert q.raw_scale.tobytes() == runs[0][0].raw_scale.tobytes()
+
     def test_learns_the_benchmark(self):
         from vbnn.prediction import PredictiveConfig, test_accuracy
 
@@ -365,6 +379,17 @@ class TestTrain:
         assert report.iterations_run in (report.diverged_at, report.diverged_at + 1)
         assert np.all(np.isfinite(report.elbo_trace))
         assert np.all(np.isfinite(q.mean)) and np.all(np.isfinite(q.raw_scale))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_divergence_is_silent_on_worker_threads(self):
+        # train suppresses overflow warnings while it detects divergence;
+        # the log-joint blocks evaluated on pool threads must honour that too
+        batch = bench_batch(n=60)
+        prior = PriorConfig.standard(BENCH_SHAPE.K)
+        cfg = TrainConfig(S=50, schedule=Schedule(kind="fixed", rho=1e60),
+                          max_iters=50, seed=0, threads=2)
+        _, report = train(batch, prior, BENCH_SHAPE, cfg)
+        assert report.diverged
 
     def test_clipping_caps_the_first_step(self):
         batch = bench_batch(n=100)
