@@ -27,6 +27,7 @@ from .data import (
     SchemaError,
     SplitSpec,
     TableSchema,
+    _parse_rows,
     default_schema,
     fit_normalization,
     generate_synthetic,
@@ -143,34 +144,14 @@ def _load_feature_rows(path: str, schema: TableSchema) -> np.ndarray:
     """Features for prediction; accepts full columns or feature columns only."""
     feature_names = [c.name for c in schema.feature_columns]
     with open(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
-    if header is None:
-        raise DataError(f"{path}: empty file, expected a header row")
-    if [h.strip() for h in header] != feature_names:
-        batch, _ = load_csv(path, schema)
-        return batch.x
-    # label-less file: parse the feature columns directly
-    with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)
-        rows = list(reader)
-    x = np.empty((len(rows), len(feature_names)))
-    bad = []
-    for i, row in enumerate(rows):
-        if len(row) != len(feature_names):
-            bad.append(i + 2)
-            continue
-        try:
-            x[i] = [float(cell) for cell in row]
-        except ValueError:
-            bad.append(i + 2)
-    if bad:
-        raise DataError(
-            f"{path}: malformed or missing values at line(s) "
-            + ", ".join(map(str, bad)),
-            lines=bad,
-        )
-    return x
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty file, expected a header row")
+        if [h.strip() for h in header] == feature_names:
+            return _parse_rows(path, list(reader), len(feature_names))
+    batch, _ = load_csv(path, schema)
+    return batch.x
 
 
 # ---------------------------------------------------------------------------
@@ -207,15 +188,6 @@ def _train_config_from(args, config_doc: dict) -> TrainConfig:
     return TrainConfig.from_json_dict(doc)
 
 
-def _prior_for(shape: NetworkShape, config_doc: dict) -> PriorConfig:
-    spec = config_doc.get("prior")
-    if spec is None:
-        return PriorConfig.standard(shape.K)
-    mu = np.full(shape.K, float(spec.get("mu", 0.0)))
-    zeta = np.full(shape.K, float(spec.get("zeta", 1.0)))
-    return PriorConfig(mu=mu, zeta=zeta)
-
-
 def _prepare_training_data(args) -> tuple[LabeledBatch, TableSchema]:
     schema = _resolve_schema(args.data, args.schema)
     batch, schema = load_csv(args.data, schema)
@@ -247,8 +219,9 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     config_doc = _load_json(args.config, "config") if args.config else {}
+    k_doc = config_doc.pop("k", 10)
     config = _train_config_from(args, config_doc)
-    k = args.k if args.k is not None else int(config_doc.get("k", 10))
+    k = args.k if args.k is not None else int(k_doc)
     batch, schema = _prepare_training_data(args)
     shape, prior, q, report = _run_training(batch, schema, config, k)
 
@@ -287,7 +260,7 @@ def cmd_predict(args) -> int:
         )
     x = normalize(LabeledBatch(x=x, y=np.zeros(x.shape[0], dtype=np.int64)), schema).x
     cfg = PredictiveConfig(M=args.M, seed=args.seed)
-    probs = predictive_probabilities(q, x, cfg, threads=args.threads)
+    probs = predictive_probabilities(q, x, cfg)
     labels = (probs >= 0.5).astype(np.int64)
     _atomic_write(args.out, lambda tmp: save_predictions_csv(tmp, probs, labels))
     logger.info("wrote %d predictions to %s", probs.shape[0], args.out)
@@ -299,7 +272,7 @@ def cmd_evaluate(args) -> int:
     batch, _ = load_csv(args.data, schema)
     batch = normalize(batch, schema)
     cfg = PredictiveConfig(M=args.M, seed=args.seed)
-    doc = evaluation_dict(q, batch, cfg, threads=args.threads)
+    doc = evaluation_dict(q, batch, cfg)
     _atomic_write_json(args.out, doc)
     logger.info("accuracy %.4f on %d rows", doc["accuracy"], doc["n"])
     return 0
@@ -321,7 +294,7 @@ def cmd_diagnose(args) -> int:
         )
     pred_cfg = PredictiveConfig(M=args.M, seed=args.seed)
     int_cfg = IntegrationConfig(n_mc=args.n_mc, seed=args.seed)
-    doc = diagnostics_dict(q, truth, pred_cfg, int_cfg, threads=args.threads)
+    doc = diagnostics_dict(q, truth, pred_cfg, int_cfg)
     _atomic_write_json(args.out, doc)
     logger.info("hellinger %.4f, risk gap %.4f", doc["hellinger"], doc["risk_gap"])
     return 0
@@ -367,8 +340,7 @@ def cmd_sweep(args) -> int:
                 normalize(train_part, fitted), fitted, config, k
             )
             cfg = PredictiveConfig(M=args.M, seed=config.seed)
-            accs.append(test_accuracy(q, normalize(test_part, fitted), cfg,
-                                      threads=config.threads))
+            accs.append(test_accuracy(q, normalize(test_part, fitted), cfg))
             iters.append(report.iterations_run)
             wall += report.wall_time
         accs_arr = np.asarray(accs)
@@ -409,7 +381,8 @@ def _add_predictive_flags(sub, default_m=1000):
     sub.add_argument("--M", type=int, default=default_m,
                      help="posterior draws per prediction")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--threads", type=int, default=1)
+    sub.add_argument("--threads", type=int, default=1,
+                     help="ignored: serving is single-threaded")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -446,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--max-iters", type=int, default=None, dest="max_iters")
     p_train.add_argument("--k", type=int, default=None, help="hidden nodes")
     p_train.add_argument("--seed", type=int, default=None)
-    p_train.add_argument("--threads", type=int, default=None)
+    p_train.add_argument("--threads", type=int, default=None,
+                         help="training threads; results do not depend on it")
     p_train.set_defaults(func=cmd_train)
 
     p_pred = sub.add_parser("predict", help="posterior-predictive probabilities")
@@ -480,7 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--M", type=int, default=200)
     p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--threads", type=int, default=None)
+    p_sweep.add_argument("--threads", type=int, default=None,
+                         help="training threads; fold scoring is single-threaded")
     p_sweep.set_defaults(func=cmd_sweep)
 
     return parser

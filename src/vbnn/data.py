@@ -162,13 +162,38 @@ def default_schema(p: int, feature_names=None, label_name: str = "y") -> TableSc
     return TableSchema(columns=tuple(cols))
 
 
+def _parse_rows(path, rows: list, ncol: int) -> np.ndarray:
+    """The (len(rows), ncol) values of the data rows that follow a header.
+
+    A row with the wrong cell count, or with a cell that is missing, not a
+    number, nan or infinite, raises DataError listing every such row's file
+    line number (1-based, header is line 1).
+    """
+    values = np.full((len(rows), ncol), np.nan)
+    for i, row in enumerate(rows):
+        if len(row) == ncol:
+            try:
+                values[i] = [float(cell) for cell in row]
+            except ValueError:
+                pass  # the row stays nan and is reported below
+    bad_lines = (np.flatnonzero(~np.isfinite(values).all(axis=1)) + 2).tolist()
+    if bad_lines:
+        raise DataError(
+            f"{path}: malformed, missing or non-finite values at line(s) "
+            + ", ".join(str(b) for b in bad_lines),
+            lines=bad_lines,
+        )
+    return values
+
+
 def load_csv(path, schema: TableSchema | None = None) -> tuple[LabeledBatch, TableSchema]:
     """Parse a headered CSV into a batch, validating against the schema.
 
-    Unparseable or missing values raise DataError listing the file line
-    numbers (1-based, header is line 1).  Without a schema, every column is
-    an unnormalized numeric feature except the label, which is the column
-    named 'y' or 'label' (or the last column when neither name appears).
+    Unparseable, missing or non-finite values raise DataError listing the
+    file line numbers (1-based, header is line 1).  Without a schema, every
+    column is an unnormalized numeric feature except the label, which is the
+    column named 'y' or 'label' (or the last column when neither name
+    appears).
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -199,23 +224,7 @@ def load_csv(path, schema: TableSchema | None = None) -> tuple[LabeledBatch, Tab
             )
 
     ncol = len(schema.columns)
-    values = np.empty((len(rows), ncol))
-    bad_lines = []
-    for i, row in enumerate(rows):
-        line_no = i + 2  # header is line 1
-        if len(row) != ncol:
-            bad_lines.append(line_no)
-            continue
-        try:
-            values[i] = [float(cell) for cell in row]
-        except ValueError:
-            bad_lines.append(line_no)
-    if bad_lines:
-        raise DataError(
-            f"{path}: malformed or missing values at line(s) "
-            + ", ".join(str(b) for b in bad_lines),
-            lines=bad_lines,
-        )
+    values = _parse_rows(path, rows, ncol)
 
     label_idx = schema.label_index
     y = values[:, label_idx]

@@ -231,7 +231,6 @@ def risk_gap(
     truth: TrueFunction,
     pred_cfg: PredictiveConfig,
     cfg: IntegrationConfig,
-    threads: int = 1,
 ) -> RiskGapResult:
     """Excess risk of the plug-in classifier over the Bayes classifier.
 
@@ -241,9 +240,12 @@ def risk_gap(
     """
     x = draw_points(cfg, truth.p)
     p0 = sigmoid(truth(x))
-    p_hat = predictive_probabilities(q, x, pred_cfg, threads=threads)
-    wrong = p_hat >= 0.5
-    err_model = np.where(wrong, 1.0 - p0, p0)
+    return _risk_estimates(p0, predictive_probabilities(q, x, pred_cfg), cfg)
+
+
+def _risk_estimates(p0: np.ndarray, p_hat: np.ndarray, cfg: IntegrationConfig) -> RiskGapResult:
+    """Plug-in and Bayes risks against the true conditional p0, point by point."""
+    err_model = np.where(p_hat >= 0.5, 1.0 - p0, p0)
     err_bayes = np.minimum(p0, 1.0 - p0)
     return RiskGapResult(
         gap=MCEstimate(*_mean_with_se(err_model - err_bayes)),
@@ -276,7 +278,6 @@ def diagnostics_dict(
     truth: TrueFunction,
     pred_cfg: PredictiveConfig,
     cfg: IntegrationConfig,
-    threads: int = 1,
 ) -> dict:
     """Posterior-consistency summary: distances plus risk gap in one pass.
 
@@ -287,28 +288,24 @@ def diagnostics_dict(
     x = draw_points(cfg, truth.p)
     z0 = truth(x)
     p0 = sigmoid(z0)
-    p_hat = predictive_probabilities(q, x, pred_cfg, threads=threads)
+    p_hat = predictive_probabilities(q, x, pred_cfg)
     eps = pred_cfg.prob_clamp_eps
     clamped = np.clip(p_hat, eps, 1.0 - eps)
     z_hat = np.log(clamped) - np.log1p(-clamped)
 
     hell = _hellinger_core(z0, z_hat)
     kl = _kl_core(z0, z_hat)
-    wrong = p_hat >= 0.5
-    err_model = np.where(wrong, 1.0 - p0, p0)
-    err_bayes = np.minimum(p0, 1.0 - p0)
-    gap_mean, gap_se = _mean_with_se(err_model - err_bayes)
-    bound_mean, bound_se = _mean_with_se(2.0 * np.abs(p0 - p_hat))
+    risk = _risk_estimates(p0, p_hat, cfg)
     return {
         "hellinger": hell.value,
         "hellinger_stderr": hell.stderr,
         "kl": kl.value,
         "kl_stderr": kl.stderr,
-        "bayes_risk": float(err_bayes.mean()),
-        "risk_gap": gap_mean,
-        "risk_gap_stderr": gap_se,
-        "risk_bound": bound_mean,
-        "risk_bound_stderr": bound_se,
+        "bayes_risk": risk.bayes_risk.value,
+        "risk_gap": risk.gap.value,
+        "risk_gap_stderr": risk.gap.stderr,
+        "risk_bound": risk.bound.value,
+        "risk_bound_stderr": risk.bound.stderr,
         "n_mc": cfg.n_mc,
         "seed": cfg.seed,
     }

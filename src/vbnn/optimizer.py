@@ -196,6 +196,11 @@ class TrainConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TrainConfig":
+        """Inverse of to_json_dict; missing keys take their defaults and
+        keys it does not read raise ValueError naming them."""
+        unknown = sorted(set(doc) - _CONFIG_KEYS)
+        if unknown:
+            raise ValueError(f"unknown training config key(s): {', '.join(unknown)}")
         algo = doc.get("algo", "bbvi")
         if algo not in ("bbvi", "bbvi-cv"):
             raise ValueError(f"unknown algo {algo!r}")
@@ -214,6 +219,9 @@ class TrainConfig:
             cv_holdout=bool(doc.get("cv_holdout", False)),
             cv_pooled=bool(doc.get("cv_pooled", False)),
         )
+
+
+_CONFIG_KEYS = frozenset(TrainConfig().to_json_dict())
 
 
 @dataclass(frozen=True)

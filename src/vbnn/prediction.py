@@ -10,13 +10,14 @@ the average score (Jensen gap), and the former is the honest posterior mean
 of P(y=1 | x).
 
 Each row of the input gets its own RNG substream, spawned as
-SeedSequence(entropy=seed, spawn_key=(row,)), so results are independent of
-both row chunking and thread count.
+SeedSequence(entropy=seed, spawn_key=(row,)), so a row's p_hat depends only
+on the seed, its index and its features.  Serving is single-threaded: the
+per-row loop holds the GIL, so a thread pool cannot speed it up.  Only
+training is threaded.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,10 +38,6 @@ __all__ = [
     "save_predictions_csv",
     "evaluation_dict",
 ]
-
-# Rows handled per task when threading; fixed so chunking never alters output.
-_CHUNK_ROWS = 64
-
 
 @dataclass(frozen=True)
 class PredictiveConfig:
@@ -71,30 +68,16 @@ def _row_probability(
 
 
 def predictive_probabilities(
-    q: VariationalParams, x: np.ndarray, cfg: PredictiveConfig, threads: int = 1
+    q: VariationalParams, x: np.ndarray, cfg: PredictiveConfig
 ) -> np.ndarray:
     """p_hat for every row of x (n, p); returns values in [0, 1]."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError("x must be 2-d (n, p)")
     shape = shape_for(q.K, x.shape[1])
-    n = x.shape[0]
-    out = np.empty(n)
-    if n == 0:
-        return out
-
-    def run(start: int) -> None:
-        stop = min(start + _CHUNK_ROWS, n)
-        for i in range(start, stop):
-            out[i] = _row_probability(q, shape, x[i], i, cfg)
-
-    starts = range(0, n, _CHUNK_ROWS)
-    if threads <= 1 or n <= _CHUNK_ROWS:
-        for s in starts:
-            run(s)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, starts))
+    out = np.empty(x.shape[0])
+    for i in range(x.shape[0]):
+        out[i] = _row_probability(q, shape, x[i], i, cfg)
     return out
 
 
@@ -106,14 +89,14 @@ def predictive_probability(
 
 
 def predictive_logits(
-    q: VariationalParams, x: np.ndarray, cfg: PredictiveConfig, threads: int = 1
+    q: VariationalParams, x: np.ndarray, cfg: PredictiveConfig
 ) -> np.ndarray:
     """log(p/(1-p)) of the clamped predictive probabilities.
 
     Probabilities are clamped to [eps, 1-eps] first so saturated predictions
     produce large finite logits instead of +/-inf.
     """
-    probs = predictive_probabilities(q, x, cfg, threads=threads)
+    probs = predictive_probabilities(q, x, cfg)
     eps = cfg.prob_clamp_eps
     return _logit(np.clip(probs, eps, 1.0 - eps))
 
@@ -123,10 +106,10 @@ def predictive_logit(q: VariationalParams, x: np.ndarray, cfg: PredictiveConfig)
 
 
 def classify_batch(
-    q: VariationalParams, x: np.ndarray, cfg: PredictiveConfig, threads: int = 1
+    q: VariationalParams, x: np.ndarray, cfg: PredictiveConfig
 ) -> np.ndarray:
     """Plug-in labels: 1 wherever p_hat >= 0.5 (ties go to 1), else 0."""
-    probs = predictive_probabilities(q, x, cfg, threads=threads)
+    probs = predictive_probabilities(q, x, cfg)
     return (probs >= 0.5).astype(np.int64)
 
 
@@ -135,12 +118,12 @@ def classify(q: VariationalParams, x: np.ndarray, cfg: PredictiveConfig) -> int:
 
 
 def test_accuracy(
-    q: VariationalParams, batch: LabeledBatch, cfg: PredictiveConfig, threads: int = 1
+    q: VariationalParams, batch: LabeledBatch, cfg: PredictiveConfig
 ) -> float:
     """Fraction of batch rows whose plug-in label matches y."""
     if batch.n == 0:
         raise ValueError("accuracy is undefined on an empty batch")
-    labels = classify_batch(q, batch.x, cfg, threads=threads)
+    labels = classify_batch(q, batch.x, cfg)
     return float(np.mean(labels == batch.y))
 
 
@@ -155,8 +138,8 @@ def save_predictions_csv(path, probs: np.ndarray, labels: np.ndarray) -> None:
 
 
 def evaluation_dict(
-    q: VariationalParams, batch: LabeledBatch, cfg: PredictiveConfig, threads: int = 1
+    q: VariationalParams, batch: LabeledBatch, cfg: PredictiveConfig
 ) -> dict:
     """JSON-ready held-out evaluation: {"n", "accuracy", "error_rate"}."""
-    acc = test_accuracy(q, batch, cfg, threads=threads)
+    acc = test_accuracy(q, batch, cfg)
     return {"n": batch.n, "accuracy": acc, "error_rate": 1.0 - acc}

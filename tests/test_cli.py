@@ -131,6 +131,16 @@ class TestTrain:
         assert doc["config"]["S"] == 6
         assert doc["seed"] == 9
 
+    def test_unknown_config_keys_are_named(self, tmp_path, capsys, workdir):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"prior": {"zeta": 5.0}, "max_iter": 8, "k": 2}))
+        out = tmp_path / "m"
+        code = main(["train", "--data", str(workdir["data"]), "--config", str(cfg),
+                     "--out", str(out)])
+        assert code == 1
+        assert "unknown training config key(s): max_iter, prior" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPredict:
     def test_matches_library_exactly(self, tmp_path, workdir):
@@ -180,6 +190,17 @@ class TestPredict:
         assert not out.exists()
         assert not [f for f in os.listdir(tmp_path) if f.startswith(".tmp")]
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_cell_reports_its_line(self, tmp_path, capsys, workdir,
+                                                      cell):
+        feat = tmp_path / "features.csv"
+        feat.write_text(f"x1,x2\n0.1,0.2\n0.3,{cell}\n")
+        code = main(["predict", "--model", str(workdir["model"]),
+                     "--data", str(feat), "--out", str(tmp_path / "p.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "features.csv" in err and "line(s) 3" in err
+
     def test_wrong_width_rejected(self, tmp_path, capsys, workdir):
         feat = tmp_path / "wide.csv"
         feat.write_text("x1,x2,x3,y\n0.1,0.2,0.3,1\n")
@@ -199,6 +220,35 @@ class TestEvaluate:
         assert set(doc) == {"n", "accuracy", "error_rate"}
         assert doc["n"] == 60
         assert doc["error_rate"] == pytest.approx(1 - doc["accuracy"])
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_reports_its_line(self, tmp_path, capsys, workdir, cell):
+        data = tmp_path / "labelled.csv"
+        data.write_text(f"x1,x2,y\n0.1,0.2,1\n0.3,0.4,0\n{cell},0.6,1\n")
+        code = main(["evaluate", "--model", str(workdir["model"]),
+                     "--data", str(data), "--out", str(tmp_path / "e.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "labelled.csv" in err and "line(s) 4" in err
+
+
+class TestServingThreads:
+    def test_threads_flag_does_not_change_outputs(self, tmp_path, workdir):
+        def serve(threads):
+            out = tmp_path / f"t{threads}"
+            out.mkdir()
+            common = ["--model", str(workdir["model"]), "--M", "40", "--seed", "6",
+                      "--threads", threads]
+            assert main(["predict", "--data", str(workdir["data"]),
+                         "--out", str(out / "predictions.csv")] + common) == 0
+            assert main(["evaluate", "--data", str(workdir["data"]),
+                         "--out", str(out / "eval.json")] + common) == 0
+            assert main(["diagnose", "--truth", "reference", "--n-mc", "300",
+                         "--out", str(out / "diag.json")] + common) == 0
+            return {name: (out / name).read_bytes()
+                    for name in ("predictions.csv", "eval.json", "diag.json")}
+
+        assert serve("1") == serve("8")
 
 
 def hand_built_model(path, schema_doc=None, spread=1e-6):

@@ -66,6 +66,14 @@ class TestLoadCsv:
         assert err.value.lines == (3, 5)
         assert "3, 5" in str(err.value)
 
+    def test_non_finite_cells_name_their_lines(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_text(path, "x1,x2,y\n0.5,nan,1\n0.1,0.2,0\ninf,0.3,1\n0.4,-inf,0\n")
+        with pytest.raises(DataError) as err:
+            load_csv(path)
+        assert err.value.lines == (2, 4, 5)
+        assert "2, 4, 5" in str(err.value)
+
     def test_short_row_is_an_error(self, tmp_path):
         path = tmp_path / "d.csv"
         write_text(path, "x1,x2,y\n0.5,1\n")

@@ -71,15 +71,6 @@ class TestPredictiveProbability:
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_thread_count_does_not_change_results(self, rng):
-        q = VariationalParams(mean=rng.normal(0, 1, BENCH_SHAPE.K),
-                              raw_scale=np.zeros(BENCH_SHAPE.K))
-        x = rng.uniform(0, 1, (300, 2))
-        cfg = PredictiveConfig(M=20, seed=4)
-        a = predictive_probabilities(q, x, cfg, threads=1)
-        b = predictive_probabilities(q, x, cfg, threads=8)
-        np.testing.assert_array_equal(a, b)
-
     def test_monte_carlo_budget_self_consistency(self, rng):
         q = VariationalParams(mean=rng.normal(0, 1, BENCH_SHAPE.K),
                               raw_scale=np.zeros(BENCH_SHAPE.K))
