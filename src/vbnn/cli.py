@@ -39,6 +39,7 @@ from .data import (
 from .metrics import IntegrationConfig, TrueFunction, diagnostics_dict
 from .model import LabeledBatch, NetworkShape, PriorConfig, ShapeMismatchError
 from .optimizer import (
+    SCHEDULE_KEYS,
     Schedule,
     TrainConfig,
     report_summary,
@@ -157,18 +158,36 @@ def _load_feature_rows(path: str, schema: TableSchema) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # config assembly for `train` and `sweep`
 
+def _schedule_kind(name: str) -> str:
+    return "rm" if name == "robbins_monro" else name
+
+
 def _schedule_dict_with_overrides(base: dict, args) -> dict:
+    """The config's schedule with the CLI flags applied.
+
+    --lr implies a fixed schedule and --rho0/--b/--c a decaying (rm) one;
+    flags that imply different kinds are rejected.  When the flags change the
+    config's kind, its keys for the old kind are dropped, since the new kind
+    rejects them.
+    """
     doc = dict(base)
+    flags = {key: getattr(args, attr, None)
+             for key, attr in (("rho", "lr"), ("rho0", "rho0"), ("b", "b"), ("c", "c"))}
+    flags = {key: value for key, value in flags.items() if value is not None}
+    kinds = {kind for kind, keys in SCHEDULE_KEYS.items() if keys & flags.keys()}
     if getattr(args, "schedule", None):
-        doc["kind"] = args.schedule
-    if getattr(args, "lr", None) is not None:
-        doc["kind"] = "fixed"
-        doc["rho"] = args.lr
-    for key in ("rho0", "b", "c"):
-        value = getattr(args, key, None)
-        if value is not None:
-            doc["kind"] = "rm"
-            doc[key] = value
+        kinds.add(_schedule_kind(args.schedule))
+    if len(kinds) > 1:
+        raise ValueError(
+            f"schedule flags mix the {' and '.join(sorted(kinds))} kinds: "
+            "--lr sets a fixed rate and --rho0/--b/--c a decaying one"
+        )
+    if kinds:
+        (kind,) = kinds
+        if kind != _schedule_kind(doc.get("kind", "fixed")):
+            doc = {key: value for key, value in doc.items() if key in SCHEDULE_KEYS[kind]}
+        doc["kind"] = kind
+    doc.update(flags)
     return doc
 
 

@@ -10,10 +10,13 @@ inference code can treat the model as a generic density over R^K.  Flattening
 order is [beta0, beta, gamma0, Gamma row-major]; ``flatten``/``unflatten``
 are exact inverses of each other.
 
-Every score comes from one kernel, :func:`scores_many`, over S parameter
-vectors in an (S, k, n) layout; the single-network functions wrap it.  Row s
-of its output depends only on parameter row s, so any contiguous split of the
-rows is byte-identical.  Hidden units use sigmoid(z) = 0.5 + 0.5*tanh(z/2),
+Every score comes from one of two kernels with the same arithmetic.
+:func:`scores_many` scores S parameter vectors on every row of x in an
+(S, k, n) layout; the single-network functions wrap it.  Row s of its output
+depends only on parameter row s, so any contiguous split of the rows is
+byte-identical.  :func:`scores_paired` scores posterior-predictive draws,
+where row r's own stack of M vectors meets x[r] alone; its row r depends only
+on that stack and x[r].  Hidden units use sigmoid(z) = 0.5 + 0.5*tanh(z/2),
 exact to a few ulps in absolute terms; output probabilities (``sigmoid``) and
 the likelihood (``softplus``) stay tail-exact.
 
@@ -43,6 +46,7 @@ __all__ = [
     "forward_score",
     "batch_scores",
     "scores_many",
+    "scores_paired",
     "log_sigmoid_likelihood",
     "log_likelihood_many",
     "log_prior",
@@ -229,6 +233,39 @@ def scores_many(thetas: np.ndarray, x: np.ndarray, shape: NetworkShape) -> np.nd
     half_beta = 0.5 * beta
     out = (half_beta[:, None, :] @ hidden)[:, 0, :]
     out += (beta0 + half_beta.sum(axis=1))[:, None]
+    return out
+
+
+def scores_paired(thetas: np.ndarray, x: np.ndarray, shape: NetworkShape) -> np.ndarray:
+    """Scores of R stacks of M flat vectors (R, M, K), stack r only at x[r]; returns (R, M).
+
+    The arithmetic is :func:`scores_many`'s: t_j = tanh((gamma0_j + gamma_j . x) / 2)
+    and score = beta0 + sum(beta)/2 + (sum_j beta_j t_j)/2, where halving
+    the sum is exact.  Row r's halved pre-activations are one (M, K) @ (K, k)
+    product of its stack against the linear map theta -> (gamma0 + Gamma x[r])/2,
+    and beta0 + sum(beta)/2 is one (M, K) @ (K,) product.  Each batch item of
+    a matmul is its own BLAS call, so row r of the output depends only on
+    thetas[r] and x[r], never on R or on r's position.
+    """
+    x = np.asarray(x, dtype=float)
+    thetas = np.asarray(thetas, dtype=float)
+    if x.ndim != 2 or x.shape[1] != shape.p:
+        raise ShapeMismatchError("x must be (R, p) matching the network input width")
+    if thetas.ndim != 3 or thetas.shape[0] != x.shape[0]:
+        raise ShapeMismatchError("thetas must be (R, M, K), one stack per row of x")
+    _, beta, _, _ = unflatten_many(thetas, shape)
+    k, p, R = shape.k, shape.p, x.shape[0]
+    half_eye = 0.5 * np.eye(k)
+    hidden_maps = np.concatenate([
+        np.zeros((R, 1 + k, k)),
+        np.broadcast_to(half_eye, (R, k, k)),
+        (x[:, None, :, None] * half_eye[:, None, :]).reshape(R, k * p, k),
+    ], axis=1)
+    hidden = thetas @ hidden_maps
+    np.tanh(hidden, out=hidden)
+    out = np.einsum("rmk,rmk->rm", beta, hidden)
+    out *= 0.5
+    out += thetas @ np.concatenate([[1.0], np.full(k, 0.5), np.zeros(k * (p + 1))])
     return out
 
 

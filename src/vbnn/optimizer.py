@@ -58,6 +58,7 @@ from .variational import (
 
 __all__ = [
     "Schedule",
+    "SCHEDULE_KEYS",
     "TrainConfig",
     "TrainReport",
     "NonFiniteGradientError",
@@ -129,7 +130,17 @@ class Schedule:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Schedule":
+        """Inverse of to_json_dict; missing keys take their defaults and keys
+        that do not belong to the kind raise ValueError naming them."""
         kind = doc.get("kind", "fixed")
+        allowed = SCHEDULE_KEYS.get("rm" if kind == "robbins_monro" else kind)
+        if allowed is None:
+            raise ValueError(f"unknown schedule kind {kind!r}")
+        unknown = sorted(set(doc) - allowed - {"kind"})
+        if unknown:
+            raise ValueError(
+                f"unknown key(s) for a {kind!r} schedule: {', '.join(unknown)}"
+            )
         if kind == "fixed":
             return cls(kind="fixed", rho=float(doc.get("rho", 1e-3)))
         return cls(
@@ -139,6 +150,11 @@ class Schedule:
             c=float(doc.get("c", 0.3)),
             strict_rm=bool(doc.get("strict_rm", False)),
         )
+
+
+# The keys each schedule kind reads, besides "kind" itself.
+SCHEDULE_KEYS = {"fixed": frozenset({"rho"}),
+                 "rm": frozenset({"rho0", "b", "c", "strict_rm"})}
 
 
 @dataclass(frozen=True)

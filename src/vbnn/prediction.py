@@ -11,9 +11,12 @@ of P(y=1 | x).
 
 Each row of the input gets its own RNG substream, spawned as
 SeedSequence(entropy=seed, spawn_key=(row,)), so a row's p_hat depends only
-on the seed, its index and its features.  Serving is single-threaded: the
-per-row loop holds the GIL, so a thread pool cannot speed it up.  Only
-training is threaded.
+on the seed, its index and its features.  Rows are served in blocks: each
+row's M standard normals are drawn from its substream into its slice of one
+reused buffer of about 0.5 MB, the block is scaled and shifted to q in
+place, and ``model.scores_paired`` scores every row's draws at that row
+alone.  A row's result does not depend on the block it lands in.  Serving is
+single-threaded; only training is threaded.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logit as _logit
 
-from .model import LabeledBatch, shape_for, sigmoid, unflatten_many
+from .model import LabeledBatch, scores_paired, shape_for, sigmoid
 from .variational import VariationalParams
 
 __all__ = [
@@ -54,17 +57,9 @@ class PredictiveConfig:
             raise ValueError("prob_clamp_eps must lie in (0, 0.5)")
 
 
-def _row_probability(
-    q: VariationalParams, shape, x_row: np.ndarray, row_index: int, cfg: PredictiveConfig
-) -> float:
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=cfg.seed, spawn_key=(row_index,))
-    )
-    thetas = q.mean + q.scale * rng.standard_normal((cfg.M, q.K))
-    beta0, beta, gamma0, gamma = unflatten_many(thetas, shape)
-    hidden = sigmoid(gamma0 + gamma @ x_row)
-    scores = beta0 + np.einsum("mk,mk->m", hidden, beta)
-    return float(np.mean(sigmoid(scores)))
+# Rows are served in blocks whose draws fill about 0.5 MB (at least one row),
+# so memory stays near one row's (M, K) draws whatever M is.
+_BLOCK_FLOATS = 65_536
 
 
 def predictive_probabilities(
@@ -75,9 +70,20 @@ def predictive_probabilities(
     if x.ndim != 2:
         raise ValueError("x must be 2-d (n, p)")
     shape = shape_for(q.K, x.shape[1])
-    out = np.empty(x.shape[0])
-    for i in range(x.shape[0]):
-        out[i] = _row_probability(q, shape, x[i], i, cfg)
+    n = x.shape[0]
+    rows = max(1, _BLOCK_FLOATS // (cfg.M * q.K))
+    block = np.empty((min(rows, n), cfg.M, q.K))
+    scale = q.scale
+    out = np.empty(n)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        draws = block[: stop - start]
+        for r, row in enumerate(range(start, stop)):
+            seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(row,))
+            np.random.default_rng(seq).standard_normal(out=draws[r])
+        draws *= scale
+        draws += q.mean
+        out[start:stop] = sigmoid(scores_paired(draws, x[start:stop], shape)).mean(axis=1)
     return out
 
 

@@ -141,6 +141,45 @@ class TestTrain:
         assert "unknown training config key(s): max_iter, prior" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("schedule, key", [({"kind": "fixed", "rhoo": 0.5}, "rhoo"),
+                                               ({"kind": "rm", "rho": 0.5}, "rho")])
+    def test_schedule_keys_of_another_kind_are_named(self, tmp_path, capsys, workdir,
+                                                     schedule, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"S": 6, "max_iters": 8, "k": 2, "schedule": schedule}))
+        out = tmp_path / "m"
+        code = main(["train", "--data", str(workdir["data"]), "--config", str(cfg),
+                     "--out", str(out)])
+        assert code == 1
+        assert f"schedule: {key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("schedule, flags, expected", [
+        ({"kind": "fixed", "rho": 0.01}, ["--rho0", "2", "--c", "0.5"],
+         {"kind": "rm", "rho0": 2.0, "b": 100.0, "c": 0.5, "strict_rm": False}),
+        ({"kind": "fixed", "rho": 0.01}, ["--schedule", "robbins_monro"],
+         {"kind": "rm", "rho0": 1.0, "b": 100.0, "c": 0.3, "strict_rm": False}),
+        ({"kind": "rm", "rho0": 2.0, "b": 50.0}, ["--lr", "0.02"],
+         {"kind": "fixed", "rho": 0.02}),
+    ])
+    def test_flags_switching_schedule_kind_still_train(self, tmp_path, workdir,
+                                                       schedule, flags, expected):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"S": 6, "max_iters": 8, "k": 2, "schedule": schedule}))
+        out = tmp_path / "m"
+        code = main(["train", "--data", str(workdir["data"]), "--config", str(cfg),
+                     "--out", str(out)] + flags)
+        assert code in (0, 2)
+        assert read_json(out / "model.json")["config"]["schedule"] == expected
+
+    def test_flags_of_two_schedule_kinds_are_rejected(self, tmp_path, capsys, workdir):
+        out = tmp_path / "m"
+        code = main(["train", "--data", str(workdir["data"]), "--out", str(out),
+                     "--lr", "0.01", "--rho0", "2"])
+        assert code == 1
+        assert "fixed and rm" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPredict:
     def test_matches_library_exactly(self, tmp_path, workdir):

@@ -31,6 +31,7 @@ from vbnn.model import (
     network_from_json_dict,
     network_to_json_dict,
     scores_many,
+    scores_paired,
     shape_for,
     sigmoid,
     softplus,
@@ -140,6 +141,46 @@ class TestKernelRows:
             assert parts.tobytes() == whole.tobytes()
             for i in (0, 6, 7, 199):
                 assert fn(thetas[i : i + 1], *args).tobytes() == whole[i : i + 1].tobytes()
+
+
+class TestPairedKernel:
+    """scores_paired scores stack r of (R, M, K) at x[r] alone."""
+
+    @pytest.mark.parametrize("shape", [TOY_SHAPE, BENCH_SHAPE, NetworkShape(p=4, k=6)])
+    def test_each_row_matches_scores_many_at_its_point(self, rng, shape):
+        thetas = rng.normal(0, 2, (9, 31, shape.K))
+        x = rng.uniform(-1, 1, (9, shape.p))
+        paired = scores_paired(thetas, x, shape)
+        assert paired.shape == (9, 31)
+        for r in range(9):
+            expected = scores_many(thetas[r], x[r : r + 1], shape)[:, 0]
+            np.testing.assert_allclose(paired[r], expected, rtol=0, atol=1e-13)
+
+    def test_row_does_not_depend_on_its_batch(self, rng):
+        thetas = rng.normal(0, 2, (11, 13, BENCH_SHAPE.K))
+        x = rng.uniform(0, 1, (11, 2))
+        whole = scores_paired(thetas, x, BENCH_SHAPE)
+        for rows in (slice(0, 1), slice(3, 4), slice(2, 9), slice(10, None)):
+            part = scores_paired(thetas[rows].copy(), x[rows], BENCH_SHAPE)
+            assert part.tobytes() == whole[rows].tobytes()
+
+    def test_mismatched_shapes_raise(self, rng):
+        thetas = rng.normal(0, 1, (3, 5, BENCH_SHAPE.K))
+        bad_inputs = (
+            (thetas, np.zeros((3, 3))),                   # x too wide
+            (thetas, np.zeros((3, 1))),                   # x too narrow
+            (thetas, np.zeros((4, 2))),                   # one more point than stacks
+            (thetas[:2], np.zeros((3, 2))),               # one fewer stack than points
+            (thetas[0], np.zeros((5, 2))),                # an unstacked (M, K) block
+            (thetas[..., :-1], np.zeros((3, 2))),         # wrong flat length
+        )
+        for bad_thetas, x in bad_inputs:
+            with pytest.raises(ShapeMismatchError):
+                scores_paired(bad_thetas, x, BENCH_SHAPE)
+
+    def test_empty_batch(self):
+        out = scores_paired(np.empty((0, 4, BENCH_SHAPE.K)), np.empty((0, 2)), BENCH_SHAPE)
+        assert out.shape == (0, 4)
 
 
 class TestSoftplus:

@@ -100,6 +100,15 @@ class TestSchedule:
         with pytest.raises(ValueError, match="unknown schedule kind"):
             Schedule.from_json_dict({"kind": "exponential"})
 
+    def test_keys_of_another_kind_are_named(self):
+        for doc, key in (({"kind": "fixed", "rhoo": 0.5}, "rhoo"),
+                         ({"kind": "rm", "rho": 0.5}, "rho"),
+                         ({"kind": "robbins_monro", "rho0": 2.0, "rho": 0.5}, "rho"),
+                         ({"rho0": 2.0}, "rho0")):
+            with pytest.raises(ValueError, match=f"schedule: {key}$"):
+                Schedule.from_json_dict(doc)
+        assert Schedule.from_json_dict({"kind": "robbins_monro", "rho0": 2.0}).rho0 == 2.0
+
     def test_json_round_trip(self):
         for sched in (Schedule(kind="fixed", rho=5e-4),
                       Schedule(kind="rm", rho0=2.0, b=10.0, c=0.9, strict_rm=True)):

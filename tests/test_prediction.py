@@ -2,12 +2,13 @@
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import expit, logit
 
-from vbnn.model import LabeledBatch, NetworkShape, unflatten
+from vbnn.model import LabeledBatch, NetworkShape, scores_many, sigmoid, unflatten
 from vbnn.prediction import (
     PredictiveConfig,
     classify,
@@ -19,6 +20,7 @@ from vbnn.prediction import (
     predictive_probability,
     save_predictions_csv,
 )
+from vbnn.prediction import _BLOCK_FLOATS
 from vbnn.prediction import test_accuracy as accuracy_of  # dodge pytest collection
 from vbnn.variational import VariationalParams, softplus_inverse
 
@@ -104,6 +106,54 @@ class TestPredictiveProbability:
         probs = predictive_probabilities(q, rng.uniform(0, 1, (40, 2)),
                                          PredictiveConfig(M=30, seed=0))
         assert np.all((probs >= 0) & (probs <= 1))
+
+
+def block_rows(M: int, K: int) -> int:
+    return max(1, _BLOCK_FLOATS // (M * K))
+
+
+class TestRowBlocks:
+    """Rows are served in blocks; no row's p_hat depends on its block."""
+
+    @pytest.fixture
+    def wide_q(self, rng):
+        return VariationalParams(mean=rng.normal(0, 1, BENCH_SHAPE.K),
+                                 raw_scale=softplus_inverse(np.full(BENCH_SHAPE.K, 0.7)))
+
+    @pytest.mark.parametrize("M", [7, 200, 3000])
+    def test_prefixes_are_byte_identical(self, rng, wide_q, M):
+        B = block_rows(M, BENCH_SHAPE.K)
+        cfg = PredictiveConfig(M=M, seed=17)
+        x = rng.uniform(0, 1, (2 * B + 9, 2))
+        whole = predictive_probabilities(wide_q, x, cfg)
+        for m in (1, B - 1, B, B + 1, 2 * B + 3):
+            part = predictive_probabilities(wide_q, x[:m], cfg)
+            assert part.tobytes() == whole[:m].tobytes(), m
+
+    def test_rows_match_the_documented_substream(self, rng, wide_q):
+        M, seed = 200, 5
+        n = 2 * block_rows(M, BENCH_SHAPE.K) + 4
+        x = rng.uniform(0, 1, (n, 2))
+        probs = predictive_probabilities(wide_q, x, PredictiveConfig(M=M, seed=seed))
+        for r in range(n):
+            row_rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=seed, spawn_key=(r,))
+            )
+            draws = wide_q.mean + wide_q.scale * row_rng.standard_normal((M, BENCH_SHAPE.K))
+            expected = np.mean(sigmoid(scores_many(draws, x[r : r + 1], BENCH_SHAPE)))
+            assert abs(probs[r] - expected) <= 1e-15, r
+
+    def test_large_budget_allocates_about_one_rows_draws(self, rng, wide_q):
+        M = 50_000
+        x = rng.uniform(0, 1, (3, 2))
+        cfg = PredictiveConfig(M=M, seed=0)
+        tracemalloc.start()
+        try:
+            predictive_probabilities(wide_q, x, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * M * BENCH_SHAPE.K * 8
 
 
 class TestLogits:
