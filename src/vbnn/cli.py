@@ -40,7 +40,6 @@ from .metrics import IntegrationConfig, TrueFunction, diagnostics_dict
 from .model import LabeledBatch, NetworkShape, PriorConfig, ShapeMismatchError
 from .optimizer import (
     SCHEDULE_KEYS,
-    Schedule,
     TrainConfig,
     report_summary,
     save_report_csv,

@@ -14,11 +14,12 @@ Every score comes from one of two kernels with the same arithmetic.
 :func:`scores_many` scores S parameter vectors on every row of x in an
 (S, k, n) layout; the single-network functions wrap it.  Row s of its output
 depends only on parameter row s, so any contiguous split of the rows is
-byte-identical.  :func:`scores_paired` scores posterior-predictive draws,
-where row r's own stack of M vectors meets x[r] alone; its row r depends only
-on that stack and x[r].  Hidden units use sigmoid(z) = 0.5 + 0.5*tanh(z/2),
-exact to a few ulps in absolute terms; output probabilities (``sigmoid``) and
-the likelihood (``softplus``) stay tail-exact.
+byte-identical.  :func:`scores` scores posterior-predictive draws from the
+exact Gaussian marginals of the hidden pre-activations at each row of x; its
+row r depends only on that row's normals and x[r].  Hidden units use
+sigmoid(z) = 0.5 + 0.5*tanh(z/2), exact to a few ulps in absolute terms;
+output probabilities (``sigmoid``) and the likelihood (``softplus``) stay
+tail-exact.
 
 Everything here is pure and side-effect free, so the functions are safe to
 call from worker threads.
@@ -46,7 +47,7 @@ __all__ = [
     "forward_score",
     "batch_scores",
     "scores_many",
-    "scores_paired",
+    "scores",
     "log_sigmoid_likelihood",
     "log_likelihood_many",
     "log_prior",
@@ -236,36 +237,39 @@ def scores_many(thetas: np.ndarray, x: np.ndarray, shape: NetworkShape) -> np.nd
     return out
 
 
-def scores_paired(thetas: np.ndarray, x: np.ndarray, shape: NetworkShape) -> np.ndarray:
-    """Scores of R stacks of M flat vectors (R, M, K), stack r only at x[r]; returns (R, M).
+def scores(
+    z: np.ndarray, x: np.ndarray, mean: np.ndarray, scale: np.ndarray, shape: NetworkShape
+) -> np.ndarray:
+    """Scores of M draws theta ~ N(mean, diag(scale^2)) at each row of x; returns (R, M).
 
-    The arithmetic is :func:`scores_many`'s: t_j = tanh((gamma0_j + gamma_j . x) / 2)
-    and score = beta0 + sum(beta)/2 + (sum_j beta_j t_j)/2, where halving
-    the sum is exact.  Row r's halved pre-activations are one (M, K) @ (K, k)
-    product of its stack against the linear map theta -> (gamma0 + Gamma x[r])/2,
-    and beta0 + sum(beta)/2 is one (M, K) @ (K,) product.  Each batch item of
-    a matmul is its own BLAS call, so row r of the output depends only on
-    thetas[r] and x[r], never on R or on r's position.
+    Under mean-field q the halved hidden pre-activation (gamma0_j + gamma_j . x_r)/2
+    is exactly Gaussian at a fixed x_r, independent of the betas and of the
+    other units.  So z (R, 2k+1, M) holds standard normals for beta0 (z[:, 0]),
+    the betas (z[:, 1:1+k]) and those pre-activations (z[:, 1+k:]), and the
+    score is :func:`scores_many`'s beta0 + sum(beta)/2 + sum_j beta_j t_j/2.
+    The moments are elementwise, with no BLAS call, so row r of the output
+    depends only on z[r] and x[r]; the standard deviation is a ``hypot``
+    reduction, which squares nothing that could overflow.
     """
     x = np.asarray(x, dtype=float)
-    thetas = np.asarray(thetas, dtype=float)
+    z = np.asarray(z, dtype=float)
+    k = shape.k
     if x.ndim != 2 or x.shape[1] != shape.p:
         raise ShapeMismatchError("x must be (R, p) matching the network input width")
-    if thetas.ndim != 3 or thetas.shape[0] != x.shape[0]:
-        raise ShapeMismatchError("thetas must be (R, M, K), one stack per row of x")
-    _, beta, _, _ = unflatten_many(thetas, shape)
-    k, p, R = shape.k, shape.p, x.shape[0]
-    half_eye = 0.5 * np.eye(k)
-    hidden_maps = np.concatenate([
-        np.zeros((R, 1 + k, k)),
-        np.broadcast_to(half_eye, (R, k, k)),
-        (x[:, None, :, None] * half_eye[:, None, :]).reshape(R, k * p, k),
-    ], axis=1)
-    hidden = thetas @ hidden_maps
+    if z.ndim != 3 or z.shape[:2] != (x.shape[0], 2 * k + 1):
+        raise ShapeMismatchError(f"z must be (R, {2 * k + 1}, M), one stack per row of x")
+    beta0_m, beta_m, gamma0_m, gamma_m = unflatten_many(mean, shape)
+    beta0_s, beta_s, gamma0_s, gamma_s = unflatten_many(scale, shape)
+    loc = 0.5 * gamma0_m + (0.5 * gamma_m * x[:, None, :]).sum(axis=2)
+    sd = np.hypot(0.5 * gamma0_s, np.hypot.reduce(0.5 * gamma_s * np.abs(x[:, None, :]), axis=2))
+    hidden = z[:, 1 + k :] * sd[:, :, None]
+    hidden += loc[:, :, None]
     np.tanh(hidden, out=hidden)
-    out = np.einsum("rmk,rmk->rm", beta, hidden)
-    out *= 0.5
-    out += thetas @ np.concatenate([[1.0], np.full(k, 0.5), np.zeros(k * (p + 1))])
+    half_beta = z[:, 1 : 1 + k] * (0.5 * beta_s)[:, None]
+    half_beta += (0.5 * beta_m)[:, None]
+    hidden *= half_beta
+    out = hidden.sum(axis=1) + half_beta.sum(axis=1)
+    out += beta0_s * z[:, 0] + beta0_m
     return out
 
 

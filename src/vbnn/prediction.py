@@ -9,14 +9,14 @@ Note the order matters: averaging probabilities is not the same as squashing
 the average score (Jensen gap), and the former is the honest posterior mean
 of P(y=1 | x).
 
-Each row of the input gets its own RNG substream, spawned as
-SeedSequence(entropy=seed, spawn_key=(row,)), so a row's p_hat depends only
-on the seed, its index and its features.  Rows are served in blocks: each
-row's M standard normals are drawn from its substream into its slice of one
-reused buffer of about 0.5 MB, the block is scaled and shifted to q in
-place, and ``model.scores_paired`` scores every row's draws at that row
-alone.  A row's result does not depend on the block it lands in.  Serving is
-single-threaded; only training is threaded.
+Each call draws from one stream, SeedSequence(entropy=seed, spawn_key=(3,)),
+a key neither ``metrics.draw_points`` nor training uses.  At a fixed x the
+hidden pre-activations are exactly Gaussian under q, so a score draw takes
+D = 2k+1 normals (``model.scores``), and row r owns normals r*M*D to
+(r+1)*M*D - 1, laid out (D, M): its p_hat depends only on the seed, its
+index and its features, and its Monte Carlo error is independent of every
+other row's.  Blocks of rows fill one reused buffer of about 0.5 MB with one
+``standard_normal`` call each.  Serving is single-threaded.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logit as _logit
 
-from .model import LabeledBatch, scores_paired, shape_for, sigmoid
+from .model import LabeledBatch, scores, shape_for, sigmoid
 from .variational import VariationalParams
 
 __all__ = [
@@ -57,8 +57,8 @@ class PredictiveConfig:
             raise ValueError("prob_clamp_eps must lie in (0, 0.5)")
 
 
-# Rows are served in blocks whose draws fill about 0.5 MB (at least one row),
-# so memory stays near one row's (M, K) draws whatever M is.
+# Rows are served in blocks whose normals fill about 0.5 MB (at least one
+# row), so memory stays near one row's (D, M) normals whatever M is.
 _BLOCK_FLOATS = 65_536
 
 
@@ -70,20 +70,15 @@ def predictive_probabilities(
     if x.ndim != 2:
         raise ValueError("x must be 2-d (n, p)")
     shape = shape_for(q.K, x.shape[1])
-    n = x.shape[0]
-    rows = max(1, _BLOCK_FLOATS // (cfg.M * q.K))
-    block = np.empty((min(rows, n), cfg.M, q.K))
-    scale = q.scale
+    n, D = x.shape[0], 2 * shape.k + 1
+    rows = max(1, _BLOCK_FLOATS // (cfg.M * D))
+    block = np.empty((min(rows, n), D, cfg.M))
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(3,)))
     out = np.empty(n)
     for start in range(0, n, rows):
         stop = min(start + rows, n)
-        draws = block[: stop - start]
-        for r, row in enumerate(range(start, stop)):
-            seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(row,))
-            np.random.default_rng(seq).standard_normal(out=draws[r])
-        draws *= scale
-        draws += q.mean
-        out[start:stop] = sigmoid(scores_paired(draws, x[start:stop], shape)).mean(axis=1)
+        z = rng.standard_normal(out=block[: stop - start])
+        out[start:stop] = sigmoid(scores(z, x[start:stop], q.mean, q.scale, shape)).mean(axis=1)
     return out
 
 

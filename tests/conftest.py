@@ -1,12 +1,31 @@
 import numpy as np
 import pytest
 
-from vbnn.model import NetworkParams, NetworkShape, PriorConfig
+from vbnn.model import NetworkParams, NetworkShape, PriorConfig, unflatten_many
 
 # Network shapes used across the suite: the smallest legal network and the
 # synthetic benchmark size.
 TOY_SHAPE = NetworkShape(p=1, k=1)
 BENCH_SHAPE = NetworkShape(p=2, k=3)
+
+
+def implied_thetas(mean, scale, z, x, shape: NetworkShape) -> np.ndarray:
+    """The (M, K) networks that one row's normals z (2k+1, M) stand for at x (p,).
+
+    Each draw keeps the hidden weights at their means and moves the hidden
+    biases by the pre-activations' exact standard deviations, computed with
+    a plain square root: at x that network's score is the draw's score.
+    """
+    k = shape.k
+    beta0_m, beta_m, gamma0_m, gamma_m = unflatten_many(mean, shape)
+    beta0_s, beta_s, gamma0_s, gamma_s = unflatten_many(scale, shape)
+    sd = np.sqrt(gamma0_s**2 + gamma_s**2 @ x**2)
+    thetas = np.empty((z.shape[1], shape.K))
+    thetas[:, 0] = beta0_m + beta0_s * z[0]
+    thetas[:, 1 : 1 + k] = (beta_m[:, None] + beta_s[:, None] * z[1 : 1 + k]).T
+    thetas[:, 1 + k : 1 + 2 * k] = (gamma0_m[:, None] + sd[:, None] * z[1 + k :]).T
+    thetas[:, 1 + 2 * k :] = gamma_m.ravel()
+    return thetas
 
 
 @pytest.fixture

@@ -30,15 +30,15 @@ from vbnn.model import (
     log_sigmoid_likelihood,
     network_from_json_dict,
     network_to_json_dict,
+    scores,
     scores_many,
-    scores_paired,
     shape_for,
     sigmoid,
     softplus,
     unflatten,
 )
 
-from conftest import BENCH_SHAPE, TOY_SHAPE
+from conftest import BENCH_SHAPE, TOY_SHAPE, implied_thetas
 
 
 def scalar_forward_oracle(theta: NetworkParams, x) -> float:
@@ -144,42 +144,81 @@ class TestKernelRows:
 
 
 class TestPairedKernel:
-    """scores_paired scores stack r of (R, M, K) at x[r] alone."""
+    """scores pairs row r's normals with x[r] alone, through the exact marginals
+    of the hidden pre-activations there."""
 
-    @pytest.mark.parametrize("shape", [TOY_SHAPE, BENCH_SHAPE, NetworkShape(p=4, k=6)])
+    SHAPES = [TOY_SHAPE, BENCH_SHAPE, NetworkShape(p=4, k=6)]
+
+    @staticmethod
+    def moments(rng, shape, hidden_scale):
+        mean = rng.normal(0, 1.5, shape.K)
+        scale = rng.uniform(0.2, 1.0, shape.K)
+        scale[1 + shape.k :] *= hidden_scale
+        return mean, scale
+
+    @pytest.mark.parametrize("shape", SHAPES)
     def test_each_row_matches_scores_many_at_its_point(self, rng, shape):
-        thetas = rng.normal(0, 2, (9, 31, shape.K))
-        x = rng.uniform(-1, 1, (9, shape.p))
-        paired = scores_paired(thetas, x, shape)
-        assert paired.shape == (9, 31)
-        for r in range(9):
-            expected = scores_many(thetas[r], x[r : r + 1], shape)[:, 0]
-            np.testing.assert_allclose(paired[r], expected, rtol=0, atol=1e-13)
+        # with hidden scales near 0 the implied networks are the draws of
+        # beta0 and beta alone; at scale 1 their hidden biases carry the noise
+        for hidden_scale in (1e-30, 1.0):
+            mean, scale = self.moments(rng, shape, hidden_scale)
+            z = rng.standard_normal((9, 2 * shape.k + 1, 31))
+            x = rng.uniform(-1, 1, (9, shape.p))
+            out = scores(z, x, mean, scale, shape)
+            assert out.shape == (9, 31)
+            for r in range(9):
+                thetas = implied_thetas(mean, scale, z[r], x[r], shape)
+                expected = scores_many(thetas, x[r : r + 1], shape)[:, 0]
+                np.testing.assert_allclose(out[r], expected, rtol=0, atol=1e-13)
+
+    def test_predictive_mean_matches_full_parameter_draws(self, rng):
+        # M = 2e5 draws of both: each mean of sigmoid(score) has a standard
+        # error of at most 0.5/sqrt(M); they must agree within 5 combined ones
+        shape, M = BENCH_SHAPE, 200_000
+        mean, scale = self.moments(rng, shape, 1.0)
+        x = np.array([[0.0, 0.0], [0.2, 0.9], [1.0, 1.0], [-1.5, 0.5]])
+        z = rng.standard_normal((len(x), 2 * shape.k + 1, M))
+        fast = sigmoid(scores(z, x, mean, scale, shape))
+        full = sigmoid(scores_many(mean + scale * rng.standard_normal((M, shape.K)), x, shape)).T
+        se = np.hypot(fast.std(axis=1), full.std(axis=1)) / math.sqrt(M)
+        assert np.all(np.abs(fast.mean(axis=1) - full.mean(axis=1)) <= 5 * se)
 
     def test_row_does_not_depend_on_its_batch(self, rng):
-        thetas = rng.normal(0, 2, (11, 13, BENCH_SHAPE.K))
+        mean, scale = self.moments(rng, BENCH_SHAPE, 1.0)
+        z = rng.standard_normal((11, 7, 13))
         x = rng.uniform(0, 1, (11, 2))
-        whole = scores_paired(thetas, x, BENCH_SHAPE)
+        whole = scores(z, x, mean, scale, BENCH_SHAPE)
         for rows in (slice(0, 1), slice(3, 4), slice(2, 9), slice(10, None)):
-            part = scores_paired(thetas[rows].copy(), x[rows], BENCH_SHAPE)
+            part = scores(z[rows].copy(), x[rows], mean, scale, BENCH_SHAPE)
             assert part.tobytes() == whole[rows].tobytes()
 
+    def test_huge_finite_features_do_not_overflow(self, rng):
+        mean, scale = self.moments(rng, BENCH_SHAPE, 1.0)
+        x = np.array([[1e200, -1e200], [1e300, 1.0]])
+        with np.errstate(all="raise"):
+            out = scores(rng.standard_normal((2, 7, 5)), x, mean, scale, BENCH_SHAPE)
+        assert np.all(np.isfinite(out))
+
     def test_mismatched_shapes_raise(self, rng):
-        thetas = rng.normal(0, 1, (3, 5, BENCH_SHAPE.K))
+        mean, scale = self.moments(rng, BENCH_SHAPE, 1.0)
+        z = rng.standard_normal((3, 7, 5))
         bad_inputs = (
-            (thetas, np.zeros((3, 3))),                   # x too wide
-            (thetas, np.zeros((3, 1))),                   # x too narrow
-            (thetas, np.zeros((4, 2))),                   # one more point than stacks
-            (thetas[:2], np.zeros((3, 2))),               # one fewer stack than points
-            (thetas[0], np.zeros((5, 2))),                # an unstacked (M, K) block
-            (thetas[..., :-1], np.zeros((3, 2))),         # wrong flat length
+            (z, np.zeros((3, 3)), mean, scale),               # x too wide
+            (z, np.zeros((3, 1)), mean, scale),               # x too narrow
+            (z, np.zeros((4, 2)), mean, scale),               # one more point than stacks
+            (z[:2], np.zeros((3, 2)), mean, scale),           # one fewer stack than points
+            (z[:, :6], np.zeros((3, 2)), mean, scale),        # D = 2k, not 2k+1
+            (z[0], np.zeros((7, 2)), mean, scale),            # an unstacked (D, M) block
+            (z, np.zeros((3, 2)), mean[:-1], scale[:-1]),     # wrong flat length
+            (z, np.zeros((3, 2)), mean, scale[:-1]),          # scale of the wrong length
         )
-        for bad_thetas, x in bad_inputs:
+        for bad_z, x, m, s in bad_inputs:
             with pytest.raises(ShapeMismatchError):
-                scores_paired(bad_thetas, x, BENCH_SHAPE)
+                scores(bad_z, x, m, s, BENCH_SHAPE)
 
     def test_empty_batch(self):
-        out = scores_paired(np.empty((0, 4, BENCH_SHAPE.K)), np.empty((0, 2)), BENCH_SHAPE)
+        K = BENCH_SHAPE.K
+        out = scores(np.empty((0, 7, 4)), np.empty((0, 2)), np.zeros(K), np.ones(K), BENCH_SHAPE)
         assert out.shape == (0, 4)
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import expit, logit
 
-from vbnn.model import LabeledBatch, NetworkShape, scores_many, sigmoid, unflatten
+from vbnn.model import LabeledBatch, NetworkShape, scores_many, shape_for, sigmoid, unflatten
 from vbnn.prediction import (
     PredictiveConfig,
     classify,
@@ -24,7 +24,7 @@ from vbnn.prediction import _BLOCK_FLOATS
 from vbnn.prediction import test_accuracy as accuracy_of  # dodge pytest collection
 from vbnn.variational import VariationalParams, softplus_inverse
 
-from conftest import BENCH_SHAPE, TOY_SHAPE
+from conftest import BENCH_SHAPE, TOY_SHAPE, implied_thetas
 
 
 def point_mass_at(flat: np.ndarray) -> VariationalParams:
@@ -38,6 +38,23 @@ def constant_score_q(score: float, shape: NetworkShape) -> VariationalParams:
     flat = np.zeros(shape.K)
     flat[0] = score
     return point_mass_at(flat)
+
+
+def documented_stream(seed: int, n: int, shape: NetworkShape, M: int) -> np.ndarray:
+    """Every row's normals (n, 2k+1, M), in the documented order of one stream."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(3,)))
+    return rng.standard_normal((n, 2 * shape.k + 1, M))
+
+
+def stream_oracle(q: VariationalParams, x: np.ndarray, M: int, seed: int) -> np.ndarray:
+    """p_hat row by row: each row's slice of the stream, scored by scores_many."""
+    shape = shape_for(q.K, x.shape[1])
+    z = documented_stream(seed, x.shape[0], shape, M)
+    return np.array([
+        np.mean(sigmoid(scores_many(implied_thetas(q.mean, q.scale, z[r], x[r], shape),
+                                    x[r : r + 1], shape)))
+        for r in range(x.shape[0])
+    ])
 
 
 class TestPredictiveProbability:
@@ -55,13 +72,19 @@ class TestPredictiveProbability:
                               raw_scale=softplus_inverse(np.full(TOY_SHAPE.K, 0.5)))
         cfg = PredictiveConfig(M=1, seed=123)
         x = np.array([0.3])
-        # replicate the documented row substream: spawn_key=(row,), one draw
-        row_rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=123, spawn_key=(0,))
-        )
-        theta = q.mean + q.scale * row_rng.standard_normal((1, TOY_SHAPE.K))
-        expected = float(sigmoid(forward_score(unflatten(theta[0], TOY_SHAPE), x)))
-        assert predictive_probability(q, x, cfg) == expected
+        # the documented stream: row 0 owns its first 2k+1 normals, which
+        # draw beta0, beta and the hidden pre-activation
+        z = documented_stream(123, 1, TOY_SHAPE, 1)[0, :, 0]
+        beta0_m, beta_m, gamma0_m, gamma_m = q.mean
+        beta0_s, beta_s, gamma0_s, gamma_s = q.scale
+        theta = unflatten(np.array([
+            beta0_m + beta0_s * z[0],
+            beta_m + beta_s * z[1],
+            gamma0_m + math.sqrt(gamma0_s**2 + (gamma_s * x[0]) ** 2) * z[2],
+            gamma_m,
+        ]), TOY_SHAPE)
+        expected = float(sigmoid(forward_score(theta, x)))
+        assert predictive_probability(q, x, cfg) == pytest.approx(expected, rel=0, abs=1e-15)
 
     def test_deterministic_per_seed(self, rng):
         q = point_mass_at(rng.normal(0, 1, BENCH_SHAPE.K))
@@ -109,7 +132,8 @@ class TestPredictiveProbability:
 
 
 def block_rows(M: int, K: int) -> int:
-    return max(1, _BLOCK_FLOATS // (M * K))
+    """Rows per serving block for a posterior of flat length K over p=2 inputs."""
+    return max(1, _BLOCK_FLOATS // (M * (2 * shape_for(K, 2).k + 1)))
 
 
 class TestRowBlocks:
@@ -135,13 +159,8 @@ class TestRowBlocks:
         n = 2 * block_rows(M, BENCH_SHAPE.K) + 4
         x = rng.uniform(0, 1, (n, 2))
         probs = predictive_probabilities(wide_q, x, PredictiveConfig(M=M, seed=seed))
-        for r in range(n):
-            row_rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=seed, spawn_key=(r,))
-            )
-            draws = wide_q.mean + wide_q.scale * row_rng.standard_normal((M, BENCH_SHAPE.K))
-            expected = np.mean(sigmoid(scores_many(draws, x[r : r + 1], BENCH_SHAPE)))
-            assert abs(probs[r] - expected) <= 1e-15, r
+        expected = stream_oracle(wide_q, x, M, seed)
+        np.testing.assert_allclose(probs, expected, rtol=0, atol=1e-15)
 
     def test_large_budget_allocates_about_one_rows_draws(self, rng, wide_q):
         M = 50_000
@@ -218,14 +237,9 @@ class TestAccuracy:
         batch = LabeledBatch(x=rng.uniform(0, 1, (20, 2)),
                              y=rng.integers(0, 2, 20))
         cfg = PredictiveConfig(M=15, seed=3)
-        expected = np.mean([
-            classify(q, batch.x[i], cfg) == batch.y[i] for i in range(batch.n)
-        ])
-        # NOTE: classify() on a single row uses row index 0, so rebuild via
-        # the batch call for the apples-to-apples check
-        labels = classify_batch(q, batch.x, cfg)
+        labels = (stream_oracle(q, batch.x, cfg.M, cfg.seed) >= 0.5).astype(int)
+        assert 0 < np.sum(labels == batch.y) < batch.n
         assert accuracy_of(q, batch, cfg) == np.mean(labels == batch.y)
-        assert 0.0 <= expected <= 1.0
 
     def test_empty_batch_rejected(self):
         q = point_mass_at(np.zeros(BENCH_SHAPE.K))
