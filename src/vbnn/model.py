@@ -294,9 +294,9 @@ def log_likelihood_many(
     about -1.93e-22, which the subtraction form would cancel to -0.0).
     Always <= 0; an empty batch contributes exactly 0.
     """
-    scores = scores_many(thetas, batch.x, shape)
-    scores *= (1 - 2 * batch.y).astype(float)
-    return -softplus(scores).sum(axis=1)
+    z = scores_many(thetas, batch.x, shape)
+    z *= (1 - 2 * batch.y).astype(float)
+    return -softplus(z).sum(axis=1)
 
 
 def log_sigmoid_likelihood(theta: NetworkParams, batch: LabeledBatch) -> float:
