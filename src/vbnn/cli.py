@@ -18,6 +18,7 @@ import logging
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -90,11 +91,24 @@ def _atomic_write_json(path: str, doc: dict) -> None:
 def _load_json(path: str, what: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except FileNotFoundError:
         raise FileNotFoundError(f"cannot read {what} file {path!r}: no such file")
     except json.JSONDecodeError as exc:
         raise ValueError(f"{what} file {path!r} is not valid JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} file {path!r} must hold a JSON object at its top level")
+    return doc
+
+
+@contextmanager
+def _keys_of(path: str, what: str):
+    """Re-raise a KeyError from reading a file's document as a ValueError naming
+    the file and the missing key."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{what} file {path!r} has no key {exc.args[0]!r}") from None
 
 
 def _model_artifact(shape, prior, q, config, schema) -> dict:
@@ -117,12 +131,13 @@ def _model_artifact(shape, prior, q, config, schema) -> dict:
 
 def _load_model(path: str):
     doc = _load_json(path, "model")
-    shape = NetworkShape(p=int(doc["shape"]["p"]), k=int(doc["shape"]["k"]))
-    q = VariationalParams.from_json_dict(doc["variational"])
-    schema = TableSchema.from_json_dict(doc["schema"])
+    with _keys_of(path, "model"):
+        shape = NetworkShape(p=int(doc["shape"]["p"]), k=int(doc["shape"]["k"]))
+        q = VariationalParams.from_json_dict(doc["variational"])
+        schema = TableSchema.from_json_dict(doc["schema"])
     if q.K != shape.K:
         raise ValueError(f"model file {path!r}: variational state does not match shape")
-    return doc, shape, q, schema
+    return shape, q, schema
 
 
 def _resolve_schema(data_path: str, schema_path: str | None) -> TableSchema | None:
@@ -137,7 +152,9 @@ def _resolve_schema(data_path: str, schema_path: str | None) -> TableSchema | No
 def _load_truth(source: str) -> TrueFunction:
     if source == "reference":
         return REFERENCE_TRUTH
-    return TrueFunction.from_json_dict(_load_json(source, "truth"))
+    doc = _load_json(source, "truth")
+    with _keys_of(source, "truth"):
+        return TrueFunction.from_json_dict(doc)
 
 
 def _load_feature_rows(path: str, schema: TableSchema) -> np.ndarray:
@@ -193,16 +210,9 @@ def _schedule_dict_with_overrides(base: dict, args) -> dict:
 def _train_config_from(args, config_doc: dict) -> TrainConfig:
     doc = dict(config_doc)
     doc["schedule"] = _schedule_dict_with_overrides(doc.get("schedule", {}), args)
-    if args.algo:
-        doc["algo"] = args.algo
-    if args.S is not None:
-        doc["S"] = args.S
-    if args.max_iters is not None:
-        doc["max_iters"] = args.max_iters
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.threads is not None:
-        doc["threads"] = args.threads
+    flags = {"algo": args.algo, "S": args.S, "max_iters": args.max_iters,
+             "seed": args.seed, "threads": args.threads}
+    doc.update({key: value for key, value in flags.items() if value is not None})
     return TrainConfig.from_json_dict(doc)
 
 
@@ -213,7 +223,7 @@ def _prepare_training_data(args) -> tuple[LabeledBatch, TableSchema]:
     return normalize(batch, schema), schema
 
 
-def _run_training(batch, schema, config: TrainConfig, k: int):
+def _run_training(batch, config: TrainConfig, k: int):
     shape = NetworkShape(p=batch.p, k=k)
     prior = PriorConfig.standard(shape.K)
     q, report = train(batch, prior, shape, config)
@@ -241,7 +251,7 @@ def cmd_train(args) -> int:
     config = _train_config_from(args, config_doc)
     k = args.k if args.k is not None else int(k_doc)
     batch, schema = _prepare_training_data(args)
-    shape, prior, q, report = _run_training(batch, schema, config, k)
+    shape, prior, q, report = _run_training(batch, config, k)
 
     os.makedirs(args.out, exist_ok=True)
     _atomic_write_json(
@@ -270,7 +280,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    _, shape, q, schema = _load_model(args.model)
+    shape, q, schema = _load_model(args.model)
     x = _load_feature_rows(args.data, schema)
     if x.shape[1] != shape.p:
         raise ShapeMismatchError(
@@ -286,7 +296,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    _, shape, q, schema = _load_model(args.model)
+    shape, q, schema = _load_model(args.model)
     batch, _ = load_csv(args.data, schema)
     batch = normalize(batch, schema)
     cfg = PredictiveConfig(M=args.M, seed=args.seed)
@@ -297,7 +307,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    _, shape, q, schema = _load_model(args.model)
+    shape, q, schema = _load_model(args.model)
     for col in schema.feature_columns:
         if col.normalization != "none":
             raise SchemaError(
@@ -354,9 +364,7 @@ def cmd_sweep(args) -> int:
         accs, iters, wall = [], [], 0.0
         for train_part, test_part in pairs:
             fitted = fit_normalization(schema, train_part)
-            shape, prior, q, report = _run_training(
-                normalize(train_part, fitted), fitted, config, k
-            )
+            shape, prior, q, report = _run_training(normalize(train_part, fitted), config, k)
             cfg = PredictiveConfig(M=args.M, seed=config.seed)
             accs.append(test_accuracy(q, normalize(test_part, fitted), cfg))
             iters.append(report.iterations_run)

@@ -10,13 +10,20 @@ and uses the Monte Carlo score-function gradient
     g_hat = mean_i  grad log q(theta[i]) * w[i]
 
 over the stacked free parameters (m, r).  The optional control variate
-subtracts a_hat * grad log q(theta[i]) coordinate-wise, with
+subtracts a_hat * grad log q(theta[i]) coordinate-wise, with one coefficient
+per coordinate
 
     a_hat_j = cov(u_j, v_j) / var(v_j)
 
 estimated from the same samples (u = score * weight terms, v = plain scores),
 which leaves the gradient unbiased up to the plug-in coefficient and can cut
 its variance dramatically.
+
+One function, ``_iterate``, computes the weights, the ELBO estimate and the
+per-sample gradient rows.  Every ``train`` iteration and every ``estimate_*``
+call goes through it, so the estimator is written once; ``train`` adds only
+the loop, divergence and convergence tests, gradient variance, clipping and
+``step``.
 
 Determinism: the sampling RNG for iteration t is spawned as
 SeedSequence(entropy=seed, spawn_key=(1, t)), so traces are reproducible for
@@ -170,17 +177,12 @@ class TrainConfig:
     grad_clip: float | None = None
     seed: int = 0
     threads: int = 1
-    init_jitter: float = 0.0
-    cv_holdout: bool = False
-    cv_pooled: bool = False
 
     def __post_init__(self) -> None:
         if self.S < 1:
             raise ValueError("S must be >= 1")
         if self.use_control_variates and self.S < 2:
             raise ValueError("control variates require S >= 2")
-        if self.use_control_variates and self.cv_holdout and self.S < 4:
-            raise ValueError("held-out control variates require S >= 4")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.conv_window < 1:
@@ -191,8 +193,6 @@ class TrainConfig:
             raise ValueError("grad_clip must be positive when given")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
-        if self.init_jitter < 0:
-            raise ValueError("init_jitter must be >= 0")
 
     def to_json_dict(self) -> dict:
         return {
@@ -205,9 +205,6 @@ class TrainConfig:
             "grad_clip": self.grad_clip,
             "seed": self.seed,
             "threads": self.threads,
-            "init_jitter": self.init_jitter,
-            "cv_holdout": self.cv_holdout,
-            "cv_pooled": self.cv_pooled,
         }
 
     @classmethod
@@ -231,9 +228,6 @@ class TrainConfig:
             grad_clip=None if clip is None else float(clip),
             seed=int(doc.get("seed", 0)),
             threads=int(doc.get("threads", 1)),
-            init_jitter=float(doc.get("init_jitter", 0.0)),
-            cv_holdout=bool(doc.get("cv_holdout", False)),
-            cv_pooled=bool(doc.get("cv_pooled", False)),
         )
 
 
@@ -296,28 +290,39 @@ def _log_joint_split(
     return out
 
 
-def _per_sample_terms(
+def _resolve_shape(q: VariationalParams, batch: LabeledBatch) -> NetworkShape:
+    return shape_for(q.K, batch.p)
+
+
+def _iterate(
     q: VariationalParams,
     batch: LabeledBatch,
     prior: PriorConfig,
     shape: NetworkShape,
     draws: SampleMatrix,
+    cv: bool | np.ndarray | None,
     threads: int = 1,
     pool: ThreadPoolExecutor | None = None,
-):
-    """Weights w, score-times-weight matrix u and plain score matrix v."""
+) -> tuple[float, np.ndarray | None]:
+    """ELBO estimate and (S, 2K) gradient rows of one set of draws.
+
+    The gradient estimate is the rows' mean.  ``cv`` picks the rows:
+    ``False`` the plain terms u[i] = v[i] * w[i]; ``True`` u[i] - a_hat * v[i]
+    with the in-sample coefficients; an array, the same with a_hat pinned to
+    it; ``None`` no rows at all, for the ELBO alone.
+    """
     thetas = draws.thetas
-    lj = _log_joint_split(thetas, batch, prior, shape, threads, pool)
-    weights = lj - log_q(q, thetas)
-    v = np.concatenate(
-        [grad_log_q_mean(q, thetas), grad_log_q_raw(q, thetas)], axis=1
-    )
+    weights = _log_joint_split(thetas, batch, prior, shape, threads, pool) - log_q(q, thetas)
+    elbo = float(weights.mean())
+    if cv is None:
+        return elbo, None
+    v = np.concatenate([grad_log_q_mean(q, thetas), grad_log_q_raw(q, thetas)], axis=1)
     u = v * weights[:, None]
-    return weights, u, v
-
-
-def _resolve_shape(q: VariationalParams, batch: LabeledBatch) -> NetworkShape:
-    return shape_for(q.K, batch.p)
+    if isinstance(cv, np.ndarray):
+        return elbo, u - cv * v
+    if cv:
+        return elbo, u - control_variate_coefficients(u, v) * v
+    return elbo, u
 
 
 def estimate_elbo(
@@ -328,9 +333,7 @@ def estimate_elbo(
     threads: int = 1,
 ) -> float:
     """Monte Carlo ELBO estimate mean_i [log p(y, theta[i]) - log q(theta[i])]."""
-    shape = _resolve_shape(q, batch)
-    lj = _log_joint_split(draws.thetas, batch, prior, shape, threads)
-    return float(np.mean(lj - log_q(q, draws.thetas)))
+    return _iterate(q, batch, prior, _resolve_shape(q, batch), draws, None, threads)[0]
 
 
 def estimate_gradient(
@@ -341,19 +344,16 @@ def estimate_gradient(
     threads: int = 1,
 ) -> np.ndarray:
     """Plain score-function gradient estimate over (m, r); returns (2K,)."""
-    shape = _resolve_shape(q, batch)
-    _, u, _ = _per_sample_terms(q, batch, prior, shape, draws, threads)
-    return u.mean(axis=0)
+    _, rows = _iterate(q, batch, prior, _resolve_shape(q, batch), draws, False, threads)
+    return rows.mean(axis=0)
 
 
-def control_variate_coefficients(
-    u: np.ndarray, v: np.ndarray, pooled: bool = False
-) -> np.ndarray:
+def control_variate_coefficients(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Per-coordinate a_hat_j = cov(u_j, v_j) / var(v_j) from sample rows.
 
-    With ``pooled`` a single shared coefficient sum(cov)/sum(var) is used for
-    every coordinate.  Coordinates whose control variate has (numerically)
-    zero variance get a_hat = 0, which leaves their gradient untouched.
+    Each coordinate gets its own coefficient.  Coordinates whose control
+    variate has (numerically) zero variance get a_hat = 0, which leaves their
+    gradient untouched.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -365,28 +365,8 @@ def control_variate_coefficients(
     dv = v - v.mean(axis=0)
     cov = np.mean(du * dv, axis=0)
     var = np.mean(dv * dv, axis=0)
-    if pooled:
-        total = float(var.sum())
-        shared = float(cov.sum()) / total if total > 1e-300 else 0.0
-        return np.full(u.shape[1], shared)
     safe = var > 1e-300
     return np.where(safe, cov / np.where(safe, var, 1.0), 0.0)
-
-
-def _cv_contributions(
-    u: np.ndarray, v: np.ndarray, holdout: bool, pooled: bool,
-    a_hat: np.ndarray | None = None,
-) -> np.ndarray:
-    if a_hat is not None:
-        return u - np.asarray(a_hat, dtype=float) * v
-    if holdout:
-        # First half estimates the coefficients, second half the gradient, so
-        # a_hat is independent of the averaged rows.
-        s1 = (u.shape[0] + 1) // 2
-        a = control_variate_coefficients(u[:s1], v[:s1], pooled=pooled)
-        return u[s1:] - a * v[s1:]
-    a = control_variate_coefficients(u, v, pooled=pooled)
-    return u - a * v
 
 
 def estimate_gradient_cv(
@@ -395,8 +375,6 @@ def estimate_gradient_cv(
     prior: PriorConfig,
     draws: SampleMatrix,
     a_hat: np.ndarray | None = None,
-    holdout: bool = False,
-    pooled: bool = False,
     threads: int = 1,
 ) -> np.ndarray:
     """Control-variate gradient estimate mean_i [u[i] - a_hat * v[i]].
@@ -404,9 +382,9 @@ def estimate_gradient_cv(
     ``a_hat=None`` plugs in the in-sample coefficients; pass an explicit
     vector (e.g. zeros) to pin them.
     """
-    shape = _resolve_shape(q, batch)
-    _, u, v = _per_sample_terms(q, batch, prior, shape, draws, threads)
-    return _cv_contributions(u, v, holdout, pooled, a_hat).mean(axis=0)
+    cv = True if a_hat is None else np.asarray(a_hat, dtype=float)
+    _, rows = _iterate(q, batch, prior, _resolve_shape(q, batch), draws, cv, threads)
+    return rows.mean(axis=0)
 
 
 def step(
@@ -443,11 +421,7 @@ def train(
     if prior.K != shape.K:
         raise ShapeMismatchError("prior length does not match network shape")
 
-    q = initial_params(
-        shape.K,
-        jitter=config.init_jitter,
-        seed=np.random.SeedSequence(entropy=config.seed, spawn_key=(0,)),
-    )
+    q = initial_params(shape.K)
     elbos: list[float] = []
     gvars: list[float] = []
     rhos: list[float] = []
@@ -465,28 +439,14 @@ def train(
             )
             # overflow here is divergence, detected below, not a warning condition
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                weights, u, v = _per_sample_terms(
-                    q, batch, prior, shape, draws, threads, pool
-                )
-                elbo_t = float(weights.mean())
-                if not np.isfinite(elbo_t):
-                    diverged, diverged_at = True, t
-                    break
-                if config.use_control_variates:
-                    contrib = _cv_contributions(u, v, config.cv_holdout, config.cv_pooled)
-                else:
-                    contrib = u
-                grad = contrib.mean(axis=0)
-            if not np.all(np.isfinite(grad)):
+                elbo_t, rows = _iterate(q, batch, prior, shape, draws,
+                                        config.use_control_variates, threads, pool)
+                grad = rows.mean(axis=0)
+            if not (np.isfinite(elbo_t) and np.all(np.isfinite(grad))):
                 diverged, diverged_at = True, t
                 break
-            gvar_t = (
-                float(np.mean(np.var(contrib, axis=0, ddof=1)))
-                if contrib.shape[0] > 1
-                else 0.0
-            )
             elbos.append(elbo_t)
-            gvars.append(gvar_t)
+            gvars.append(float(np.mean(np.var(rows, axis=0, ddof=1))) if config.S > 1 else 0.0)
             rhos.append(config.schedule.rate(t))
             if len(elbos) >= 2 * w:
                 recent = float(np.mean(elbos[-w:]))
@@ -522,15 +482,9 @@ def save_report_csv(report: TrainReport, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "elbo", "grad_var", "rho_t"])
-        for i in range(report.iterations_run):
-            writer.writerow(
-                [
-                    i,
-                    repr(float(report.elbo_trace[i])),
-                    repr(float(report.grad_var_trace[i])),
-                    repr(float(report.rho_trace[i])),
-                ]
-            )
+        traces = zip(report.elbo_trace, report.grad_var_trace, report.rho_trace)
+        for i, values in enumerate(traces):
+            writer.writerow([i, *(repr(float(v)) for v in values)])
 
 
 def report_summary(report: TrainReport) -> dict:

@@ -89,17 +89,12 @@ class VariationalParams:
         )
 
 
-def initial_params(K: int, mean: float = 0.0, scale: float = 1.0,
-                   jitter: float = 0.0, seed=None) -> VariationalParams:
-    """Starting point m = mean, s = scale; optionally jitter m ~ U(-jitter, jitter)."""
+def initial_params(K: int, mean: float = 0.0, scale: float = 1.0) -> VariationalParams:
+    """Starting point m = mean, s = scale in every coordinate."""
     if scale <= 0:
         raise ValueError("initial scale must be positive")
-    m = np.full(K, float(mean))
-    if jitter:
-        rng = np.random.default_rng(seed)
-        m = m + rng.uniform(-jitter, jitter, size=K)
-    r = np.full(K, float(softplus_inverse(scale)))
-    return VariationalParams(mean=m, raw_scale=r)
+    return VariationalParams(mean=np.full(K, float(mean)),
+                             raw_scale=np.full(K, float(softplus_inverse(scale))))
 
 
 @dataclass(frozen=True)

@@ -131,14 +131,20 @@ class TestTrain:
         assert doc["config"]["S"] == 6
         assert doc["seed"] == 9
 
-    def test_unknown_config_keys_are_named(self, tmp_path, capsys, workdir):
+    @pytest.mark.parametrize("doc, keys", [
+        ({"prior": {"zeta": 5.0}, "max_iter": 8, "k": 2}, "max_iter, prior"),
+        # training options that no longer exist
+        ({"cv_holdout": True, "cv_pooled": False, "init_jitter": 0.1, "max_iters": 8},
+         "cv_holdout, cv_pooled, init_jitter"),
+    ], ids=["misspelt", "removed"])
+    def test_unknown_config_keys_are_named(self, tmp_path, capsys, workdir, doc, keys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"prior": {"zeta": 5.0}, "max_iter": 8, "k": 2}))
+        cfg.write_text(json.dumps(doc))
         out = tmp_path / "m"
         code = main(["train", "--data", str(workdir["data"]), "--config", str(cfg),
                      "--out", str(out)])
         assert code == 1
-        assert "unknown training config key(s): max_iter, prior" in capsys.readouterr().err
+        assert f"unknown training config key(s): {keys}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("schedule, key", [({"kind": "fixed", "rhoo": 0.5}, "rhoo"),
@@ -378,6 +384,50 @@ class TestSweep:
                      "--out", str(tmp_path / "s.csv")])
         assert code == 1
         assert "empty grid" in capsys.readouterr().err
+
+
+def json_input_argv(use, path, workdir, tmp_path):
+    """argv of the command that reads ``path`` for ``use``, with valid other inputs."""
+    data, model, out = str(workdir["data"]), str(workdir["model"]), str(tmp_path / "out")
+    return {
+        "train-config": ["train", "--data", data, "--config", path, "--out", out],
+        "sweep-grid": ["sweep", "--grid", path, "--data", data, "--out", out],
+        "diagnose-truth": ["diagnose", "--model", model, "--truth", path, "--out", out],
+        "predict-model": ["predict", "--model", path, "--data", data, "--out", out],
+        "evaluate-model": ["evaluate", "--model", path, "--data", data, "--out", out],
+        "diagnose-model": ["diagnose", "--model", path, "--truth", "reference",
+                           "--out", out],
+    }[use]
+
+
+class TestJsonInputs:
+    @pytest.mark.parametrize("use", ["train-config", "sweep-grid", "diagnose-truth",
+                                      "predict-model", "evaluate-model", "diagnose-model"])
+    @pytest.mark.parametrize("text", ["[1]", "3"])
+    def test_top_level_must_be_an_object(self, tmp_path, capsys, workdir, use, text):
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        code = main(json_input_argv(use, str(path), workdir, tmp_path))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "in.json" in err and "must hold a JSON object" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("use, doc, key", [
+        ("predict-model", {}, "shape"),
+        ("evaluate-model", {"shape": {"p": 2}}, "k"),
+        ("diagnose-model", {"shape": {"p": 2, "k": 3}, "schema": {}}, "variational"),
+        ("diagnose-truth", {"kind": "linear", "weights": [1.0, 1.0]}, "intercept"),
+    ], ids=["shape", "k", "variational", "intercept"])
+    def test_missing_key_names_the_file_and_the_key(self, tmp_path, capsys, workdir,
+                                                    use, doc, key):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        code = main(json_input_argv(use, str(path), workdir, tmp_path))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "in.json" in err and f"has no key '{key}'" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestLogging:

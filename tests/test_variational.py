@@ -58,14 +58,6 @@ class TestInitialization:
         np.testing.assert_array_equal(q.mean, np.zeros(5))
         np.testing.assert_allclose(q.scale, np.ones(5), rtol=1e-15)
 
-    def test_jitter_is_seeded_and_bounded(self):
-        q1 = initial_params(50, jitter=0.1, seed=3)
-        q2 = initial_params(50, jitter=0.1, seed=3)
-        q3 = initial_params(50, jitter=0.1, seed=4)
-        np.testing.assert_array_equal(q1.mean, q2.mean)
-        assert not np.array_equal(q1.mean, q3.mean)
-        assert np.all(np.abs(q1.mean) <= 0.1)
-
     def test_scale_positivity_survives_extreme_raw_values(self):
         # softplus underflows to 0.0 below r ~ -745; the scale property must
         # still be strictly positive for every finite r.
