@@ -22,6 +22,7 @@ from vbnn.metrics import IntegrationConfig, diagnostics_dict
 from vbnn.model import NetworkShape, PriorConfig
 from vbnn.optimizer import Schedule, TrainConfig, train
 from vbnn.prediction import PredictiveConfig
+from vbnn.variational import Posterior
 
 
 def main() -> int:
@@ -52,7 +53,8 @@ def main() -> int:
             t0 = time.perf_counter()
             data = generate_synthetic(REFERENCE_TRUTH, n, seed=1000 + seed)
             q, rep = train(data, prior, shape, replace(base, seed=seed))
-            doc = diagnostics_dict(q, REFERENCE_TRUTH, pred_cfg, int_cfg)
+            doc = diagnostics_dict(Posterior(shape, q, prior), REFERENCE_TRUTH, pred_cfg,
+                                   int_cfg)
             rows.append({"n": n, "seed": seed, "iterations": rep.iterations_run,
                          "converged": rep.converged, **doc})
             print(f"n={n:5d} seed={seed}: hellinger={doc['hellinger']:.4f} "

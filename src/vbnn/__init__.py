@@ -14,8 +14,8 @@ from .model import (
     ShapeMismatchError,
 )
 from .optimizer import Schedule, TrainConfig, TrainReport, train
-from .prediction import PredictiveConfig, classify, predictive_probability
-from .variational import SampleMatrix, VariationalParams
+from .prediction import PredictiveConfig, predictive_probabilities
+from .variational import Posterior, SampleMatrix, VariationalParams
 
 __all__ = [
     "LabeledBatch",
@@ -28,8 +28,8 @@ __all__ = [
     "TrainReport",
     "train",
     "PredictiveConfig",
-    "classify",
-    "predictive_probability",
+    "predictive_probabilities",
+    "Posterior",
     "SampleMatrix",
     "VariationalParams",
 ]

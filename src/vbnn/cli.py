@@ -5,7 +5,8 @@ is written to a temporary file in the destination directory and atomically
 renamed, so a failing command never leaves a partial artifact behind.
 
 Exit codes: 0 success (training converged), 2 training hit max_iters without
-converging, 1 any error.  VBNN_LOG={error,info,debug} controls logging.
+converging, 1 any error.  Warnings and errors are logged to stderr;
+VBNN_LOG={error,info,debug} sets another level.
 """
 
 from __future__ import annotations
@@ -38,7 +39,14 @@ from .data import (
     write_csv,
 )
 from .metrics import IntegrationConfig, TrueFunction, diagnostics_dict
-from .model import LabeledBatch, NetworkShape, PriorConfig, ShapeMismatchError
+from .model import (
+    JsonFieldError,
+    LabeledBatch,
+    NetworkShape,
+    PriorConfig,
+    ShapeMismatchError,
+    json_field,
+)
 from .optimizer import (
     SCHEDULE_KEYS,
     TrainConfig,
@@ -53,7 +61,7 @@ from .prediction import (
     save_predictions_csv,
     test_accuracy,
 )
-from .variational import VariationalParams
+from .variational import Posterior
 
 logger = logging.getLogger("vbnn")
 
@@ -103,41 +111,30 @@ def _load_json(path: str, what: str) -> dict:
 
 @contextmanager
 def _keys_of(path: str, what: str):
-    """Re-raise a KeyError from reading a file's document as a ValueError naming
-    the file and the missing key."""
+    """Re-raise a missing key, a value of the wrong kind or a shape mismatch
+    found while reading a file's document as a ValueError naming the file."""
     try:
         yield
     except KeyError as exc:
         raise ValueError(f"{what} file {path!r} has no key {exc.args[0]!r}") from None
+    except (JsonFieldError, ShapeMismatchError) as exc:
+        raise ValueError(f"{what} file {path!r}: {exc}") from None
 
 
-def _model_artifact(shape, prior, q, config, schema) -> dict:
+def _model_artifact(post: Posterior, config: TrainConfig, schema: TableSchema) -> dict:
     config_echo = config.to_json_dict()
     # threads is an execution detail, not a model parameter: artifacts must
     # be byte-identical for any worker count.
     config_echo.pop("threads", None)
-    return {
-        "shape": {"p": shape.p, "k": shape.k},
-        "prior": {
-            "mu": [float(v) for v in prior.mu],
-            "zeta": [float(v) for v in prior.zeta],
-        },
-        "variational": q.to_json_dict(),
-        "config": config_echo,
-        "seed": config.seed,
-        "schema": schema.to_json_dict(),
-    }
+    return {**post.to_json_dict(), "config": config_echo, "seed": config.seed,
+            "schema": schema.to_json_dict()}
 
 
-def _load_model(path: str):
+def _load_model(path: str) -> tuple[Posterior, TableSchema]:
     doc = _load_json(path, "model")
     with _keys_of(path, "model"):
-        shape = NetworkShape(p=int(doc["shape"]["p"]), k=int(doc["shape"]["k"]))
-        q = VariationalParams.from_json_dict(doc["variational"])
-        schema = TableSchema.from_json_dict(doc["schema"])
-    if q.K != shape.K:
-        raise ValueError(f"model file {path!r}: variational state does not match shape")
-    return shape, q, schema
+        return (Posterior.from_json_dict(doc),
+                TableSchema.from_json_dict(json_field(doc, "schema", dict)))
 
 
 def _resolve_schema(data_path: str, schema_path: str | None) -> TableSchema | None:
@@ -178,7 +175,7 @@ def _schedule_kind(name: str) -> str:
     return "rm" if name == "robbins_monro" else name
 
 
-def _schedule_dict_with_overrides(base: dict, args) -> dict:
+def _schedule_dict_with_overrides(config_doc: dict, args) -> dict:
     """The config's schedule with the CLI flags applied.
 
     --lr implies a fixed schedule and --rho0/--b/--c a decaying (rm) one;
@@ -186,7 +183,7 @@ def _schedule_dict_with_overrides(base: dict, args) -> dict:
     config's kind, its keys for the old kind are dropped, since the new kind
     rejects them.
     """
-    doc = dict(base)
+    doc = dict(json_field(config_doc, "schedule", dict, {}))
     flags = {key: getattr(args, attr, None)
              for key, attr in (("rho", "lr"), ("rho0", "rho0"), ("b", "b"), ("c", "c"))}
     flags = {key: value for key, value in flags.items() if value is not None}
@@ -208,8 +205,9 @@ def _schedule_dict_with_overrides(base: dict, args) -> dict:
 
 
 def _train_config_from(args, config_doc: dict) -> TrainConfig:
-    doc = dict(config_doc)
-    doc["schedule"] = _schedule_dict_with_overrides(doc.get("schedule", {}), args)
+    # k sizes the network, not the training run
+    doc = {key: value for key, value in config_doc.items() if key != "k"}
+    doc["schedule"] = _schedule_dict_with_overrides(doc, args)
     flags = {"algo": args.algo, "S": args.S, "max_iters": args.max_iters,
              "seed": args.seed, "threads": args.threads}
     doc.update({key: value for key, value in flags.items() if value is not None})
@@ -227,7 +225,7 @@ def _run_training(batch, config: TrainConfig, k: int):
     shape = NetworkShape(p=batch.p, k=k)
     prior = PriorConfig.standard(shape.K)
     q, report = train(batch, prior, shape, config)
-    return shape, prior, q, report
+    return Posterior(shape, q, prior), report
 
 
 # ---------------------------------------------------------------------------
@@ -247,16 +245,15 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     config_doc = _load_json(args.config, "config") if args.config else {}
-    k_doc = config_doc.pop("k", 10)
-    config = _train_config_from(args, config_doc)
-    k = args.k if args.k is not None else int(k_doc)
+    with _keys_of(args.config, "config"):
+        config = _train_config_from(args, config_doc)
+        k = args.k if args.k is not None else json_field(config_doc, "k", int, 10)
     batch, schema = _prepare_training_data(args)
-    shape, prior, q, report = _run_training(batch, config, k)
+    post, report = _run_training(batch, config, k)
 
     os.makedirs(args.out, exist_ok=True)
     _atomic_write_json(
-        os.path.join(args.out, "model.json"),
-        _model_artifact(shape, prior, q, config, schema),
+        os.path.join(args.out, "model.json"), _model_artifact(post, config, schema)
     )
     _atomic_write(
         os.path.join(args.out, "report.csv"),
@@ -280,15 +277,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    shape, q, schema = _load_model(args.model)
+    post, schema = _load_model(args.model)
     x = _load_feature_rows(args.data, schema)
-    if x.shape[1] != shape.p:
-        raise ShapeMismatchError(
-            f"data has {x.shape[1]} features but the model expects {shape.p}"
-        )
     x = normalize(LabeledBatch(x=x, y=np.zeros(x.shape[0], dtype=np.int64)), schema).x
     cfg = PredictiveConfig(M=args.M, seed=args.seed)
-    probs = predictive_probabilities(q, x, cfg)
+    probs = predictive_probabilities(post, x, cfg)
     labels = (probs >= 0.5).astype(np.int64)
     _atomic_write(args.out, lambda tmp: save_predictions_csv(tmp, probs, labels))
     logger.info("wrote %d predictions to %s", probs.shape[0], args.out)
@@ -296,18 +289,18 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    shape, q, schema = _load_model(args.model)
+    post, schema = _load_model(args.model)
     batch, _ = load_csv(args.data, schema)
     batch = normalize(batch, schema)
     cfg = PredictiveConfig(M=args.M, seed=args.seed)
-    doc = evaluation_dict(q, batch, cfg)
+    doc = evaluation_dict(post, batch, cfg)
     _atomic_write_json(args.out, doc)
     logger.info("accuracy %.4f on %d rows", doc["accuracy"], doc["n"])
     return 0
 
 
 def cmd_diagnose(args) -> int:
-    shape, q, schema = _load_model(args.model)
+    post, schema = _load_model(args.model)
     for col in schema.feature_columns:
         if col.normalization != "none":
             raise SchemaError(
@@ -316,13 +309,9 @@ def cmd_diagnose(args) -> int:
                 f"{col.name!r}, so the comparison space would not match"
             )
     truth = _load_truth(args.truth)
-    if truth.p != shape.p:
-        raise ShapeMismatchError(
-            f"truth has p={truth.p} but the model expects p={shape.p}"
-        )
     pred_cfg = PredictiveConfig(M=args.M, seed=args.seed)
     int_cfg = IntegrationConfig(n_mc=args.n_mc, seed=args.seed)
-    doc = diagnostics_dict(q, truth, pred_cfg, int_cfg)
+    doc = diagnostics_dict(post, truth, pred_cfg, int_cfg)
     _atomic_write_json(args.out, doc)
     logger.info("hellinger %.4f, risk gap %.4f", doc["hellinger"], doc["risk_gap"])
     return 0
@@ -339,34 +328,32 @@ def _schedule_label(doc: dict) -> str:
 
 def cmd_sweep(args) -> int:
     grid = _load_json(args.grid, "grid")
-    s_values = grid.get("S", [])
-    schedules = grid.get("schedule", [])
-    algos = grid.get("algo", [])
-    if not (s_values and schedules and algos):
-        raise ValueError("empty grid: S, schedule and algo must each be non-empty")
-    base = dict(grid.get("base", {}))
-    k = int(grid.get("k", 10))
-    folds = int(grid.get("folds", 5))
+    with _keys_of(args.grid, "grid"):
+        axes = [json_field(grid, key, list, []) for key in ("S", "schedule", "algo")]
+        if not all(axes):
+            raise ValueError("empty grid: S, schedule and algo must each be non-empty")
+        base = json_field(grid, "base", dict, {})
+        k = json_field(grid, "k", int, 10)
+        folds = json_field(grid, "folds", int, 5)
+        cells = []
+        for S, sched_doc, algo in itertools.product(*axes):
+            doc = {**base, "S": S, "schedule": sched_doc, "algo": algo, "seed": args.seed}
+            if args.threads is not None:
+                doc["threads"] = args.threads
+            cells.append((S, sched_doc, algo, TrainConfig.from_json_dict(doc)))
 
     schema = _resolve_schema(args.data, args.schema)
     batch, schema = load_csv(args.data, schema)
     pairs = split(batch, SplitSpec(kind="kfold", folds=folds, seed=args.seed))
 
     rows = []
-    for S, sched_doc, algo in itertools.product(s_values, schedules, algos):
-        doc = dict(base)
-        doc.update({"S": S, "schedule": sched_doc, "algo": algo})
-        if args.threads is not None:
-            doc["threads"] = args.threads
-        if args.seed is not None:
-            doc["seed"] = args.seed
-        config = TrainConfig.from_json_dict(doc)
+    for S, sched_doc, algo, config in cells:
         accs, iters, wall = [], [], 0.0
         for train_part, test_part in pairs:
             fitted = fit_normalization(schema, train_part)
-            shape, prior, q, report = _run_training(normalize(train_part, fitted), config, k)
+            post, report = _run_training(normalize(train_part, fitted), config, k)
             cfg = PredictiveConfig(M=args.M, seed=config.seed)
-            accs.append(test_accuracy(q, normalize(test_part, fitted), cfg))
+            accs.append(test_accuracy(post, normalize(test_part, fitted), cfg))
             iters.append(report.iterations_run)
             wall += report.wall_time
         accs_arr = np.asarray(accs)
@@ -488,27 +475,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("VBNN_LOG", "error").lower()
+    level = os.environ.get("VBNN_LOG", "").lower()
     logging.basicConfig(
-        level=_LOG_LEVELS.get(level, logging.ERROR),
+        level=_LOG_LEVELS.get(level, logging.WARNING),
         stream=sys.stderr,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    if level not in _LOG_LEVELS:
-        logger.error("unknown VBNN_LOG level %r, using 'error'", level)
+    if level and level not in _LOG_LEVELS:
+        logger.error("unknown VBNN_LOG level %r, logging warnings and errors", level)
 
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ValueError,
-        OSError,
-        KeyError,
-        ShapeMismatchError,
-        SchemaError,
-        DataError,
-    ) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .metrics import TrueFunction
-from .model import LabeledBatch, NetworkParams, sigmoid
+from .model import LabeledBatch, NetworkParams, json_field, sigmoid
 
 __all__ = [
     "SchemaError",
@@ -141,7 +141,8 @@ class TableSchema:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TableSchema":
-        return cls(columns=tuple(ColumnSchema.from_json_dict(c) for c in doc["columns"]))
+        columns = json_field(doc, "columns", list)
+        return cls(columns=tuple(ColumnSchema.from_json_dict(c) for c in columns))
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -293,13 +294,12 @@ def normalize(batch: LabeledBatch, schema: TableSchema) -> LabeledBatch:
     if schema.p != batch.p:
         raise SchemaError("schema width does not match batch width")
     x = batch.x.copy()
-    outside = 0
     for j, col in enumerate(schema.feature_columns):
         if col.normalization == "zscore":
             x[:, j] = (x[:, j] - col.mean) / col.sd
         elif col.normalization == "minmax01":
-            outside += int(np.sum((x[:, j] < col.min) | (x[:, j] > col.max)))
             x[:, j] = (x[:, j] - col.min) / (col.max - col.min)
+    outside = minmax_out_of_range_count(batch, schema)
     if outside:
         logger.warning(
             "%d value(s) fell outside the fitted minmax range and map outside [0,1]",

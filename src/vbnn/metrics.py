@@ -19,9 +19,11 @@ integrands vanish exactly when the two score arrays are identical.
 Misclassification risk R(C) = P(C(X) != Y) satisfies, for the plug-in
 classifier from predictive probability p_hat,
 
-    R(C_hat) - R(C_Bayes) <= 2 E_X | sigmoid(eta0(X)) - p_hat(X) |,
+    R(C_hat) - R(C_Bayes) <= 2 E_X | sigmoid(eta0(X)) - p_hat(X) |.
 
-which `risk_gap` estimates pointwise alongside the gap itself.
+``diagnostics_dict`` reports the gap (``risk_gap``) and the bound
+(``risk_bound``) of a fitted posterior, both estimated point by point on one
+point set, with the Hellinger and KL distances to the truth.
 """
 
 from __future__ import annotations
@@ -33,25 +35,25 @@ import numpy as np
 
 from .model import (
     NetworkParams,
+    ShapeMismatchError,
     batch_scores,
+    json_field,
     network_from_json_dict,
     network_to_json_dict,
     sigmoid,
     softplus,
 )
 from .prediction import PredictiveConfig, predictive_probabilities
-from .variational import VariationalParams
+from .variational import Posterior
 
 __all__ = [
     "IntegrationConfig",
     "MCEstimate",
     "TrueFunction",
-    "RiskGapResult",
     "draw_points",
     "hellinger_distance",
     "kl_distance",
     "bayes_risk",
-    "risk_gap",
     "gradient_variance_profile",
     "diagnostics_dict",
 ]
@@ -144,7 +146,7 @@ class TrueFunction:
     def from_json_dict(cls, doc: dict) -> "TrueFunction":
         kind = doc.get("kind")
         if kind == "constant":
-            return cls.constant(float(doc["value"]), int(doc["p"]))
+            return cls.constant(float(doc["value"]), json_field(doc, "p", int))
         if kind == "linear":
             return cls.linear(float(doc["intercept"]), doc["weights"])
         if kind == "network":
@@ -214,49 +216,6 @@ def bayes_risk(eta0, cfg: IntegrationConfig, p: int | None = None) -> MCEstimate
     return MCEstimate(*_mean_with_se(np.minimum(p0, 1.0 - p0)))
 
 
-@dataclass(frozen=True)
-class RiskGapResult:
-    """Pointwise-paired estimates of excess risk and its predictive bound."""
-
-    gap: MCEstimate
-    bound: MCEstimate
-    model_risk: MCEstimate
-    bayes_risk: MCEstimate
-    n_mc: int
-    seed: int
-
-
-def risk_gap(
-    q: VariationalParams,
-    truth: TrueFunction,
-    pred_cfg: PredictiveConfig,
-    cfg: IntegrationConfig,
-) -> RiskGapResult:
-    """Excess risk of the plug-in classifier over the Bayes classifier.
-
-    Both risks are evaluated against the true conditional p0 on a shared
-    point set, so the gap is nonnegative point by point, and the predictive
-    bound 2 E|p0 - p_hat| is estimated on the same points.
-    """
-    x = draw_points(cfg, truth.p)
-    p0 = sigmoid(truth(x))
-    return _risk_estimates(p0, predictive_probabilities(q, x, pred_cfg), cfg)
-
-
-def _risk_estimates(p0: np.ndarray, p_hat: np.ndarray, cfg: IntegrationConfig) -> RiskGapResult:
-    """Plug-in and Bayes risks against the true conditional p0, point by point."""
-    err_model = np.where(p_hat >= 0.5, 1.0 - p0, p0)
-    err_bayes = np.minimum(p0, 1.0 - p0)
-    return RiskGapResult(
-        gap=MCEstimate(*_mean_with_se(err_model - err_bayes)),
-        bound=MCEstimate(*_mean_with_se(2.0 * np.abs(p0 - p_hat))),
-        model_risk=MCEstimate(*_mean_with_se(err_model)),
-        bayes_risk=MCEstimate(*_mean_with_se(err_bayes)),
-        n_mc=cfg.n_mc,
-        seed=cfg.seed,
-    )
-
-
 def gradient_variance_profile(trace, window: int = 50) -> np.ndarray:
     """Mean gradient variance over non-overlapping windows of a trace.
 
@@ -274,7 +233,7 @@ def gradient_variance_profile(trace, window: int = 50) -> np.ndarray:
 
 
 def diagnostics_dict(
-    q: VariationalParams,
+    post: Posterior,
     truth: TrueFunction,
     pred_cfg: PredictiveConfig,
     cfg: IntegrationConfig,
@@ -283,29 +242,35 @@ def diagnostics_dict(
 
     The predictive probabilities are computed once on the shared point set
     and reused for the Hellinger/KL integrands (through clamped logits) and
-    for the risk estimates.
+    for the plug-in and Bayes risks, both taken against the true conditional
+    p0 on the same points, so the gap is nonnegative point by point.  Raises
+    ShapeMismatchError unless the truth has the posterior's input width.
     """
+    if truth.p != post.shape.p:
+        raise ShapeMismatchError(f"truth has p={truth.p} but the posterior takes p={post.shape.p}")
     x = draw_points(cfg, truth.p)
     z0 = truth(x)
     p0 = sigmoid(z0)
-    p_hat = predictive_probabilities(q, x, pred_cfg)
+    p_hat = predictive_probabilities(post, x, pred_cfg)
     eps = pred_cfg.prob_clamp_eps
     clamped = np.clip(p_hat, eps, 1.0 - eps)
     z_hat = np.log(clamped) - np.log1p(-clamped)
 
     hell = _hellinger_core(z0, z_hat)
     kl = _kl_core(z0, z_hat)
-    risk = _risk_estimates(p0, p_hat, cfg)
+    err_bayes = np.minimum(p0, 1.0 - p0)
+    gap, gap_se = _mean_with_se(np.where(p_hat >= 0.5, 1.0 - p0, p0) - err_bayes)
+    bound, bound_se = _mean_with_se(2.0 * np.abs(p0 - p_hat))
     return {
         "hellinger": hell.value,
         "hellinger_stderr": hell.stderr,
         "kl": kl.value,
         "kl_stderr": kl.stderr,
-        "bayes_risk": risk.bayes_risk.value,
-        "risk_gap": risk.gap.value,
-        "risk_gap_stderr": risk.gap.stderr,
-        "risk_bound": risk.bound.value,
-        "risk_bound_stderr": risk.bound.stderr,
+        "bayes_risk": float(err_bayes.mean()),
+        "risk_gap": gap,
+        "risk_gap_stderr": gap_se,
+        "risk_bound": bound,
+        "risk_bound_stderr": bound_se,
         "n_mc": cfg.n_mc,
         "seed": cfg.seed,
     }

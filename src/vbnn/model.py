@@ -38,6 +38,8 @@ __all__ = [
     "PriorConfig",
     "LabeledBatch",
     "ShapeMismatchError",
+    "JsonFieldError",
+    "json_field",
     "sigmoid",
     "softplus",
     "shape_for",
@@ -61,6 +63,23 @@ __all__ = [
 
 class ShapeMismatchError(ValueError):
     """An argument's dimensions disagree with the declared network shape."""
+
+
+class JsonFieldError(ValueError):
+    """A key of a JSON document holds the wrong kind of value."""
+
+
+_JSON_KINDS = {dict: "a JSON object", list: "a JSON array", int: "an integer"}
+
+
+def json_field(doc: dict, key: str, kind: type, default=None):
+    """doc[key] as parsed by ``json``, checked to be an object (dict), an array
+    (list) or an integer (int: not a float such as 2.9, nor a boolean).  A
+    missing key raises KeyError, or gives ``default`` when one is passed."""
+    value = doc[key] if default is None else doc.get(key, default)
+    if type(value) is not kind:
+        raise JsonFieldError(f"key {key!r} must be {_JSON_KINDS[kind]}, got {value!r:.40}")
+    return value
 
 
 def softplus(z):
@@ -89,6 +108,13 @@ class NetworkShape:
     @property
     def K(self) -> int:
         return self.k * (self.p + 2) + 1
+
+    def to_json_dict(self) -> dict:
+        return {"p": self.p, "k": self.k}
+
+    @classmethod
+    def from_json_dict(cls, doc: dict) -> "NetworkShape":
+        return cls(p=json_field(doc, "p", int), k=json_field(doc, "k", int))
 
 
 def shape_for(K: int, p: int) -> NetworkShape:
@@ -334,11 +360,9 @@ def log_joint_many(
 
 def network_to_json_dict(theta: NetworkParams) -> dict:
     """Portable artifact form: {"shape": {"p", "k"}, "flat_theta": [...]}."""
-    shape = theta.shape
-    return {"shape": {"p": shape.p, "k": shape.k}, "flat_theta": flatten(theta).tolist()}
+    return {"shape": theta.shape.to_json_dict(), "flat_theta": flatten(theta).tolist()}
 
 
 def network_from_json_dict(doc: dict) -> NetworkParams:
-    shape = NetworkShape(p=int(doc["shape"]["p"]), k=int(doc["shape"]["k"]))
-    flat = np.asarray(doc["flat_theta"], dtype=float)
-    return unflatten(flat, shape)
+    shape = NetworkShape.from_json_dict(json_field(doc, "shape", dict))
+    return unflatten(np.asarray(doc["flat_theta"], dtype=float), shape)

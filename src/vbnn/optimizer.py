@@ -50,6 +50,7 @@ from .model import (
     NetworkShape,
     PriorConfig,
     ShapeMismatchError,
+    json_field,
     log_joint_many,
     shape_for,
 )
@@ -209,8 +210,8 @@ class TrainConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TrainConfig":
-        """Inverse of to_json_dict; missing keys take their defaults and
-        keys it does not read raise ValueError naming them."""
+        """Inverse of to_json_dict; missing keys take their defaults, and keys it
+        does not read or values of the wrong kind raise errors naming the key."""
         unknown = sorted(set(doc) - _CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown training config key(s): {', '.join(unknown)}")
@@ -219,15 +220,15 @@ class TrainConfig:
             raise ValueError(f"unknown algo {algo!r}")
         clip = doc.get("grad_clip")
         return cls(
-            S=int(doc.get("S", 200)),
-            schedule=Schedule.from_json_dict(doc.get("schedule", {})),
+            S=json_field(doc, "S", int, 200),
+            schedule=Schedule.from_json_dict(json_field(doc, "schedule", dict, {})),
             use_control_variates=(algo == "bbvi-cv"),
-            max_iters=int(doc.get("max_iters", 2000)),
-            conv_window=int(doc.get("conv_window", 50)),
+            max_iters=json_field(doc, "max_iters", int, 2000),
+            conv_window=json_field(doc, "conv_window", int, 50),
             conv_rel_tol=float(doc.get("conv_rel_tol", 1e-4)),
             grad_clip=None if clip is None else float(clip),
-            seed=int(doc.get("seed", 0)),
-            threads=int(doc.get("threads", 1)),
+            seed=json_field(doc, "seed", int, 0),
+            threads=json_field(doc, "threads", int, 1),
         )
 
 

@@ -1,13 +1,15 @@
-"""Posterior-predictive probabilities, logits and plug-in classification.
+"""Posterior-predictive probabilities, plug-in accuracy and prediction files.
 
 The predictive probability at x averages the sigmoid of the network score
-over M posterior draws:
+over M draws from a :class:`~vbnn.variational.Posterior`'s q:
 
     p_hat(x) = (1/M) sum_i sigmoid(score(theta[i], x)),  theta[i] ~ q
 
 Note the order matters: averaging probabilities is not the same as squashing
 the average score (Jensen gap), and the former is the honest posterior mean
-of P(y=1 | x).
+of P(y=1 | x).  The plug-in label is 1 wherever p_hat >= 0.5, so an exact tie
+is labelled 1.  x must have the posterior's input width p; any other width
+raises ShapeMismatchError.
 
 Each call draws from one stream, SeedSequence(entropy=seed, spawn_key=(3,)),
 a key neither ``metrics.draw_points`` nor training uses.  At a fixed x the
@@ -24,19 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logit as _logit
 
-from .model import LabeledBatch, scores, shape_for, sigmoid
-from .variational import VariationalParams
+from .model import LabeledBatch, ShapeMismatchError, scores, sigmoid
+from .variational import Posterior
 
 __all__ = [
     "PredictiveConfig",
-    "predictive_probability",
     "predictive_probabilities",
-    "predictive_logit",
-    "predictive_logits",
-    "classify",
-    "classify_batch",
     "test_accuracy",
     "save_predictions_csv",
     "evaluation_dict",
@@ -63,13 +59,16 @@ _BLOCK_FLOATS = 65_536
 
 
 def predictive_probabilities(
-    q: VariationalParams, x: np.ndarray, cfg: PredictiveConfig
+    post: Posterior, x: np.ndarray, cfg: PredictiveConfig
 ) -> np.ndarray:
-    """p_hat for every row of x (n, p); returns values in [0, 1]."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("x must be 2-d (n, p)")
-    shape = shape_for(q.K, x.shape[1])
+    """p_hat for every row of x (n, p); returns values in [0, 1].
+
+    Raises ShapeMismatchError unless x is 2-d with the posterior's input width p.
+    """
+    x, shape = np.asarray(x, dtype=float), post.shape
+    if x.ndim != 2 or x.shape[1] != shape.p:
+        raise ShapeMismatchError(f"x must be (n, p={shape.p}) for this posterior, got {x.shape}")
+    mean, scale = post.q.mean, post.q.scale
     n, D = x.shape[0], 2 * shape.k + 1
     rows = max(1, _BLOCK_FLOATS // (cfg.M * D))
     block = np.empty((min(rows, n), D, cfg.M))
@@ -78,53 +77,15 @@ def predictive_probabilities(
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         z = rng.standard_normal(out=block[: stop - start])
-        out[start:stop] = sigmoid(scores(z, x[start:stop], q.mean, q.scale, shape)).mean(axis=1)
+        out[start:stop] = sigmoid(scores(z, x[start:stop], mean, scale, shape)).mean(axis=1)
     return out
 
 
-def predictive_probability(
-    q: VariationalParams, x: np.ndarray, cfg: PredictiveConfig
-) -> float:
-    """p_hat at a single point x of shape (p,)."""
-    return float(predictive_probabilities(q, np.asarray(x, dtype=float)[None, :], cfg)[0])
-
-
-def predictive_logits(
-    q: VariationalParams, x: np.ndarray, cfg: PredictiveConfig
-) -> np.ndarray:
-    """log(p/(1-p)) of the clamped predictive probabilities.
-
-    Probabilities are clamped to [eps, 1-eps] first so saturated predictions
-    produce large finite logits instead of +/-inf.
-    """
-    probs = predictive_probabilities(q, x, cfg)
-    eps = cfg.prob_clamp_eps
-    return _logit(np.clip(probs, eps, 1.0 - eps))
-
-
-def predictive_logit(q: VariationalParams, x: np.ndarray, cfg: PredictiveConfig) -> float:
-    return float(predictive_logits(q, np.asarray(x, dtype=float)[None, :], cfg)[0])
-
-
-def classify_batch(
-    q: VariationalParams, x: np.ndarray, cfg: PredictiveConfig
-) -> np.ndarray:
-    """Plug-in labels: 1 wherever p_hat >= 0.5 (ties go to 1), else 0."""
-    probs = predictive_probabilities(q, x, cfg)
-    return (probs >= 0.5).astype(np.int64)
-
-
-def classify(q: VariationalParams, x: np.ndarray, cfg: PredictiveConfig) -> int:
-    return int(classify_batch(q, np.asarray(x, dtype=float)[None, :], cfg)[0])
-
-
-def test_accuracy(
-    q: VariationalParams, batch: LabeledBatch, cfg: PredictiveConfig
-) -> float:
-    """Fraction of batch rows whose plug-in label matches y."""
+def test_accuracy(post: Posterior, batch: LabeledBatch, cfg: PredictiveConfig) -> float:
+    """Fraction of batch rows whose plug-in label (p_hat >= 0.5) matches y."""
     if batch.n == 0:
         raise ValueError("accuracy is undefined on an empty batch")
-    labels = classify_batch(q, batch.x, cfg)
+    labels = predictive_probabilities(post, batch.x, cfg) >= 0.5
     return float(np.mean(labels == batch.y))
 
 
@@ -138,9 +99,7 @@ def save_predictions_csv(path, probs: np.ndarray, labels: np.ndarray) -> None:
             fh.write(f"{i},{float(probs[i])!r},{int(labels[i])}\n")
 
 
-def evaluation_dict(
-    q: VariationalParams, batch: LabeledBatch, cfg: PredictiveConfig
-) -> dict:
+def evaluation_dict(post: Posterior, batch: LabeledBatch, cfg: PredictiveConfig) -> dict:
     """JSON-ready held-out evaluation: {"n", "accuracy", "error_rate"}."""
-    acc = test_accuracy(q, batch, cfg)
+    acc = test_accuracy(post, batch, cfg)
     return {"n": batch.n, "accuracy": acc, "error_rate": 1.0 - acc}

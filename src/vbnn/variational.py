@@ -13,6 +13,10 @@ The gradients of log q follow the standard mean-field Gaussian forms
 with s_j floored at 1e-6 inside gradient evaluation only, to keep the
 estimator finite when a coordinate collapses.  Densities themselves use the
 unclamped scale.
+
+A :class:`Posterior` is the fitted q together with the network shape and
+the prior it was fitted under; serving takes it, and its JSON form is the
+``shape``, ``prior`` and ``variational`` keys of ``model.json``.
 """
 
 from __future__ import annotations
@@ -21,11 +25,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import normal_logpdf_total, sigmoid, softplus
+from .model import (
+    NetworkShape,
+    PriorConfig,
+    ShapeMismatchError,
+    json_field,
+    normal_logpdf_total,
+    sigmoid,
+    softplus,
+)
 
 __all__ = [
     "SCALE_FLOOR",
     "VariationalParams",
+    "Posterior",
     "SampleMatrix",
     "softplus_inverse",
     "initial_params",
@@ -83,10 +96,38 @@ class VariationalParams:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "VariationalParams":
-        return cls(
-            mean=np.asarray(doc["m"], dtype=float),
-            raw_scale=np.asarray(doc["r"], dtype=float),
-        )
+        return cls(mean=json_field(doc, "m", list), raw_scale=json_field(doc, "r", list))
+
+
+@dataclass(frozen=True)
+class Posterior:
+    """A fitted q with the network shape and the prior it was fitted under."""
+
+    shape: NetworkShape
+    q: VariationalParams
+    prior: PriorConfig
+
+    def __post_init__(self) -> None:
+        if not self.q.K == self.prior.K == self.shape.K:
+            raise ShapeMismatchError(
+                f"a p={self.shape.p}, k={self.shape.k} network has {self.shape.K} "
+                f"parameters, but q has {self.q.K} and the prior {self.prior.K}"
+            )
+
+    def to_json_dict(self) -> dict:
+        return {
+            "shape": self.shape.to_json_dict(),
+            "prior": {"mu": self.prior.mu.tolist(), "zeta": self.prior.zeta.tolist()},
+            "variational": self.q.to_json_dict(),
+        }
+
+    @classmethod
+    def from_json_dict(cls, doc: dict) -> "Posterior":
+        shape = NetworkShape.from_json_dict(json_field(doc, "shape", dict))
+        q = VariationalParams.from_json_dict(json_field(doc, "variational", dict))
+        prior = json_field(doc, "prior", dict)
+        return cls(shape, q, PriorConfig(mu=json_field(prior, "mu", list),
+                                         zeta=json_field(prior, "zeta", list)))
 
 
 def initial_params(K: int, mean: float = 0.0, scale: float = 1.0) -> VariationalParams:

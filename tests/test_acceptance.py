@@ -37,6 +37,7 @@ from vbnn.optimizer import (
 )
 from vbnn.prediction import PredictiveConfig
 from vbnn.variational import (
+    Posterior,
     VariationalParams,
     grad_log_q_mean,
     grad_log_q_raw,
@@ -329,7 +330,8 @@ def consistency_runs():
         for s in range(5):
             data = generate_synthetic(REFERENCE_TRUTH, n, seed=1000 + s)
             q, rep = train(data, prior, shape, replace(base, seed=s))
-            doc = diagnostics_dict(q, REFERENCE_TRUTH, pred_cfg, int_cfg)
+            doc = diagnostics_dict(Posterior(shape, q, prior), REFERENCE_TRUTH, pred_cfg,
+                                   int_cfg)
             results.append({"n": n, "seed": s, "diverged": rep.diverged, **doc})
     return {"results": results, "elapsed": time.perf_counter() - start}
 

@@ -13,7 +13,7 @@ from vbnn.cli import main
 from vbnn.data import load_csv
 from vbnn.model import flatten
 from vbnn.prediction import PredictiveConfig, predictive_probabilities
-from vbnn.variational import VariationalParams, softplus_inverse
+from vbnn.variational import Posterior, softplus_inverse
 
 
 @pytest.fixture(scope="module")
@@ -198,10 +198,10 @@ class TestPredict:
             rows = list(csv.DictReader(fh))
 
         doc = read_json(workdir["model"])
-        q = VariationalParams.from_json_dict(doc["variational"])
+        post = Posterior.from_json_dict(doc)
         batch, _ = load_csv(workdir["data"])
         expected = predictive_probabilities(
-            q, batch.x, PredictiveConfig(M=50, seed=11)
+            post, batch.x, PredictiveConfig(M=50, seed=11)
         )
         assert [float(r["p_hat"]) for r in rows] == list(expected)
         assert [int(r["label_hat"]) for r in rows] == list((expected >= 0.5).astype(int))
@@ -252,6 +252,40 @@ class TestPredict:
         code = main(["predict", "--model", str(workdir["model"]),
                      "--data", str(feat), "--out", str(tmp_path / "p.csv")])
         assert code == 1
+
+    def test_wrong_length_prior_rejected(self, tmp_path, capsys, workdir):
+        doc = read_json(workdir["model"])
+        doc["prior"] = {"mu": [0.0] * 5, "zeta": [1.0] * 5}
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "p.csv"
+        code = main(["predict", "--model", str(model), "--data", str(workdir["data"]),
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "model.json" in err and "the prior 5" in err
+        assert not out.exists()
+
+    def test_out_of_range_minmax_features_are_reported_by_default(self, tmp_path):
+        schema_doc = {"columns": [
+            {"name": "x1", "kind": "numeric", "normalization": "minmax01",
+             "min": 0.0, "max": 1.0},
+            {"name": "x2", "kind": "numeric", "normalization": "none"},
+            {"name": "y", "kind": "label", "normalization": "none"},
+        ]}
+        model = tmp_path / "model.json"
+        hand_built_model(model, schema_doc=schema_doc)
+        feat = tmp_path / "features.csv"
+        feat.write_text("x1,x2\n5.0,0.5\n0.5,0.5\n")
+        # a subprocess keeps the root logger of the test run untouched
+        proc = subprocess.run(
+            [sys.executable, "-m", "vbnn.cli", "predict", "--model", str(model),
+             "--data", str(feat), "--out", str(tmp_path / "p.csv")],
+            capture_output=True, text=True,
+            env={k: v for k, v in os.environ.items() if k != "VBNN_LOG"},
+        )
+        assert proc.returncode == 0
+        assert "1 value(s) fell outside the fitted minmax range" in proc.stderr
 
 
 class TestEvaluate:
@@ -400,6 +434,11 @@ def json_input_argv(use, path, workdir, tmp_path):
     }[use]
 
 
+# a valid one-cell sweep grid
+GRID = {"S": [8], "schedule": [{"kind": "fixed", "rho": 0.05}], "algo": ["bbvi"],
+        "k": 2, "folds": 3, "base": {"max_iters": 15}}
+
+
 class TestJsonInputs:
     @pytest.mark.parametrize("use", ["train-config", "sweep-grid", "diagnose-truth",
                                       "predict-model", "evaluate-model", "diagnose-model"])
@@ -427,6 +466,34 @@ class TestJsonInputs:
         assert code == 1
         err = capsys.readouterr().err
         assert "in.json" in err and f"has no key '{key}'" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("use, doc, key", [
+        ("predict-model", {"shape": [1]}, "shape"),
+        ("evaluate-model", {"shape": {"p": 2, "k": 2}, "variational": [1]}, "variational"),
+        ("train-config", {"schedule": 5}, "schedule"),
+        ("sweep-grid", {**GRID, "schedule": [1]}, "schedule"),
+        ("sweep-grid", {**GRID, "base": [1]}, "base"),
+        ("sweep-grid", {**GRID, "S": 5}, "S"),
+        ("sweep-grid", {**GRID, "k": [2]}, "k"),
+        ("diagnose-truth", {"kind": "network", "shape": [2], "flat_theta": [0.0]}, "shape"),
+        # integer fields
+        ("train-config", {"S": 20.9}, "S"),
+        ("train-config", {"seed": True}, "seed"),
+        ("predict-model", {"shape": {"p": 2.9, "k": 2}}, "p"),
+        ("sweep-grid", {**GRID, "k": 2.5}, "k"),
+        ("sweep-grid", {**GRID, "folds": True}, "folds"),
+    ], ids=["model-shape", "model-variational", "config-schedule", "grid-schedule",
+            "grid-base", "grid-S", "grid-k", "truth-shape", "config-S-float",
+            "config-seed-bool", "model-p-float", "grid-k-float", "grid-folds-bool"])
+    def test_wrong_kind_names_the_file_and_the_key(self, tmp_path, capsys, workdir,
+                                                   use, doc, key):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        code = main(json_input_argv(use, str(path), workdir, tmp_path))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "in.json" in err and f"key '{key}' must be" in err
         assert not (tmp_path / "out").exists()
 
 

@@ -22,11 +22,10 @@ from vbnn.metrics import (
     gradient_variance_profile,
     hellinger_distance,
     kl_distance,
-    risk_gap,
 )
-from vbnn.model import NetworkParams, NetworkShape
+from vbnn.model import NetworkParams, NetworkShape, PriorConfig, ShapeMismatchError
 from vbnn.prediction import PredictiveConfig
-from vbnn.variational import VariationalParams
+from vbnn.variational import Posterior, VariationalParams
 
 from conftest import BENCH_SHAPE
 
@@ -196,25 +195,27 @@ class TestBayesRisk:
         assert est.value == pytest.approx(expected, abs=4 * est.stderr)
 
 
-def trained_like_q(params: NetworkParams, spread: float = 1e-3) -> VariationalParams:
+def trained_like_q(params: NetworkParams, spread: float = 1e-3) -> Posterior:
     from vbnn.model import flatten
 
     flat = flatten(params)
     from vbnn.variational import softplus_inverse
 
-    return VariationalParams(mean=flat,
-                             raw_scale=softplus_inverse(np.full(len(flat), spread)))
+    q = VariationalParams(mean=flat, raw_scale=softplus_inverse(np.full(len(flat), spread)))
+    return Posterior(params.shape, q, PriorConfig.standard(len(flat)))
 
 
 class TestRiskGap:
+    """The risk gap and its bound, as ``diagnostics_dict`` reports them."""
+
     def test_model_equal_to_truth_has_negligible_gap(self, random_theta):
         params = random_theta(BENCH_SHAPE)
         eta = TrueFunction.from_network(params)
         q = trained_like_q(params, spread=1e-6)
-        res = risk_gap(q, eta, PredictiveConfig(M=50, seed=0),
-                       IntegrationConfig(n_mc=500, seed=1))
-        assert res.gap.value <= 1e-12
-        assert res.bound.value <= 1e-6
+        res = diagnostics_dict(q, eta, PredictiveConfig(M=50, seed=0),
+                               IntegrationConfig(n_mc=500, seed=1))
+        assert res["risk_gap"] <= 1e-12
+        assert res["risk_bound"] <= 1e-6
 
     def test_sign_flipped_model_pays_twice_the_margin(self, random_theta):
         # classifying with -eta0 errs exactly where Bayes succeeds:
@@ -225,28 +226,19 @@ class TestRiskGap:
         eta = TrueFunction.from_network(params)
         q = trained_like_q(anti, spread=1e-6)
         icfg = IntegrationConfig(n_mc=2000, seed=2)
-        res = risk_gap(q, eta, PredictiveConfig(M=400, seed=0), icfg)
+        res = diagnostics_dict(q, eta, PredictiveConfig(M=400, seed=0), icfg)
         rb = bayes_risk(eta, icfg)
-        assert res.gap.value == pytest.approx(1.0 - 2.0 * rb.value, abs=1e-3)
-        assert res.bayes_risk.value == rb.value
+        assert res["risk_gap"] == pytest.approx(1.0 - 2.0 * rb.value, abs=1e-3)
+        assert res["bayes_risk"] == rb.value
 
     def test_gap_never_exceeds_bound(self, random_theta):
         for trial in range(5):
             truth = TrueFunction.from_network(random_theta(BENCH_SHAPE, scale=2.0))
             q = trained_like_q(random_theta(BENCH_SHAPE, scale=2.0), spread=0.3)
-            res = risk_gap(q, truth, PredictiveConfig(M=60, seed=trial),
-                           IntegrationConfig(n_mc=800, seed=trial))
-            assert res.gap.value <= res.bound.value + 1e-15
-            assert res.gap.value >= 0.0
-
-    def test_model_risk_decomposition(self, random_theta):
-        truth = TrueFunction.from_network(random_theta(BENCH_SHAPE))
-        q = trained_like_q(random_theta(BENCH_SHAPE), spread=0.2)
-        res = risk_gap(q, truth, PredictiveConfig(M=40, seed=1),
-                       IntegrationConfig(n_mc=600, seed=4))
-        assert res.model_risk.value == pytest.approx(
-            res.bayes_risk.value + res.gap.value, abs=1e-12
-        )
+            res = diagnostics_dict(q, truth, PredictiveConfig(M=60, seed=trial),
+                                   IntegrationConfig(n_mc=800, seed=trial))
+            assert res["risk_gap"] <= res["risk_bound"] + 1e-15
+            assert res["risk_gap"] >= 0.0
 
 
 class TestGradientVarianceProfile:
@@ -298,3 +290,10 @@ class TestDiagnosticsDict:
         assert doc["n_mc"] == 400 and doc["seed"] == 5
         assert 0.0 <= doc["hellinger"] <= 1.0
         assert doc["risk_gap"] <= doc["risk_bound"] + 1e-15
+
+    def test_truth_of_another_width_names_both_widths(self, random_theta):
+        # a p=1 truth against a p=2 posterior
+        post = trained_like_q(random_theta(BENCH_SHAPE))
+        with pytest.raises(ShapeMismatchError, match="truth has p=1 .* takes p=2"):
+            diagnostics_dict(post, constant_eta(0.0, p=1), PredictiveConfig(M=10, seed=0),
+                             IntegrationConfig(n_mc=50, seed=0))

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 from vbnn.data import generate_synthetic
 from vbnn.metrics import TrueFunction
-from vbnn.model import LabeledBatch, PriorConfig, ShapeMismatchError, log_joint_many
+from vbnn.model import (
+    JsonFieldError,
+    LabeledBatch,
+    PriorConfig,
+    ShapeMismatchError,
+    log_joint_many,
+)
 from vbnn.optimizer import (
     NonFiniteGradientError,
     Schedule,
@@ -129,6 +135,16 @@ class TestTrainConfig:
     def test_unknown_algo_rejected(self):
         with pytest.raises(ValueError, match="unknown algo"):
             TrainConfig.from_json_dict({"algo": "sgd"})
+
+    @pytest.mark.parametrize("doc", [{"S": 20.9}, {"seed": True}, {"max_iters": "100"},
+                                     {"conv_window": 5.5}, {"threads": False}])
+    def test_integer_fields_reject_non_integers(self, doc):
+        with pytest.raises(JsonFieldError, match=f"key '{next(iter(doc))}' must be an integer"):
+            TrainConfig.from_json_dict(doc)
+
+    def test_schedule_must_be_an_object(self):
+        with pytest.raises(JsonFieldError, match="key 'schedule' must be a JSON object"):
+            TrainConfig.from_json_dict({"schedule": 5})
 
 
 class TestElboEstimator:
@@ -358,6 +374,7 @@ class TestTrain:
 
     def test_learns_the_benchmark(self):
         from vbnn.prediction import PredictiveConfig, test_accuracy
+        from vbnn.variational import Posterior
 
         batch = bench_batch(n=250)
         prior = PriorConfig.standard(BENCH_SHAPE.K)
@@ -371,7 +388,8 @@ class TestTrain:
         last = report.elbo_trace[-50:].mean()
         assert last > first + 10
         majority = max(batch.y.mean(), 1 - batch.y.mean())
-        acc = test_accuracy(q, batch, PredictiveConfig(M=300, seed=0))
+        acc = test_accuracy(Posterior(BENCH_SHAPE, q, prior), batch,
+                            PredictiveConfig(M=300, seed=0))
         assert acc > majority + 0.05
 
     def test_divergence_is_reported_with_iteration(self):

@@ -1,43 +1,54 @@
-"""Posterior-predictive probabilities, logits, classification and accuracy."""
+"""Posterior-predictive probabilities, plug-in labels and accuracy."""
 
 import csv
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.special import expit, logit
 
-from vbnn.model import LabeledBatch, NetworkShape, scores_many, shape_for, sigmoid, unflatten
+from vbnn.metrics import IntegrationConfig, TrueFunction, diagnostics_dict
+from vbnn.model import (
+    LabeledBatch,
+    NetworkShape,
+    PriorConfig,
+    ShapeMismatchError,
+    batch_scores,
+    scores_many,
+    sigmoid,
+    unflatten,
+)
 from vbnn.prediction import (
     PredictiveConfig,
-    classify,
-    classify_batch,
     evaluation_dict,
-    predictive_logit,
-    predictive_logits,
     predictive_probabilities,
-    predictive_probability,
     save_predictions_csv,
 )
 from vbnn.prediction import _BLOCK_FLOATS
 from vbnn.prediction import test_accuracy as accuracy_of  # dodge pytest collection
-from vbnn.variational import VariationalParams, softplus_inverse
+from vbnn.variational import Posterior, VariationalParams, softplus_inverse
 
 from conftest import BENCH_SHAPE, TOY_SHAPE, implied_thetas
 
 
-def point_mass_at(flat: np.ndarray) -> VariationalParams:
+def posterior(q: VariationalParams, shape: NetworkShape = BENCH_SHAPE) -> Posterior:
+    return Posterior(shape, q, PriorConfig.standard(shape.K))
+
+
+def point_mass_at(flat: np.ndarray, shape: NetworkShape = BENCH_SHAPE) -> Posterior:
     """q collapsed (s ~ 4e-18) onto one parameter vector."""
-    return VariationalParams(mean=np.asarray(flat, dtype=float),
-                             raw_scale=np.full(len(flat), -40.0))
+    return posterior(VariationalParams(mean=np.asarray(flat, dtype=float),
+                                       raw_scale=np.full(len(flat), -40.0)), shape)
 
 
-def constant_score_q(score: float, shape: NetworkShape) -> VariationalParams:
+def constant_score_q(score: float, shape: NetworkShape) -> Posterior:
     """Point mass whose network outputs `score` everywhere (all betas zero)."""
     flat = np.zeros(shape.K)
     flat[0] = score
-    return point_mass_at(flat)
+    return point_mass_at(flat, shape)
+
 
 
 def documented_stream(seed: int, n: int, shape: NetworkShape, M: int) -> np.ndarray:
@@ -46,9 +57,9 @@ def documented_stream(seed: int, n: int, shape: NetworkShape, M: int) -> np.ndar
     return rng.standard_normal((n, 2 * shape.k + 1, M))
 
 
-def stream_oracle(q: VariationalParams, x: np.ndarray, M: int, seed: int) -> np.ndarray:
+def stream_oracle(post: Posterior, x: np.ndarray, M: int, seed: int) -> np.ndarray:
     """p_hat row by row: each row's slice of the stream, scored by scores_many."""
-    shape = shape_for(q.K, x.shape[1])
+    q, shape = post.q, post.shape
     z = documented_stream(seed, x.shape[0], shape, M)
     return np.array([
         np.mean(sigmoid(scores_many(implied_thetas(q.mean, q.scale, z[r], x[r], shape),
@@ -60,9 +71,9 @@ def stream_oracle(q: VariationalParams, x: np.ndarray, M: int, seed: int) -> np.
 class TestPredictiveProbability:
     def test_collapsed_zero_network_gives_exactly_half(self, rng):
         # sampled scores are ~1e-17, and sigmoid rounds them to exactly 0.5
-        q = point_mass_at(np.zeros(BENCH_SHAPE.K))
+        post = point_mass_at(np.zeros(BENCH_SHAPE.K))
         x = rng.uniform(0, 1, (10, 2))
-        probs = predictive_probabilities(q, x, PredictiveConfig(M=100, seed=0))
+        probs = predictive_probabilities(post, x, PredictiveConfig(M=100, seed=0))
         assert np.all(probs == 0.5)
 
     def test_single_draw_equals_one_network_evaluation(self, rng):
@@ -84,24 +95,25 @@ class TestPredictiveProbability:
             gamma_m,
         ]), TOY_SHAPE)
         expected = float(sigmoid(forward_score(theta, x)))
-        assert predictive_probability(q, x, cfg) == pytest.approx(expected, rel=0, abs=1e-15)
+        p_hat = predictive_probabilities(posterior(q, TOY_SHAPE), x[None, :], cfg)[0]
+        assert p_hat == pytest.approx(expected, rel=0, abs=1e-15)
 
     def test_deterministic_per_seed(self, rng):
-        q = point_mass_at(rng.normal(0, 1, BENCH_SHAPE.K))
-        q = VariationalParams(mean=q.mean, raw_scale=np.zeros(BENCH_SHAPE.K))
+        q = point_mass_at(rng.normal(0, 1, BENCH_SHAPE.K)).q
+        post = posterior(VariationalParams(mean=q.mean, raw_scale=np.zeros(BENCH_SHAPE.K)))
         x = rng.uniform(0, 1, (25, 2))
-        a = predictive_probabilities(q, x, PredictiveConfig(M=50, seed=9))
-        b = predictive_probabilities(q, x, PredictiveConfig(M=50, seed=9))
-        c = predictive_probabilities(q, x, PredictiveConfig(M=50, seed=10))
+        a = predictive_probabilities(post, x, PredictiveConfig(M=50, seed=9))
+        b = predictive_probabilities(post, x, PredictiveConfig(M=50, seed=9))
+        c = predictive_probabilities(post, x, PredictiveConfig(M=50, seed=10))
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_monte_carlo_budget_self_consistency(self, rng):
-        q = VariationalParams(mean=rng.normal(0, 1, BENCH_SHAPE.K),
-                              raw_scale=np.zeros(BENCH_SHAPE.K))
+        post = posterior(VariationalParams(mean=rng.normal(0, 1, BENCH_SHAPE.K),
+                                           raw_scale=np.zeros(BENCH_SHAPE.K)))
         x = rng.uniform(0, 1, (5, 2))
-        small = predictive_probabilities(q, x, PredictiveConfig(M=200, seed=1))
-        large = predictive_probabilities(q, x, PredictiveConfig(M=50_000, seed=2))
+        small = predictive_probabilities(post, x, PredictiveConfig(M=200, seed=1))
+        large = predictive_probabilities(post, x, PredictiveConfig(M=50_000, seed=2))
         # sigmoid outputs live in [0,1], so se(M=200) <= 0.5/sqrt(200) ~ 0.035
         assert np.all(np.abs(small - large) < 5 * 0.5 / math.sqrt(200))
 
@@ -113,27 +125,37 @@ class TestPredictiveProbability:
         flat[0] = 2.0
         raw = np.full(shape.K, -40.0)
         raw[0] = float(softplus_inverse(3.0))  # beta0 ~ N(2, 9)
-        q = VariationalParams(mean=flat, raw_scale=raw)
-        p_hat = predictive_probability(q, np.array([0.5]),
-                                       PredictiveConfig(M=20_000, seed=0))
+        post = posterior(VariationalParams(mean=flat, raw_scale=raw), shape)
+        p_hat = predictive_probabilities(post, np.array([[0.5]]),
+                                         PredictiveConfig(M=20_000, seed=0))[0]
         assert p_hat < float(expit(2.0)) - 0.05
 
     def test_empty_input_gives_empty_output(self):
-        q = point_mass_at(np.zeros(BENCH_SHAPE.K))
-        probs = predictive_probabilities(q, np.empty((0, 2)), PredictiveConfig())
+        post = point_mass_at(np.zeros(BENCH_SHAPE.K))
+        probs = predictive_probabilities(post, np.empty((0, 2)), PredictiveConfig())
         assert probs.shape == (0,)
 
     def test_bounds(self, rng):
-        q = VariationalParams(mean=rng.normal(0, 2, BENCH_SHAPE.K),
-                              raw_scale=np.zeros(BENCH_SHAPE.K))
-        probs = predictive_probabilities(q, rng.uniform(0, 1, (40, 2)),
+        post = posterior(VariationalParams(mean=rng.normal(0, 2, BENCH_SHAPE.K),
+                                           raw_scale=np.zeros(BENCH_SHAPE.K)))
+        probs = predictive_probabilities(post, rng.uniform(0, 1, (40, 2)),
                                          PredictiveConfig(M=30, seed=0))
         assert np.all((probs >= 0) & (probs <= 1))
 
+    @pytest.mark.parametrize("p", [1, 4])
+    def test_wrong_width_names_both_widths(self, rng, p):
+        # K = 13 is also the flat length of a p=1, k=4 and a p=4, k=2 network,
+        # so the width cannot be recovered from q alone
+        post = posterior(VariationalParams(mean=rng.normal(0, 1, BENCH_SHAPE.K),
+                                           raw_scale=np.zeros(BENCH_SHAPE.K)))
+        x = rng.uniform(0, 1, (6, p))
+        with pytest.raises(ShapeMismatchError, match=rf"p=2\) for this posterior, got \(6, {p}\)"):
+            predictive_probabilities(post, x, PredictiveConfig(M=10, seed=0))
 
-def block_rows(M: int, K: int) -> int:
-    """Rows per serving block for a posterior of flat length K over p=2 inputs."""
-    return max(1, _BLOCK_FLOATS // (M * (2 * shape_for(K, 2).k + 1)))
+
+def block_rows(M: int, shape: NetworkShape) -> int:
+    """Rows per serving block for a posterior of this network shape."""
+    return max(1, _BLOCK_FLOATS // (M * (2 * shape.k + 1)))
 
 
 class TestRowBlocks:
@@ -141,12 +163,13 @@ class TestRowBlocks:
 
     @pytest.fixture
     def wide_q(self, rng):
-        return VariationalParams(mean=rng.normal(0, 1, BENCH_SHAPE.K),
-                                 raw_scale=softplus_inverse(np.full(BENCH_SHAPE.K, 0.7)))
+        return posterior(VariationalParams(
+            mean=rng.normal(0, 1, BENCH_SHAPE.K),
+            raw_scale=softplus_inverse(np.full(BENCH_SHAPE.K, 0.7))))
 
     @pytest.mark.parametrize("M", [7, 200, 3000])
     def test_prefixes_are_byte_identical(self, rng, wide_q, M):
-        B = block_rows(M, BENCH_SHAPE.K)
+        B = block_rows(M, wide_q.shape)
         cfg = PredictiveConfig(M=M, seed=17)
         x = rng.uniform(0, 1, (2 * B + 9, 2))
         whole = predictive_probabilities(wide_q, x, cfg)
@@ -156,7 +179,7 @@ class TestRowBlocks:
 
     def test_rows_match_the_documented_substream(self, rng, wide_q):
         M, seed = 200, 5
-        n = 2 * block_rows(M, BENCH_SHAPE.K) + 4
+        n = 2 * block_rows(M, wide_q.shape) + 4
         x = rng.uniform(0, 1, (n, 2))
         probs = predictive_probabilities(wide_q, x, PredictiveConfig(M=M, seed=seed))
         expected = stream_oracle(wide_q, x, M, seed)
@@ -175,84 +198,113 @@ class TestRowBlocks:
         assert peak < 2 * M * BENCH_SHAPE.K * 8
 
 
+def constant_truth(score: float) -> TrueFunction:
+    return TrueFunction.constant(score, p=BENCH_SHAPE.p)
+
+
 class TestLogits:
+    """The clamped logits of p_hat that ``diagnostics_dict`` compares with the truth."""
+
     def test_balanced_probability_maps_to_zero(self):
-        q = point_mass_at(np.zeros(BENCH_SHAPE.K))
-        lg = predictive_logit(q, np.array([0.4, 0.6]), PredictiveConfig(M=64, seed=0))
-        assert lg == 0.0
+        # p_hat is exactly 0.5, so its logit is exactly 0: both distances to
+        # a constant-zero truth vanish exactly
+        doc = diagnostics_dict(point_mass_at(np.zeros(BENCH_SHAPE.K)), constant_truth(0.0),
+                               PredictiveConfig(M=64, seed=0),
+                               IntegrationConfig(n_mc=50, seed=0))
+        assert doc["hellinger"] == 0.0 and doc["kl"] == 0.0
 
     def test_saturated_probability_is_clamped(self):
-        # a huge certain bias gives p_hat exactly 1.0 before the clamp
-        q = constant_score_q(100.0, BENCH_SHAPE)
+        # a huge certain bias gives p_hat exactly 1.0 before the clamp; the
+        # distances are then those of the constant logit(1 - eps) ~ 27.63
+        post = constant_score_q(100.0, BENCH_SHAPE)
         cfg = PredictiveConfig(M=16, seed=0, prob_clamp_eps=1e-12)
-        x = np.array([[0.5, 0.5]])
-        assert predictive_probabilities(q, x, cfg)[0] == 1.0
-        expected = float(logit(1 - 1e-12))  # ~ 27.63
-        assert predictive_logits(q, x, cfg)[0] == pytest.approx(expected, rel=1e-12)
-        assert 27.0 < predictive_logits(q, x, cfg)[0] < 28.0
+        assert predictive_probabilities(post, np.array([[0.5, 0.5]]), cfg)[0] == 1.0
+        doc = diagnostics_dict(post, constant_truth(-3.0), cfg,
+                               IntegrationConfig(n_mc=50, seed=0))
+        z = float(logit(1 - 1e-12))
+        pa = expit(-3.0)
+        kl = (pa * (math.log(pa) + math.log1p(math.exp(-z)))
+              + (1 - pa) * (math.log(1 - pa) + math.log1p(math.exp(z))))
+        hellinger = math.sqrt(1 - math.sqrt(pa * expit(z)) - math.sqrt((1 - pa) * expit(-z)))
+        assert math.isfinite(doc["kl"]) and math.isfinite(doc["hellinger"])
+        assert doc["kl"] == pytest.approx(kl, rel=1e-9)
+        assert doc["hellinger"] == pytest.approx(hellinger, rel=1e-9)
 
-    def test_round_trip_through_sigmoid(self, rng):
-        q = VariationalParams(mean=rng.normal(0, 2, BENCH_SHAPE.K),
-                              raw_scale=np.zeros(BENCH_SHAPE.K))
-        x = rng.uniform(0, 1, (30, 2))
-        cfg = PredictiveConfig(M=40, seed=2)
-        probs = predictive_probabilities(q, x, cfg)
-        logits = predictive_logits(q, x, cfg)
-        clamped = np.clip(probs, cfg.prob_clamp_eps, 1 - cfg.prob_clamp_eps)
-        np.testing.assert_allclose(expit(logits), clamped, atol=1e-12)
+    def test_round_trip_through_sigmoid(self, random_theta):
+        # at a point mass p_hat = sigmoid(score), so the logits recover the
+        # network's own scores and its distances to itself vanish
+        from vbnn.model import flatten
+
+        theta = random_theta(BENCH_SHAPE, scale=2.0)
+        doc = diagnostics_dict(point_mass_at(flatten(theta)), TrueFunction.from_network(theta),
+                               PredictiveConfig(M=40, seed=2),
+                               IntegrationConfig(n_mc=300, seed=3))
+        assert abs(doc["kl"]) < 1e-12
+        assert doc["hellinger"] < 1e-6
 
 
 class TestClassification:
+    """The plug-in label is 1 wherever p_hat >= 0.5."""
+
     def test_exact_tie_is_labeled_one(self):
-        q = point_mass_at(np.zeros(BENCH_SHAPE.K))
-        assert classify(q, np.array([0.1, 0.9]), PredictiveConfig(M=32, seed=0)) == 1
+        # the zero point mass has p_hat exactly 0.5 everywhere
+        post = point_mass_at(np.zeros(BENCH_SHAPE.K))
+        x = np.array([[0.1, 0.9], [0.5, 0.5]])
+        cfg = PredictiveConfig(M=32, seed=0)
+        assert accuracy_of(post, LabeledBatch(x=x, y=np.ones(2, dtype=int)), cfg) == 1.0
 
     def test_just_below_half_is_labeled_zero(self):
-        q = constant_score_q(float(logit(0.4999)), BENCH_SHAPE)
-        assert classify(q, np.array([0.2, 0.8]), PredictiveConfig(M=32, seed=0)) == 0
+        post = constant_score_q(float(logit(0.4999)), BENCH_SHAPE)
+        x = np.array([[0.2, 0.8]])
+        cfg = PredictiveConfig(M=32, seed=0)
+        assert accuracy_of(post, LabeledBatch(x=x, y=np.zeros(1, dtype=int)), cfg) == 1.0
 
-    def test_labels_agree_with_logit_sign(self, rng):
-        q = VariationalParams(mean=rng.normal(0, 2, BENCH_SHAPE.K),
-                              raw_scale=np.zeros(BENCH_SHAPE.K))
+    def test_labels_agree_with_logit_sign(self, rng, random_theta):
+        # at a point mass the label is the sign of the network's score
+        from vbnn.model import flatten
+
+        theta = random_theta(BENCH_SHAPE, scale=2.0)
         x = rng.uniform(0, 1, (100, 2))
+        # centre the output bias so that both labels occur
+        theta = replace(theta, beta0=theta.beta0 - float(np.median(batch_scores(theta, x))))
+        y = (batch_scores(theta, x) >= 0).astype(int)
+        assert 0 < y.sum() < y.size
         cfg = PredictiveConfig(M=25, seed=6)
-        labels = classify_batch(q, x, cfg)
-        logits = predictive_logits(q, x, cfg)
-        np.testing.assert_array_equal(labels, (logits >= 0).astype(int))
+        assert accuracy_of(point_mass_at(flatten(theta)), LabeledBatch(x=x, y=y), cfg) == 1.0
 
 
 class TestAccuracy:
     def test_perfect_and_inverted_labels(self, rng):
-        q = VariationalParams(mean=rng.normal(0, 2, BENCH_SHAPE.K),
-                              raw_scale=np.zeros(BENCH_SHAPE.K))
+        post = posterior(VariationalParams(mean=rng.normal(0, 2, BENCH_SHAPE.K),
+                                           raw_scale=np.zeros(BENCH_SHAPE.K)))
         x = rng.uniform(0, 1, (60, 2))
         cfg = PredictiveConfig(M=20, seed=1)
-        labels = classify_batch(q, x, cfg)
-        assert accuracy_of(q, LabeledBatch(x=x, y=labels), cfg) == 1.0
-        assert accuracy_of(q, LabeledBatch(x=x, y=1 - labels), cfg) == 0.0
+        labels = (predictive_probabilities(post, x, cfg) >= 0.5).astype(int)
+        assert accuracy_of(post, LabeledBatch(x=x, y=labels), cfg) == 1.0
+        assert accuracy_of(post, LabeledBatch(x=x, y=1 - labels), cfg) == 0.0
 
     def test_matches_per_row_loop(self, rng):
-        q = VariationalParams(mean=rng.normal(0, 1, BENCH_SHAPE.K),
-                              raw_scale=np.zeros(BENCH_SHAPE.K))
+        post = posterior(VariationalParams(mean=rng.normal(0, 1, BENCH_SHAPE.K),
+                                           raw_scale=np.zeros(BENCH_SHAPE.K)))
         batch = LabeledBatch(x=rng.uniform(0, 1, (20, 2)),
                              y=rng.integers(0, 2, 20))
         cfg = PredictiveConfig(M=15, seed=3)
-        labels = (stream_oracle(q, batch.x, cfg.M, cfg.seed) >= 0.5).astype(int)
+        labels = (stream_oracle(post, batch.x, cfg.M, cfg.seed) >= 0.5).astype(int)
         assert 0 < np.sum(labels == batch.y) < batch.n
-        assert accuracy_of(q, batch, cfg) == np.mean(labels == batch.y)
+        assert accuracy_of(post, batch, cfg) == np.mean(labels == batch.y)
 
     def test_empty_batch_rejected(self):
-        q = point_mass_at(np.zeros(BENCH_SHAPE.K))
+        post = point_mass_at(np.zeros(BENCH_SHAPE.K))
         batch = LabeledBatch(x=np.empty((0, 2)), y=np.empty(0, dtype=int))
         with pytest.raises(ValueError, match="empty"):
-            accuracy_of(q, batch, PredictiveConfig())
+            accuracy_of(post, batch, PredictiveConfig())
 
     def test_evaluation_dict_fields(self, rng):
-        q = VariationalParams(mean=rng.normal(0, 1, BENCH_SHAPE.K),
-                              raw_scale=np.zeros(BENCH_SHAPE.K))
+        post = posterior(VariationalParams(mean=rng.normal(0, 1, BENCH_SHAPE.K),
+                                           raw_scale=np.zeros(BENCH_SHAPE.K)))
         batch = LabeledBatch(x=rng.uniform(0, 1, (12, 2)),
                              y=rng.integers(0, 2, 12))
-        doc = evaluation_dict(q, batch, PredictiveConfig(M=10, seed=0))
+        doc = evaluation_dict(post, batch, PredictiveConfig(M=10, seed=0))
         assert doc["n"] == 12
         assert doc["error_rate"] == pytest.approx(1.0 - doc["accuracy"], abs=1e-15)
 

@@ -13,9 +13,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from vbnn.model import sigmoid, softplus
+from vbnn.model import (
+    JsonFieldError,
+    NetworkShape,
+    PriorConfig,
+    ShapeMismatchError,
+    sigmoid,
+    softplus,
+)
 from vbnn.variational import (
     SCALE_FLOOR,
+    Posterior,
     SampleMatrix,
     VariationalParams,
     grad_log_q_mean,
@@ -229,3 +237,31 @@ class TestValidation:
         back = VariationalParams.from_json_dict(q.to_json_dict())
         np.testing.assert_array_equal(back.mean, q.mean)
         np.testing.assert_array_equal(back.raw_scale, q.raw_scale)
+
+
+class TestPosterior:
+    SHAPE = NetworkShape(p=2, k=3)  # K = 13
+
+    def test_json_round_trip(self, rng):
+        post = Posterior(self.SHAPE, random_q(rng, 13),
+                         PriorConfig(mu=rng.normal(0, 1, 13), zeta=rng.uniform(1, 2, 13)))
+        doc = post.to_json_dict()
+        assert list(doc) == ["shape", "prior", "variational"]
+        back = Posterior.from_json_dict(doc)
+        assert back.shape == post.shape
+        np.testing.assert_array_equal(back.q.mean, post.q.mean)
+        np.testing.assert_array_equal(back.q.raw_scale, post.q.raw_scale)
+        np.testing.assert_array_equal(back.prior.mu, post.prior.mu)
+        np.testing.assert_array_equal(back.prior.zeta, post.prior.zeta)
+
+    @pytest.mark.parametrize("q_len, prior_len", [(9, 13), (13, 9), (9, 9)])
+    def test_lengths_must_match_the_shape(self, rng, q_len, prior_len):
+        with pytest.raises(ShapeMismatchError, match=f"q has {q_len} and the prior {prior_len}"):
+            Posterior(self.SHAPE, random_q(rng, q_len), PriorConfig.standard(prior_len))
+
+    @pytest.mark.parametrize("shape", [{"p": 2.9, "k": 3}, {"p": 2, "k": True},
+                                       {"p": "2", "k": 3}])
+    def test_shape_must_hold_integers(self, rng, shape):
+        doc = Posterior(self.SHAPE, random_q(rng, 13), PriorConfig.standard(13)).to_json_dict()
+        with pytest.raises(JsonFieldError, match="must be an integer"):
+            Posterior.from_json_dict({**doc, "shape": shape})
