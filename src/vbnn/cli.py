@@ -27,7 +27,6 @@ from .data import (
     DataError,
     REFERENCE_TRUTH,
     SchemaError,
-    SplitSpec,
     TableSchema,
     _parse_rows,
     default_schema,
@@ -87,7 +86,7 @@ def _atomic_write(path: str, writer) -> None:
 def _atomic_write_json(path: str, doc: dict) -> None:
     def write(tmp):
         with open(tmp, "w") as fh:
-            json.dump(doc, fh, indent=2)
+            json.dump(doc, fh, indent=2, allow_nan=False)
             fh.write("\n")
 
     _atomic_write(path, write)
@@ -138,12 +137,12 @@ def _load_model(path: str) -> tuple[Posterior, TableSchema]:
 
 
 def _resolve_schema(data_path: str, schema_path: str | None) -> TableSchema | None:
-    if schema_path:
-        return TableSchema.load(schema_path)
-    sidecar = data_path + ".schema.json"
-    if os.path.exists(sidecar):
-        return TableSchema.load(sidecar)
-    return None
+    path = schema_path or data_path + ".schema.json"
+    if not schema_path and not os.path.exists(path):
+        return None  # no --schema and no sidecar: load_csv infers the columns
+    doc = _load_json(path, "schema")
+    with _keys_of(path, "schema"):
+        return TableSchema.from_json_dict(doc)
 
 
 def _load_truth(source: str) -> TrueFunction:
@@ -236,7 +235,7 @@ def cmd_synth(args) -> int:
     batch = generate_synthetic(truth, args.n, seed=args.seed)
     schema = default_schema(truth.p)
     _atomic_write(args.out, lambda tmp: write_csv(batch, tmp, schema))
-    _atomic_write(args.out + ".schema.json", lambda tmp: schema.save(tmp))
+    _atomic_write_json(args.out + ".schema.json", schema.to_json_dict())
     if args.truth_out:
         _atomic_write_json(args.truth_out, truth.to_json_dict())
     logger.info("wrote %d synthetic rows to %s", batch.n, args.out)
@@ -344,7 +343,7 @@ def cmd_sweep(args) -> int:
 
     schema = _resolve_schema(args.data, args.schema)
     batch, schema = load_csv(args.data, schema)
-    pairs = split(batch, SplitSpec(kind="kfold", folds=folds, seed=args.seed))
+    pairs = split(batch, folds, args.seed)
 
     rows = []
     for S, sched_doc, algo, config in cells:

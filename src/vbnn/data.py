@@ -1,17 +1,17 @@
-"""CSV loading, column schemas, normalization, splits and synthetic data.
+"""CSV loading, column schemas, normalization, k-fold splits and synthetic data.
 
 A dataset is a plain CSV with a header row.  The sidecar schema describes
 each column: its kind (numeric feature, binary categorical feature, or the
 single label column) and the normalization to apply (none, zscore, or
 minmax01).  Normalization statistics are fitted once on training data and
 carried inside the schema, so held-out data is transformed with the training
-statistics rather than its own.
+statistics rather than its own.  ``split`` cuts a batch into seeded k-fold
+cross-validation pairs.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import logging
 from dataclasses import dataclass, replace
 
@@ -25,13 +25,11 @@ __all__ = [
     "DataError",
     "ColumnSchema",
     "TableSchema",
-    "SplitSpec",
     "default_schema",
     "load_csv",
     "write_csv",
     "fit_normalization",
     "normalize",
-    "denormalize",
     "minmax_out_of_range_count",
     "split",
     "batch_take",
@@ -93,15 +91,10 @@ class ColumnSchema:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ColumnSchema":
-        return cls(
-            name=str(doc["name"]),
-            kind=doc.get("kind", "numeric"),
-            normalization=doc.get("normalization", "none"),
-            mean=doc.get("mean"),
-            sd=doc.get("sd"),
-            min=doc.get("min"),
-            max=doc.get("max"),
-        )
+        stats = {key: json_field(doc, key, float) for key in ("mean", "sd", "min", "max")
+                 if doc.get(key) is not None}
+        return cls(name=str(doc["name"]), kind=doc.get("kind", "numeric"),
+                   normalization=doc.get("normalization", "none"), **stats)
 
 
 @dataclass(frozen=True)
@@ -141,25 +134,14 @@ class TableSchema:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TableSchema":
-        columns = json_field(doc, "columns", list)
+        columns = json_field(doc, "columns", list[dict])
         return cls(columns=tuple(ColumnSchema.from_json_dict(c) for c in columns))
 
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
 
-    @classmethod
-    def load(cls, path) -> "TableSchema":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
-
-
-def default_schema(p: int, feature_names=None, label_name: str = "y") -> TableSchema:
-    """Unnormalized numeric features x1..xp followed by a binary label."""
-    names = feature_names or [f"x{i + 1}" for i in range(p)]
-    cols = [ColumnSchema(name=n) for n in names]
-    cols.append(ColumnSchema(name=label_name, kind="label"))
+def default_schema(p: int) -> TableSchema:
+    """Unnormalized numeric features x1..xp followed by a binary label y."""
+    cols = [ColumnSchema(name=f"x{i + 1}") for i in range(p)]
+    cols.append(ColumnSchema(name="y", kind="label"))
     return TableSchema(columns=tuple(cols))
 
 
@@ -317,64 +299,28 @@ def minmax_out_of_range_count(batch: LabeledBatch, schema: TableSchema) -> int:
     return count
 
 
-def denormalize(batch: LabeledBatch, schema: TableSchema) -> LabeledBatch:
-    """Inverse of :func:`normalize` (round-trips to ~1e-12 relative error)."""
-    if not schema.fitted:
-        raise SchemaError("schema is not fitted")
-    x = batch.x.copy()
-    for j, col in enumerate(schema.feature_columns):
-        if col.normalization == "zscore":
-            x[:, j] = x[:, j] * col.sd + col.mean
-        elif col.normalization == "minmax01":
-            x[:, j] = x[:, j] * (col.max - col.min) + col.min
-    return LabeledBatch(x=x, y=batch.y)
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    """Holdout (train_fraction) or k-fold cross-validation splits."""
-
-    kind: str = "holdout"
-    train_fraction: float = 0.7
-    folds: int = 10
-    seed: int = 0
-    shuffle: bool = True
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("holdout", "kfold"):
-            raise ValueError(f"unknown split kind {self.kind!r}")
-        if self.kind == "holdout" and not 0 < self.train_fraction < 1:
-            raise ValueError("train_fraction must lie in (0, 1)")
-        if self.kind == "kfold" and self.folds < 2:
-            raise ValueError("kfold needs at least 2 folds")
-
-
 def batch_take(batch: LabeledBatch, idx: np.ndarray) -> LabeledBatch:
     return LabeledBatch(x=batch.x[idx], y=batch.y[idx])
 
 
-def split(batch: LabeledBatch, spec: SplitSpec) -> list[tuple[LabeledBatch, LabeledBatch]]:
-    """Deterministic, seeded splits.
+def split(batch: LabeledBatch, folds: int, seed: int) -> list[tuple[LabeledBatch, LabeledBatch]]:
+    """Seeded k-fold cross-validation: one (train, test) pair per fold.
 
-    Holdout returns one (train, test) pair with round(train_fraction * n)
-    training rows.  K-fold returns one pair per fold; fold sizes differ by at
-    most one row, every row appears in exactly one test fold.
+    The rows are shuffled by ``default_rng(seed).permutation`` and cut into
+    ``folds`` contiguous test folds whose sizes differ by at most one row;
+    every row appears in exactly one test fold.
     """
     n = batch.n
     if n < 2:
         raise ValueError("need at least 2 rows to split")
-    rng = np.random.default_rng(spec.seed)
-    perm = rng.permutation(n) if spec.shuffle else np.arange(n)
-    if spec.kind == "holdout":
-        n_train = int(np.rint(spec.train_fraction * n))
-        n_train = min(max(n_train, 1), n - 1)
-        return [(batch_take(batch, perm[:n_train]), batch_take(batch, perm[n_train:]))]
-    if spec.folds > n:
+    if folds < 2:
+        raise ValueError("kfold needs at least 2 folds")
+    if folds > n:
         raise ValueError("more folds than rows")
-    parts = np.array_split(perm, spec.folds)
+    parts = np.array_split(np.random.default_rng(seed).permutation(n), folds)
     pairs = []
     for i, test_idx in enumerate(parts):
-        train_idx = np.concatenate([parts[j] for j in range(spec.folds) if j != i])
+        train_idx = np.concatenate([parts[j] for j in range(folds) if j != i])
         pairs.append((batch_take(batch, train_idx), batch_take(batch, test_idx)))
     return pairs
 

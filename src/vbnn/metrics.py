@@ -23,7 +23,12 @@ classifier from predictive probability p_hat,
 
 ``diagnostics_dict`` reports the gap (``risk_gap``) and the bound
 (``risk_bound``) of a fitted posterior, both estimated point by point on one
-point set, with the Hellinger and KL distances to the truth.
+point set, with the Hellinger and KL distances to the truth.  Those distances
+compare the truth's scores with the logits of p_hat clamped to
+[PROB_CLAMP_EPS, 1 - PROB_CLAMP_EPS], so a saturated p_hat stays finite.
+
+The score functions are :class:`TrueFunction` values; their width p sizes
+the point set.
 """
 
 from __future__ import annotations
@@ -57,6 +62,9 @@ __all__ = [
     "gradient_variance_profile",
     "diagnostics_dict",
 ]
+
+# caps the logits of a saturated p_hat at +-logit(1 - 1e-12) ~ 27.6
+PROB_CLAMP_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -146,9 +154,10 @@ class TrueFunction:
     def from_json_dict(cls, doc: dict) -> "TrueFunction":
         kind = doc.get("kind")
         if kind == "constant":
-            return cls.constant(float(doc["value"]), json_field(doc, "p", int))
+            return cls.constant(json_field(doc, "value", float), json_field(doc, "p", int))
         if kind == "linear":
-            return cls.linear(float(doc["intercept"]), doc["weights"])
+            return cls.linear(json_field(doc, "intercept", float),
+                              json_field(doc, "weights", list[float]))
         if kind == "network":
             return cls.from_network(network_from_json_dict(doc))
         raise ValueError(f"unknown true-function kind {kind!r}")
@@ -164,16 +173,6 @@ def _mean_with_se(arr: np.ndarray) -> tuple[float, float]:
     n = arr.shape[0]
     se = float(arr.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return float(arr.mean()), se
-
-
-def _resolve_width(eta_a, eta_b, p: int | None) -> int:
-    for eta in (eta_a, eta_b):
-        width = getattr(eta, "p", None)
-        if width is not None:
-            return int(width)
-    if p is None:
-        raise ValueError("pass p= when neither score function carries a width")
-    return int(p)
 
 
 def _hellinger_core(za: np.ndarray, zb: np.ndarray) -> MCEstimate:
@@ -197,21 +196,22 @@ def _kl_core(za: np.ndarray, zb: np.ndarray) -> MCEstimate:
     return MCEstimate(value=mean, stderr=se)
 
 
-def hellinger_distance(eta_a, eta_b, cfg: IntegrationConfig, p: int | None = None) -> MCEstimate:
+def hellinger_distance(eta_a: TrueFunction, eta_b: TrueFunction,
+                       cfg: IntegrationConfig) -> MCEstimate:
     """Hellinger distance between the label densities of two score functions."""
-    x = draw_points(cfg, _resolve_width(eta_a, eta_b, p))
+    x = draw_points(cfg, eta_a.p)
     return _hellinger_core(np.asarray(eta_a(x), float), np.asarray(eta_b(x), float))
 
 
-def kl_distance(eta_a, eta_b, cfg: IntegrationConfig, p: int | None = None) -> MCEstimate:
+def kl_distance(eta_a: TrueFunction, eta_b: TrueFunction, cfg: IntegrationConfig) -> MCEstimate:
     """KL divergence d_KL(ell_a || ell_b); asymmetric in its arguments."""
-    x = draw_points(cfg, _resolve_width(eta_a, eta_b, p))
+    x = draw_points(cfg, eta_a.p)
     return _kl_core(np.asarray(eta_a(x), float), np.asarray(eta_b(x), float))
 
 
-def bayes_risk(eta0, cfg: IntegrationConfig, p: int | None = None) -> MCEstimate:
+def bayes_risk(eta0: TrueFunction, cfg: IntegrationConfig) -> MCEstimate:
     """E_X[min(p0, 1 - p0)]: the lowest achievable misclassification rate."""
-    x = draw_points(cfg, _resolve_width(eta0, None, p))
+    x = draw_points(cfg, eta0.p)
     p0 = sigmoid(np.asarray(eta0(x), float))
     return MCEstimate(*_mean_with_se(np.minimum(p0, 1.0 - p0)))
 
@@ -252,8 +252,7 @@ def diagnostics_dict(
     z0 = truth(x)
     p0 = sigmoid(z0)
     p_hat = predictive_probabilities(post, x, pred_cfg)
-    eps = pred_cfg.prob_clamp_eps
-    clamped = np.clip(p_hat, eps, 1.0 - eps)
+    clamped = np.clip(p_hat, PROB_CLAMP_EPS, 1.0 - PROB_CLAMP_EPS)
     z_hat = np.log(clamped) - np.log1p(-clamped)
 
     hell = _hellinger_core(z0, z_hat)

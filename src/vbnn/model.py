@@ -69,17 +69,29 @@ class JsonFieldError(ValueError):
     """A key of a JSON document holds the wrong kind of value."""
 
 
-_JSON_KINDS = {dict: "a JSON object", list: "a JSON array", int: "an integer"}
+_JSON_KINDS = {dict: "a JSON object", list: "a JSON array", int: "an integer",
+               float: "a number", list[float]: "an array of numbers",
+               list[dict]: "an array of JSON objects"}
 
 
-def json_field(doc: dict, key: str, kind: type, default=None):
+def _is_kind(value, kind) -> bool:
+    if kind is float:
+        return type(value) in (int, float)
+    if kind in (list[float], list[dict]):
+        return type(value) is list and all(_is_kind(v, kind.__args__[0]) for v in value)
+    return type(value) is kind
+
+
+def json_field(doc: dict, key: str, kind, default=None):
     """doc[key] as parsed by ``json``, checked to be an object (dict), an array
-    (list) or an integer (int: not a float such as 2.9, nor a boolean).  A
-    missing key raises KeyError, or gives ``default`` when one is passed."""
+    (list), an integer (int: not a float such as 2.9, nor a boolean), a number
+    (float: an integer or a float, not a boolean; returned as a float), or an
+    array of numbers or of objects (list[float], list[dict]).  A missing key
+    raises KeyError, or gives ``default`` when one is passed."""
     value = doc[key] if default is None else doc.get(key, default)
-    if type(value) is not kind:
+    if not _is_kind(value, kind):
         raise JsonFieldError(f"key {key!r} must be {_JSON_KINDS[kind]}, got {value!r:.40}")
-    return value
+    return float(value) if kind is float else value
 
 
 def softplus(z):
@@ -365,4 +377,4 @@ def network_to_json_dict(theta: NetworkParams) -> dict:
 
 def network_from_json_dict(doc: dict) -> NetworkParams:
     shape = NetworkShape.from_json_dict(json_field(doc, "shape", dict))
-    return unflatten(np.asarray(doc["flat_theta"], dtype=float), shape)
+    return unflatten(json_field(doc, "flat_theta", list[float]), shape)

@@ -38,6 +38,7 @@ run.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -92,10 +93,9 @@ class NonFiniteGradientError(RuntimeError):
 class Schedule:
     """Learning-rate schedule: fixed rho, or decaying rho0 / (b * (t+1)^c).
 
-    The decaying variant follows the stochastic-approximation recipe; with
-    ``strict_rm`` the exponent must satisfy 0.5 < c <= 1 so the classical
-    step-size conditions hold, otherwise any 0 < c <= 1 is accepted (the
-    reference experiments use c = 0.3).
+    The decaying variant follows the stochastic-approximation recipe with any
+    exponent 0 < c <= 1 (the reference experiments use c = 0.3, below the
+    classical 0.5 < c <= 1 range).
     """
 
     kind: str = "fixed"
@@ -103,7 +103,6 @@ class Schedule:
     rho0: float = 1.0
     b: float = 100.0
     c: float = 0.3
-    strict_rm: bool = False
 
     def __post_init__(self) -> None:
         if self.kind == "robbins_monro":  # long-form alias for "rm"
@@ -117,10 +116,6 @@ class Schedule:
                 raise ValueError("rho0 and b must be positive")
             if not 0 < self.c <= 1:
                 raise ValueError("decay exponent c must satisfy 0 < c <= 1")
-            if self.strict_rm and not 0.5 < self.c <= 1:
-                raise ValueError(
-                    "strict Robbins-Monro schedule requires 0.5 < c <= 1"
-                )
 
     def rate(self, t: int) -> float:
         """Learning rate for 0-based iteration t; always > 0."""
@@ -133,8 +128,7 @@ class Schedule:
     def to_json_dict(self) -> dict:
         if self.kind == "fixed":
             return {"kind": "fixed", "rho": self.rho}
-        return {"kind": "rm", "rho0": self.rho0, "b": self.b, "c": self.c,
-                "strict_rm": self.strict_rm}
+        return {"kind": "rm", "rho0": self.rho0, "b": self.b, "c": self.c}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Schedule":
@@ -150,19 +144,14 @@ class Schedule:
                 f"unknown key(s) for a {kind!r} schedule: {', '.join(unknown)}"
             )
         if kind == "fixed":
-            return cls(kind="fixed", rho=float(doc.get("rho", 1e-3)))
-        return cls(
-            kind=kind,
-            rho0=float(doc.get("rho0", 1.0)),
-            b=float(doc.get("b", 100.0)),
-            c=float(doc.get("c", 0.3)),
-            strict_rm=bool(doc.get("strict_rm", False)),
-        )
+            return cls(kind="fixed", rho=json_field(doc, "rho", float, 1e-3))
+        return cls(kind=kind, rho0=json_field(doc, "rho0", float, 1.0),
+                   b=json_field(doc, "b", float, 100.0), c=json_field(doc, "c", float, 0.3))
 
 
 # The keys each schedule kind reads, besides "kind" itself.
 SCHEDULE_KEYS = {"fixed": frozenset({"rho"}),
-                 "rm": frozenset({"rho0", "b", "c", "strict_rm"})}
+                 "rm": frozenset({"rho0", "b", "c"})}
 
 
 @dataclass(frozen=True)
@@ -225,8 +214,8 @@ class TrainConfig:
             use_control_variates=(algo == "bbvi-cv"),
             max_iters=json_field(doc, "max_iters", int, 2000),
             conv_window=json_field(doc, "conv_window", int, 50),
-            conv_rel_tol=float(doc.get("conv_rel_tol", 1e-4)),
-            grad_clip=None if clip is None else float(clip),
+            conv_rel_tol=json_field(doc, "conv_rel_tol", float, 1e-4),
+            grad_clip=None if clip is None else json_field(doc, "grad_clip", float),
             seed=json_field(doc, "seed", int, 0),
             threads=json_field(doc, "threads", int, 1),
         )
@@ -301,7 +290,7 @@ def _iterate(
     prior: PriorConfig,
     shape: NetworkShape,
     draws: SampleMatrix,
-    cv: bool | np.ndarray | None,
+    cv: bool | None,
     threads: int = 1,
     pool: ThreadPoolExecutor | None = None,
 ) -> tuple[float, np.ndarray | None]:
@@ -309,8 +298,8 @@ def _iterate(
 
     The gradient estimate is the rows' mean.  ``cv`` picks the rows:
     ``False`` the plain terms u[i] = v[i] * w[i]; ``True`` u[i] - a_hat * v[i]
-    with the in-sample coefficients; an array, the same with a_hat pinned to
-    it; ``None`` no rows at all, for the ELBO alone.
+    with the in-sample coefficients; ``None`` no rows at all, for the ELBO
+    alone.
     """
     thetas = draws.thetas
     weights = _log_joint_split(thetas, batch, prior, shape, threads, pool) - log_q(q, thetas)
@@ -319,8 +308,6 @@ def _iterate(
         return elbo, None
     v = np.concatenate([grad_log_q_mean(q, thetas), grad_log_q_raw(q, thetas)], axis=1)
     u = v * weights[:, None]
-    if isinstance(cv, np.ndarray):
-        return elbo, u - cv * v
     if cv:
         return elbo, u - control_variate_coefficients(u, v) * v
     return elbo, u
@@ -375,16 +362,11 @@ def estimate_gradient_cv(
     batch: LabeledBatch,
     prior: PriorConfig,
     draws: SampleMatrix,
-    a_hat: np.ndarray | None = None,
     threads: int = 1,
 ) -> np.ndarray:
-    """Control-variate gradient estimate mean_i [u[i] - a_hat * v[i]].
-
-    ``a_hat=None`` plugs in the in-sample coefficients; pass an explicit
-    vector (e.g. zeros) to pin them.
-    """
-    cv = True if a_hat is None else np.asarray(a_hat, dtype=float)
-    _, rows = _iterate(q, batch, prior, _resolve_shape(q, batch), draws, cv, threads)
+    """Control-variate gradient estimate mean_i [u[i] - a_hat * v[i]] with the
+    in-sample coefficients a_hat of :func:`control_variate_coefficients`."""
+    _, rows = _iterate(q, batch, prior, _resolve_shape(q, batch), draws, True, threads)
     return rows.mean(axis=0)
 
 
@@ -443,11 +425,12 @@ def train(
                 elbo_t, rows = _iterate(q, batch, prior, shape, draws,
                                         config.use_control_variates, threads, pool)
                 grad = rows.mean(axis=0)
+                gvar = float(np.mean(np.var(rows, axis=0, ddof=1))) if config.S > 1 else 0.0
             if not (np.isfinite(elbo_t) and np.all(np.isfinite(grad))):
                 diverged, diverged_at = True, t
                 break
             elbos.append(elbo_t)
-            gvars.append(float(np.mean(np.var(rows, axis=0, ddof=1))) if config.S > 1 else 0.0)
+            gvars.append(gvar)
             rhos.append(config.schedule.rate(t))
             if len(elbos) >= 2 * w:
                 recent = float(np.mean(elbos[-w:]))
@@ -460,7 +443,7 @@ def train(
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
                     q = step(q, grad, t, config.schedule)
-            except (NonFiniteGradientError, ValueError):
+            except ValueError:
                 # the update itself overflowed; keep the last healthy iterate
                 diverged, diverged_at = True, t
                 break
@@ -489,17 +472,20 @@ def save_report_csv(report: TrainReport, path) -> None:
 
 
 def report_summary(report: TrainReport) -> dict:
-    """Compact JSON-ready digest of a run."""
+    """Compact JSON-ready digest of a run.  A value that is undefined (no
+    iteration ran) or not finite (a diverging fit's gradient variance) is None,
+    so the digest is strict JSON."""
+    final_elbo = mean_grad_var = math.nan
+    if report.iterations_run:
+        with np.errstate(over="ignore"):  # the mean of huge variances may overflow
+            final_elbo = float(report.elbo_trace[-1])
+            mean_grad_var = float(report.grad_var_trace.mean())
     return {
         "iterations_run": report.iterations_run,
         "converged": report.converged,
         "diverged": report.diverged,
         "diverged_at": report.diverged_at,
-        "final_elbo": (
-            float(report.elbo_trace[-1]) if report.iterations_run else None
-        ),
-        "mean_grad_var": (
-            float(report.grad_var_trace.mean()) if report.iterations_run else None
-        ),
+        "final_elbo": final_elbo if math.isfinite(final_elbo) else None,
+        "mean_grad_var": mean_grad_var if math.isfinite(mean_grad_var) else None,
         "wall_time_s": report.wall_time,
     }

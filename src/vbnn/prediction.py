@@ -40,17 +40,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PredictiveConfig:
-    """Monte Carlo budget M, base seed, and the logit clamp epsilon."""
+    """Monte Carlo budget M and base seed."""
 
     M: int = 1000
     seed: int = 0
-    prob_clamp_eps: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.M < 1:
             raise ValueError("M must be >= 1")
-        if not 0 < self.prob_clamp_eps < 0.5:
-            raise ValueError("prob_clamp_eps must lie in (0, 0.5)")
 
 
 # Rows are served in blocks whose normals fill about 0.5 MB (at least one

@@ -96,7 +96,8 @@ class VariationalParams:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "VariationalParams":
-        return cls(mean=json_field(doc, "m", list), raw_scale=json_field(doc, "r", list))
+        return cls(mean=json_field(doc, "m", list[float]),
+                   raw_scale=json_field(doc, "r", list[float]))
 
 
 @dataclass(frozen=True)
@@ -126,24 +127,20 @@ class Posterior:
         shape = NetworkShape.from_json_dict(json_field(doc, "shape", dict))
         q = VariationalParams.from_json_dict(json_field(doc, "variational", dict))
         prior = json_field(doc, "prior", dict)
-        return cls(shape, q, PriorConfig(mu=json_field(prior, "mu", list),
-                                         zeta=json_field(prior, "zeta", list)))
+        return cls(shape, q, PriorConfig(mu=json_field(prior, "mu", list[float]),
+                                         zeta=json_field(prior, "zeta", list[float])))
 
 
-def initial_params(K: int, mean: float = 0.0, scale: float = 1.0) -> VariationalParams:
-    """Starting point m = mean, s = scale in every coordinate."""
-    if scale <= 0:
-        raise ValueError("initial scale must be positive")
-    return VariationalParams(mean=np.full(K, float(mean)),
-                             raw_scale=np.full(K, float(softplus_inverse(scale))))
+def initial_params(K: int) -> VariationalParams:
+    """Starting point m = 0, s = 1 in every coordinate."""
+    return VariationalParams(mean=np.zeros(K), raw_scale=np.full(K, softplus_inverse(1.0)))
 
 
 @dataclass(frozen=True)
 class SampleMatrix:
-    """S draws from q, one flat parameter vector per row, plus their seed."""
+    """S draws from q, one flat parameter vector per row."""
 
     thetas: np.ndarray
-    seed: object
 
     def __post_init__(self) -> None:
         t = np.asarray(self.thetas, dtype=float)
@@ -166,7 +163,7 @@ def sample(q: VariationalParams, S: int, seed) -> SampleMatrix:
         raise ValueError("S must be >= 1")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((S, q.K))
-    return SampleMatrix(thetas=q.mean + q.scale * z, seed=seed)
+    return SampleMatrix(thetas=q.mean + q.scale * z)
 
 
 def log_q(q: VariationalParams, theta: np.ndarray):

@@ -5,12 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from vbnn.cli import main
-from vbnn.data import load_csv
+from vbnn.data import load_csv, split, write_csv
 from vbnn.model import flatten
 from vbnn.prediction import PredictiveConfig, predictive_probabilities
 from vbnn.variational import Posterior, softplus_inverse
@@ -162,9 +163,9 @@ class TestTrain:
 
     @pytest.mark.parametrize("schedule, flags, expected", [
         ({"kind": "fixed", "rho": 0.01}, ["--rho0", "2", "--c", "0.5"],
-         {"kind": "rm", "rho0": 2.0, "b": 100.0, "c": 0.5, "strict_rm": False}),
+         {"kind": "rm", "rho0": 2.0, "b": 100.0, "c": 0.5}),
         ({"kind": "fixed", "rho": 0.01}, ["--schedule", "robbins_monro"],
-         {"kind": "rm", "rho0": 1.0, "b": 100.0, "c": 0.3, "strict_rm": False}),
+         {"kind": "rm", "rho0": 1.0, "b": 100.0, "c": 0.3}),
         ({"kind": "rm", "rho0": 2.0, "b": 50.0}, ["--lr", "0.02"],
          {"kind": "fixed", "rho": 0.02}),
     ])
@@ -185,6 +186,33 @@ class TestTrain:
         assert code == 1
         assert "fixed and rm" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_diverging_fit_warns_nothing_and_writes_strict_json(self, tmp_path, capsys):
+        # fold 1 of a 3-fold split of the README's training data, at a large
+        # fixed rate: the gradient variance overflows to inf at iteration 12
+        # and the ELBO itself at iteration 13
+        data = tmp_path / "train.csv"
+        assert main(["synth", "--n", "800", "--seed", "1000", "--out", str(data)]) == 0
+        batch, schema = load_csv(data)
+        fold = tmp_path / "fold.csv"
+        write_csv(split(batch, 3, 0)[1][0], fold, schema)
+        out = tmp_path / "fit"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["train", "--data", str(fold), "--out", str(out), "--S", "20",
+                         "--lr", "0.01", "--k", "3", "--seed", "0"])
+        assert code == 1
+        assert "diverged" in capsys.readouterr().err
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+        assert summary["diverged"] and summary["mean_grad_var"] is None
+        assert summary["final_elbo"] < 0
+        with open(out / "report.csv") as fh:
+            grad_vars = [float(row["grad_var"]) for row in csv.DictReader(fh)]
+        assert len(grad_vars) == summary["iterations_run"] and np.isinf(grad_vars).any()
 
 
 class TestPredict:
@@ -425,6 +453,7 @@ def json_input_argv(use, path, workdir, tmp_path):
     data, model, out = str(workdir["data"]), str(workdir["model"]), str(tmp_path / "out")
     return {
         "train-config": ["train", "--data", data, "--config", path, "--out", out],
+        "train-schema": ["train", "--data", data, "--schema", path, "--out", out],
         "sweep-grid": ["sweep", "--grid", path, "--data", data, "--out", out],
         "diagnose-truth": ["diagnose", "--model", model, "--truth", path, "--out", out],
         "predict-model": ["predict", "--model", path, "--data", data, "--out", out],
@@ -438,10 +467,17 @@ def json_input_argv(use, path, workdir, tmp_path):
 GRID = {"S": [8], "schedule": [{"kind": "fixed", "rho": 0.05}], "algo": ["bbvi"],
         "k": 2, "folds": 3, "base": {"max_iters": 15}}
 
+# a valid p=2, k=2 model (K = 9) for the workdir's data
+MODEL = {"shape": {"p": 2, "k": 2}, "prior": {"mu": [0.0] * 9, "zeta": [1.0] * 9},
+         "variational": {"m": [0.0] * 9, "r": [0.0] * 9},
+         "schema": {"columns": [{"name": "x1"}, {"name": "x2"},
+                                {"name": "y", "kind": "label"}]}}
+
 
 class TestJsonInputs:
     @pytest.mark.parametrize("use", ["train-config", "sweep-grid", "diagnose-truth",
-                                      "predict-model", "evaluate-model", "diagnose-model"])
+                                      "predict-model", "evaluate-model", "diagnose-model",
+                                      "train-schema"])
     @pytest.mark.parametrize("text", ["[1]", "3"])
     def test_top_level_must_be_an_object(self, tmp_path, capsys, workdir, use, text):
         path = tmp_path / "in.json"
@@ -483,9 +519,34 @@ class TestJsonInputs:
         ("predict-model", {"shape": {"p": 2.9, "k": 2}}, "p"),
         ("sweep-grid", {**GRID, "k": 2.5}, "k"),
         ("sweep-grid", {**GRID, "folds": True}, "folds"),
+        # number fields and arrays of numbers
+        ("predict-model", {**MODEL, "variational": {"m": [{}] + [0.0] * 8, "r": [0.0] * 9}},
+         "m"),
+        ("predict-model", {**MODEL, "schema": {"columns": [1, 2, 3]}}, "columns"),
+        ("predict-model", {**MODEL, "prior": {"mu": [0.0] * 9, "zeta": [True] + [1.0] * 8}},
+         "zeta"),
+        ("predict-model", {**MODEL, "schema": {"columns": [
+            {"name": "x1", "normalization": "zscore", "mean": "0", "sd": 1.0},
+            {"name": "x2"}, {"name": "y", "kind": "label"}]}}, "mean"),
+        ("train-config", {"schedule": {"kind": "fixed", "rho": [0.1]}}, "rho"),
+        ("train-config", {"conv_rel_tol": {}}, "conv_rel_tol"),
+        ("train-config", {"schedule": {"rho": True}}, "rho"),
+        ("train-config", {"grad_clip": "10"}, "grad_clip"),
+        ("sweep-grid", {**GRID, "schedule": [{"kind": "rm", "c": False}]}, "c"),
+        ("diagnose-truth", {"kind": "constant", "p": 2, "value": [1]}, "value"),
+        ("diagnose-truth", {"kind": "linear", "intercept": 0.0, "weights": [1, None]},
+         "weights"),
+        ("diagnose-truth", {"kind": "network", "shape": {"p": 2, "k": 1},
+                            "flat_theta": [0.0] * 4 + ["0"]}, "flat_theta"),
+        ("train-schema", {"columns": 5}, "columns"),
+        ("train-schema", {"columns": [1, 2, 3]}, "columns"),
     ], ids=["model-shape", "model-variational", "config-schedule", "grid-schedule",
             "grid-base", "grid-S", "grid-k", "truth-shape", "config-S-float",
-            "config-seed-bool", "model-p-float", "grid-k-float", "grid-folds-bool"])
+            "config-seed-bool", "model-p-float", "grid-k-float", "grid-folds-bool",
+            "model-m-item", "model-columns-item", "model-zeta-bool", "model-stat-string",
+            "config-rho-array", "config-tol-object", "config-rho-bool", "config-clip-string",
+            "grid-c-bool", "truth-value-array", "truth-weights-item", "truth-theta-item",
+            "schema-columns", "schema-columns-item"])
     def test_wrong_kind_names_the_file_and_the_key(self, tmp_path, capsys, workdir,
                                                    use, doc, key):
         path = tmp_path / "in.json"

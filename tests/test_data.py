@@ -1,6 +1,7 @@
 """CSV IO, schemas, normalization, splits and the synthetic generator."""
 
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -13,11 +14,9 @@ from vbnn.data import (
     ColumnSchema,
     DataError,
     SchemaError,
-    SplitSpec,
     TableSchema,
     batch_take,
     default_schema,
-    denormalize,
     fit_normalization,
     generate_synthetic,
     load_csv,
@@ -181,29 +180,20 @@ class TestNormalization:
         assert "2 value(s)" in caplog.text
         assert out.x[0, 1] < 0 and out.x[1, 1] > 1
 
-    def test_denormalize_inverts(self, rng):
-        batch = self.batch(rng)
-        fitted = fit_normalization(self.schema(), batch)
-        back = denormalize(normalize(batch, fitted), fitted)
-        np.testing.assert_allclose(back.x, batch.x, rtol=1e-12, atol=1e-12)
-        np.testing.assert_array_equal(back.y, batch.y)
-
     def test_label_column_never_normalized(self):
         with pytest.raises(SchemaError, match="never normalized"):
             ColumnSchema(name="y", kind="label", normalization="zscore")
 
 
 class TestSchemaJson:
-    def test_round_trip_preserves_fitted_stats(self, tmp_path, rng):
+    def test_round_trip_preserves_fitted_stats(self, rng):
         batch = LabeledBatch(x=rng.normal(0, 1, (30, 1)), y=rng.integers(0, 2, 30))
         schema = TableSchema(columns=(
             ColumnSchema(name="a", normalization="zscore"),
             ColumnSchema(name="y", kind="label"),
         ))
         fitted = fit_normalization(schema, batch)
-        path = tmp_path / "schema.json"
-        fitted.save(path)
-        back = TableSchema.load(path)
+        back = TableSchema.from_json_dict(json.loads(json.dumps(fitted.to_json_dict())))
         assert back == fitted
         assert back.fitted
 
@@ -223,7 +213,7 @@ class TestSplit:
 
     def test_kfold_partitions_exactly(self, rng):
         batch = self.make(265, rng)
-        pairs = split(batch, SplitSpec(kind="kfold", folds=10, seed=1))
+        pairs = split(batch, 10, 1)
         sizes = sorted(len(test.y) for _, test in pairs)
         assert sizes == [26] * 5 + [27] * 5
         seen = np.concatenate([test.x[:, 0] for _, test in pairs])
@@ -234,32 +224,20 @@ class TestSplit:
             assert len(train.y) + len(test.y) == 265
             assert not np.intersect1d(train.x[:, 0], test.x[:, 0]).size
 
-    def test_holdout_sizes(self, rng):
-        batch = self.make(265, rng)
-        [(train, test)] = split(batch, SplitSpec(kind="holdout", train_fraction=0.7))
-        assert (len(train.y), len(test.y)) == (186, 79)
-
     def test_same_seed_reproduces(self, rng):
         batch = self.make(40, rng)
-        a = split(batch, SplitSpec(kind="holdout", seed=3))
-        b = split(batch, SplitSpec(kind="holdout", seed=3))
-        c = split(batch, SplitSpec(kind="holdout", seed=4))
+        a = split(batch, 5, 3)
+        b = split(batch, 5, 3)
+        c = split(batch, 5, 4)
         np.testing.assert_array_equal(a[0][0].x, b[0][0].x)
         assert not np.array_equal(a[0][0].x, c[0][0].x)
-
-    def test_unshuffled_split_keeps_order(self, rng):
-        batch = self.make(10, rng)
-        [(train, test)] = split(batch, SplitSpec(kind="holdout",
-                                                 train_fraction=0.7, shuffle=False))
-        np.testing.assert_array_equal(train.x, batch.x[:7])
-        np.testing.assert_array_equal(test.x, batch.x[7:])
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(5, 60), folds=st.integers(2, 5), seed=st.integers(0, 99))
     def test_kfold_covers_every_row_once(self, n, folds, seed):
         batch = LabeledBatch(x=np.arange(n, dtype=float).reshape(n, 1),
                              y=np.zeros(n, dtype=int))
-        pairs = split(batch, SplitSpec(kind="kfold", folds=folds, seed=seed))
+        pairs = split(batch, folds, seed)
         seen = np.sort(np.concatenate([test.x[:, 0] for _, test in pairs]))
         np.testing.assert_array_equal(seen, np.arange(n))
         sizes = {len(test.y) for _, test in pairs}
@@ -267,9 +245,9 @@ class TestSplit:
 
     def test_too_small_or_too_many_folds(self, rng):
         with pytest.raises(ValueError):
-            split(self.make(1, rng), SplitSpec())
+            split(self.make(1, rng), 10, 0)
         with pytest.raises(ValueError, match="folds"):
-            split(self.make(3, rng), SplitSpec(kind="kfold", folds=5))
+            split(self.make(3, rng), 5, 0)
 
     def test_batch_take(self, rng):
         batch = self.make(6, rng)

@@ -217,7 +217,7 @@ class TestLogits:
         # a huge certain bias gives p_hat exactly 1.0 before the clamp; the
         # distances are then those of the constant logit(1 - eps) ~ 27.63
         post = constant_score_q(100.0, BENCH_SHAPE)
-        cfg = PredictiveConfig(M=16, seed=0, prob_clamp_eps=1e-12)
+        cfg = PredictiveConfig(M=16, seed=0)
         assert predictive_probabilities(post, np.array([[0.5, 0.5]]), cfg)[0] == 1.0
         doc = diagnostics_dict(post, constant_truth(-3.0), cfg,
                                IntegrationConfig(n_mc=50, seed=0))
@@ -324,5 +324,3 @@ class TestPredictionsCsv:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             PredictiveConfig(M=0)
-        with pytest.raises(ValueError):
-            PredictiveConfig(prob_clamp_eps=0.7)

@@ -106,7 +106,7 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample(random_q(rng, 2), 0, 1)
         with pytest.raises(ValueError):
-            SampleMatrix(thetas=np.empty((0, 2)), seed=None)
+            SampleMatrix(thetas=np.empty((0, 2)))
 
 
 class TestLogDensity:
