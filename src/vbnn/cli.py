@@ -348,9 +348,16 @@ def cmd_sweep(args) -> int:
     rows = []
     for S, sched_doc, algo, config in cells:
         accs, iters, wall = [], [], 0.0
-        for train_part, test_part in pairs:
+        for fold, (train_part, test_part) in enumerate(pairs):
             fitted = fit_normalization(schema, train_part)
             post, report = _run_training(normalize(train_part, fitted), config, k)
+            if report.diverged:
+                raise ValueError(
+                    f"training diverged (non-finite estimate) at iteration "
+                    f"{report.diverged_at} in cell S={S}, schedule "
+                    f"{_schedule_label(sched_doc)}, algo {algo}, on fold {fold} "
+                    f"(folds 0-{folds - 1})"
+                )
             cfg = PredictiveConfig(M=args.M, seed=config.seed)
             accs.append(test_accuracy(post, normalize(test_part, fitted), cfg))
             iters.append(report.iterations_run)

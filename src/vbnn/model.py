@@ -10,16 +10,17 @@ inference code can treat the model as a generic density over R^K.  Flattening
 order is [beta0, beta, gamma0, Gamma row-major]; ``flatten``/``unflatten``
 are exact inverses of each other.
 
-Every score comes from one of two kernels with the same arithmetic.
-:func:`scores_many` scores S parameter vectors on every row of x in an
-(S, k, n) layout; the single-network functions wrap it.  Row s of its output
-depends only on parameter row s, so any contiguous split of the rows is
-byte-identical.  :func:`scores` scores posterior-predictive draws from the
-exact Gaussian marginals of the hidden pre-activations at each row of x; its
-row r depends only on that row's normals and x[r].  Hidden units use
-sigmoid(z) = 0.5 + 0.5*tanh(z/2), exact to a few ulps in absolute terms;
-output probabilities (``sigmoid``) and the likelihood (``softplus``) stay
-tail-exact.
+Every score comes from one of two kernels with the same hidden-unit
+arithmetic.  :func:`scores_many` scores S parameter vectors on every row of
+x in an (S, k, n) layout; the single-network functions wrap it.  Row s of its
+output depends only on parameter row s, so any contiguous split of the rows
+is byte-identical.  :func:`scores` scores posterior-predictive draws at each
+row of x from k+1 normals per draw: the exact Gaussian marginals of the
+hidden pre-activations, then the exact Gaussian law of the score given the
+hidden units.  Its row r depends only on that row's normals and x[r].
+Hidden units use sigmoid(z) = 0.5 + 0.5*tanh(z/2), exact to a few ulps in
+absolute terms; output probabilities (``sigmoid``) and the likelihood
+(``softplus``) stay tail-exact.
 
 Everything here is pure and side-effect free, so the functions are safe to
 call from worker threads.
@@ -282,32 +283,45 @@ def scores(
 
     Under mean-field q the halved hidden pre-activation (gamma0_j + gamma_j . x_r)/2
     is exactly Gaussian at a fixed x_r, independent of the betas and of the
-    other units.  So z (R, 2k+1, M) holds standard normals for beta0 (z[:, 0]),
-    the betas (z[:, 1:1+k]) and those pre-activations (z[:, 1+k:]), and the
-    score is :func:`scores_many`'s beta0 + sum(beta)/2 + sum_j beta_j t_j/2.
-    The moments are elementwise, with no BLAS call, so row r of the output
-    depends only on z[r] and x[r]; the standard deviation is a ``hypot``
-    reduction, which squares nothing that could overflow.
+    other units, and given the hidden units w_j = (1 + t_j)/2 the score is
+    exactly N(m_beta0 + sum_j m_betaj w_j, s_beta0^2 + sum_j s_betaj^2 w_j^2).
+    So z (R, k+1, M) holds one standard normal for that score (z[:, 0]) and
+    one for each pre-activation (z[:, 1:]), with t_j = tanh(a_j/2) as in
+    :func:`scores_many`.  The moments are elementwise, with no BLAS call, so
+    row r of the output depends only on z[r] and x[r].  Nothing that could
+    overflow is squared: the pre-activation standard deviation is a ``hypot``
+    reduction, and the score's variance is summed in units of c^2, with c
+    the largest output-weight scale.
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     k = shape.k
     if x.ndim != 2 or x.shape[1] != shape.p:
         raise ShapeMismatchError("x must be (R, p) matching the network input width")
-    if z.ndim != 3 or z.shape[:2] != (x.shape[0], 2 * k + 1):
-        raise ShapeMismatchError(f"z must be (R, {2 * k + 1}, M), one stack per row of x")
+    if z.ndim != 3 or z.shape[:2] != (x.shape[0], k + 1):
+        raise ShapeMismatchError(f"z must be (R, {k + 1}, M), one stack per row of x")
     beta0_m, beta_m, gamma0_m, gamma_m = unflatten_many(mean, shape)
     beta0_s, beta_s, gamma0_s, gamma_s = unflatten_many(scale, shape)
     loc = 0.5 * gamma0_m + (0.5 * gamma_m * x[:, None, :]).sum(axis=2)
     sd = np.hypot(0.5 * gamma0_s, np.hypot.reduce(0.5 * gamma_s * np.abs(x[:, None, :]), axis=2))
-    hidden = z[:, 1 + k :] * sd[:, :, None]
-    hidden += loc[:, :, None]
-    np.tanh(hidden, out=hidden)
-    half_beta = z[:, 1 : 1 + k] * (0.5 * beta_s)[:, None]
-    half_beta += (0.5 * beta_m)[:, None]
-    hidden *= half_beta
-    out = hidden.sum(axis=1) + half_beta.sum(axis=1)
-    out += beta0_s * z[:, 0] + beta0_m
+    c = max(beta0_s, beta_s.max()) or 1.0
+    half_m, half_s = 0.5 * beta_m, 0.5 * (beta_s / c)
+    out = np.full(z[:, 0].shape, beta0_m)
+    var = np.full(z[:, 0].shape, (beta0_s / c) ** 2)  # in units of c^2
+    # one hidden unit at a time, so every temporary is one (R, M) slice
+    u, tmp = np.empty_like(out), np.empty_like(out)
+    for j in range(k):
+        np.multiply(z[:, 1 + j], sd[:, j, None], out=u)
+        u += loc[:, j, None]
+        np.tanh(u, out=u)
+        u += 1.0  # 2 w_j
+        out += np.multiply(u, half_m[j], out=tmp)
+        u *= half_s[j]
+        var += np.multiply(u, u, out=u)
+    np.sqrt(var, out=var)  # now the score's standard deviation over c
+    var *= c
+    var *= z[:, 0]
+    out += var
     return out
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from vbnn.model import NetworkParams, NetworkShape, PriorConfig, unflatten_many
 
@@ -10,20 +11,27 @@ BENCH_SHAPE = NetworkShape(p=2, k=3)
 
 
 def implied_thetas(mean, scale, z, x, shape: NetworkShape) -> np.ndarray:
-    """The (M, K) networks that one row's normals z (2k+1, M) stand for at x (p,).
+    """The (M, K) networks that one row's normals z (k+1, M) stand for at x (p,).
 
     Each draw keeps the hidden weights at their means and moves the hidden
-    biases by the pre-activations' exact standard deviations, computed with
-    a plain square root: at x that network's score is the draw's score.
+    biases by the pre-activations' exact standard deviations times z[1:].
+    With w_j the hidden units at x and sigma^2 = s_beta0^2 + sum_j s_betaj^2 w_j^2
+    the score's variance given them, it sets beta0 = m_beta0 + s_beta0^2 z0/sigma
+    and beta_j = m_betaj + s_betaj^2 w_j z0/sigma, so that at x the network's
+    score is m_beta0 + sum_j m_betaj w_j + sigma z0, the draw's score.  Every
+    standard deviation is a plain square root of a sum of squares.
     """
     k = shape.k
     beta0_m, beta_m, gamma0_m, gamma_m = unflatten_many(mean, shape)
     beta0_s, beta_s, gamma0_s, gamma_s = unflatten_many(scale, shape)
     sd = np.sqrt(gamma0_s**2 + gamma_s**2 @ x**2)
+    gamma0 = gamma0_m[:, None] + sd[:, None] * z[1:]
+    w = expit(gamma0 + (gamma_m @ x)[:, None])
+    sigma = np.sqrt(beta0_s**2 + (beta_s[:, None] ** 2 * w**2).sum(axis=0))
     thetas = np.empty((z.shape[1], shape.K))
-    thetas[:, 0] = beta0_m + beta0_s * z[0]
-    thetas[:, 1 : 1 + k] = (beta_m[:, None] + beta_s[:, None] * z[1 : 1 + k]).T
-    thetas[:, 1 + k : 1 + 2 * k] = (gamma0_m[:, None] + sd[:, None] * z[1 + k :]).T
+    thetas[:, 0] = beta0_m + beta0_s**2 * z[0] / sigma
+    thetas[:, 1 : 1 + k] = (beta_m[:, None] + beta_s[:, None] ** 2 * w * z[0] / sigma).T
+    thetas[:, 1 + k : 1 + 2 * k] = gamma0.T
     thetas[:, 1 + 2 * k :] = gamma_m.ravel()
     return thetas
 

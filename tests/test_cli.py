@@ -439,6 +439,23 @@ class TestSweep:
         assert 0.0 <= float(rows[0]["accuracy_mean"]) <= 1.0
         assert rows[0]["S"] == "8"
 
+    def test_diverged_fold_is_an_error(self, tmp_path, capsys):
+        # on the README's training data, fold 1 of this cell diverges at
+        # iteration 13 (the fit of TestTrain's diverging-fit test)
+        data = tmp_path / "train.csv"
+        assert main(["synth", "--n", "800", "--seed", "1000", "--out", str(data)]) == 0
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"S": [20], "schedule": [{"kind": "fixed", "rho": 0.01}],
+                                    "algo": ["bbvi"], "k": 3, "folds": 3}))
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--grid", str(grid), "--data", str(data), "--out", str(out),
+                     "--seed", "0"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "diverged" in err and "at iteration 13" in err
+        assert "S=20, schedule fixed(rho=0.01), algo bbvi, on fold 1" in err
+        assert not out.exists()
+
     def test_empty_grid_is_an_error(self, tmp_path, capsys, workdir):
         grid = tmp_path / "grid.json"
         grid.write_text("{}")

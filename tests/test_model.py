@@ -144,8 +144,9 @@ class TestKernelRows:
 
 
 class TestPairedKernel:
-    """scores pairs row r's normals with x[r] alone, through the exact marginals
-    of the hidden pre-activations there."""
+    """scores pairs row r's normals with x[r] alone: k of them draw the hidden
+    pre-activations from their exact marginals there, and one draws the score
+    from its exact Gaussian law given the hidden units."""
 
     SHAPES = [TOY_SHAPE, BENCH_SHAPE, NetworkShape(p=4, k=6)]
 
@@ -158,11 +159,11 @@ class TestPairedKernel:
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_each_row_matches_scores_many_at_its_point(self, rng, shape):
-        # with hidden scales near 0 the implied networks are the draws of
-        # beta0 and beta alone; at scale 1 their hidden biases carry the noise
+        # with hidden scales near 0 the implied networks differ only in their
+        # betas; at scale 1 their hidden biases carry noise too
         for hidden_scale in (1e-30, 1.0):
             mean, scale = self.moments(rng, shape, hidden_scale)
-            z = rng.standard_normal((9, 2 * shape.k + 1, 31))
+            z = rng.standard_normal((9, shape.k + 1, 31))
             x = rng.uniform(-1, 1, (9, shape.p))
             out = scores(z, x, mean, scale, shape)
             assert out.shape == (9, 31)
@@ -177,7 +178,7 @@ class TestPairedKernel:
         shape, M = BENCH_SHAPE, 200_000
         mean, scale = self.moments(rng, shape, 1.0)
         x = np.array([[0.0, 0.0], [0.2, 0.9], [1.0, 1.0], [-1.5, 0.5]])
-        z = rng.standard_normal((len(x), 2 * shape.k + 1, M))
+        z = rng.standard_normal((len(x), shape.k + 1, M))
         fast = sigmoid(scores(z, x, mean, scale, shape))
         full = sigmoid(scores_many(mean + scale * rng.standard_normal((M, shape.K)), x, shape)).T
         se = np.hypot(fast.std(axis=1), full.std(axis=1)) / math.sqrt(M)
@@ -185,7 +186,7 @@ class TestPairedKernel:
 
     def test_row_does_not_depend_on_its_batch(self, rng):
         mean, scale = self.moments(rng, BENCH_SHAPE, 1.0)
-        z = rng.standard_normal((11, 7, 13))
+        z = rng.standard_normal((11, 4, 13))
         x = rng.uniform(0, 1, (11, 2))
         whole = scores(z, x, mean, scale, BENCH_SHAPE)
         for rows in (slice(0, 1), slice(3, 4), slice(2, 9), slice(10, None)):
@@ -195,20 +196,23 @@ class TestPairedKernel:
     def test_huge_finite_features_do_not_overflow(self, rng):
         mean, scale = self.moments(rng, BENCH_SHAPE, 1.0)
         x = np.array([[1e200, -1e200], [1e300, 1.0]])
-        with np.errstate(all="raise"):
-            out = scores(rng.standard_normal((2, 7, 5)), x, mean, scale, BENCH_SHAPE)
-        assert np.all(np.isfinite(out))
+        huge_out = scale.copy()
+        huge_out[: BENCH_SHAPE.k + 1] *= 1e200  # output-weight scales: their squares overflow
+        for s in (scale, huge_out):
+            with np.errstate(all="raise"):
+                out = scores(rng.standard_normal((2, 4, 5)), x, mean, s, BENCH_SHAPE)
+            assert np.all(np.isfinite(out))
 
     def test_mismatched_shapes_raise(self, rng):
         mean, scale = self.moments(rng, BENCH_SHAPE, 1.0)
-        z = rng.standard_normal((3, 7, 5))
+        z = rng.standard_normal((3, 4, 5))
         bad_inputs = (
             (z, np.zeros((3, 3)), mean, scale),               # x too wide
             (z, np.zeros((3, 1)), mean, scale),               # x too narrow
             (z, np.zeros((4, 2)), mean, scale),               # one more point than stacks
             (z[:2], np.zeros((3, 2)), mean, scale),           # one fewer stack than points
-            (z[:, :6], np.zeros((3, 2)), mean, scale),        # D = 2k, not 2k+1
-            (z[0], np.zeros((7, 2)), mean, scale),            # an unstacked (D, M) block
+            (z[:, :3], np.zeros((3, 2)), mean, scale),        # D = k, not k+1
+            (z[0], np.zeros((4, 2)), mean, scale),            # an unstacked (D, M) block
             (z, np.zeros((3, 2)), mean[:-1], scale[:-1]),     # wrong flat length
             (z, np.zeros((3, 2)), mean, scale[:-1]),          # scale of the wrong length
         )
@@ -218,7 +222,7 @@ class TestPairedKernel:
 
     def test_empty_batch(self):
         K = BENCH_SHAPE.K
-        out = scores(np.empty((0, 7, 4)), np.empty((0, 2)), np.zeros(K), np.ones(K), BENCH_SHAPE)
+        out = scores(np.empty((0, 4, 4)), np.empty((0, 2)), np.zeros(K), np.ones(K), BENCH_SHAPE)
         assert out.shape == (0, 4)
 
 

@@ -52,9 +52,9 @@ def constant_score_q(score: float, shape: NetworkShape) -> Posterior:
 
 
 def documented_stream(seed: int, n: int, shape: NetworkShape, M: int) -> np.ndarray:
-    """Every row's normals (n, 2k+1, M), in the documented order of one stream."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(3,)))
-    return rng.standard_normal((n, 2 * shape.k + 1, M))
+    """Every row's normals (n, k+1, M), in the documented order of one stream."""
+    seeds = np.random.SeedSequence(entropy=seed, spawn_key=(3,))
+    return np.random.Generator(np.random.SFC64(seeds)).standard_normal((n, shape.k + 1, M))
 
 
 def stream_oracle(post: Posterior, x: np.ndarray, M: int, seed: int) -> np.ndarray:
@@ -83,15 +83,18 @@ class TestPredictiveProbability:
                               raw_scale=softplus_inverse(np.full(TOY_SHAPE.K, 0.5)))
         cfg = PredictiveConfig(M=1, seed=123)
         x = np.array([0.3])
-        # the documented stream: row 0 owns its first 2k+1 normals, which
-        # draw beta0, beta and the hidden pre-activation
+        # the documented stream: row 0 owns its first k+1 normals, which draw
+        # the score given the hidden unit and the hidden pre-activation
         z = documented_stream(123, 1, TOY_SHAPE, 1)[0, :, 0]
         beta0_m, beta_m, gamma0_m, gamma_m = q.mean
         beta0_s, beta_s, gamma0_s, gamma_s = q.scale
+        gamma0 = gamma0_m + math.sqrt(gamma0_s**2 + (gamma_s * x[0]) ** 2) * z[1]
+        w = float(expit(gamma0 + gamma_m * x[0]))
+        sigma = math.sqrt(beta0_s**2 + (beta_s * w) ** 2)
         theta = unflatten(np.array([
-            beta0_m + beta0_s * z[0],
-            beta_m + beta_s * z[1],
-            gamma0_m + math.sqrt(gamma0_s**2 + (gamma_s * x[0]) ** 2) * z[2],
+            beta0_m + beta0_s**2 * z[0] / sigma,
+            beta_m + beta_s**2 * w * z[0] / sigma,
+            gamma0,
             gamma_m,
         ]), TOY_SHAPE)
         expected = float(sigmoid(forward_score(theta, x)))
@@ -155,7 +158,7 @@ class TestPredictiveProbability:
 
 def block_rows(M: int, shape: NetworkShape) -> int:
     """Rows per serving block for a posterior of this network shape."""
-    return max(1, _BLOCK_FLOATS // (M * (2 * shape.k + 1)))
+    return max(1, _BLOCK_FLOATS // (M * (shape.k + 1)))
 
 
 class TestRowBlocks:
