@@ -44,10 +44,12 @@ from .model import (
     NetworkShape,
     PriorConfig,
     ShapeMismatchError,
+    check_keys,
     json_field,
 )
 from .optimizer import (
     SCHEDULE_KEYS,
+    Schedule,
     TrainConfig,
     report_summary,
     save_report_csv,
@@ -65,6 +67,9 @@ from .variational import Posterior
 logger = logging.getLogger("vbnn")
 
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
+
+# hidden nodes when neither --k nor the config or grid sets "k"
+_DEFAULT_K = 10
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +175,6 @@ def _load_feature_rows(path: str, schema: TableSchema) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # config assembly for `train` and `sweep`
 
-def _schedule_kind(name: str) -> str:
-    return "rm" if name == "robbins_monro" else name
-
-
 def _schedule_dict_with_overrides(config_doc: dict, args) -> dict:
     """The config's schedule with the CLI flags applied.
 
@@ -186,9 +187,9 @@ def _schedule_dict_with_overrides(config_doc: dict, args) -> dict:
     flags = {key: getattr(args, attr, None)
              for key, attr in (("rho", "lr"), ("rho0", "rho0"), ("b", "b"), ("c", "c"))}
     flags = {key: value for key, value in flags.items() if value is not None}
-    kinds = {kind for kind, keys in SCHEDULE_KEYS.items() if keys & flags.keys()}
+    kinds = {kind for kind, keys in SCHEDULE_KEYS.items() if flags.keys() & keys}
     if getattr(args, "schedule", None):
-        kinds.add(_schedule_kind(args.schedule))
+        kinds.add(args.schedule)
     if len(kinds) > 1:
         raise ValueError(
             f"schedule flags mix the {' and '.join(sorted(kinds))} kinds: "
@@ -196,7 +197,7 @@ def _schedule_dict_with_overrides(config_doc: dict, args) -> dict:
         )
     if kinds:
         (kind,) = kinds
-        if kind != _schedule_kind(doc.get("kind", "fixed")):
+        if kind != doc.get("kind", Schedule.kind):
             doc = {key: value for key, value in doc.items() if key in SCHEDULE_KEYS[kind]}
         doc["kind"] = kind
     doc.update(flags)
@@ -246,7 +247,7 @@ def cmd_train(args) -> int:
     config_doc = _load_json(args.config, "config") if args.config else {}
     with _keys_of(args.config, "config"):
         config = _train_config_from(args, config_doc)
-        k = args.k if args.k is not None else json_field(config_doc, "k", int, 10)
+        k = args.k if args.k is not None else json_field(config_doc, "k", int, _DEFAULT_K)
     batch, schema = _prepare_training_data(args)
     post, report = _run_training(batch, config, k)
 
@@ -316,37 +317,34 @@ def cmd_diagnose(args) -> int:
     return 0
 
 
-def _schedule_label(doc: dict) -> str:
-    if doc.get("kind", "fixed") == "fixed":
-        return f"fixed(rho={doc.get('rho', 1e-3)})"
-    return (
-        f"rm(rho0={doc.get('rho0', 1.0)},b={doc.get('b', 100.0)},"
-        f"c={doc.get('c', 0.3)})"
-    )
+def _schedule_label(schedule: Schedule) -> str:
+    values = ",".join(f"{key}={getattr(schedule, key)}" for key in SCHEDULE_KEYS[schedule.kind])
+    return f"{schedule.kind}({values})"
 
 
 def cmd_sweep(args) -> int:
     grid = _load_json(args.grid, "grid")
     with _keys_of(args.grid, "grid"):
+        check_keys(grid, ("S", "schedule", "algo", "base", "k", "folds"), "a sweep grid")
         axes = [json_field(grid, key, list, []) for key in ("S", "schedule", "algo")]
         if not all(axes):
             raise ValueError("empty grid: S, schedule and algo must each be non-empty")
         base = json_field(grid, "base", dict, {})
-        k = json_field(grid, "k", int, 10)
+        k = json_field(grid, "k", int, _DEFAULT_K)
         folds = json_field(grid, "folds", int, 5)
         cells = []
         for S, sched_doc, algo in itertools.product(*axes):
             doc = {**base, "S": S, "schedule": sched_doc, "algo": algo, "seed": args.seed}
             if args.threads is not None:
                 doc["threads"] = args.threads
-            cells.append((S, sched_doc, algo, TrainConfig.from_json_dict(doc)))
+            cells.append((algo, TrainConfig.from_json_dict(doc)))
 
     schema = _resolve_schema(args.data, args.schema)
     batch, schema = load_csv(args.data, schema)
     pairs = split(batch, folds, args.seed)
 
     rows = []
-    for S, sched_doc, algo, config in cells:
+    for algo, config in cells:
         accs, iters, wall = [], [], 0.0
         for fold, (train_part, test_part) in enumerate(pairs):
             fitted = fit_normalization(schema, train_part)
@@ -354,8 +352,8 @@ def cmd_sweep(args) -> int:
             if report.diverged:
                 raise ValueError(
                     f"training diverged (non-finite estimate) at iteration "
-                    f"{report.diverged_at} in cell S={S}, schedule "
-                    f"{_schedule_label(sched_doc)}, algo {algo}, on fold {fold} "
+                    f"{report.diverged_at} in cell S={config.S}, schedule "
+                    f"{_schedule_label(config.schedule)}, algo {algo}, on fold {fold} "
                     f"(folds 0-{folds - 1})"
                 )
             cfg = PredictiveConfig(M=args.M, seed=config.seed)
@@ -365,8 +363,8 @@ def cmd_sweep(args) -> int:
         accs_arr = np.asarray(accs)
         rows.append(
             {
-                "S": S,
-                "schedule": _schedule_label(sched_doc),
+                "S": config.S,
+                "schedule": _schedule_label(config.schedule),
                 "algo": algo,
                 "accuracy_mean": float(accs_arr.mean()),
                 "accuracy_sd": float(accs_arr.std(ddof=1)) if len(accs) > 1 else 0.0,
@@ -430,8 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--S", type=int, default=None)
     p_train.add_argument("--lr", type=float, default=None,
                          help="fixed learning rate (implies --schedule fixed)")
-    p_train.add_argument("--schedule", choices=["fixed", "rm", "robbins_monro"],
-                         default=None)
+    p_train.add_argument("--schedule", choices=list(SCHEDULE_KEYS), default=None)
     p_train.add_argument("--rho0", type=float, default=None)
     p_train.add_argument("--b", type=float, default=None)
     p_train.add_argument("--c", type=float, default=None)

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .metrics import TrueFunction
-from .model import LabeledBatch, NetworkParams, json_field, sigmoid
+from .model import LabeledBatch, NetworkParams, check_keys, json_field, sigmoid
 
 __all__ = [
     "SchemaError",
@@ -91,6 +91,7 @@ class ColumnSchema:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ColumnSchema":
+        check_keys(doc, [f.name for f in fields(cls)], f"schema column {doc.get('name')!r}")
         stats = {key: json_field(doc, key, float) for key in ("mean", "sd", "min", "max")
                  if doc.get(key) is not None}
         return cls(name=str(doc["name"]), kind=doc.get("kind", "numeric"),

@@ -41,6 +41,7 @@ __all__ = [
     "ShapeMismatchError",
     "JsonFieldError",
     "json_field",
+    "check_keys",
     "sigmoid",
     "softplus",
     "shape_for",
@@ -71,7 +72,7 @@ class JsonFieldError(ValueError):
 
 
 _JSON_KINDS = {dict: "a JSON object", list: "a JSON array", int: "an integer",
-               float: "a number", list[float]: "an array of numbers",
+               float: "a number", str: "a string", list[float]: "an array of numbers",
                list[dict]: "an array of JSON objects"}
 
 
@@ -86,13 +87,20 @@ def _is_kind(value, kind) -> bool:
 def json_field(doc: dict, key: str, kind, default=None):
     """doc[key] as parsed by ``json``, checked to be an object (dict), an array
     (list), an integer (int: not a float such as 2.9, nor a boolean), a number
-    (float: an integer or a float, not a boolean; returned as a float), or an
-    array of numbers or of objects (list[float], list[dict]).  A missing key
-    raises KeyError, or gives ``default`` when one is passed."""
+    (float: an integer or a float, not a boolean; returned as a float), a string
+    (str), or an array of numbers or of objects (list[float], list[dict]).  A
+    missing key raises KeyError, or gives ``default`` when one is passed."""
     value = doc[key] if default is None else doc.get(key, default)
     if not _is_kind(value, kind):
         raise JsonFieldError(f"key {key!r} must be {_JSON_KINDS[kind]}, got {value!r:.40}")
     return float(value) if kind is float else value
+
+
+def check_keys(doc: dict, allowed, what: str) -> None:
+    """Raise JsonFieldError naming every key of ``doc`` not in ``allowed``."""
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise JsonFieldError(f"unknown key(s) for {what}: {', '.join(unknown)}")
 
 
 def softplus(z):

@@ -25,6 +25,11 @@ call goes through it, so the estimator is written once; ``train`` adds only
 the loop, divergence and convergence tests, gradient variance, clipping and
 ``step``.
 
+Step sizes follow a ``Schedule``, whose kinds and their fields are listed once
+in ``SCHEDULE_KEYS``.  ``train`` stops when successive window means of the
+ELBO differ by less than a relative ``CONV_REL_TOL`` and the later one is not
+below the first estimate.
+
 Determinism: the sampling RNG for iteration t is spawned as
 SeedSequence(entropy=seed, spawn_key=(1, t)), so traces are reproducible for
 a given seed and independent of thread count.  Threading only splits the
@@ -51,6 +56,7 @@ from .model import (
     NetworkShape,
     PriorConfig,
     ShapeMismatchError,
+    check_keys,
     json_field,
     log_joint_many,
     shape_for,
@@ -68,6 +74,7 @@ from .variational import (
 __all__ = [
     "Schedule",
     "SCHEDULE_KEYS",
+    "CONV_REL_TOL",
     "TrainConfig",
     "TrainReport",
     "NonFiniteGradientError",
@@ -89,13 +96,22 @@ class NonFiniteGradientError(RuntimeError):
         self.iteration = iteration
 
 
+# Each schedule kind and, in to_json_dict's order, the fields it reads.
+SCHEDULE_KEYS = {"fixed": ("rho",), "rm": ("rho0", "b", "c")}
+
+# relative change between successive window means below which train stops
+CONV_REL_TOL = 1e-4
+
+
 @dataclass(frozen=True)
 class Schedule:
-    """Learning-rate schedule: fixed rho, or decaying rho0 / (b * (t+1)^c).
+    """Learning-rate schedule: kind "fixed" uses rate rho, kind "rm" the
+    decaying Robbins-Monro rate rho0 / (b * (t+1)^c).
 
     The decaying variant follows the stochastic-approximation recipe with any
     exponent 0 < c <= 1 (the reference experiments use c = 0.3, below the
-    classical 0.5 < c <= 1 range).
+    classical 0.5 < c <= 1 range).  A kind ignores the other kind's fields, and
+    its JSON form (``SCHEDULE_KEYS``) holds only its own.
     """
 
     kind: str = "fixed"
@@ -105,9 +121,7 @@ class Schedule:
     c: float = 0.3
 
     def __post_init__(self) -> None:
-        if self.kind == "robbins_monro":  # long-form alias for "rm"
-            object.__setattr__(self, "kind", "rm")
-        if self.kind not in ("fixed", "rm"):
+        if self.kind not in SCHEDULE_KEYS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.kind == "fixed" and self.rho <= 0:
             raise ValueError("fixed learning rate must be positive")
@@ -126,32 +140,18 @@ class Schedule:
         return self.rho0 / (self.b * float(t + 1) ** self.c)
 
     def to_json_dict(self) -> dict:
-        if self.kind == "fixed":
-            return {"kind": "fixed", "rho": self.rho}
-        return {"kind": "rm", "rho0": self.rho0, "b": self.b, "c": self.c}
+        return {"kind": self.kind, **{key: getattr(self, key) for key in SCHEDULE_KEYS[self.kind]}}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Schedule":
-        """Inverse of to_json_dict; missing keys take their defaults and keys
-        that do not belong to the kind raise ValueError naming them."""
-        kind = doc.get("kind", "fixed")
-        allowed = SCHEDULE_KEYS.get("rm" if kind == "robbins_monro" else kind)
-        if allowed is None:
+        """Inverse of to_json_dict; missing keys take the field defaults, and
+        keys that do not belong to the kind raise JsonFieldError naming them."""
+        kind = json_field(doc, "kind", str, cls.kind)
+        if kind not in SCHEDULE_KEYS:
             raise ValueError(f"unknown schedule kind {kind!r}")
-        unknown = sorted(set(doc) - allowed - {"kind"})
-        if unknown:
-            raise ValueError(
-                f"unknown key(s) for a {kind!r} schedule: {', '.join(unknown)}"
-            )
-        if kind == "fixed":
-            return cls(kind="fixed", rho=json_field(doc, "rho", float, 1e-3))
-        return cls(kind=kind, rho0=json_field(doc, "rho0", float, 1.0),
-                   b=json_field(doc, "b", float, 100.0), c=json_field(doc, "c", float, 0.3))
-
-
-# The keys each schedule kind reads, besides "kind" itself.
-SCHEDULE_KEYS = {"fixed": frozenset({"rho"}),
-                 "rm": frozenset({"rho0", "b", "c"})}
+        check_keys(doc, ("kind", *SCHEDULE_KEYS[kind]), f"a {kind!r} schedule")
+        return cls(kind=kind, **{key: json_field(doc, key, float)
+                                 for key in SCHEDULE_KEYS[kind] if key in doc})
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,6 @@ class TrainConfig:
     use_control_variates: bool = False
     max_iters: int = 2000
     conv_window: int = 50
-    conv_rel_tol: float = 1e-4
     grad_clip: float | None = None
     seed: int = 0
     threads: int = 1
@@ -177,8 +176,6 @@ class TrainConfig:
             raise ValueError("max_iters must be >= 1")
         if self.conv_window < 1:
             raise ValueError("conv_window must be >= 1")
-        if self.conv_rel_tol <= 0:
-            raise ValueError("conv_rel_tol must be positive")
         if self.grad_clip is not None and self.grad_clip <= 0:
             raise ValueError("grad_clip must be positive when given")
         if self.threads < 1:
@@ -191,7 +188,6 @@ class TrainConfig:
             "schedule": self.schedule.to_json_dict(),
             "max_iters": self.max_iters,
             "conv_window": self.conv_window,
-            "conv_rel_tol": self.conv_rel_tol,
             "grad_clip": self.grad_clip,
             "seed": self.seed,
             "threads": self.threads,
@@ -199,29 +195,20 @@ class TrainConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TrainConfig":
-        """Inverse of to_json_dict; missing keys take their defaults, and keys it
-        does not read or values of the wrong kind raise errors naming the key."""
-        unknown = sorted(set(doc) - _CONFIG_KEYS)
-        if unknown:
-            raise ValueError(f"unknown training config key(s): {', '.join(unknown)}")
-        algo = doc.get("algo", "bbvi")
-        if algo not in ("bbvi", "bbvi-cv"):
-            raise ValueError(f"unknown algo {algo!r}")
-        clip = doc.get("grad_clip")
-        return cls(
-            S=json_field(doc, "S", int, 200),
-            schedule=Schedule.from_json_dict(json_field(doc, "schedule", dict, {})),
-            use_control_variates=(algo == "bbvi-cv"),
-            max_iters=json_field(doc, "max_iters", int, 2000),
-            conv_window=json_field(doc, "conv_window", int, 50),
-            conv_rel_tol=json_field(doc, "conv_rel_tol", float, 1e-4),
-            grad_clip=None if clip is None else json_field(doc, "grad_clip", float),
-            seed=json_field(doc, "seed", int, 0),
-            threads=json_field(doc, "threads", int, 1),
-        )
-
-
-_CONFIG_KEYS = frozenset(TrainConfig().to_json_dict())
+        """Inverse of to_json_dict; missing keys take the field defaults, and keys
+        it does not read or values of the wrong kind raise errors naming the key."""
+        check_keys(doc, cls().to_json_dict(), "a training config")
+        values = {key: json_field(doc, key, int) for key in
+                  ("S", "max_iters", "conv_window", "seed", "threads") if key in doc}
+        if "schedule" in doc:
+            values["schedule"] = Schedule.from_json_dict(json_field(doc, "schedule", dict))
+        if doc.get("grad_clip") is not None:
+            values["grad_clip"] = json_field(doc, "grad_clip", float)
+        if "algo" in doc:
+            if doc["algo"] not in ("bbvi", "bbvi-cv"):
+                raise ValueError(f"unknown algo {doc['algo']!r}")
+            values["use_control_variates"] = doc["algo"] == "bbvi-cv"
+        return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -395,9 +382,12 @@ def train(
     """Run BBVI until the moving-average ELBO stalls or max_iters is hit.
 
     Convergence: with window w, stop once the last-w-iterations mean ELBO
-    differs from the previous window's mean by less than conv_rel_tol in
-    relative terms; first checkable at iteration 2w - 1.  A NaN/Inf ELBO or
-    gradient marks the run diverged and returns the last healthy iterate.
+    differs from the previous window's mean by less than CONV_REL_TOL in
+    relative terms and is not below the first iteration's estimate; first
+    checkable at iteration 2w - 1.  Without the second condition a fit whose
+    ELBO has blown up to a huge negative value would pass the relative test.
+    A NaN/Inf ELBO or gradient marks the run diverged and returns the last
+    healthy iterate.
     """
     if batch.p != shape.p:
         raise ShapeMismatchError("batch width does not match network shape")
@@ -435,7 +425,8 @@ def train(
             if len(elbos) >= 2 * w:
                 recent = float(np.mean(elbos[-w:]))
                 previous = float(np.mean(elbos[-2 * w : -w]))
-                if abs(recent - previous) / (abs(previous) + 1e-12) < config.conv_rel_tol:
+                if (recent >= elbos[0]
+                        and abs(recent - previous) / (abs(previous) + 1e-12) < CONV_REL_TOL):
                     converged = True
                     break
             if config.grad_clip is not None:

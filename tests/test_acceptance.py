@@ -317,7 +317,6 @@ def consistency_runs():
         grad_clip=10.0,
         max_iters=1500,
         conv_window=50,
-        conv_rel_tol=1e-4,
     )
     shape = BENCH_SHAPE
     prior = PriorConfig.standard(shape.K)

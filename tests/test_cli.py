@@ -145,7 +145,7 @@ class TestTrain:
         code = main(["train", "--data", str(workdir["data"]), "--config", str(cfg),
                      "--out", str(out)])
         assert code == 1
-        assert f"unknown training config key(s): {keys}" in capsys.readouterr().err
+        assert f"unknown key(s) for a training config: {keys}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("schedule, key", [({"kind": "fixed", "rhoo": 0.5}, "rhoo"),
@@ -164,7 +164,7 @@ class TestTrain:
     @pytest.mark.parametrize("schedule, flags, expected", [
         ({"kind": "fixed", "rho": 0.01}, ["--rho0", "2", "--c", "0.5"],
          {"kind": "rm", "rho0": 2.0, "b": 100.0, "c": 0.5}),
-        ({"kind": "fixed", "rho": 0.01}, ["--schedule", "robbins_monro"],
+        ({"kind": "fixed", "rho": 0.01}, ["--schedule", "rm"],
          {"kind": "rm", "rho0": 1.0, "b": 100.0, "c": 0.3}),
         ({"kind": "rm", "rho0": 2.0, "b": 50.0}, ["--lr", "0.02"],
          {"kind": "fixed", "rho": 0.02}),
@@ -546,8 +546,8 @@ class TestJsonInputs:
             {"name": "x1", "normalization": "zscore", "mean": "0", "sd": 1.0},
             {"name": "x2"}, {"name": "y", "kind": "label"}]}}, "mean"),
         ("train-config", {"schedule": {"kind": "fixed", "rho": [0.1]}}, "rho"),
-        ("train-config", {"conv_rel_tol": {}}, "conv_rel_tol"),
         ("train-config", {"schedule": {"rho": True}}, "rho"),
+        ("train-config", {"schedule": {"kind": ["rm"]}}, "kind"),
         ("train-config", {"grad_clip": "10"}, "grad_clip"),
         ("sweep-grid", {**GRID, "schedule": [{"kind": "rm", "c": False}]}, "c"),
         ("diagnose-truth", {"kind": "constant", "p": 2, "value": [1]}, "value"),
@@ -561,7 +561,7 @@ class TestJsonInputs:
             "grid-base", "grid-S", "grid-k", "truth-shape", "config-S-float",
             "config-seed-bool", "model-p-float", "grid-k-float", "grid-folds-bool",
             "model-m-item", "model-columns-item", "model-zeta-bool", "model-stat-string",
-            "config-rho-array", "config-tol-object", "config-rho-bool", "config-clip-string",
+            "config-rho-array", "config-rho-bool", "config-kind-array", "config-clip-string",
             "grid-c-bool", "truth-value-array", "truth-weights-item", "truth-theta-item",
             "schema-columns", "schema-columns-item"])
     def test_wrong_kind_names_the_file_and_the_key(self, tmp_path, capsys, workdir,
@@ -572,6 +572,30 @@ class TestJsonInputs:
         assert code == 1
         err = capsys.readouterr().err
         assert "in.json" in err and f"key '{key}' must be" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("use, doc, key", [
+        ("sweep-grid", {**GRID, "fold": 3}, "fold"),
+        ("sweep-grid", {**GRID, "base": {"max_iter": 15}}, "max_iter"),
+        ("train-config", {"conv_rel_tol": 1e-4}, "conv_rel_tol"),
+        ("train-config", {"schedule": {"kind": "rm", "rho": 0.1}}, "rho"),
+        ("train-schema", {"columns": [{"name": "x1", "normalisation": "zscore"},
+                                      {"name": "x2"}, {"name": "y", "kind": "label"}]},
+         "normalisation"),
+        ("predict-model", {**MODEL, "schema": {"columns": [
+            {"name": "x1"}, {"name": "x2", "sdev": 1.0}, {"name": "y", "kind": "label"}]}},
+         "sdev"),
+    ], ids=["grid-fold", "grid-base", "config-tol", "config-schedule", "schema-column",
+            "model-column"])
+    def test_unknown_key_names_the_file_and_the_key(self, tmp_path, capsys, workdir,
+                                                    use, doc, key):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        code = main(json_input_argv(use, str(path), workdir, tmp_path))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "in.json" in err
+        assert "unknown key(s) for " in err and err.rstrip().endswith(f": {key}")
         assert not (tmp_path / "out").exists()
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vbnn.data import generate_synthetic
+from vbnn.data import generate_synthetic, split
 from vbnn.metrics import TrueFunction
 from vbnn.model import (
     JsonFieldError,
@@ -93,27 +93,24 @@ class TestSchedule:
         with pytest.raises(ValueError):
             Schedule(kind="rm", c=1.5)
 
-    def test_long_form_kind_alias(self):
-        sched = Schedule(kind="robbins_monro", rho0=1.0, b=100.0, c=0.3)
-        assert sched.kind == "rm"
-        assert sched == Schedule.from_json_dict({"kind": "robbins_monro"})
+    def test_unknown_kind_is_named(self):
         with pytest.raises(ValueError, match="unknown schedule kind"):
             Schedule.from_json_dict({"kind": "exponential"})
 
     def test_keys_of_another_kind_are_named(self):
         for doc, key in (({"kind": "fixed", "rhoo": 0.5}, "rhoo"),
                          ({"kind": "rm", "rho": 0.5}, "rho"),
-                         ({"kind": "robbins_monro", "rho0": 2.0, "rho": 0.5}, "rho"),
                          ({"rho0": 2.0}, "rho0"),
                          ({"kind": "rm", "strict_rm": False}, "strict_rm")):
             with pytest.raises(ValueError, match=f"schedule: {key}$"):
                 Schedule.from_json_dict(doc)
-        assert Schedule.from_json_dict({"kind": "robbins_monro", "rho0": 2.0}).rho0 == 2.0
 
     def test_json_round_trip(self):
         for sched in (Schedule(kind="fixed", rho=5e-4),
                       Schedule(kind="rm", rho0=2.0, b=10.0, c=0.9)):
             assert Schedule.from_json_dict(sched.to_json_dict()) == sched
+        for kind in ("fixed", "rm"):
+            assert Schedule.from_json_dict({"kind": kind}) == Schedule(kind=kind)
 
 
 class TestTrainConfig:
@@ -126,6 +123,8 @@ class TestTrainConfig:
         doc = cfg.to_json_dict()
         assert doc["algo"] == "bbvi-cv"
         assert TrainConfig.from_json_dict(doc) == cfg
+        # a missing key takes the field's default
+        assert TrainConfig.from_json_dict({}) == TrainConfig()
 
     def test_unknown_algo_rejected(self):
         with pytest.raises(ValueError, match="unknown algo"):
@@ -393,6 +392,22 @@ class TestTrain:
         assert report.iterations_run in (report.diverged_at, report.diverged_at + 1)
         assert np.all(np.isfinite(report.elbo_trace))
         assert np.all(np.isfinite(q.mean)) and np.all(np.isfinite(q.raw_scale))
+
+    def test_blown_up_elbo_is_not_converged(self):
+        # the held-out part of fold 1 of a 3-fold split of the README's
+        # training data, at a fixed rate of 0.01: the ELBO falls from -247 to
+        # about -3.7e44 and stalls there, so successive window means differ by
+        # far less than 1e-4 of their size; a relative test alone stopped this
+        # fit as converged at iteration 404
+        batch = split(bench_batch(n=800, seed=1000), 3, 0)[1][1]
+        prior = PriorConfig.standard(BENCH_SHAPE.K)
+        cfg = TrainConfig(S=20, schedule=Schedule(kind="fixed", rho=0.01),
+                          max_iters=500, seed=0)
+        _, report = train(batch, prior, BENCH_SHAPE, cfg)
+        assert report.elbo_trace[-1] < -1e40
+        assert not report.diverged
+        assert not report.converged
+        assert report.iterations_run == 500
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_is_silent_on_worker_threads(self):
