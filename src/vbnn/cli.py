@@ -39,11 +39,9 @@ from .data import (
 )
 from .metrics import IntegrationConfig, TrueFunction, diagnostics_dict
 from .model import (
-    JsonFieldError,
     LabeledBatch,
     NetworkShape,
     PriorConfig,
-    ShapeMismatchError,
     check_keys,
     json_field,
 )
@@ -101,9 +99,13 @@ def _atomic_write_json(path: str, doc: dict) -> None:
 # artifact plumbing
 
 def _load_json(path: str, what: str) -> dict:
+    def reject(token):
+        # RFC 8259 has no NaN or Infinity, and every writer here refuses them
+        raise ValueError(f"{what} file {path!r} is not valid JSON: {token} is not a number")
+
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=reject)
     except FileNotFoundError:
         raise FileNotFoundError(f"cannot read {what} file {path!r}: no such file")
     except json.JSONDecodeError as exc:
@@ -115,14 +117,25 @@ def _load_json(path: str, what: str) -> dict:
 
 @contextmanager
 def _keys_of(path: str, what: str):
-    """Re-raise a missing key, a value of the wrong kind or a shape mismatch
-    found while reading a file's document as a ValueError naming the file."""
+    """Re-raise a missing key, or any ValueError (a value of the wrong kind, an
+    unknown or out-of-range value, a shape mismatch), found while building
+    objects from a file's document as a ValueError naming the file."""
     try:
         yield
     except KeyError as exc:
         raise ValueError(f"{what} file {path!r} has no key {exc.args[0]!r}") from None
-    except (JsonFieldError, ShapeMismatchError) as exc:
+    except ValueError as exc:
         raise ValueError(f"{what} file {path!r}: {exc}") from None
+
+
+@contextmanager
+def _read_against(path: str, what: str):
+    """Name the file a schema came from in a SchemaError raised while data is
+    read against that schema (a header, label or 0/1 column mismatch)."""
+    try:
+        yield
+    except SchemaError as exc:
+        raise SchemaError(f"{exc} (schema from {what} file {path!r})") from None
 
 
 def _model_artifact(post: Posterior, config: TrainConfig, schema: TableSchema) -> dict:
@@ -141,13 +154,16 @@ def _load_model(path: str) -> tuple[Posterior, TableSchema]:
                 TableSchema.from_json_dict(json_field(doc, "schema", dict)))
 
 
-def _resolve_schema(data_path: str, schema_path: str | None) -> TableSchema | None:
+def _load_labeled(data_path: str, schema_path: str | None) -> tuple[LabeledBatch, TableSchema]:
+    """The data read against its --schema file or sidecar, if there is one."""
     path = schema_path or data_path + ".schema.json"
     if not schema_path and not os.path.exists(path):
-        return None  # no --schema and no sidecar: load_csv infers the columns
+        return load_csv(data_path)  # no --schema and no sidecar: infer the columns
     doc = _load_json(path, "schema")
     with _keys_of(path, "schema"):
-        return TableSchema.from_json_dict(doc)
+        schema = TableSchema.from_json_dict(doc)
+    with _read_against(path, "schema"):
+        return load_csv(data_path, schema)
 
 
 def _load_truth(source: str) -> TrueFunction:
@@ -175,15 +191,15 @@ def _load_feature_rows(path: str, schema: TableSchema) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # config assembly for `train` and `sweep`
 
-def _schedule_dict_with_overrides(config_doc: dict, args) -> dict:
-    """The config's schedule with the CLI flags applied.
+def _schedule_dict_with_overrides(schedule: Schedule, args) -> dict:
+    """The schedule's JSON form with the CLI flags applied.
 
     --lr implies a fixed schedule and --rho0/--b/--c a decaying (rm) one;
     flags that imply different kinds are rejected.  When the flags change the
-    config's kind, its keys for the old kind are dropped, since the new kind
+    schedule's kind, its keys for the old kind are dropped, since the new kind
     rejects them.
     """
-    doc = dict(json_field(config_doc, "schedule", dict, {}))
+    doc = schedule.to_json_dict()
     flags = {key: getattr(args, attr, None)
              for key, attr in (("rho", "lr"), ("rho0", "rho0"), ("b", "b"), ("c", "c"))}
     flags = {key: value for key, value in flags.items() if value is not None}
@@ -197,17 +213,16 @@ def _schedule_dict_with_overrides(config_doc: dict, args) -> dict:
         )
     if kinds:
         (kind,) = kinds
-        if kind != doc.get("kind", Schedule.kind):
-            doc = {key: value for key, value in doc.items() if key in SCHEDULE_KEYS[kind]}
-        doc["kind"] = kind
+        if kind != schedule.kind:
+            doc = {"kind": kind}
     doc.update(flags)
     return doc
 
 
-def _train_config_from(args, config_doc: dict) -> TrainConfig:
-    # k sizes the network, not the training run
-    doc = {key: value for key, value in config_doc.items() if key != "k"}
-    doc["schedule"] = _schedule_dict_with_overrides(doc, args)
+def _train_config_from(args, config: TrainConfig) -> TrainConfig:
+    """The config with the CLI flags applied."""
+    doc = config.to_json_dict()
+    doc["schedule"] = _schedule_dict_with_overrides(config.schedule, args)
     flags = {"algo": args.algo, "S": args.S, "max_iters": args.max_iters,
              "seed": args.seed, "threads": args.threads}
     doc.update({key: value for key, value in flags.items() if value is not None})
@@ -215,14 +230,12 @@ def _train_config_from(args, config_doc: dict) -> TrainConfig:
 
 
 def _prepare_training_data(args) -> tuple[LabeledBatch, TableSchema]:
-    schema = _resolve_schema(args.data, args.schema)
-    batch, schema = load_csv(args.data, schema)
+    batch, schema = _load_labeled(args.data, args.schema)
     schema = fit_normalization(schema, batch)
     return normalize(batch, schema), schema
 
 
-def _run_training(batch, config: TrainConfig, k: int):
-    shape = NetworkShape(p=batch.p, k=k)
+def _run_training(batch, config: TrainConfig, shape: NetworkShape):
     prior = PriorConfig.standard(shape.K)
     q, report = train(batch, prior, shape, config)
     return Posterior(shape, q, prior), report
@@ -244,12 +257,19 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config_doc = _load_json(args.config, "config") if args.config else {}
-    with _keys_of(args.config, "config"):
-        config = _train_config_from(args, config_doc)
-        k = args.k if args.k is not None else json_field(config_doc, "k", int, _DEFAULT_K)
     batch, schema = _prepare_training_data(args)
-    post, report = _run_training(batch, config, k)
+    # the file is checked on its own, so that a bad flag is not blamed on it
+    config, shape = TrainConfig(), NetworkShape(p=batch.p, k=_DEFAULT_K)
+    if args.config:
+        doc = _load_json(args.config, "config")
+        with _keys_of(args.config, "config"):
+            # k sizes the network, not the training run
+            shape = NetworkShape(p=batch.p, k=json_field(doc, "k", int, _DEFAULT_K))
+            config = TrainConfig.from_json_dict({key: v for key, v in doc.items() if key != "k"})
+    config = _train_config_from(args, config)
+    if args.k is not None:
+        shape = NetworkShape(p=batch.p, k=args.k)
+    post, report = _run_training(batch, config, shape)
 
     os.makedirs(args.out, exist_ok=True)
     _atomic_write_json(
@@ -262,9 +282,10 @@ def cmd_train(args) -> int:
     _atomic_write_json(os.path.join(args.out, "summary.json"), report_summary(report))
 
     if report.diverged:
+        under = f" under config file {args.config!r}" if args.config else ""
         print(
             f"error: training diverged (non-finite estimate) at iteration "
-            f"{report.diverged_at}",
+            f"{report.diverged_at}{under}",
             file=sys.stderr,
         )
         return 1
@@ -278,7 +299,8 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     post, schema = _load_model(args.model)
-    x = _load_feature_rows(args.data, schema)
+    with _read_against(args.model, "model"):
+        x = _load_feature_rows(args.data, schema)
     x = normalize(LabeledBatch(x=x, y=np.zeros(x.shape[0], dtype=np.int64)), schema).x
     cfg = PredictiveConfig(M=args.M, seed=args.seed)
     probs = predictive_probabilities(post, x, cfg)
@@ -290,7 +312,8 @@ def cmd_predict(args) -> int:
 
 def cmd_evaluate(args) -> int:
     post, schema = _load_model(args.model)
-    batch, _ = load_csv(args.data, schema)
+    with _read_against(args.model, "model"):
+        batch, _ = load_csv(args.data, schema)
     batch = normalize(batch, schema)
     cfg = PredictiveConfig(M=args.M, seed=args.seed)
     doc = evaluation_dict(post, batch, cfg)
@@ -323,6 +346,13 @@ def _schedule_label(schedule: Schedule) -> str:
 
 
 def cmd_sweep(args) -> int:
+    batch, schema = _load_labeled(args.data, args.schema)
+    if batch.n < 2:  # before the grid's folds are checked against the rows
+        raise DataError(f"{args.data}: a sweep needs at least 2 rows, found {batch.n}")
+    flags = {"seed": args.seed}
+    if args.threads is not None:
+        flags["threads"] = args.threads
+    TrainConfig(**flags)  # checked before the grid, so that a bad flag is not blamed on it
     grid = _load_json(args.grid, "grid")
     with _keys_of(args.grid, "grid"):
         check_keys(grid, ("S", "schedule", "algo", "base", "k", "folds"), "a sweep grid")
@@ -330,31 +360,26 @@ def cmd_sweep(args) -> int:
         if not all(axes):
             raise ValueError("empty grid: S, schedule and algo must each be non-empty")
         base = json_field(grid, "base", dict, {})
-        k = json_field(grid, "k", int, _DEFAULT_K)
+        shape = NetworkShape(p=batch.p, k=json_field(grid, "k", int, _DEFAULT_K))
         folds = json_field(grid, "folds", int, 5)
         cells = []
         for S, sched_doc, algo in itertools.product(*axes):
-            doc = {**base, "S": S, "schedule": sched_doc, "algo": algo, "seed": args.seed}
-            if args.threads is not None:
-                doc["threads"] = args.threads
+            doc = {**base, "S": S, "schedule": sched_doc, "algo": algo, **flags}
             cells.append((algo, TrainConfig.from_json_dict(doc)))
-
-    schema = _resolve_schema(args.data, args.schema)
-    batch, schema = load_csv(args.data, schema)
-    pairs = split(batch, folds, args.seed)
+        pairs = split(batch, folds, args.seed)
 
     rows = []
     for algo, config in cells:
         accs, iters, wall = [], [], 0.0
         for fold, (train_part, test_part) in enumerate(pairs):
             fitted = fit_normalization(schema, train_part)
-            post, report = _run_training(normalize(train_part, fitted), config, k)
+            post, report = _run_training(normalize(train_part, fitted), config, shape)
             if report.diverged:
                 raise ValueError(
                     f"training diverged (non-finite estimate) at iteration "
                     f"{report.diverged_at} in cell S={config.S}, schedule "
                     f"{_schedule_label(config.schedule)}, algo {algo}, on fold {fold} "
-                    f"(folds 0-{folds - 1})"
+                    f"(folds 0-{folds - 1}) of grid file {args.grid!r}"
                 )
             cfg = PredictiveConfig(M=args.M, seed=config.seed)
             accs.append(test_accuracy(post, normalize(test_part, fitted), cfg))

@@ -94,7 +94,7 @@ class ColumnSchema:
         check_keys(doc, [f.name for f in fields(cls)], f"schema column {doc.get('name')!r}")
         stats = {key: json_field(doc, key, float) for key in ("mean", "sd", "min", "max")
                  if doc.get(key) is not None}
-        return cls(name=str(doc["name"]), kind=doc.get("kind", "numeric"),
+        return cls(name=json_field(doc, "name", str), kind=doc.get("kind", "numeric"),
                    normalization=doc.get("normalization", "none"), **stats)
 
 
@@ -225,24 +225,30 @@ def load_csv(path, schema: TableSchema | None = None) -> tuple[LabeledBatch, Tab
     return LabeledBatch(x=x, y=y.astype(np.int64)), schema
 
 
+# Rows that write_csv formats and writes at once, so its memory stays near
+# one block's strings whatever n is.
+_BLOCK_ROWS = 1024
+
+
 def write_csv(batch: LabeledBatch, path, schema: TableSchema | None = None) -> None:
-    """Write a batch back to CSV (full float precision) in schema column order."""
+    """Write a batch back to CSV (full float precision) in schema column order.
+
+    Features are written as ``repr`` floats and labels as 0/1, with CRLF line
+    ends, the bytes ``csv.writer`` gives row by row.  The rows are formatted
+    and written a block of ``_BLOCK_ROWS`` at a time; a float's ``repr`` holds
+    no comma, quote or line break, so only the header can need quoting.
+    """
     schema = schema or default_schema(batch.p)
     if schema.p != batch.p:
         raise SchemaError("schema width does not match batch width")
     label_idx = schema.label_index
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([c.name for c in schema.columns])
-        for i in range(batch.n):
-            row, j = [], 0
-            for idx in range(len(schema.columns)):
-                if idx == label_idx:
-                    row.append(int(batch.y[i]))
-                else:
-                    row.append(repr(float(batch.x[i, j])))
-                    j += 1
-            writer.writerow(row)
+        csv.writer(fh).writerow([c.name for c in schema.columns])
+        for start in range(0, batch.n, _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            cols = [map(repr, col) for col in batch.x[rows].T.tolist()]
+            cols.insert(label_idx, map(str, batch.y[rows].tolist()))
+            fh.writelines(",".join(cells) + "\r\n" for cells in zip(*cols))
 
 
 def fit_normalization(schema: TableSchema, batch: LabeledBatch) -> TableSchema:

@@ -299,7 +299,9 @@ def scores(
     row r of the output depends only on z[r] and x[r].  Nothing that could
     overflow is squared: the pre-activation standard deviation is a ``hypot``
     reduction, and the score's variance is summed in units of c^2, with c
-    the largest output-weight scale.
+    the largest output-weight scale.  A draw times a scale near the float
+    maximum can still overflow; that gives an infinite pre-activation
+    (tanh = +-1) or score (a saturated probability), so it is not reported.
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -318,17 +320,18 @@ def scores(
     var = np.full(z[:, 0].shape, (beta0_s / c) ** 2)  # in units of c^2
     # one hidden unit at a time, so every temporary is one (R, M) slice
     u, tmp = np.empty_like(out), np.empty_like(out)
-    for j in range(k):
-        np.multiply(z[:, 1 + j], sd[:, j, None], out=u)
-        u += loc[:, j, None]
-        np.tanh(u, out=u)
-        u += 1.0  # 2 w_j
-        out += np.multiply(u, half_m[j], out=tmp)
-        u *= half_s[j]
-        var += np.multiply(u, u, out=u)
-    np.sqrt(var, out=var)  # now the score's standard deviation over c
-    var *= c
-    var *= z[:, 0]
+    with np.errstate(over="ignore"):
+        for j in range(k):
+            np.multiply(z[:, 1 + j], sd[:, j, None], out=u)
+            u += loc[:, j, None]
+            np.tanh(u, out=u)
+            u += 1.0  # 2 w_j
+            out += np.multiply(u, half_m[j], out=tmp)
+            u *= half_s[j]
+            var += np.multiply(u, u, out=u)
+        np.sqrt(var, out=var)  # now the score's standard deviation over c
+        var *= c
+        var *= z[:, 0]
     out += var
     return out
 

@@ -176,10 +176,14 @@ class TrainConfig:
             raise ValueError("max_iters must be >= 1")
         if self.conv_window < 1:
             raise ValueError("conv_window must be >= 1")
-        if self.grad_clip is not None and self.grad_clip <= 0:
-            raise ValueError("grad_clip must be positive when given")
+        # a NaN bound would pass a "<= 0" test and make every clipped gradient NaN
+        if self.grad_clip is not None and not (math.isfinite(self.grad_clip)
+                                               and self.grad_clip > 0):
+            raise ValueError("grad_clip must be a positive finite number when given")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     def to_json_dict(self) -> dict:
         return {

@@ -1,7 +1,9 @@
 """End-to-end CLI behaviour: artifacts, exit codes, error messages."""
 
+import copy
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 from vbnn.cli import main
-from vbnn.data import load_csv, split, write_csv
+from vbnn.data import REFERENCE_TRUTH, load_csv, split, write_csv
 from vbnn.model import flatten
 from vbnn.prediction import PredictiveConfig, predictive_probabilities
 from vbnn.variational import Posterior, softplus_inverse
@@ -178,6 +180,33 @@ class TestTrain:
                      "--out", str(out)] + flags)
         assert code in (0, 2)
         assert read_json(out / "model.json")["config"]["schedule"] == expected
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_json_number_in_config_names_the_file(self, tmp_path, capsys, workdir,
+                                                      token):
+        # Python's json reads these tokens; a NaN grad_clip once ended in a
+        # NonFiniteGradientError traceback at iteration 0
+        cfg = tmp_path / "c.json"
+        cfg.write_text(f'{{"grad_clip": {token}, "max_iters": 5}}')
+        out = tmp_path / "fit"
+        code = main(["train", "--data", str(workdir["data"]), "--out", str(out),
+                     "--k", "3", "--config", str(cfg)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config file ") and "c.json" in err
+        assert f"{token} is not a number" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config", [None, {"max_iters": 5}], ids=["no-config", "config"])
+    def test_bad_flag_value_is_not_blamed_on_the_config(self, tmp_path, capsys, workdir,
+                                                        config):
+        argv = ["train", "--data", str(workdir["data"]), "--out", str(tmp_path / "m"),
+                "--S", "0"]
+        if config is not None:
+            (tmp_path / "c.json").write_text(json.dumps(config))
+            argv += ["--config", str(tmp_path / "c.json")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: S must be >= 1\n"
 
     def test_flags_of_two_schedule_kinds_are_rejected(self, tmp_path, capsys, workdir):
         out = tmp_path / "m"
@@ -456,6 +485,29 @@ class TestSweep:
         assert "S=20, schedule fixed(rho=0.01), algo bbvi, on fold 1" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [(["--seed", "-1"], "seed must be >= 0"),
+                                                (["--threads", "0"], "threads must be >= 1")])
+    def test_bad_flag_value_is_not_blamed_on_the_grid(self, tmp_path, capsys, workdir,
+                                                      flags, message):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(GRID))
+        code = main(["sweep", "--grid", str(grid), "--data", str(workdir["data"]),
+                     "--out", str(tmp_path / "s.csv")] + flags)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_too_few_rows_are_blamed_on_the_data(self, tmp_path, capsys):
+        data = tmp_path / "one.csv"
+        assert main(["synth", "--n", "1", "--out", str(data)]) == 0
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(GRID))
+        code = main(["sweep", "--grid", str(grid), "--data", str(data),
+                     "--out", str(tmp_path / "s.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "one.csv: a sweep needs at least 2 rows, found 1" in err
+        assert "grid.json" not in err
+
     def test_empty_grid_is_an_error(self, tmp_path, capsys, workdir):
         grid = tmp_path / "grid.json"
         grid.write_text("{}")
@@ -489,6 +541,38 @@ MODEL = {"shape": {"p": 2, "k": 2}, "prior": {"mu": [0.0] * 9, "zeta": [1.0] * 9
          "variational": {"m": [0.0] * 9, "r": [0.0] * 9},
          "schema": {"columns": [{"name": "x1"}, {"name": "x2"},
                                 {"name": "y", "kind": "label"}]}}
+
+
+# a valid training config that sets every key
+CONFIG = {"S": 6, "algo": "bbvi-cv", "max_iters": 3, "conv_window": 2, "grad_clip": 10.0,
+          "seed": 1, "threads": 1, "k": 2,
+          "schedule": {"kind": "rm", "rho0": 1.0, "b": 100.0, "c": 0.3}}
+
+# the values each field of a JSON input is set to in turn
+FUZZ_VALUES = [None, True, 0, -1, 1.5, 1e308, math.inf, math.nan, "", "x", [], [1], {},
+               {"a": 1}]
+
+
+def field_paths(doc, prefix=()):
+    """The key path of every value in doc, walking into objects and into
+    arrays of objects."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        path = (*prefix, key)
+        if isinstance(doc, dict):
+            yield path
+        if isinstance(value, dict) or (isinstance(value, list) and value
+                                       and all(isinstance(v, dict) for v in value)):
+            yield from field_paths(value, path)
+
+
+def with_field(doc, path, value):
+    doc = copy.deepcopy(doc)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
 
 
 class TestJsonInputs:
@@ -574,6 +658,26 @@ class TestJsonInputs:
         assert "in.json" in err and f"key '{key}' must be" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("use, doc, message", [
+        ("train-config", {"algo": "bbvi-x"}, "unknown algo 'bbvi-x'"),
+        ("train-config", {"schedule": {"kind": "exponential"}},
+         "unknown schedule kind 'exponential'"),
+        ("train-schema", {"columns": [{"name": "x1", "kind": ["numeric"]}, {"name": "x2"},
+                                      {"name": "y", "kind": "label"}]},
+         "unknown column kind ['numeric']"),
+        ("sweep-grid", {**GRID, "folds": 1}, "kfold needs at least 2 folds"),
+        ("sweep-grid", {**GRID, "k": 0}, "p and k must be >= 1"),
+    ], ids=["config-algo", "config-kind", "schema-kind", "grid-folds", "grid-k"])
+    def test_unknown_or_out_of_range_value_names_the_file(self, tmp_path, capsys, workdir,
+                                                           use, doc, message):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        code = main(json_input_argv(use, str(path), workdir, tmp_path))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "in.json" in err and message in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("use, doc, key", [
         ("sweep-grid", {**GRID, "fold": 3}, "fold"),
         ("sweep-grid", {**GRID, "base": {"max_iter": 15}}, "max_iter"),
@@ -597,6 +701,41 @@ class TestJsonInputs:
         assert err.startswith("error: ") and "in.json" in err
         assert "unknown key(s) for " in err and err.rstrip().endswith(f": {key}")
         assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize("use", ["predict-model", "train-config", "sweep-grid",
+                                     "train-schema", "diagnose-truth"])
+    def test_every_field_at_every_value_exits_cleanly(self, tmp_path, capsys, workdir, use):
+        # each field of a valid input set to each of FUZZ_VALUES: the command
+        # succeeds (exit 0, or 2 for a fit that ran out of iterations) or exits
+        # 1 naming the file; it never raises
+        valid = {
+            "predict-model": lambda: read_json(workdir["model"]),
+            "train-config": lambda: CONFIG,
+            "sweep-grid": lambda: {**GRID, "base": {"max_iters": 2}},
+            "train-schema": lambda: read_json(str(workdir["data"]) + ".schema.json"),
+            "diagnose-truth": REFERENCE_TRUTH.to_json_dict,
+        }[use]()
+        # few draws and iterations, to keep the whole sweep fast
+        fast = {"predict-model": ["--M", "5"], "sweep-grid": ["--M", "5"],
+                "diagnose-truth": ["--M", "5", "--n-mc", "50"],
+                "train-schema": ["--max-iters", "3", "--S", "4", "--k", "2"]}.get(use, [])
+        path = tmp_path / "in.json"
+        argv = json_input_argv(use, str(path), workdir, tmp_path) + fast
+        failures = []
+        for field in field_paths(valid):
+            for value in FUZZ_VALUES:
+                path.write_text(json.dumps(with_field(valid, field, value)))
+                try:
+                    code = main(argv)
+                except Exception as exc:  # any exception is a failure
+                    code, err = "raised", repr(exc)
+                else:
+                    err = capsys.readouterr().err
+                if code not in (0, 2) and not (code == 1 and err.startswith("error: ")
+                                               and "in.json" in err):
+                    failures.append(f"{'.'.join(map(str, field))}={value!r}: {code} {err}")
+        assert not failures, "\n".join(failures)
 
 
 class TestLogging:

@@ -1,5 +1,6 @@
 """CSV IO, schemas, normalization, splits and the synthetic generator."""
 
+import csv
 import hashlib
 import json
 import math
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vbnn.data import (
+    _BLOCK_ROWS,
     REFERENCE_TRUTH,
     ColumnSchema,
     DataError,
@@ -115,7 +117,57 @@ class TestLoadCsv:
         assert batch.n == 0 and batch.p == 2
 
 
+def reference_write_csv(batch, path, schema):
+    """The row-at-a-time writer that write_csv's bytes must match."""
+    label_idx = schema.label_index
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([c.name for c in schema.columns])
+        for i in range(batch.n):
+            row, j = [], 0
+            for idx in range(len(schema.columns)):
+                if idx == label_idx:
+                    row.append(int(batch.y[i]))
+                else:
+                    row.append(repr(float(batch.x[i, j])))
+                    j += 1
+            writer.writerow(row)
+
+
+def schema_with_label_at(p, label_idx, names=None):
+    names = names or [f"x{j + 1}" for j in range(p)]
+    cols = [ColumnSchema(name=name) for name in names]
+    cols.insert(label_idx, ColumnSchema(name="y", kind="label"))
+    return TableSchema(columns=tuple(cols))
+
+
 class TestWriteCsv:
+    @pytest.mark.parametrize("n", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                   2 * _BLOCK_ROWS + 3])
+    @pytest.mark.parametrize("p, label_idx", [(3, 0), (3, 2), (3, 3), (1, 0), (1, 1)],
+                             ids=["first", "middle", "last", "p1-first", "p1-last"])
+    def test_bytes_match_the_row_at_a_time_writer(self, tmp_path, rng, n, p, label_idx):
+        x = rng.normal(0, 10, (n, p))
+        # extreme values where repr differs most from short formats
+        special = [-0.0, 5e-324, 1e-300, 1.7976931348623157e308, -1.7976931348623157e308]
+        x.flat[:len(special)] = special[:x.size]
+        batch = LabeledBatch(x=x, y=rng.integers(0, 2, n))
+        schema = schema_with_label_at(p, label_idx)
+        write_csv(batch, tmp_path / "blocks.csv", schema)
+        reference_write_csv(batch, tmp_path / "rows.csv", schema)
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    def test_header_name_that_needs_quoting(self, tmp_path, rng):
+        batch = LabeledBatch(x=rng.normal(size=(5, 2)), y=rng.integers(0, 2, 5))
+        schema = schema_with_label_at(2, 0, names=['a,"b"', "c d"])
+        write_csv(batch, tmp_path / "blocks.csv", schema)
+        reference_write_csv(batch, tmp_path / "rows.csv", schema)
+        written = (tmp_path / "blocks.csv").read_bytes()
+        assert written == (tmp_path / "rows.csv").read_bytes()
+        assert written.startswith(b'y,"a,""b""",c d\r\n')
+        back, _ = load_csv(tmp_path / "blocks.csv", schema=schema)
+        np.testing.assert_array_equal(back.x, batch.x)
+
     def test_round_trip_is_bit_identical(self, tmp_path, rng):
         batch = LabeledBatch(x=rng.normal(0, 10, (20, 3)),
                              y=rng.integers(0, 2, 20))

@@ -130,6 +130,16 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="unknown algo"):
             TrainConfig.from_json_dict({"algo": "sgd"})
 
+    @pytest.mark.parametrize("clip", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_grad_clip_must_be_positive_and_finite(self, clip):
+        # a NaN bound would clip every gradient coordinate to NaN
+        with pytest.raises(ValueError, match="grad_clip must be a positive finite number"):
+            TrainConfig(grad_clip=clip)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            TrainConfig(seed=-1)
+
     @pytest.mark.parametrize("doc", [{"S": 20.9}, {"seed": True}, {"max_iters": "100"},
                                      {"conv_window": 5.5}, {"threads": False}])
     def test_integer_fields_reject_non_integers(self, doc):

@@ -3,6 +3,7 @@
 import csv
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -143,6 +144,20 @@ class TestPredictiveProbability:
                                            raw_scale=np.zeros(BENCH_SHAPE.K)))
         probs = predictive_probabilities(post, rng.uniform(0, 1, (40, 2)),
                                          PredictiveConfig(M=30, seed=0))
+        assert np.all((probs >= 0) & (probs <= 1))
+
+    @pytest.mark.parametrize("field", ["mean", "raw_scale"])
+    @pytest.mark.parametrize("coord", range(BENCH_SHAPE.K))
+    def test_huge_finite_coordinate_warns_nothing(self, rng, field, coord):
+        # a draw times a scale of 1e308 overflows to an infinite score, which
+        # is a saturated probability, not an error
+        q = {"mean": np.zeros(BENCH_SHAPE.K), "raw_scale": np.zeros(BENCH_SHAPE.K)}
+        q[field][coord] = 1e308
+        post = posterior(VariationalParams(**q))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            probs = predictive_probabilities(post, rng.uniform(0, 1, (20, 2)),
+                                             PredictiveConfig(M=50, seed=0))
         assert np.all((probs >= 0) & (probs <= 1))
 
     @pytest.mark.parametrize("p", [1, 4])
