@@ -5,8 +5,8 @@ is written to a temporary file in the destination directory and atomically
 renamed, so a failing command never leaves a partial artifact behind.
 
 Exit codes: 0 success (training converged), 2 training hit max_iters without
-converging, 1 any error.  Warnings and errors are logged to stderr;
-VBNN_LOG={error,info,debug} sets another level.
+converging, 1 any error, a usage error included.  Warnings and errors are
+logged to stderr; VBNN_LOG={error,info,debug} sets another level.
 """
 
 from __future__ import annotations
@@ -75,8 +75,11 @@ _DEFAULT_K = 10
 
 def _atomic_write(path: str, writer) -> None:
     """Run ``writer(tmp_path)`` then atomically rename over ``path``."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.", suffix=".part")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".tmp.", suffix=".part")
+    except OSError as exc:  # name the destination, not the temporary file
+        raise type(exc)(exc.errno, exc.strerror, path) from None
     os.close(fd)
     try:
         writer(tmp)
@@ -229,12 +232,6 @@ def _train_config_from(args, config: TrainConfig) -> TrainConfig:
     return TrainConfig.from_json_dict(doc)
 
 
-def _prepare_training_data(args) -> tuple[LabeledBatch, TableSchema]:
-    batch, schema = _load_labeled(args.data, args.schema)
-    schema = fit_normalization(schema, batch)
-    return normalize(batch, schema), schema
-
-
 def _run_training(batch, config: TrainConfig, shape: NetworkShape):
     prior = PriorConfig.standard(shape.K)
     q, report = train(batch, prior, shape, config)
@@ -257,7 +254,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    batch, schema = _prepare_training_data(args)
+    batch, schema = _load_labeled(args.data, args.schema)
+    schema = fit_normalization(schema, batch)
+    batch = normalize(batch, schema)
     # the file is checked on its own, so that a bad flag is not blamed on it
     config, shape = TrainConfig(), NetworkShape(p=batch.p, k=_DEFAULT_K)
     if args.config:
@@ -397,14 +396,8 @@ def cmd_sweep(args) -> int:
                 "wall_time_s": wall,
             }
         )
-        logger.info(
-            "cell S=%s %s %s: accuracy %.4f +/- %.4f",
-            S,
-            rows[-1]["schedule"],
-            algo,
-            rows[-1]["accuracy_mean"],
-            rows[-1]["accuracy_sd"],
-        )
+        logger.info("cell S=%s %s %s: accuracy %.4f +/- %.4f", config.S, rows[-1]["schedule"],
+                    algo, rows[-1]["accuracy_mean"], rows[-1]["accuracy_sd"])
 
     def write(tmp):
         with open(tmp, "w", newline="") as fh:
@@ -512,8 +505,10 @@ def main(argv=None) -> int:
     if level and level not in _LOG_LEVELS:
         logger.error("unknown VBNN_LOG level %r, logging warnings and errors", level)
 
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's exit 2 for a usage error means max_iters here
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except (ValueError, OSError, KeyError) as exc:

@@ -30,9 +30,7 @@ __all__ = [
     "write_csv",
     "fit_normalization",
     "normalize",
-    "minmax_out_of_range_count",
     "split",
-    "batch_take",
     "generate_synthetic",
     "REFERENCE_TRUTH",
 ]
@@ -283,31 +281,19 @@ def normalize(batch: LabeledBatch, schema: TableSchema) -> LabeledBatch:
     if schema.p != batch.p:
         raise SchemaError("schema width does not match batch width")
     x = batch.x.copy()
+    outside = 0
     for j, col in enumerate(schema.feature_columns):
         if col.normalization == "zscore":
             x[:, j] = (x[:, j] - col.mean) / col.sd
         elif col.normalization == "minmax01":
+            outside += int(np.sum((x[:, j] < col.min) | (x[:, j] > col.max)))
             x[:, j] = (x[:, j] - col.min) / (col.max - col.min)
-    outside = minmax_out_of_range_count(batch, schema)
     if outside:
         logger.warning(
             "%d value(s) fell outside the fitted minmax range and map outside [0,1]",
             outside,
         )
     return LabeledBatch(x=x, y=batch.y)
-
-
-def minmax_out_of_range_count(batch: LabeledBatch, schema: TableSchema) -> int:
-    """How many raw cells a minmax01 transform would push outside [0,1]."""
-    count = 0
-    for j, col in enumerate(schema.feature_columns):
-        if col.normalization == "minmax01" and col.fitted:
-            count += int(np.sum((batch.x[:, j] < col.min) | (batch.x[:, j] > col.max)))
-    return count
-
-
-def batch_take(batch: LabeledBatch, idx: np.ndarray) -> LabeledBatch:
-    return LabeledBatch(x=batch.x[idx], y=batch.y[idx])
 
 
 def split(batch: LabeledBatch, folds: int, seed: int) -> list[tuple[LabeledBatch, LabeledBatch]]:
@@ -328,11 +314,12 @@ def split(batch: LabeledBatch, folds: int, seed: int) -> list[tuple[LabeledBatch
     pairs = []
     for i, test_idx in enumerate(parts):
         train_idx = np.concatenate([parts[j] for j in range(folds) if j != i])
-        pairs.append((batch_take(batch, train_idx), batch_take(batch, test_idx)))
+        pairs.append((LabeledBatch(x=batch.x[train_idx], y=batch.y[train_idx]),
+                      LabeledBatch(x=batch.x[test_idx], y=batch.y[test_idx])))
     return pairs
 
 
-def generate_synthetic(truth: TrueFunction, n: int, seed) -> LabeledBatch:
+def generate_synthetic(truth: TrueFunction, n: int, seed: int) -> LabeledBatch:
     """Draw x ~ U[0,1]^p and y ~ Bernoulli(sigmoid(eta0(x))), fully seeded.
 
     The generator makes exactly two draws (features, then label uniforms),
@@ -340,6 +327,8 @@ def generate_synthetic(truth: TrueFunction, n: int, seed) -> LabeledBatch:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     x = rng.random((n, truth.p))
     probs = sigmoid(truth(x))

@@ -77,6 +77,8 @@ class IntegrationConfig:
     def __post_init__(self) -> None:
         if self.n_mc < 2:
             raise ValueError("n_mc must be >= 2")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -12,14 +12,14 @@ are exact inverses of each other.
 
 Every score comes from one of two kernels with the same hidden-unit
 arithmetic.  :func:`scores_many` scores S parameter vectors on every row of
-x in an (S, k, n) layout; the single-network functions wrap it.  Row s of its
-output depends only on parameter row s, so any contiguous split of the rows
-is byte-identical.  :func:`scores` scores posterior-predictive draws at each
-row of x from k+1 normals per draw: the exact Gaussian marginals of the
-hidden pre-activations, then the exact Gaussian law of the score given the
-hidden units.  Its row r depends only on that row's normals and x[r].
-Hidden units use sigmoid(z) = 0.5 + 0.5*tanh(z/2), exact to a few ulps in
-absolute terms; output probabilities (``sigmoid``) and the likelihood
+x in an (S, k, n) layout, and :func:`batch_scores` wraps it for one network.
+Row s of its output depends only on parameter row s, so any contiguous split
+of the rows is byte-identical.  :func:`scores` scores posterior-predictive
+draws at each row of x from k+1 normals per draw: the exact Gaussian
+marginals of the hidden pre-activations, then the exact Gaussian law of the
+score given the hidden units.  Its row r depends only on that row's normals
+and x[r].  Hidden units use sigmoid(z) = 0.5 + 0.5*tanh(z/2), exact to a few
+ulps in absolute terms; output probabilities (``sigmoid``) and the likelihood
 (``softplus``) stay tail-exact.
 
 Everything here is pure and side-effect free, so the functions are safe to
@@ -48,14 +48,11 @@ __all__ = [
     "flatten",
     "unflatten",
     "unflatten_many",
-    "forward_score",
     "batch_scores",
     "scores_many",
     "scores",
-    "log_sigmoid_likelihood",
     "log_likelihood_many",
     "log_prior",
-    "log_joint",
     "log_joint_many",
     "normal_logpdf_total",
     "network_to_json_dict",
@@ -341,11 +338,6 @@ def batch_scores(theta: NetworkParams, x: np.ndarray) -> np.ndarray:
     return scores_many(flatten(theta)[None], x, theta.shape)[0]
 
 
-def forward_score(theta: NetworkParams, x: np.ndarray) -> float:
-    """Network score for a single point x of shape (p,)."""
-    return float(batch_scores(theta, np.asarray(x, dtype=float)[None])[0])
-
-
 def log_likelihood_many(
     thetas: np.ndarray, batch: LabeledBatch, shape: NetworkShape
 ) -> np.ndarray:
@@ -362,11 +354,6 @@ def log_likelihood_many(
     return -softplus(z).sum(axis=1)
 
 
-def log_sigmoid_likelihood(theta: NetworkParams, batch: LabeledBatch) -> float:
-    """Bernoulli log-likelihood of one network; see :func:`log_likelihood_many`."""
-    return float(log_likelihood_many(flatten(theta)[None], batch, theta.shape)[0])
-
-
 def normal_logpdf_total(x, mean, sd) -> np.ndarray:
     """Sum of independent Normal log-densities along the last axis."""
     x = np.asarray(x, dtype=float)
@@ -374,24 +361,18 @@ def normal_logpdf_total(x, mean, sd) -> np.ndarray:
     return -0.5 * np.sum(z * z + np.log(2.0 * np.pi) + 2.0 * np.log(sd), axis=-1)
 
 
-def log_prior(theta, prior: PriorConfig):
-    """Gaussian prior log-density; accepts NetworkParams or flat (..., K) arrays."""
-    flat = flatten(theta) if isinstance(theta, NetworkParams) else np.asarray(theta, dtype=float)
-    if flat.shape[-1] != prior.K:
+def log_prior(thetas: np.ndarray, prior: PriorConfig):
+    """Gaussian prior log-density of flat (..., K) parameter vectors."""
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.shape[-1] != prior.K:
         raise ShapeMismatchError("parameter length does not match prior length")
-    out = normal_logpdf_total(flat, prior.mu, prior.zeta)
-    return float(out) if flat.ndim == 1 else out
-
-
-def log_joint(theta: NetworkParams, batch: LabeledBatch, prior: PriorConfig) -> float:
-    """log p(y | theta, x) + log p(theta); the unnormalized posterior density."""
-    return float(log_joint_many(flatten(theta)[None], batch, prior, theta.shape)[0])
+    return normal_logpdf_total(thetas, prior.mu, prior.zeta)
 
 
 def log_joint_many(
     thetas: np.ndarray, batch: LabeledBatch, prior: PriorConfig, shape: NetworkShape
 ) -> np.ndarray:
-    """Log joint density of the batch under each of S flat parameter vectors."""
+    """Unnormalized log posterior log p(y | theta, x) + log p(theta) of S flat vectors."""
     return log_likelihood_many(thetas, batch, shape) + log_prior(np.atleast_2d(thetas), prior)
 
 

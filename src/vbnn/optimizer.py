@@ -222,18 +222,24 @@ class TrainReport:
     elbo_trace: np.ndarray
     grad_var_trace: np.ndarray
     rho_trace: np.ndarray
-    iterations_run: int
     converged: bool
     wall_time: float
-    diverged: bool = False
     diverged_at: int | None = None
 
     def __post_init__(self) -> None:
         for name in ("elbo_trace", "grad_var_trace", "rho_trace"):
             arr = np.asarray(getattr(self, name), dtype=float)
             object.__setattr__(self, name, arr)
-            if arr.shape != (self.iterations_run,):
-                raise ValueError(f"{name} must have one entry per iteration run")
+            if arr.shape != self.elbo_trace.shape or arr.ndim != 1:
+                raise ValueError("the three traces must be 1-d and of equal length")
+
+    @property
+    def iterations_run(self) -> int:
+        return len(self.elbo_trace)
+
+    @property
+    def diverged(self) -> bool:
+        return self.diverged_at is not None
 
 
 def _log_joint_split(
@@ -269,10 +275,6 @@ def _log_joint_split(
         with ThreadPoolExecutor(max_workers=blocks) as own:
             list(own.map(run, range(blocks)))
     return out
-
-
-def _resolve_shape(q: VariationalParams, batch: LabeledBatch) -> NetworkShape:
-    return shape_for(q.K, batch.p)
 
 
 def _iterate(
@@ -312,7 +314,7 @@ def estimate_elbo(
     threads: int = 1,
 ) -> float:
     """Monte Carlo ELBO estimate mean_i [log p(y, theta[i]) - log q(theta[i])]."""
-    return _iterate(q, batch, prior, _resolve_shape(q, batch), draws, None, threads)[0]
+    return _iterate(q, batch, prior, shape_for(q.K, batch.p), draws, None, threads)[0]
 
 
 def estimate_gradient(
@@ -323,7 +325,7 @@ def estimate_gradient(
     threads: int = 1,
 ) -> np.ndarray:
     """Plain score-function gradient estimate over (m, r); returns (2K,)."""
-    _, rows = _iterate(q, batch, prior, _resolve_shape(q, batch), draws, False, threads)
+    _, rows = _iterate(q, batch, prior, shape_for(q.K, batch.p), draws, False, threads)
     return rows.mean(axis=0)
 
 
@@ -357,7 +359,7 @@ def estimate_gradient_cv(
 ) -> np.ndarray:
     """Control-variate gradient estimate mean_i [u[i] - a_hat * v[i]] with the
     in-sample coefficients a_hat of :func:`control_variate_coefficients`."""
-    _, rows = _iterate(q, batch, prior, _resolve_shape(q, batch), draws, True, threads)
+    _, rows = _iterate(q, batch, prior, shape_for(q.K, batch.p), draws, True, threads)
     return rows.mean(axis=0)
 
 
@@ -403,7 +405,6 @@ def train(
     gvars: list[float] = []
     rhos: list[float] = []
     converged = False
-    diverged = False
     diverged_at: int | None = None
     w = config.conv_window
 
@@ -421,7 +422,7 @@ def train(
                 grad = rows.mean(axis=0)
                 gvar = float(np.mean(np.var(rows, axis=0, ddof=1))) if config.S > 1 else 0.0
             if not (np.isfinite(elbo_t) and np.all(np.isfinite(grad))):
-                diverged, diverged_at = True, t
+                diverged_at = t
                 break
             elbos.append(elbo_t)
             gvars.append(gvar)
@@ -440,17 +441,15 @@ def train(
                     q = step(q, grad, t, config.schedule)
             except ValueError:
                 # the update itself overflowed; keep the last healthy iterate
-                diverged, diverged_at = True, t
+                diverged_at = t
                 break
 
     report = TrainReport(
         elbo_trace=np.asarray(elbos),
         grad_var_trace=np.asarray(gvars),
         rho_trace=np.asarray(rhos),
-        iterations_run=len(elbos),
         converged=converged,
         wall_time=time.perf_counter() - start,
-        diverged=diverged,
         diverged_at=diverged_at,
     )
     return q, report

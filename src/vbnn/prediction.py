@@ -50,6 +50,8 @@ class PredictiveConfig:
     def __post_init__(self) -> None:
         if self.M < 1:
             raise ValueError("M must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 # Rows are served in blocks whose normals fill about 0.5 MB (at least one

@@ -508,6 +508,16 @@ class TestSweep:
         assert "one.csv: a sweep needs at least 2 rows, found 1" in err
         assert "grid.json" not in err
 
+    def test_info_line_names_each_cells_own_S(self, tmp_path, caplog, workdir):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({**GRID, "S": [6, 8], "base": {"max_iters": 2}}))
+        with caplog.at_level("INFO", logger="vbnn"):
+            code = main(["sweep", "--grid", str(grid), "--data", str(workdir["data"]),
+                         "--out", str(tmp_path / "s.csv"), "--M", "5"])
+        assert code == 0
+        cells = [r.getMessage() for r in caplog.records if r.getMessage().startswith("cell ")]
+        assert [line.split()[1] for line in cells] == ["S=6", "S=8"]
+
     def test_empty_grid_is_an_error(self, tmp_path, capsys, workdir):
         grid = tmp_path / "grid.json"
         grid.write_text("{}")
@@ -515,6 +525,35 @@ class TestSweep:
                      "--out", str(tmp_path / "s.csv")])
         assert code == 1
         assert "empty grid" in capsys.readouterr().err
+
+
+class TestUsage:
+    def test_usage_error_exits_one(self, capsys):
+        # exit 2 means "training hit max_iters", so a usage error must not use it
+        assert main(["train", "--data", "x.csv", "--S", "abc"]) == 1
+        assert "invalid int value: 'abc'" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: vbnn")
+
+    @pytest.mark.parametrize("command", ["synth", "predict", "evaluate", "diagnose"])
+    def test_negative_seed_is_named(self, tmp_path, capsys, workdir, command):
+        data, model, out = str(workdir["data"]), str(workdir["model"]), str(tmp_path / "out")
+        argv = {"synth": ["synth", "--n", "5", "--out", out],
+                "predict": ["predict", "--model", model, "--data", data, "--out", out],
+                "evaluate": ["evaluate", "--model", model, "--data", data, "--out", out],
+                "diagnose": ["diagnose", "--model", model, "--truth", "reference",
+                             "--out", out]}[command]
+        assert main(argv + ["--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+        assert not os.path.exists(out)
+
+    def test_missing_output_directory_names_the_output(self, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "d.csv"
+        assert main(["synth", "--n", "5", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.rstrip().endswith(f"{str(out)!r}")
 
 
 def json_input_argv(use, path, workdir, tmp_path):

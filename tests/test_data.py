@@ -17,12 +17,10 @@ from vbnn.data import (
     DataError,
     SchemaError,
     TableSchema,
-    batch_take,
     default_schema,
     fit_normalization,
     generate_synthetic,
     load_csv,
-    minmax_out_of_range_count,
     normalize,
     split,
     write_csv,
@@ -226,7 +224,6 @@ class TestNormalization:
         fitted = fit_normalization(self.schema(), train)
         fresh = LabeledBatch(x=np.array([[5.0, 9.0], [5.0, 25.0], [5.0, 15.0]]),
                              y=np.array([0, 1, 0]))
-        assert minmax_out_of_range_count(fresh, fitted) == 2
         with caplog.at_level("WARNING", logger="vbnn.data"):
             out = normalize(fresh, fitted)
         assert "2 value(s)" in caplog.text
@@ -301,11 +298,15 @@ class TestSplit:
         with pytest.raises(ValueError, match="folds"):
             split(self.make(3, rng), 5, 0)
 
-    def test_batch_take(self, rng):
-        batch = self.make(6, rng)
-        sub = batch_take(batch, np.array([4, 0]))
-        np.testing.assert_array_equal(sub.x, batch.x[[4, 0]])
-        np.testing.assert_array_equal(sub.y, batch.y[[4, 0]])
+    def test_folds_keep_each_row_with_its_label(self, rng):
+        # column 0 holds the row index, so each fold's rows can be looked up
+        batch = LabeledBatch(x=np.column_stack([np.arange(6.0), rng.uniform(0, 1, 6)]),
+                             y=rng.integers(0, 2, 6))
+        for train, test in split(batch, 3, 0):
+            for part in (train, test):
+                rows = part.x[:, 0].astype(int)
+                np.testing.assert_array_equal(part.x, batch.x[rows])
+                np.testing.assert_array_equal(part.y, batch.y[rows])
 
 
 class TestGenerateSynthetic:

@@ -22,12 +22,9 @@ from vbnn.model import (
     ShapeMismatchError,
     batch_scores,
     flatten,
-    forward_score,
-    log_joint,
     log_joint_many,
     log_likelihood_many,
     log_prior,
-    log_sigmoid_likelihood,
     network_from_json_dict,
     network_to_json_dict,
     scores,
@@ -59,26 +56,26 @@ class TestForwardScore:
     def test_all_zero_parameters_give_zero_score(self):
         theta = NetworkParams(beta0=0.0, beta=np.zeros(3), gamma0=np.zeros(3),
                               gamma=np.zeros((3, 2)))
-        assert forward_score(theta, np.array([0.3, 0.7])) == 0.0
+        assert batch_scores(theta, np.array([[0.3, 0.7]]))[0] == 0.0
 
     def test_single_node_at_activation_midpoint(self):
         # beta0=0, beta=2, inactive hidden input => 2 * sigmoid(0) = 1
         theta = NetworkParams(beta0=0.0, beta=np.array([2.0]),
                               gamma0=np.array([0.0]), gamma=np.array([[0.0]]))
-        assert forward_score(theta, np.array([0.0])) == pytest.approx(1.0, abs=1e-15)
+        assert batch_scores(theta, np.array([[0.0]]))[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_matches_scalar_oracle(self, rng, random_theta):
         for _ in range(10):
             theta = random_theta(BENCH_SHAPE)
             x = rng.uniform(0, 1, BENCH_SHAPE.p)
-            assert forward_score(theta, x) == pytest.approx(
+            assert batch_scores(theta, x[None])[0] == pytest.approx(
                 scalar_forward_oracle(theta, x), rel=1e-12
             )
 
     def test_batch_scores_match_rowwise_forward(self, rng, random_theta):
         theta = random_theta(BENCH_SHAPE)
         x = rng.uniform(0, 1, (20, 2))
-        expected = np.array([forward_score(theta, row) for row in x])
+        expected = np.array([batch_scores(theta, row[None])[0] for row in x])
         np.testing.assert_allclose(batch_scores(theta, x), expected, rtol=1e-12)
 
     def test_scores_many_matches_per_sample_batch_scores(self, rng, random_theta):
@@ -104,9 +101,10 @@ class TestForwardScore:
 
     def test_single_point_width_mismatch_raises(self, random_theta):
         theta = random_theta(BENCH_SHAPE)
-        for x in (np.zeros(3), np.zeros(1), np.zeros((1, 2))):
+        # one point of the wrong width, or the right width but not one row of an (n, p) x
+        for x in (np.zeros((1, 3)), np.zeros((1, 1)), np.zeros(2), np.zeros((1, 1, 2))):
             with pytest.raises(ShapeMismatchError):
-                forward_score(theta, x)
+                batch_scores(theta, x)
 
     @pytest.mark.parametrize("pre", [40.0, 800.0])
     def test_saturated_hidden_units_match_oracle(self, rng, pre):
@@ -119,10 +117,11 @@ class TestForwardScore:
         scores = batch_scores(theta, x)
         assert np.all(np.isfinite(scores))
         for row, score in zip(x, scores):
-            assert abs(score - scalar_forward_oracle(theta, row)) <= tol
-            assert abs(forward_score(theta, row) - scalar_forward_oracle(theta, row)) <= tol
+            oracle = scalar_forward_oracle(theta, row)
+            assert abs(score - oracle) <= tol
+            assert abs(batch_scores(theta, row[None])[0] - oracle) <= tol
         batch = LabeledBatch(x=x, y=np.arange(9) % 2)
-        assert np.isfinite(log_sigmoid_likelihood(theta, batch))
+        assert np.isfinite(log_likelihood_many(flatten(theta)[None], batch, theta.shape)[0])
 
 
 class TestKernelRows:
@@ -250,7 +249,7 @@ class TestLikelihood:
         theta = NetworkParams(beta0=0.0, beta=np.zeros(1), gamma0=np.zeros(1),
                               gamma=np.zeros((1, 1)))
         batch = LabeledBatch(x=np.linspace(0, 1, 4)[:, None], y=np.array([0, 1, 1, 0]))
-        assert log_sigmoid_likelihood(theta, batch) == pytest.approx(
+        assert log_likelihood_many(flatten(theta)[None], batch, theta.shape)[0] == pytest.approx(
             -4 * math.log(2), abs=1e-14
         )
 
@@ -262,7 +261,7 @@ class TestLikelihood:
         theta = NetworkParams(beta0=50.0, beta=np.zeros(1), gamma0=np.zeros(1),
                               gamma=np.zeros((1, 1)))
         batch = LabeledBatch(x=np.array([[0.5]]), y=np.array([1]))
-        got = log_sigmoid_likelihood(theta, batch)
+        got = log_likelihood_many(flatten(theta)[None], batch, theta.shape)[0]
         assert got != 0.0
         assert got == pytest.approx(exact, rel=1e-12)
 
@@ -274,27 +273,29 @@ class TestLikelihood:
         for i in range(10):
             prob = 1.0 / (1.0 + math.exp(-scalar_forward_oracle(theta, batch.x[i])))
             expected += math.log(prob if batch.y[i] == 1 else 1.0 - prob)
-        assert log_sigmoid_likelihood(theta, batch) == pytest.approx(expected, rel=1e-10)
+        got = log_likelihood_many(flatten(theta)[None], batch, BENCH_SHAPE)[0]
+        assert got == pytest.approx(expected, rel=1e-10)
 
     def test_empty_batch_contributes_exactly_zero(self, random_theta):
         theta = random_theta(BENCH_SHAPE)
         batch = LabeledBatch(x=np.empty((0, 2)), y=np.empty(0, dtype=int))
-        assert log_sigmoid_likelihood(theta, batch) == 0.0
+        assert log_likelihood_many(flatten(theta)[None], batch, BENCH_SHAPE)[0] == 0.0
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_never_positive(self, seed):
         rng = np.random.default_rng(seed)
-        theta = unflatten(rng.normal(0, 3, TOY_SHAPE.K), TOY_SHAPE)
+        thetas = rng.normal(0, 3, (1, TOY_SHAPE.K))
         batch = LabeledBatch(x=rng.uniform(0, 1, (5, 1)), y=rng.integers(0, 2, 5))
-        assert log_sigmoid_likelihood(theta, batch) <= 0.0
+        assert log_likelihood_many(thetas, batch, TOY_SHAPE)[0] <= 0.0
 
     def test_many_variant_agrees_with_scalar(self, rng, random_theta):
+        # the stacked call against one call per parameter row
         thetas = np.stack([flatten(random_theta(BENCH_SHAPE)) for _ in range(5)])
         batch = LabeledBatch(x=rng.uniform(0, 1, (8, 2)), y=rng.integers(0, 2, 8))
         got = log_likelihood_many(thetas, batch, BENCH_SHAPE)
         for i in range(5):
-            expected = log_sigmoid_likelihood(unflatten(thetas[i], BENCH_SHAPE), batch)
+            expected = log_likelihood_many(thetas[i : i + 1], batch, BENCH_SHAPE)[0]
             assert got[i] == pytest.approx(expected, rel=1e-12)
 
 
@@ -324,26 +325,19 @@ class TestPriorAndJoint:
         theta = random_theta(BENCH_SHAPE)
         prior = PriorConfig.standard(BENCH_SHAPE.K)
         batch = LabeledBatch(x=rng.uniform(0, 1, (6, 2)), y=rng.integers(0, 2, 6))
-        lhs = log_joint(theta, batch, prior)
-        rhs = log_sigmoid_likelihood(theta, batch) + log_prior(theta, prior)
+        thetas = flatten(theta)[None]
+        lhs = log_joint_many(thetas, batch, prior, BENCH_SHAPE)[0]
+        rhs = log_likelihood_many(thetas, batch, BENCH_SHAPE)[0] + log_prior(thetas[0], prior)
         assert lhs == pytest.approx(rhs, rel=1e-14)
 
     def test_joint_of_empty_batch_is_the_prior(self, random_theta):
         theta = random_theta(BENCH_SHAPE)
         prior = PriorConfig.standard(BENCH_SHAPE.K)
         batch = LabeledBatch(x=np.empty((0, 2)), y=np.empty(0, dtype=int))
-        assert log_joint(theta, batch, prior) == pytest.approx(
-            log_prior(theta, prior), rel=1e-14
+        flat = flatten(theta)
+        assert log_joint_many(flat[None], batch, prior, BENCH_SHAPE)[0] == pytest.approx(
+            log_prior(flat, prior), rel=1e-14
         )
-
-    def test_joint_many_matches_scalar_joint(self, rng, random_theta):
-        thetas = np.stack([flatten(random_theta(BENCH_SHAPE)) for _ in range(4)])
-        prior = PriorConfig.standard(BENCH_SHAPE.K)
-        batch = LabeledBatch(x=rng.uniform(0, 1, (7, 2)), y=rng.integers(0, 2, 7))
-        got = log_joint_many(thetas, batch, prior, BENCH_SHAPE)
-        for i in range(4):
-            expected = log_joint(unflatten(thetas[i], BENCH_SHAPE), batch, prior)
-            assert got[i] == pytest.approx(expected, rel=1e-12)
 
 
 class TestFlattening:

@@ -455,15 +455,14 @@ class TestReport:
     def test_trace_lengths_are_enforced(self):
         with pytest.raises(ValueError):
             TrainReport(elbo_trace=np.zeros(3), grad_var_trace=np.zeros(2),
-                        rho_trace=np.zeros(3), iterations_run=3, converged=True,
-                        wall_time=0.1)
+                        rho_trace=np.zeros(3), converged=True, wall_time=0.1)
 
     def test_csv_round_trips_full_precision(self, tmp_path):
         report = TrainReport(
             elbo_trace=np.array([-1.234567890123456789, -0.5]),
             grad_var_trace=np.array([3.3333333333333335e2, 1e-17]),
             rho_trace=np.array([0.01, 0.009]),
-            iterations_run=2, converged=False, wall_time=1.0,
+            converged=False, wall_time=1.0,
         )
         path = tmp_path / "report.csv"
         save_report_csv(report, path)
@@ -478,9 +477,16 @@ class TestReport:
         report = TrainReport(elbo_trace=np.array([-2.0, -1.0]),
                              grad_var_trace=np.array([4.0, 2.0]),
                              rho_trace=np.array([0.1, 0.1]),
-                             iterations_run=2, converged=True, wall_time=0.5)
+                             converged=True, wall_time=0.5)
         doc = report_summary(report)
+        assert doc["iterations_run"] == 2
         assert doc["final_elbo"] == -1.0
         assert doc["mean_grad_var"] == 3.0
         assert doc["converged"] is True
         assert doc["diverged"] is False
+
+    def test_diverged_follows_diverged_at(self):
+        traces = {name: np.zeros(3) for name in ("elbo_trace", "grad_var_trace", "rho_trace")}
+        report = TrainReport(**traces, converged=False, wall_time=0.1, diverged_at=3)
+        assert report.diverged and report.iterations_run == 3
+        assert report_summary(report)["diverged_at"] == 3

@@ -78,7 +78,7 @@ class TestPredictiveProbability:
         assert np.all(probs == 0.5)
 
     def test_single_draw_equals_one_network_evaluation(self, rng):
-        from vbnn.model import forward_score, sigmoid
+        from vbnn.model import sigmoid
 
         q = VariationalParams(mean=rng.normal(0, 1, TOY_SHAPE.K),
                               raw_scale=softplus_inverse(np.full(TOY_SHAPE.K, 0.5)))
@@ -98,7 +98,7 @@ class TestPredictiveProbability:
             gamma0,
             gamma_m,
         ]), TOY_SHAPE)
-        expected = float(sigmoid(forward_score(theta, x)))
+        expected = float(sigmoid(batch_scores(theta, x[None])[0]))
         p_hat = predictive_probabilities(posterior(q, TOY_SHAPE), x[None, :], cfg)[0]
         assert p_hat == pytest.approx(expected, rel=0, abs=1e-15)
 
