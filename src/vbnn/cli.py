@@ -351,7 +351,9 @@ def cmd_sweep(args) -> int:
     flags = {"seed": args.seed}
     if args.threads is not None:
         flags["threads"] = args.threads
-    TrainConfig(**flags)  # checked before the grid, so that a bad flag is not blamed on it
+    # checked before the grid, so that a bad flag is not blamed on it nor found after a fit
+    TrainConfig(**flags)
+    cfg = PredictiveConfig(M=args.M, seed=args.seed)
     grid = _load_json(args.grid, "grid")
     with _keys_of(args.grid, "grid"):
         check_keys(grid, ("S", "schedule", "algo", "base", "k", "folds"), "a sweep grid")
@@ -380,7 +382,6 @@ def cmd_sweep(args) -> int:
                     f"{_schedule_label(config.schedule)}, algo {algo}, on fold {fold} "
                     f"(folds 0-{folds - 1}) of grid file {args.grid!r}"
                 )
-            cfg = PredictiveConfig(M=args.M, seed=config.seed)
             accs.append(test_accuracy(post, normalize(test_part, fitted), cfg))
             iters.append(report.iterations_run)
             wall += report.wall_time

@@ -14,13 +14,17 @@ Every score comes from one of two kernels with the same hidden-unit
 arithmetic.  :func:`scores_many` scores S parameter vectors on every row of
 x in an (S, k, n) layout, and :func:`batch_scores` wraps it for one network.
 Row s of its output depends only on parameter row s, so any contiguous split
-of the rows is byte-identical.  :func:`scores` scores posterior-predictive
-draws at each row of x from k+1 normals per draw: the exact Gaussian
-marginals of the hidden pre-activations, then the exact Gaussian law of the
-score given the hidden units.  Its row r depends only on that row's normals
-and x[r].  Hidden units use sigmoid(z) = 0.5 + 0.5*tanh(z/2), exact to a few
-ulps in absolute terms; output probabilities (``sigmoid``) and the likelihood
-(``softplus``) stay tail-exact.
+of the rows is byte-identical.  :func:`log_likelihood_many` relies on that:
+it runs the same kernel on blocks of rows whose (rows, k, n) hidden array
+holds about ``_BLOCK_FLOATS`` = 2**17 floats (1 MiB, half of a 2 MiB
+per-core L2), so its memory is O(block + S + n) instead of O(S * k * n) and
+its output is byte-identical to scoring all S rows at once.  :func:`scores`
+scores posterior-predictive draws at each row of x from k+1 normals per
+draw: the exact Gaussian marginals of the hidden pre-activations, then the
+exact Gaussian law of the score given the hidden units.  Its row r depends
+only on that row's normals and x[r].  Hidden units use sigmoid(z) =
+0.5 + 0.5*tanh(z/2), exact to a few ulps in absolute terms; output
+probabilities (``sigmoid``) and the likelihood (``softplus``) stay tail-exact.
 
 Everything here is pure and side-effect free, so the functions are safe to
 call from worker threads.
@@ -263,22 +267,39 @@ class LabeledBatch:
         return self.x.shape[1]
 
 
-def scores_many(thetas: np.ndarray, x: np.ndarray, shape: NetworkShape) -> np.ndarray:
-    """Scores of S flat parameter vectors (S, K) on x (n, p); returns (S, n)."""
+def _score_terms(thetas: np.ndarray, x: np.ndarray, shape: NetworkShape):
+    """The per-row factors of :func:`scores_many` and the design they multiply.
+
+    With t_j = tanh((gamma0_j + gamma_j . x) / 2) the score is
+    beta0 + sum(beta)/2 + sum_j (beta_j/2) t_j.  The halvings scale the small
+    weights, where they are exact, instead of the (S, k, n) array.  Returns
+    the halved hidden weights (S, k, p+1) with the bias last, the halved
+    output weights (S, 1, k), the offsets (S, 1) and [x.T; 1] (p+1, n).
+    """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != shape.p:
         raise ShapeMismatchError("x must be (n, p) matching the network input width")
     beta0, beta, gamma0, gamma = unflatten_many(np.atleast_2d(thetas), shape)
-    # With t_j = tanh((gamma0_j + gamma_j . x) / 2) the score is
-    # beta0 + sum(beta)/2 + sum_j (beta_j/2) t_j.  The halvings scale the small
-    # weights, where they are exact, instead of the (S, k, n) array.
     weights = 0.5 * np.concatenate([gamma, gamma0[:, :, None]], axis=2)
-    hidden = weights @ np.vstack([x.T, np.ones(x.shape[0])])
-    np.tanh(hidden, out=hidden)
     half_beta = 0.5 * beta
-    out = (half_beta[:, None, :] @ hidden)[:, 0, :]
-    out += (beta0 + half_beta.sum(axis=1))[:, None]
+    offset = beta0 + half_beta.sum(axis=1)
+    design = np.vstack([x.T, np.ones(x.shape[0])])
+    return weights, half_beta[:, None, :], offset[:, None], design
+
+
+def _score_rows(terms, rows: slice = slice(None)) -> np.ndarray:
+    """Scores (rows, n) of the parameter rows ``rows`` of :func:`_score_terms`' factors."""
+    weights, half_beta, offset, design = terms
+    hidden = weights[rows] @ design
+    np.tanh(hidden, out=hidden)
+    out = (half_beta[rows] @ hidden)[:, 0, :]
+    out += offset[rows]
     return out
+
+
+def scores_many(thetas: np.ndarray, x: np.ndarray, shape: NetworkShape) -> np.ndarray:
+    """Scores of S flat parameter vectors (S, K) on x (n, p); returns (S, n)."""
+    return _score_rows(_score_terms(thetas, x, shape))
 
 
 def scores(
@@ -338,6 +359,11 @@ def batch_scores(theta: NetworkParams, x: np.ndarray) -> np.ndarray:
     return scores_many(flatten(theta)[None], x, theta.shape)[0]
 
 
+# The likelihood scores its S rows in blocks whose (rows, k, n) hidden array
+# holds about 1 MiB, half of a 2 MiB per-core L2 (at least one row).
+_BLOCK_FLOATS = 2**17
+
+
 def log_likelihood_many(
     thetas: np.ndarray, batch: LabeledBatch, shape: NetworkShape
 ) -> np.ndarray:
@@ -348,10 +374,26 @@ def log_likelihood_many(
     tail contributions of saturated scores (for y=1, z=50 the exact value is
     about -1.93e-22, which the subtraction form would cancel to -0.0).
     Always <= 0; an empty batch contributes exactly 0.
+
+    The rows are scored ``_BLOCK_FLOATS // (k * n)`` at a time (at least
+    one), so memory is O(_BLOCK_FLOATS + S + n) rather than O(S * k * n).
+    Row s depends only on parameter row s, so the result is byte-identical
+    to scoring all S rows at once, and the block size depends only on k and
+    n, never on how the caller splits S between threads.  The per-call work
+    (the halved weights, the design [x.T; 1]) is done once, not per block,
+    so that the blocks add little Python time under the interpreter lock
+    that the training threads share.
     """
-    z = scores_many(thetas, batch.x, shape)
-    z *= (1 - 2 * batch.y).astype(float)
-    return -softplus(z).sum(axis=1)
+    thetas = np.atleast_2d(thetas)
+    terms = _score_terms(thetas, batch.x, shape)
+    sign = (1 - 2 * batch.y).astype(float)
+    block = max(1, _BLOCK_FLOATS // (shape.k * max(batch.n, 1)))
+    out = np.empty(thetas.shape[0])
+    for lo in range(0, thetas.shape[0], block):
+        z = _score_rows(terms, slice(lo, lo + block))
+        z *= sign
+        out[lo : lo + block] = -softplus(z).sum(axis=1)
+    return out
 
 
 def normal_logpdf_total(x, mean, sd) -> np.ndarray:

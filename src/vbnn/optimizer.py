@@ -252,9 +252,11 @@ def _log_joint_split(
 ) -> np.ndarray:
     """log_joint_many over ``threads`` equal contiguous row blocks, in parallel.
 
-    Uses ``pool`` when given, else a pool of its own for this call.  Workers
-    run under the caller's floating-point error settings (``np.errstate`` is
-    per thread), so threading never changes which warnings are raised.
+    Each block is then scored in ``log_likelihood_many``'s cache-sized blocks,
+    whose size depends only on k and n, never on ``threads``.  Uses ``pool``
+    when given, else a pool of its own for this call.  Workers run under the
+    caller's floating-point error settings (``np.errstate`` is per thread), so
+    threading never changes which warnings are raised.
     """
     S = thetas.shape[0]
     blocks = min(threads, S)

@@ -496,6 +496,21 @@ class TestSweep:
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_bad_draw_count_fails_before_any_fit(self, tmp_path, capsys, workdir,
+                                                 monkeypatch):
+        # one long cell: 3 folds of 2000 iterations each, were any of them fitted
+        fits = []
+        monkeypatch.setattr("vbnn.cli._run_training", lambda *a: fits.append(a))
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({**GRID, "S": [200], "base": {"max_iters": 2000,
+                                                                 "conv_window": 2000}}))
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--grid", str(grid), "--data", str(workdir["data"]),
+                     "--out", str(out), "--M", "0"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: M must be >= 1\n"
+        assert fits == [] and not out.exists()
+
     def test_too_few_rows_are_blamed_on_the_data(self, tmp_path, capsys):
         data = tmp_path / "one.csv"
         assert main(["synth", "--n", "1", "--out", str(data)]) == 0

@@ -6,6 +6,7 @@ math.log, and scipy.stats.norm for the prior density.
 """
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -14,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from vbnn.data import REFERENCE_TRUTH, generate_synthetic
 from vbnn.model import (
+    _BLOCK_FLOATS,
     LabeledBatch,
     NetworkParams,
     NetworkShape,
@@ -34,6 +37,7 @@ from vbnn.model import (
     softplus,
     unflatten,
 )
+from vbnn.optimizer import Schedule, TrainConfig, train
 
 from conftest import BENCH_SHAPE, TOY_SHAPE, implied_thetas
 
@@ -140,6 +144,49 @@ class TestKernelRows:
             assert parts.tobytes() == whole.tobytes()
             for i in (0, 6, 7, 199):
                 assert fn(thetas[i : i + 1], *args).tobytes() == whole[i : i + 1].tobytes()
+
+    def test_likelihood_blocks_do_not_show(self, rng):
+        # at n=1000 the likelihood scores 43 rows per block, so S=200 spans five
+        n = 1000
+        assert _BLOCK_FLOATS // (BENCH_SHAPE.k * n) == 43
+        thetas = rng.normal(0, 2, (200, BENCH_SHAPE.K))
+        batch = LabeledBatch(x=rng.uniform(0, 1, (n, 2)), y=rng.integers(0, 2, n))
+        prior = PriorConfig.standard(BENCH_SHAPE.K)
+        z = scores_many(thetas, batch.x, BENCH_SHAPE) * (1 - 2 * batch.y)
+        assert log_likelihood_many(thetas, batch, BENCH_SHAPE).tobytes() == (
+            -softplus(z).sum(axis=1)).tobytes()
+        for fn, args in ((log_likelihood_many, (batch, BENCH_SHAPE)),
+                         (log_joint_many, (batch, prior, BENCH_SHAPE))):
+            whole = fn(thetas, *args)
+            parts = np.concatenate([fn(thetas[rows], *args) for rows in self.SPLITS])
+            assert parts.tobytes() == whole.tobytes()
+            single = np.concatenate([fn(thetas[i : i + 1], *args) for i in range(200)])
+            assert single.tobytes() == whole.tobytes()
+
+    def test_large_batch_allocates_about_one_block(self, rng):
+        # unblocked, S=200 rows at n=3200 allocated 19.6 MB
+        thetas = rng.normal(0, 2, (200, BENCH_SHAPE.K))
+        batch = LabeledBatch(x=rng.uniform(0, 1, (3200, 2)), y=rng.integers(0, 2, 3200))
+        tracemalloc.start()
+        try:
+            log_likelihood_many(thetas, batch, BENCH_SHAPE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * _BLOCK_FLOATS * 8
+
+    def test_training_with_blocked_likelihood_is_thread_independent(self):
+        # n=700 scores 62 rows per block: S=64 is 62+2 rows on one thread and
+        # 32+32 on two
+        batch = generate_synthetic(REFERENCE_TRUTH, 700, seed=4)
+        prior = PriorConfig.standard(BENCH_SHAPE.K)
+        base = dict(S=64, max_iters=5, seed=7, use_control_variates=True, grad_clip=10.0,
+                    schedule=Schedule(kind="rm", rho0=1.0, b=100.0, c=0.3))
+        (q1, r1), (q2, r2) = [train(batch, prior, BENCH_SHAPE, TrainConfig(threads=t, **base))
+                              for t in (1, 2)]
+        assert r1.elbo_trace.tobytes() == r2.elbo_trace.tobytes()
+        assert q1.mean.tobytes() == q2.mean.tobytes()
+        assert q1.raw_scale.tobytes() == q2.raw_scale.tobytes()
 
 
 class TestPairedKernel:
@@ -280,6 +327,8 @@ class TestLikelihood:
         theta = random_theta(BENCH_SHAPE)
         batch = LabeledBatch(x=np.empty((0, 2)), y=np.empty(0, dtype=int))
         assert log_likelihood_many(flatten(theta)[None], batch, BENCH_SHAPE)[0] == 0.0
+        out = log_likelihood_many(np.tile(flatten(theta), (200, 1)), batch, BENCH_SHAPE)
+        assert out.shape == (200,) and np.all(out == 0.0)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
