@@ -106,8 +106,9 @@ class TableSchema:
         cols = tuple(self.columns)
         object.__setattr__(self, "columns", cols)
         names = [c.name for c in cols]
-        if len(set(names)) != len(names):
-            raise SchemaError("column names must be unique")
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            raise SchemaError(f"column names must be unique, repeated: {', '.join(repeated)}")
         labels = [c for c in cols if c.kind == "label"]
         if len(labels) != 1:
             raise SchemaError(f"schema needs exactly one label column, found {len(labels)}")
@@ -175,7 +176,8 @@ def load_csv(path, schema: TableSchema | None = None) -> tuple[LabeledBatch, Tab
     file line numbers (1-based, header is line 1).  Without a schema, every
     column is an unnormalized numeric feature except the label, which is the
     column named 'y' or 'label' (or the last column when neither name
-    appears).
+    appears); a header with a repeated name or with no feature column then
+    raises SchemaError naming the file.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -197,7 +199,13 @@ def load_csv(path, schema: TableSchema | None = None) -> tuple[LabeledBatch, Tab
             ColumnSchema(name=h, kind="label" if i == label else "numeric")
             for i, h in enumerate(header)
         ]
-        schema = TableSchema(columns=tuple(cols))
+        try:
+            schema = TableSchema(columns=tuple(cols))
+        except SchemaError as exc:  # a repeated column name
+            raise SchemaError(f"{path}: {exc}") from None
+        if schema.p == 0:
+            raise SchemaError(f"{path}: needs a label and at least one feature column, "
+                              f"found header {header}")
     else:
         expected = [c.name for c in schema.columns]
         if header != expected:

@@ -42,6 +42,7 @@ from .model import (
     NetworkParams,
     ShapeMismatchError,
     batch_scores,
+    check_keys,
     json_field,
     network_from_json_dict,
     network_to_json_dict,
@@ -156,11 +157,14 @@ class TrueFunction:
     def from_json_dict(cls, doc: dict) -> "TrueFunction":
         kind = doc.get("kind")
         if kind == "constant":
+            check_keys(doc, ("kind", "p", "value"), "a constant truth")
             return cls.constant(json_field(doc, "value", float), json_field(doc, "p", int))
         if kind == "linear":
+            check_keys(doc, ("kind", "intercept", "weights"), "a linear truth")
             return cls.linear(json_field(doc, "intercept", float),
                               json_field(doc, "weights", list[float]))
         if kind == "network":
+            check_keys(doc, ("kind", "shape", "flat_theta"), "a network truth")
             return cls.from_network(network_from_json_dict(doc))
         raise ValueError(f"unknown true-function kind {kind!r}")
 

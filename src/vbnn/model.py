@@ -18,13 +18,16 @@ of the rows is byte-identical.  :func:`log_likelihood_many` relies on that:
 it runs the same kernel on blocks of rows whose (rows, k, n) hidden array
 holds about ``_BLOCK_FLOATS`` = 2**17 floats (1 MiB, half of a 2 MiB
 per-core L2), so its memory is O(block + S + n) instead of O(S * k * n) and
-its output is byte-identical to scoring all S rows at once.  :func:`scores`
-scores posterior-predictive draws at each row of x from k+1 normals per
-draw: the exact Gaussian marginals of the hidden pre-activations, then the
-exact Gaussian law of the score given the hidden units.  Its row r depends
-only on that row's normals and x[r].  Hidden units use sigmoid(z) =
-0.5 + 0.5*tanh(z/2), exact to a few ulps in absolute terms; output
-probabilities (``sigmoid``) and the likelihood (``softplus``) stay tail-exact.
+its output is byte-identical to scoring all S rows at once.  These blocks are
+training's only unit of parallel work: given a thread pool, the likelihood
+runs its blocks there, with a result that does not depend on the pool.
+:func:`scores` scores posterior-predictive draws at each row of x from k+1
+normals per draw: the exact Gaussian marginals of the hidden
+pre-activations, then the exact Gaussian law of the score given the hidden
+units.  Its row r depends only on that row's normals and x[r].  Hidden units
+use sigmoid(z) = 0.5 + 0.5*tanh(z/2), exact to a few ulps in absolute terms;
+output probabilities (``sigmoid``) and the likelihood (``softplus``) stay
+tail-exact.
 
 Everything here is pure and side-effect free, so the functions are safe to
 call from worker threads.
@@ -136,6 +139,7 @@ class NetworkShape:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "NetworkShape":
+        check_keys(doc, ("p", "k"), "a network shape")
         return cls(p=json_field(doc, "p", int), k=json_field(doc, "k", int))
 
 
@@ -278,7 +282,8 @@ def _score_terms(thetas: np.ndarray, x: np.ndarray, shape: NetworkShape):
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != shape.p:
-        raise ShapeMismatchError("x must be (n, p) matching the network input width")
+        raise ShapeMismatchError(f"x must be (n, p={shape.p}) matching the network "
+                                 f"input width, got {x.shape}")
     beta0, beta, gamma0, gamma = unflatten_many(np.atleast_2d(thetas), shape)
     weights = 0.5 * np.concatenate([gamma, gamma0[:, :, None]], axis=2)
     half_beta = 0.5 * beta
@@ -365,7 +370,7 @@ _BLOCK_FLOATS = 2**17
 
 
 def log_likelihood_many(
-    thetas: np.ndarray, batch: LabeledBatch, shape: NetworkShape
+    thetas: np.ndarray, batch: LabeledBatch, shape: NetworkShape, pool=None
 ) -> np.ndarray:
     """Bernoulli log-likelihood of the batch under each of S flat vectors.
 
@@ -377,22 +382,28 @@ def log_likelihood_many(
 
     The rows are scored ``_BLOCK_FLOATS // (k * n)`` at a time (at least
     one), so memory is O(_BLOCK_FLOATS + S + n) rather than O(S * k * n).
-    Row s depends only on parameter row s, so the result is byte-identical
-    to scoring all S rows at once, and the block size depends only on k and
-    n, never on how the caller splits S between threads.  The per-call work
-    (the halved weights, the design [x.T; 1]) is done once, not per block,
-    so that the blocks add little Python time under the interpreter lock
-    that the training threads share.
+    The blocks run on ``pool`` (an executor) when one is given, else in
+    turn, each under the caller's floating-point error settings
+    (``np.errstate`` is per thread).  Row s depends only on parameter row s
+    and the block size only on k and n, so the result is byte-identical to
+    scoring all S rows at once, with or without a pool of any size.  The
+    per-call work (the halved weights, the design [x.T; 1]) is done once,
+    not per block.
     """
     thetas = np.atleast_2d(thetas)
     terms = _score_terms(thetas, batch.x, shape)
     sign = (1 - 2 * batch.y).astype(float)
     block = max(1, _BLOCK_FLOATS // (shape.k * max(batch.n, 1)))
     out = np.empty(thetas.shape[0])
-    for lo in range(0, thetas.shape[0], block):
-        z = _score_rows(terms, slice(lo, lo + block))
-        z *= sign
-        out[lo : lo + block] = -softplus(z).sum(axis=1)
+    errors = np.geterr()
+
+    def score(lo: int) -> None:
+        with np.errstate(**errors):
+            z = _score_rows(terms, slice(lo, lo + block))
+            z *= sign
+            out[lo : lo + block] = -softplus(z).sum(axis=1)
+
+    list((pool.map if pool else map)(score, range(0, thetas.shape[0], block)))
     return out
 
 
@@ -412,10 +423,12 @@ def log_prior(thetas: np.ndarray, prior: PriorConfig):
 
 
 def log_joint_many(
-    thetas: np.ndarray, batch: LabeledBatch, prior: PriorConfig, shape: NetworkShape
+    thetas: np.ndarray, batch: LabeledBatch, prior: PriorConfig, shape: NetworkShape, pool=None
 ) -> np.ndarray:
-    """Unnormalized log posterior log p(y | theta, x) + log p(theta) of S flat vectors."""
-    return log_likelihood_many(thetas, batch, shape) + log_prior(np.atleast_2d(thetas), prior)
+    """Unnormalized log posterior log p(y | theta, x) + log p(theta) of S flat
+    vectors; ``pool`` runs the likelihood's blocks (see log_likelihood_many)."""
+    return (log_likelihood_many(thetas, batch, shape, pool)
+            + log_prior(np.atleast_2d(thetas), prior))
 
 
 def network_to_json_dict(theta: NetworkParams) -> dict:

@@ -32,12 +32,14 @@ below the first estimate.
 
 Determinism: the sampling RNG for iteration t is spawned as
 SeedSequence(entropy=seed, spawn_key=(1, t)), so traces are reproducible for
-a given seed and independent of thread count.  Threading only splits the
-per-sample log-joint evaluation into one contiguous block of sample rows per
-thread.  Rows are independent (each depends only on its own theta), so any
-contiguous split is byte-identical; every reduction happens in a single
+a given seed and independent of thread count.  Threads only run the blocks
+of sample rows into which ``model.log_likelihood_many`` cuts the log-joint
+evaluation.  The block size depends on k and n alone, so with one block (at
+S=200 and k=3, any n <= 218) there is nothing to run in parallel.  Rows are
+independent (each depends only on its own theta), so the results are
+byte-identical for any thread count; every reduction happens in a single
 deterministic pass afterwards.  ``train`` keeps one thread pool for the whole
-run.
+run, and each ``estimate_*`` call makes its own.
 """
 
 from __future__ import annotations
@@ -242,41 +244,10 @@ class TrainReport:
         return self.diverged_at is not None
 
 
-def _log_joint_split(
-    thetas: np.ndarray,
-    batch: LabeledBatch,
-    prior: PriorConfig,
-    shape: NetworkShape,
-    threads: int,
-    pool: ThreadPoolExecutor | None = None,
-) -> np.ndarray:
-    """log_joint_many over ``threads`` equal contiguous row blocks, in parallel.
-
-    Each block is then scored in ``log_likelihood_many``'s cache-sized blocks,
-    whose size depends only on k and n, never on ``threads``.  Uses ``pool``
-    when given, else a pool of its own for this call.  Workers run under the
-    caller's floating-point error settings (``np.errstate`` is per thread), so
-    threading never changes which warnings are raised.
-    """
-    S = thetas.shape[0]
-    blocks = min(threads, S)
-    if blocks <= 1:
-        return log_joint_many(thetas, batch, prior, shape)
-    bounds = [S * b // blocks for b in range(blocks + 1)]
-    out = np.empty(S)
-    errors = np.geterr()
-
-    def run(b: int) -> None:
-        lo, hi = bounds[b], bounds[b + 1]
-        with np.errstate(**errors):
-            out[lo:hi] = log_joint_many(thetas[lo:hi], batch, prior, shape)
-
-    if pool is not None:
-        list(pool.map(run, range(blocks)))
-    else:
-        with ThreadPoolExecutor(max_workers=blocks) as own:
-            list(own.map(run, range(blocks)))
-    return out
+def _pool(threads: int):
+    """A pool of ``threads`` workers for the likelihood's blocks, or, for one
+    thread, a context that gives None (the blocks then run in turn)."""
+    return ThreadPoolExecutor(threads) if threads > 1 else nullcontext()
 
 
 def _iterate(
@@ -286,7 +257,6 @@ def _iterate(
     shape: NetworkShape,
     draws: SampleMatrix,
     cv: bool | None,
-    threads: int = 1,
     pool: ThreadPoolExecutor | None = None,
 ) -> tuple[float, np.ndarray | None]:
     """ELBO estimate and (S, 2K) gradient rows of one set of draws.
@@ -294,10 +264,10 @@ def _iterate(
     The gradient estimate is the rows' mean.  ``cv`` picks the rows:
     ``False`` the plain terms u[i] = v[i] * w[i]; ``True`` u[i] - a_hat * v[i]
     with the in-sample coefficients; ``None`` no rows at all, for the ELBO
-    alone.
+    alone.  ``pool`` runs the log-likelihood's blocks.
     """
     thetas = draws.thetas
-    weights = _log_joint_split(thetas, batch, prior, shape, threads, pool) - log_q(q, thetas)
+    weights = log_joint_many(thetas, batch, prior, shape, pool) - log_q(q, thetas)
     elbo = float(weights.mean())
     if cv is None:
         return elbo, None
@@ -316,7 +286,8 @@ def estimate_elbo(
     threads: int = 1,
 ) -> float:
     """Monte Carlo ELBO estimate mean_i [log p(y, theta[i]) - log q(theta[i])]."""
-    return _iterate(q, batch, prior, shape_for(q.K, batch.p), draws, None, threads)[0]
+    with _pool(threads) as pool:
+        return _iterate(q, batch, prior, shape_for(q.K, batch.p), draws, None, pool)[0]
 
 
 def estimate_gradient(
@@ -327,7 +298,8 @@ def estimate_gradient(
     threads: int = 1,
 ) -> np.ndarray:
     """Plain score-function gradient estimate over (m, r); returns (2K,)."""
-    _, rows = _iterate(q, batch, prior, shape_for(q.K, batch.p), draws, False, threads)
+    with _pool(threads) as pool:
+        _, rows = _iterate(q, batch, prior, shape_for(q.K, batch.p), draws, False, pool)
     return rows.mean(axis=0)
 
 
@@ -361,7 +333,8 @@ def estimate_gradient_cv(
 ) -> np.ndarray:
     """Control-variate gradient estimate mean_i [u[i] - a_hat * v[i]] with the
     in-sample coefficients a_hat of :func:`control_variate_coefficients`."""
-    _, rows = _iterate(q, batch, prior, shape_for(q.K, batch.p), draws, True, threads)
+    with _pool(threads) as pool:
+        _, rows = _iterate(q, batch, prior, shape_for(q.K, batch.p), draws, True, pool)
     return rows.mean(axis=0)
 
 
@@ -398,9 +371,10 @@ def train(
     healthy iterate.
     """
     if batch.p != shape.p:
-        raise ShapeMismatchError("batch width does not match network shape")
+        raise ShapeMismatchError(f"batch width {batch.p} does not match network shape p={shape.p}")
     if prior.K != shape.K:
-        raise ShapeMismatchError("prior length does not match network shape")
+        raise ShapeMismatchError(f"prior length {prior.K} does not match network shape "
+                                 f"K={shape.K}")
 
     q = initial_params(shape.K)
     elbos: list[float] = []
@@ -411,8 +385,7 @@ def train(
     w = config.conv_window
 
     start = time.perf_counter()
-    threads = config.threads
-    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+    with _pool(config.threads) as pool:
         for t in range(config.max_iters):
             draws = sample(
                 q, config.S, np.random.SeedSequence(entropy=config.seed, spawn_key=(1, t))
@@ -420,7 +393,7 @@ def train(
             # overflow here is divergence, detected below, not a warning condition
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 elbo_t, rows = _iterate(q, batch, prior, shape, draws,
-                                        config.use_control_variates, threads, pool)
+                                        config.use_control_variates, pool)
                 grad = rows.mean(axis=0)
                 gvar = float(np.mean(np.var(rows, axis=0, ddof=1))) if config.S > 1 else 0.0
             if not (np.isfinite(elbo_t) and np.all(np.isfinite(grad))):

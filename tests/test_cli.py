@@ -542,6 +542,30 @@ class TestSweep:
         assert "empty grid" in capsys.readouterr().err
 
 
+class TestDataHeaders:
+    """Without a schema the columns come from the data file's header, so a
+    header that cannot describe a batch is blamed on the data file."""
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("text, message", [
+        ("y\n1\n0\n1\n", "needs a label and at least one feature column, found header ['y']"),
+        ("x1,x1,y\n0.1,0.2,1\n0.3,0.4,0\n0.5,0.6,1\n",
+         "column names must be unique, repeated: x1"),
+    ], ids=["label-only", "repeated-name"])
+    def test_bad_header_names_the_data_file(self, tmp_path, capsys, command, text, message):
+        data = tmp_path / "d.csv"
+        data.write_text(text)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(GRID))
+        out = tmp_path / "out"
+        argv = {"train": ["train", "--data", str(data), "--out", str(out)],
+                "sweep": ["sweep", "--grid", str(grid), "--data", str(data),
+                          "--out", str(out)]}[command]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {data}: {message}\n"
+        assert not out.exists()
+
+
 class TestUsage:
     def test_usage_error_exits_one(self, capsys):
         # exit 2 means "training hit max_iters", so a usage error must not use it
@@ -579,6 +603,7 @@ def json_input_argv(use, path, workdir, tmp_path):
         "train-schema": ["train", "--data", data, "--schema", path, "--out", out],
         "sweep-grid": ["sweep", "--grid", path, "--data", data, "--out", out],
         "diagnose-truth": ["diagnose", "--model", model, "--truth", path, "--out", out],
+        "synth-truth": ["synth", "--truth", path, "--n", "5", "--out", out],
         "predict-model": ["predict", "--model", path, "--data", data, "--out", out],
         "evaluate-model": ["evaluate", "--model", path, "--data", data, "--out", out],
         "diagnose-model": ["diagnose", "--model", path, "--truth", "reference",
@@ -743,8 +768,18 @@ class TestJsonInputs:
         ("predict-model", {**MODEL, "schema": {"columns": [
             {"name": "x1"}, {"name": "x2", "sdev": 1.0}, {"name": "y", "kind": "label"}]}},
          "sdev"),
+        ("predict-model", {**MODEL, "shape": {"p": 2, "k": 2, "K": 9}}, "K"),
+        ("synth-truth", {"kind": "constant", "p": 2, "value": 1, "typo": 3}, "typo"),
+        ("diagnose-truth", {"kind": "constant", "p": 2, "value": 1, "typo": 3}, "typo"),
+        ("diagnose-truth", {"kind": "linear", "intercept": 0.0, "weights": [1.0, 1.0],
+                            "p": 2}, "p"),
+        ("synth-truth", {"kind": "network", "shape": {"p": 2, "k": 1, "q": 3},
+                         "flat_theta": [0.0] * 5}, "q"),
+        ("diagnose-truth", {"kind": "network", "shape": {"p": 2, "k": 1},
+                            "flat_theta": [0.0] * 5, "theta": []}, "theta"),
     ], ids=["grid-fold", "grid-base", "config-tol", "config-schedule", "schema-column",
-            "model-column"])
+            "model-column", "model-shape", "synth-constant", "diagnose-constant",
+            "diagnose-linear", "synth-network-shape", "diagnose-network"])
     def test_unknown_key_names_the_file_and_the_key(self, tmp_path, capsys, workdir,
                                                     use, doc, key):
         path = tmp_path / "in.json"

@@ -6,7 +6,9 @@ math.log, and scipy.stats.norm for the prior density.
 """
 
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -100,7 +102,7 @@ class TestForwardScore:
 
     def test_width_mismatch_raises(self, random_theta):
         theta = random_theta(BENCH_SHAPE)
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ShapeMismatchError, match=r"p=2\) .* got \(4, 3\)"):
             batch_scores(theta, np.zeros((4, 3)))
 
     def test_single_point_width_mismatch_raises(self, random_theta):
@@ -163,6 +165,40 @@ class TestKernelRows:
             single = np.concatenate([fn(thetas[i : i + 1], *args) for i in range(200)])
             assert single.tobytes() == whole.tobytes()
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_pool_runs_the_blocks_byte_identically(self, rng, workers):
+        # n=1000 and S=200 give five blocks of at most 43 rows, each written
+        # into its own slice of the output; frequent thread switches would
+        # expose a lost or misplaced write
+        n = 1000
+        thetas = rng.normal(0, 2, (200, BENCH_SHAPE.K))
+        batch = LabeledBatch(x=rng.uniform(0, 1, (n, 2)), y=rng.integers(0, 2, n))
+        prior = PriorConfig.standard(BENCH_SHAPE.K)
+        serial = log_joint_many(thetas, batch, prior, BENCH_SHAPE)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(workers) as pool:
+                pooled = log_joint_many(thetas, batch, prior, BENCH_SHAPE, pool)
+        finally:
+            sys.setswitchinterval(interval)
+        assert pooled.tobytes() == serial.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_pool_blocks_run_under_the_callers_error_settings(self, rng):
+        # output weights of 1e308 on saturated hidden units overflow each
+        # score, and that overflow happens inside the blocks, on the workers
+        n = 1000
+        thetas = np.zeros((200, BENCH_SHAPE.K))
+        thetas[:, 1 : 1 + BENCH_SHAPE.k] = 1e308
+        thetas[:, 1 + BENCH_SHAPE.k : 1 + 2 * BENCH_SHAPE.k] = 40.0
+        batch = LabeledBatch(x=rng.uniform(0, 1, (n, 2)), y=rng.integers(0, 2, n))
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            log_likelihood_many(thetas, batch, BENCH_SHAPE)
+        with np.errstate(over="ignore"), ThreadPoolExecutor(2) as pool:
+            out = log_likelihood_many(thetas, batch, BENCH_SHAPE, pool)
+        assert np.all(np.isneginf(out))
+
     def test_large_batch_allocates_about_one_block(self, rng):
         # unblocked, S=200 rows at n=3200 allocated 19.6 MB
         thetas = rng.normal(0, 2, (200, BENCH_SHAPE.K))
@@ -176,17 +212,18 @@ class TestKernelRows:
         assert peak < 4 * _BLOCK_FLOATS * 8
 
     def test_training_with_blocked_likelihood_is_thread_independent(self):
-        # n=700 scores 62 rows per block: S=64 is 62+2 rows on one thread and
-        # 32+32 on two
+        # n=700 scores 62 rows per block: S=64 is two blocks, of 62 and 2
+        # rows, run in turn on one thread and by a pool of two or three
         batch = generate_synthetic(REFERENCE_TRUTH, 700, seed=4)
         prior = PriorConfig.standard(BENCH_SHAPE.K)
         base = dict(S=64, max_iters=5, seed=7, use_control_variates=True, grad_clip=10.0,
                     schedule=Schedule(kind="rm", rho0=1.0, b=100.0, c=0.3))
-        (q1, r1), (q2, r2) = [train(batch, prior, BENCH_SHAPE, TrainConfig(threads=t, **base))
-                              for t in (1, 2)]
-        assert r1.elbo_trace.tobytes() == r2.elbo_trace.tobytes()
-        assert q1.mean.tobytes() == q2.mean.tobytes()
-        assert q1.raw_scale.tobytes() == q2.raw_scale.tobytes()
+        (q1, r1), *pooled = [train(batch, prior, BENCH_SHAPE, TrainConfig(threads=t, **base))
+                             for t in (1, 2, 3)]
+        for q2, r2 in pooled:
+            assert r1.elbo_trace.tobytes() == r2.elbo_trace.tobytes()
+            assert q1.mean.tobytes() == q2.mean.tobytes()
+            assert q1.raw_scale.tobytes() == q2.raw_scale.tobytes()
 
 
 class TestPairedKernel:

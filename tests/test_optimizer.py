@@ -334,8 +334,9 @@ class TestTrain:
                                           runs[0][1].grad_var_trace)
 
     def test_byte_identical_for_one_two_and_three_threads(self):
-        # S=200 is split into 100+100 sample rows for two threads and
-        # 66+67+67 for three; the split must never show in the results
+        # at n=150 the likelihood scores all S=200 rows in one block, which
+        # runs whole whatever the thread count; that must never show in the
+        # results
         batch = bench_batch(n=150)
         prior = PriorConfig.standard(BENCH_SHAPE.K)
         base = dict(S=200, max_iters=20, seed=11, use_control_variates=True,
@@ -445,9 +446,9 @@ class TestTrain:
 
     def test_shape_mismatches_rejected(self):
         batch = bench_batch(n=10)
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ShapeMismatchError, match="batch width 2 .* p=1"):
             train(batch, PriorConfig.standard(TOY_SHAPE.K), TOY_SHAPE, TrainConfig())
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ShapeMismatchError, match="prior length 5 .* K=13"):
             train(batch, PriorConfig.standard(5), BENCH_SHAPE, TrainConfig())
 
 
