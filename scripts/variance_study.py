@@ -13,10 +13,10 @@ import os
 from dataclasses import replace
 
 
-from vbnn.data import REFERENCE_TRUTH, generate_synthetic
+from vbnn.data import REFERENCE_TRUTH, generate_synthetic, save_report_csv
 from vbnn.metrics import gradient_variance_profile
 from vbnn.model import NetworkShape, PriorConfig
-from vbnn.optimizer import Schedule, TrainConfig, save_report_csv, train
+from vbnn.optimizer import Schedule, TrainConfig, train
 
 
 def main() -> None:

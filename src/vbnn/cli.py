@@ -28,12 +28,15 @@ from .data import (
     REFERENCE_TRUTH,
     SchemaError,
     TableSchema,
+    _check_binary_features,
     _parse_rows,
     default_schema,
     fit_normalization,
     generate_synthetic,
     load_csv,
     normalize,
+    save_predictions_csv,
+    save_report_csv,
     split,
     write_csv,
 )
@@ -42,6 +45,7 @@ from .model import (
     LabeledBatch,
     NetworkShape,
     PriorConfig,
+    ShapeMismatchError,
     check_keys,
     json_field,
 )
@@ -50,14 +54,12 @@ from .optimizer import (
     Schedule,
     TrainConfig,
     report_summary,
-    save_report_csv,
     train,
 )
 from .prediction import (
     PredictiveConfig,
     evaluation_dict,
     predictive_probabilities,
-    save_predictions_csv,
     test_accuracy,
 )
 from .variational import Posterior
@@ -153,6 +155,7 @@ def _model_artifact(post: Posterior, config: TrainConfig, schema: TableSchema) -
 def _load_model(path: str) -> tuple[Posterior, TableSchema]:
     doc = _load_json(path, "model")
     with _keys_of(path, "model"):
+        check_keys(doc, ("shape", "prior", "variational", "config", "seed", "schema"), "a model")
         return (Posterior.from_json_dict(doc),
                 TableSchema.from_json_dict(json_field(doc, "schema", dict)))
 
@@ -186,7 +189,9 @@ def _load_feature_rows(path: str, schema: TableSchema) -> np.ndarray:
         if header is None:
             raise DataError(f"{path}: empty file, expected a header row")
         if [h.strip() for h in header] == feature_names:
-            return _parse_rows(path, list(reader), len(feature_names))
+            x = _parse_rows(path, list(reader), len(feature_names))
+            _check_binary_features(path, x, schema)
+            return x
     batch, _ = load_csv(path, schema)
     return batch.x
 
@@ -313,6 +318,8 @@ def cmd_evaluate(args) -> int:
     post, schema = _load_model(args.model)
     with _read_against(args.model, "model"):
         batch, _ = load_csv(args.data, schema)
+    if batch.n == 0:
+        raise DataError(f"{args.data}: accuracy is undefined on a file with no data rows")
     batch = normalize(batch, schema)
     cfg = PredictiveConfig(M=args.M, seed=args.seed)
     doc = evaluation_dict(post, batch, cfg)
@@ -333,7 +340,10 @@ def cmd_diagnose(args) -> int:
     truth = _load_truth(args.truth)
     pred_cfg = PredictiveConfig(M=args.M, seed=args.seed)
     int_cfg = IntegrationConfig(n_mc=args.n_mc, seed=args.seed)
-    doc = diagnostics_dict(post, truth, pred_cfg, int_cfg)
+    try:
+        doc = diagnostics_dict(post, truth, pred_cfg, int_cfg)
+    except ShapeMismatchError as exc:  # a truth of another width than the model's
+        raise ValueError(f"{exc} (truth {args.truth!r}, model file {args.model!r})") from None
     _atomic_write_json(args.out, doc)
     logger.info("hellinger %.4f, risk gap %.4f", doc["hellinger"], doc["risk_gap"])
     return 0

@@ -6,7 +6,8 @@ single label column) and the normalization to apply (none, zscore, or
 minmax01).  Normalization statistics are fitted once on training data and
 carried inside the schema, so held-out data is transformed with the training
 statistics rather than its own.  ``split`` cuts a batch into seeded k-fold
-cross-validation pairs.
+cross-validation pairs.  Data, predictions and training reports are written
+by one block writer, ``_write_rows``: CRLF line ends, numbers as ``repr``.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ __all__ = [
     "default_schema",
     "load_csv",
     "write_csv",
+    "save_predictions_csv",
+    "save_report_csv",
     "fit_normalization",
     "normalize",
     "split",
@@ -134,6 +137,7 @@ class TableSchema:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TableSchema":
+        check_keys(doc, ("columns",), "a table schema")
         columns = json_field(doc, "columns", list[dict])
         return cls(columns=tuple(ColumnSchema.from_json_dict(c) for c in columns))
 
@@ -223,38 +227,60 @@ def load_csv(path, schema: TableSchema | None = None) -> tuple[LabeledBatch, Tab
 
     if len(rows) and not np.all(np.isin(y, (0.0, 1.0))):
         raise SchemaError(f"{path}: label column must contain only 0/1 values")
-    for j, col in enumerate(schema.feature_columns):
-        if col.kind == "categorical_binary" and len(rows):
-            if not np.all(np.isin(x[:, j], (0.0, 1.0))):
-                raise SchemaError(f"{path}: categorical column {col.name!r} must be 0/1")
-
+    _check_binary_features(path, x, schema)
     return LabeledBatch(x=x, y=y.astype(np.int64)), schema
 
 
-# Rows that write_csv formats and writes at once, so its memory stays near
-# one block's strings whatever n is.
+def _check_binary_features(path, x: np.ndarray, schema: TableSchema) -> None:
+    """Raise SchemaError naming the file and the first categorical_binary
+    column of the features x (n, p) that holds a value other than 0 or 1."""
+    for j, col in enumerate(schema.feature_columns):
+        if col.kind == "categorical_binary" and not np.all(np.isin(x[:, j], (0.0, 1.0))):
+            raise SchemaError(f"{path}: categorical column {col.name!r} must be 0/1")
+
+
+# Rows that _write_rows formats and writes at once, so its memory stays near
+# one block's strings whatever the row count.
 _BLOCK_ROWS = 1024
 
 
-def write_csv(batch: LabeledBatch, path, schema: TableSchema | None = None) -> None:
-    """Write a batch back to CSV (full float precision) in schema column order.
+def _write_rows(path, header: list, columns: list) -> None:
+    """Write a header and numeric columns (1-d arrays of one length) as a CSV;
+    columns of unequal lengths raise ValueError.
 
-    Features are written as ``repr`` floats and labels as 0/1, with CRLF line
-    ends, the bytes ``csv.writer`` gives row by row.  The rows are formatted
-    and written a block of ``_BLOCK_ROWS`` at a time; a float's ``repr`` holds
-    no comma, quote or line break, so only the header can need quoting.
+    Each cell is its number's ``repr`` (full precision), which needs no quoting,
+    so the rows are the bytes ``csv.writer`` gives (CRLF line ends), formatted
+    and written a block of ``_BLOCK_ROWS`` at a time.
     """
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            cells = [map(repr, col[start:start + _BLOCK_ROWS].tolist()) for col in columns]
+            fh.writelines(",".join(row) + "\r\n" for row in zip(*cells, strict=True))
+
+
+def write_csv(batch: LabeledBatch, path, schema: TableSchema | None = None) -> None:
+    """Write a batch back to CSV in schema column order, labels as 0/1."""
     schema = schema or default_schema(batch.p)
     if schema.p != batch.p:
         raise SchemaError("schema width does not match batch width")
-    label_idx = schema.label_index
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow([c.name for c in schema.columns])
-        for start in range(0, batch.n, _BLOCK_ROWS):
-            rows = slice(start, start + _BLOCK_ROWS)
-            cols = [map(repr, col) for col in batch.x[rows].T.tolist()]
-            cols.insert(label_idx, map(str, batch.y[rows].tolist()))
-            fh.writelines(",".join(cells) + "\r\n" for cells in zip(*cols))
+    columns = list(batch.x.T)
+    columns.insert(schema.label_index, batch.y)
+    _write_rows(path, [c.name for c in schema.columns], columns)
+
+
+def save_predictions_csv(path, probs: np.ndarray, labels: np.ndarray) -> None:
+    """Write row_id,p_hat,label_hat rows (full float precision)."""
+    _write_rows(path, ["row_id", "p_hat", "label_hat"],
+                [np.arange(len(probs)), np.asarray(probs, dtype=float),
+                 np.asarray(labels, dtype=np.int64)])
+
+
+def save_report_csv(report, path) -> None:
+    """Write a ``TrainReport``'s traces as iteration,elbo,grad_var,rho_t rows."""
+    _write_rows(path, ["iteration", "elbo", "grad_var", "rho_t"],
+                [np.arange(report.iterations_run), report.elbo_trace,
+                 report.grad_var_trace, report.rho_trace])
 
 
 def fit_normalization(schema: TableSchema, batch: LabeledBatch) -> TableSchema:

@@ -39,12 +39,12 @@ S=200 and k=3, any n <= 218) there is nothing to run in parallel.  Rows are
 independent (each depends only on its own theta), so the results are
 byte-identical for any thread count; every reduction happens in a single
 deterministic pass afterwards.  ``train`` keeps one thread pool for the whole
-run, and each ``estimate_*`` call makes its own.
+run, and each ``estimate_*`` call makes its own.  ``data.save_report_csv``
+writes a ``TrainReport``'s traces.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -86,7 +86,6 @@ __all__ = [
     "estimate_gradient_cv",
     "step",
     "train",
-    "save_report_csv",
     "report_summary",
 ]
 
@@ -428,16 +427,6 @@ def train(
         diverged_at=diverged_at,
     )
     return q, report
-
-
-def save_report_csv(report: TrainReport, path) -> None:
-    """Write the traces as iteration,elbo,grad_var,rho_t rows (full precision)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "elbo", "grad_var", "rho_t"])
-        traces = zip(report.elbo_trace, report.grad_var_trace, report.rho_trace)
-        for i, values in enumerate(traces):
-            writer.writerow([i, *(repr(float(v)) for v in values)])
 
 
 def report_summary(report: TrainReport) -> dict:

@@ -1,4 +1,4 @@
-"""Posterior-predictive probabilities, plug-in accuracy and prediction files.
+"""Posterior-predictive probabilities and plug-in accuracy.
 
 The predictive probability at x averages the sigmoid of the network score
 over M draws from a :class:`~vbnn.variational.Posterior`'s q:
@@ -36,7 +36,6 @@ __all__ = [
     "PredictiveConfig",
     "predictive_probabilities",
     "test_accuracy",
-    "save_predictions_csv",
     "evaluation_dict",
 ]
 
@@ -89,16 +88,6 @@ def test_accuracy(post: Posterior, batch: LabeledBatch, cfg: PredictiveConfig) -
         raise ValueError("accuracy is undefined on an empty batch")
     labels = predictive_probabilities(post, batch.x, cfg) >= 0.5
     return float(np.mean(labels == batch.y))
-
-
-def save_predictions_csv(path, probs: np.ndarray, labels: np.ndarray) -> None:
-    """Write row_id,p_hat,label_hat rows (full float precision)."""
-    probs = np.asarray(probs, dtype=float)
-    labels = np.asarray(labels)
-    with open(path, "w", newline="") as fh:
-        fh.write("row_id,p_hat,label_hat\n")
-        for i in range(probs.shape[0]):
-            fh.write(f"{i},{float(probs[i])!r},{int(labels[i])}\n")
 
 
 def evaluation_dict(post: Posterior, batch: LabeledBatch, cfg: PredictiveConfig) -> dict:

@@ -29,6 +29,7 @@ from .model import (
     NetworkShape,
     PriorConfig,
     ShapeMismatchError,
+    check_keys,
     json_field,
     normal_logpdf_total,
     sigmoid,
@@ -96,6 +97,7 @@ class VariationalParams:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "VariationalParams":
+        check_keys(doc, ("m", "r"), "variational parameters")
         return cls(mean=json_field(doc, "m", list[float]),
                    raw_scale=json_field(doc, "r", list[float]))
 
@@ -127,6 +129,7 @@ class Posterior:
         shape = NetworkShape.from_json_dict(json_field(doc, "shape", dict))
         q = VariationalParams.from_json_dict(json_field(doc, "variational", dict))
         prior = json_field(doc, "prior", dict)
+        check_keys(prior, ("mu", "zeta"), "a prior")
         return cls(shape, q, PriorConfig(mu=json_field(prior, "mu", list[float]),
                                          zeta=json_field(prior, "zeta", list[float])))
 

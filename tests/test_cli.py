@@ -303,6 +303,21 @@ class TestPredict:
         err = capsys.readouterr().err
         assert "features.csv" in err and "line(s) 3" in err
 
+    @pytest.mark.parametrize("text", ["x1,flag\n0.3,0.5\n", "x1,flag,y\n0.3,0.5,1\n"],
+                             ids=["feature-only", "full-columns"])
+    def test_categorical_column_must_be_binary(self, tmp_path, capsys, text):
+        model = tmp_path / "model.json"
+        hand_built_model(model, schema_doc={"columns": [
+            {"name": "x1"}, {"name": "flag", "kind": "categorical_binary"},
+            {"name": "y", "kind": "label"}]})
+        feat = tmp_path / "features.csv"
+        feat.write_text(text)
+        out = tmp_path / "p.csv"
+        code = main(["predict", "--model", str(model), "--data", str(feat), "--out", str(out)])
+        assert code == 1
+        assert f"{feat}: categorical column 'flag' must be 0/1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_wrong_width_rejected(self, tmp_path, capsys, workdir):
         feat = tmp_path / "wide.csv"
         feat.write_text("x1,x2,x3,y\n0.1,0.2,0.3,1\n")
@@ -366,6 +381,16 @@ class TestEvaluate:
         assert code == 1
         err = capsys.readouterr().err
         assert "labelled.csv" in err and "line(s) 4" in err
+
+    def test_empty_data_names_the_file(self, tmp_path, capsys, workdir):
+        data = tmp_path / "header-only.csv"
+        data.write_text("x1,x2,y\n")
+        out = tmp_path / "e.json"
+        code = main(["evaluate", "--model", str(workdir["model"]),
+                     "--data", str(data), "--out", str(out)])
+        assert code == 1
+        assert f"error: {data}: accuracy is undefined" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestServingThreads:
@@ -443,6 +468,20 @@ class TestDiagnose:
                      "--out", str(tmp_path / "d.json")])
         assert code == 1
         assert "gone.json" in capsys.readouterr().err
+
+    def test_truth_of_another_width_names_the_truth_and_the_model(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        hand_built_model(model)
+        truth = tmp_path / "truth.json"
+        truth.write_text(json.dumps({"kind": "constant", "p": 3, "value": 0.0}))
+        out = tmp_path / "d.json"
+        code = main(["diagnose", "--model", str(model), "--truth", str(truth),
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "truth has p=3 but the posterior takes p=2" in err
+        assert repr(str(truth)) in err and repr(str(model)) in err
+        assert not out.exists()
 
 
 class TestSweep:
@@ -777,9 +816,18 @@ class TestJsonInputs:
                          "flat_theta": [0.0] * 5}, "q"),
         ("diagnose-truth", {"kind": "network", "shape": {"p": 2, "k": 1},
                             "flat_theta": [0.0] * 5, "theta": []}, "theta"),
+        ("train-schema", {"columns": [{"name": "x1"}, {"name": "x2"},
+                                      {"name": "y", "kind": "label"}], "version": 1},
+         "version"),
+        ("predict-model", {**MODEL, "posterior": {}}, "posterior"),
+        ("predict-model", {**MODEL, "variational": {**MODEL["variational"], "s": [1.0] * 9}},
+         "s"),
+        ("predict-model", {**MODEL, "prior": {**MODEL["prior"], "sigma": [1.0] * 9}}, "sigma"),
+        ("predict-model", {**MODEL, "schema": {**MODEL["schema"], "label": "y"}}, "label"),
     ], ids=["grid-fold", "grid-base", "config-tol", "config-schedule", "schema-column",
             "model-column", "model-shape", "synth-constant", "diagnose-constant",
-            "diagnose-linear", "synth-network-shape", "diagnose-network"])
+            "diagnose-linear", "synth-network-shape", "diagnose-network", "schema-top",
+            "model-top", "model-variational", "model-prior", "model-schema"])
     def test_unknown_key_names_the_file_and_the_key(self, tmp_path, capsys, workdir,
                                                     use, doc, key):
         path = tmp_path / "in.json"

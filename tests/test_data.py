@@ -22,11 +22,14 @@ from vbnn.data import (
     generate_synthetic,
     load_csv,
     normalize,
+    save_predictions_csv,
+    save_report_csv,
     split,
     write_csv,
 )
 from vbnn.metrics import IntegrationConfig, TrueFunction, draw_points
 from vbnn.model import LabeledBatch, sigmoid
+from vbnn.optimizer import TrainReport
 
 
 def write_text(path, text: str) -> None:
@@ -186,6 +189,49 @@ class TestWriteCsv:
         assert path.read_text().splitlines()[0] == "y,a"
         back, _ = load_csv(path, schema=schema)
         np.testing.assert_array_equal(back.x, batch.x)
+
+
+def reference_rows_csv(path, header, rows):
+    """The row-at-a-time csv.writer whose bytes every CSV writer must match."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+class TestArtifactCsv:
+    def test_report_bytes_match_the_row_at_a_time_writer(self, tmp_path, rng):
+        n = 2 * _BLOCK_ROWS + 1
+        traces = rng.normal(0, 10, (3, n))
+        special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308]
+        for trace in traces:
+            trace[:len(special)] = special
+            rng.shuffle(trace)
+        report = TrainReport(*traces, converged=False, wall_time=0.0)
+        save_report_csv(report, tmp_path / "blocks.csv")
+        reference_rows_csv(tmp_path / "rows.csv", ["iteration", "elbo", "grad_var", "rho_t"],
+                           ([i, *(repr(float(v)) for v in values)]
+                            for i, values in enumerate(zip(*traces))))
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    def test_predictions_bytes(self, tmp_path):
+        path = tmp_path / "predictions.csv"
+        save_predictions_csv(path, np.array([0.1, 0.5, 1 / 3]), np.array([0, 1, 0]))
+        assert path.read_bytes() == (b"row_id,p_hat,label_hat\r\n0,0.1,0\r\n1,0.5,1\r\n"
+                                     b"2,0.3333333333333333,0\r\n")
+
+    def test_predictions_and_labels_of_unequal_lengths_are_refused(self, tmp_path):
+        with pytest.raises(ValueError):
+            save_predictions_csv(tmp_path / "p.csv", np.array([0.1, 0.9]), np.array([0]))
+
+    def test_predictions_match_the_row_at_a_time_writer_across_a_block(self, tmp_path, rng):
+        probs = rng.random(_BLOCK_ROWS + 1)
+        labels = (probs >= 0.5).astype(np.int64)
+        save_predictions_csv(tmp_path / "blocks.csv", probs, labels)
+        reference_rows_csv(tmp_path / "rows.csv", ["row_id", "p_hat", "label_hat"],
+                           ([i, repr(float(p)), int(y)]
+                            for i, (p, y) in enumerate(zip(probs, labels))))
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 class TestNormalization:

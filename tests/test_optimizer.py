@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vbnn.data import generate_synthetic, split
+from vbnn.data import generate_synthetic, save_report_csv, split
 from vbnn.metrics import TrueFunction
 from vbnn.model import (
     JsonFieldError,
@@ -28,7 +28,6 @@ from vbnn.optimizer import (
     estimate_gradient,
     estimate_gradient_cv,
     report_summary,
-    save_report_csv,
     step,
     train,
 )

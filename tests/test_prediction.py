@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.special import expit, logit
 
+from vbnn.data import save_predictions_csv
 from vbnn.metrics import IntegrationConfig, TrueFunction, diagnostics_dict
 from vbnn.model import (
     LabeledBatch,
@@ -25,7 +26,6 @@ from vbnn.prediction import (
     PredictiveConfig,
     evaluation_dict,
     predictive_probabilities,
-    save_predictions_csv,
 )
 from vbnn.prediction import _BLOCK_FLOATS
 from vbnn.prediction import test_accuracy as accuracy_of  # dodge pytest collection
