@@ -28,7 +28,7 @@ from .data import (
     REFERENCE_TRUTH,
     SchemaError,
     TableSchema,
-    _check_binary_features,
+    _check_binary_columns,
     _parse_rows,
     default_schema,
     fit_normalization,
@@ -183,14 +183,15 @@ def _load_truth(source: str) -> TrueFunction:
 def _load_feature_rows(path: str, schema: TableSchema) -> np.ndarray:
     """Features for prediction; accepts full columns or feature columns only."""
     feature_names = [c.name for c in schema.feature_columns]
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise DataError(f"{path}: empty file, expected a header row")
         if [h.strip() for h in header] == feature_names:
-            x = _parse_rows(path, list(reader), len(feature_names))
-            _check_binary_features(path, x, schema)
+            rows = list(reader)
+            x = _parse_rows(path, rows, feature_names)
+            _check_binary_columns(path, feature_names, rows, x, schema)
             return x
     batch, _ = load_csv(path, schema)
     return batch.x
@@ -260,6 +261,8 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     batch, schema = _load_labeled(args.data, args.schema)
+    if batch.n == 0:
+        raise DataError(f"{args.data}: training needs at least one data row")
     schema = fit_normalization(schema, batch)
     batch = normalize(batch, schema)
     # the file is checked on its own, so that a bad flag is not blamed on it

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -149,13 +150,26 @@ def default_schema(p: int) -> TableSchema:
     return TableSchema(columns=tuple(cols))
 
 
-def _parse_rows(path, rows: list, ncol: int) -> np.ndarray:
-    """The (len(rows), ncol) values of the data rows that follow a header.
+# Bad cells that a DataError quotes; its list of lines stays complete.
+_CELLS_QUOTED = 3
+
+
+def _is_finite_number(cell: str) -> bool:
+    try:
+        return math.isfinite(float(cell))
+    except ValueError:
+        return False
+
+
+def _parse_rows(path, rows: list, names: list) -> np.ndarray:
+    """The (len(rows), len(names)) values of the data rows that follow a header.
 
     A row with the wrong cell count, or with a cell that is missing, not a
     number, nan or infinite, raises DataError listing every such row's file
-    line number (1-based, header is line 1).
+    line number (1-based, header is line 1) and quoting the first few bad
+    cells with their column names.
     """
+    ncol = len(names)
     values = np.full((len(rows), ncol), np.nan)
     for i, row in enumerate(rows):
         if len(row) == ncol:
@@ -165,9 +179,20 @@ def _parse_rows(path, rows: list, ncol: int) -> np.ndarray:
                 pass  # the row stays nan and is reported below
     bad_lines = (np.flatnonzero(~np.isfinite(values).all(axis=1)) + 2).tolist()
     if bad_lines:
+        cells = []
+        for line in bad_lines:
+            row = rows[line - 2]
+            if len(row) != ncol:
+                cells.append(f"line {line} has {len(row)} cell(s), expected {ncol}")
+            else:
+                cells += [f"line {line}, column {name!r}: {cell!r}"
+                          for name, cell in zip(names, row) if not _is_finite_number(cell)]
+            if len(cells) >= _CELLS_QUOTED:
+                break
         raise DataError(
             f"{path}: malformed, missing or non-finite values at line(s) "
-            + ", ".join(str(b) for b in bad_lines),
+            + ", ".join(str(b) for b in bad_lines)
+            + f" ({'; '.join(cells[:_CELLS_QUOTED])})",
             lines=bad_lines,
         )
     return values
@@ -183,7 +208,7 @@ def load_csv(path, schema: TableSchema | None = None) -> tuple[LabeledBatch, Tab
     appears); a header with a repeated name or with no feature column then
     raises SchemaError naming the file.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -217,26 +242,31 @@ def load_csv(path, schema: TableSchema | None = None) -> tuple[LabeledBatch, Tab
                 f"{path}: header {header} does not match schema columns {expected}"
             )
 
-    ncol = len(schema.columns)
-    values = _parse_rows(path, rows, ncol)
-
+    values = _parse_rows(path, rows, header)
+    _check_binary_columns(path, header, rows, values, schema)
     label_idx = schema.label_index
-    y = values[:, label_idx]
-    feature_idx = [i for i in range(ncol) if i != label_idx]
-    x = values[:, feature_idx]
-
-    if len(rows) and not np.all(np.isin(y, (0.0, 1.0))):
-        raise SchemaError(f"{path}: label column must contain only 0/1 values")
-    _check_binary_features(path, x, schema)
-    return LabeledBatch(x=x, y=y.astype(np.int64)), schema
+    feature_idx = [i for i in range(len(header)) if i != label_idx]
+    y = values[:, label_idx].astype(np.int64)
+    return LabeledBatch(x=values[:, feature_idx], y=y), schema
 
 
-def _check_binary_features(path, x: np.ndarray, schema: TableSchema) -> None:
-    """Raise SchemaError naming the file and the first categorical_binary
-    column of the features x (n, p) that holds a value other than 0 or 1."""
-    for j, col in enumerate(schema.feature_columns):
-        if col.kind == "categorical_binary" and not np.all(np.isin(x[:, j], (0.0, 1.0))):
-            raise SchemaError(f"{path}: categorical column {col.name!r} must be 0/1")
+def _check_binary_columns(path, header: list, rows: list, values: np.ndarray,
+                          schema: TableSchema) -> None:
+    """Raise SchemaError at the first label or categorical_binary cell that
+    is not 0 or 1, naming the file, the column, the line and the cell.
+
+    ``values`` are the parsed ``rows`` under ``header``, which holds the
+    schema's columns, or its feature columns only."""
+    for col in schema.columns:
+        if col.kind == "numeric" or col.name not in header:
+            continue
+        j = header.index(col.name)
+        bad = np.flatnonzero(~np.isin(values[:, j], (0.0, 1.0)))
+        if bad.size:
+            i = int(bad[0])
+            what = ("label column must contain only 0/1 values" if col.kind == "label"
+                    else f"categorical column {col.name!r} must be 0/1")
+            raise SchemaError(f"{path}: {what} (line {i + 2}: {rows[i][j]!r})")
 
 
 # Rows that _write_rows formats and writes at once, so its memory stays near

@@ -216,6 +216,24 @@ class TestTrain:
         assert "fixed and rm" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_header_only_data_is_rejected(self, tmp_path, capsys):
+        data = tmp_path / "header-only.csv"
+        data.write_text("x1,x2,y\n")
+        out = tmp_path / "fit"
+        assert main(["train", "--data", str(data), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {data}: training needs at least one data row\n")
+        assert not out.exists()
+
+    def test_byte_order_mark_is_not_part_of_a_column_name(self, tmp_path, workdir):
+        data = tmp_path / "bom.csv"
+        data.write_bytes(b"\xef\xbb\xbf" + workdir["data"].read_bytes())
+        out = tmp_path / "fit"
+        assert main(["train", "--data", str(data), "--out", str(out), "--S", "10",
+                     "--max-iters", "5", "--k", "2", "--lr", "0.05"]) in (0, 2)
+        names = [c["name"] for c in read_json(out / "model.json")["schema"]["columns"]]
+        assert names == ["x1", "x2", "y"]
+
     def test_diverging_fit_warns_nothing_and_writes_strict_json(self, tmp_path, capsys):
         # fold 1 of a 3-fold split of the README's training data, at a large
         # fixed rate: the gradient variance overflows to inf at iteration 12
@@ -280,6 +298,39 @@ class TestPredict:
                      "--data", str(feat), "--out", str(out)]) == 0
         assert out.read_text() == "row_id,p_hat,label_hat\n"
 
+    @pytest.mark.parametrize("text", ["x1,x2\r\n0.1,0.2\r\n", "x1,x2,y\r\n0.1,0.2,1\r\n"],
+                             ids=["feature-only", "full-columns"])
+    def test_byte_order_mark_file_predicts_against_a_clean_model(self, tmp_path, workdir,
+                                                                 text):
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text)
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for data in (plain, bom):
+            assert main(["predict", "--model", str(workdir["model"]), "--data", str(data),
+                         "--out", str(tmp_path / f"{data.stem}-pred.csv")]) == 0
+        assert ((tmp_path / "bom-pred.csv").read_bytes()
+                == (tmp_path / "plain-pred.csv").read_bytes())
+
+    @pytest.mark.parametrize("text, message", [
+        ("x1,x2\n0.1,0.2\n0.3,abc\n",
+         "malformed, missing or non-finite values at line(s) 3 "
+         "(line 3, column 'x2': 'abc')"),
+        ("x1,x2\n0.1\n0.3,0.4\n",
+         "malformed, missing or non-finite values at line(s) 2 "
+         "(line 2 has 1 cell(s), expected 2)"),
+        ("x1,x2\nnan,\nx,0.2\n1,2\ninf,0\n",
+         "malformed, missing or non-finite values at line(s) 2, 3, 5 "
+         "(line 2, column 'x1': 'nan'; line 2, column 'x2': ''; line 3, column 'x1': 'x')"),
+    ], ids=["bad-cell", "short-row", "first-three-cells"])
+    def test_bad_cells_are_quoted_with_line_and_column(self, tmp_path, capsys, workdir,
+                                                       text, message):
+        feat = tmp_path / "e.csv"
+        feat.write_text(text)
+        code = main(["predict", "--model", str(workdir["model"]),
+                     "--data", str(feat), "--out", str(tmp_path / "p.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {feat}: {message}\n"
+
     def test_malformed_row_reports_line_and_leaves_no_file(self, tmp_path, capsys,
                                                            workdir):
         feat = tmp_path / "bad.csv"
@@ -317,6 +368,22 @@ class TestPredict:
         assert code == 1
         assert f"{feat}: categorical column 'flag' must be 0/1" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["x1,flag\n0.3,1\n0.2, 0.5\n",
+                                      "x1,flag,y\n0.3,1,1\n0.2, 0.5,0\n"],
+                             ids=["feature-only", "full-columns"])
+    def test_categorical_error_names_the_line_and_the_cell(self, tmp_path, capsys, text):
+        model = tmp_path / "model.json"
+        hand_built_model(model, schema_doc={"columns": [
+            {"name": "x1"}, {"name": "flag", "kind": "categorical_binary"},
+            {"name": "y", "kind": "label"}]})
+        feat = tmp_path / "features.csv"
+        feat.write_text(text)
+        code = main(["predict", "--model", str(model), "--data", str(feat),
+                     "--out", str(tmp_path / "p.csv")])
+        assert code == 1
+        assert (f"error: {feat}: categorical column 'flag' must be 0/1 (line 3: ' 0.5') "
+                f"(schema from model file '{model}')") in capsys.readouterr().err
 
     def test_wrong_width_rejected(self, tmp_path, capsys, workdir):
         feat = tmp_path / "wide.csv"
@@ -381,6 +448,15 @@ class TestEvaluate:
         assert code == 1
         err = capsys.readouterr().err
         assert "labelled.csv" in err and "line(s) 4" in err
+
+    def test_label_error_names_the_line_and_the_cell(self, tmp_path, capsys, workdir):
+        data = tmp_path / "e2.csv"
+        data.write_text("x1,x2,y\n0.1,0.2,1\n0.3,0.4,0\n0.5,0.6,2\n0.7,0.8,3\n")
+        code = main(["evaluate", "--model", str(workdir["model"]),
+                     "--data", str(data), "--out", str(tmp_path / "e.json")])
+        assert code == 1
+        assert (f"error: {data}: label column must contain only 0/1 values (line 4: '2')"
+                in capsys.readouterr().err)
 
     def test_empty_data_names_the_file(self, tmp_path, capsys, workdir):
         data = tmp_path / "header-only.csv"
@@ -873,6 +949,44 @@ class TestJsonInputs:
                                                and "in.json" in err):
                     failures.append(f"{'.'.join(map(str, field))}={value!r}: {code} {err}")
         assert not failures, "\n".join(failures)
+
+
+NO_SCIPY_RUN = """
+import json, sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, BlockScipy())
+from vbnn.cli import main
+
+d = sys.argv[1]
+codes = [
+    main(["synth", "--n", "40", "--seed", "1", "--out", d + "/d.csv",
+          "--truth-out", d + "/truth.json"]),
+    main(["train", "--data", d + "/d.csv", "--out", d + "/fit", "--S", "10",
+          "--max-iters", "20", "--k", "2", "--lr", "0.05"]),
+    main(["predict", "--model", d + "/fit/model.json", "--data", d + "/d.csv",
+          "--out", d + "/p.csv", "--M", "20"]),
+    main(["diagnose", "--model", d + "/fit/model.json", "--truth", d + "/truth.json",
+          "--out", d + "/diag.json", "--M", "20", "--n-mc", "200"]),
+]
+print(json.dumps({"codes": codes, "scipy": "scipy" in sys.modules}))
+"""
+
+
+class TestRuntime:
+    def test_commands_run_without_scipy(self, tmp_path):
+        proc = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN, str(tmp_path)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["codes"][0] == doc["codes"][2] == doc["codes"][3] == 0
+        assert doc["codes"][1] in (0, 2)
+        assert not doc["scipy"]
 
 
 class TestLogging:

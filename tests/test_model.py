@@ -2,7 +2,8 @@
 
 Oracles used here: a hand-rolled scalar forward pass in pure python math, an
 extended-precision softplus via mpmath, per-point Bernoulli probabilities via
-math.log, and scipy.stats.norm for the prior density.
+math.log, scipy.stats.norm for the prior density, and scipy.special.expit
+for the output sigmoid.
 """
 
 import math
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import expit
 
 from vbnn.data import REFERENCE_TRUTH, generate_synthetic
 from vbnn.model import (
@@ -502,6 +504,18 @@ class TestValidation:
             PriorConfig(mu=np.zeros(2), zeta=np.array([1.0, 0.0]))
 
     def test_sigmoid_is_bounded(self):
-        values = sigmoid(np.array([-800.0, -30.0, 0.0, 30.0, 800.0]))
+        # scipy's expit (libm's 1 / (1 + e^-z)) is the oracle.  numpy's SIMD
+        # exp keeps sigmoid within 2 ulps of it over most of the line, and
+        # within 4 just below z = -ln(2**53) ~ -36.74, where e^-z passes
+        # 2**53 and 1 + e^-z rounds to an even integer.
+        edges = [0.0, -0.0, 709.78, -709.78, 745.0, -745.0, 1e308, -1e308, np.inf, -np.inf]
+        z = np.concatenate([edges, np.linspace(-37.0, -36.5, 10_001),
+                            np.random.default_rng(0).uniform(-800.0, 800.0, 100_000)])
+        values = sigmoid(z)
         assert np.all((values >= 0.0) & (values <= 1.0))
-        assert sigmoid(0.0) == 0.5
+        ulps = np.abs(values.view(np.int64) - expit(z).view(np.int64))
+        assert ulps.max() <= 4
+        assert np.all(ulps[z > -36.0] <= 2) and np.all(ulps[z < -37.0] <= 2)
+        assert sigmoid(0.0) == sigmoid(-0.0) == 0.5
+        assert sigmoid(-745.0) == 0.0 and sigmoid(745.0) == 1.0
+        assert np.isnan(sigmoid(np.nan))

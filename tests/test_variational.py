@@ -2,7 +2,7 @@
 
 Gradient oracles are central finite differences of log_q; the density oracle
 is scipy.stats.norm; the normalization check integrates exp(log_q) with
-scipy.integrate.quad.
+scipy.integrate.quad; the raw-scale chain rule uses scipy.special.expit.
 """
 
 import math
@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate, stats
+from scipy.special import expit
 
 from vbnn.model import (
     JsonFieldError,
@@ -198,12 +199,19 @@ class TestGradients:
             np.testing.assert_allclose(grad_log_q_raw(q, theta), fd, atol=1e-6)
 
     def test_raw_gradient_is_chain_rule_of_scale_gradient(self, rng):
-        q = random_q(rng, 5)
-        theta = rng.normal(0, 1, 5)
-        np.testing.assert_array_equal(
-            grad_log_q_raw(q, theta),
-            sigmoid(q.raw_scale) * grad_log_q_scale(q, theta),
-        )
+        # Training's bytes rest on sigmoid(r) being libm's, as expit is, to the
+        # bit, also below r ~ -709.78, where e^-r overflows and sigmoid(r) is 0.
+        sweep = np.concatenate([[0.0, -0.0, -709.78, -709.79, -745.0, -800.0, 40.0],
+                                rng.uniform(-800.0, 40.0, 1000),
+                                rng.uniform(-40.0, 40.0, 1000)])
+        cases = [random_q(rng, 5),
+                 VariationalParams(mean=rng.normal(0, 1, sweep.size), raw_scale=sweep)]
+        for q in cases:
+            theta = rng.normal(0, 1, q.K)
+            np.testing.assert_array_equal(
+                grad_log_q_raw(q, theta),
+                expit(q.raw_scale) * grad_log_q_scale(q, theta),
+            )
 
     def test_collapsed_scale_stays_finite(self):
         # s = softplus(-40) ~ 4e-18 is floored at SCALE_FLOOR inside the
