@@ -28,8 +28,8 @@ from .data import (
     REFERENCE_TRUTH,
     SchemaError,
     TableSchema,
-    _check_binary_columns,
-    _parse_rows,
+    _open_table,
+    _parse_table,
     default_schema,
     fit_normalization,
     generate_synthetic,
@@ -85,7 +85,10 @@ def _atomic_write(path: str, writer) -> None:
     os.close(fd)
     try:
         writer(tmp)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:  # such as a directory at path
+            raise type(exc)(exc.errno, exc.strerror, path) from None
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -103,30 +106,40 @@ def _atomic_write_json(path: str, doc: dict) -> None:
 # ---------------------------------------------------------------------------
 # artifact plumbing
 
-def _load_json(path: str, what: str) -> dict:
+@contextmanager
+def _json_input(path: str, what: str):
+    """Parse a JSON input and yield its document.
+
+    The file must be UTF-8 text holding an object, with no NaN, Infinity or
+    repeated key.  A missing key, or any ValueError (a value of the wrong kind,
+    an unknown or out-of-range value, a shape mismatch), raised in the block
+    is re-raised as a ValueError naming the file."""
     def reject(token):
         # RFC 8259 has no NaN or Infinity, and every writer here refuses them
         raise ValueError(f"{what} file {path!r} is not valid JSON: {token} is not a number")
 
+    def unique(pairs):
+        # RFC 8259 leaves a repeated name's meaning open: refuse to pick one
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ValueError(f"{what} file {path!r} repeats the key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
-        with open(path) as fh:
-            doc = json.load(fh, parse_constant=reject)
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh, parse_constant=reject, object_pairs_hook=unique)
     except FileNotFoundError:
         raise FileNotFoundError(f"cannot read {what} file {path!r}: no such file")
     except json.JSONDecodeError as exc:
         raise ValueError(f"{what} file {path!r} is not valid JSON: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{what} file {path!r} is not UTF-8 text: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{what} file {path!r} must hold a JSON object at its top level")
-    return doc
-
-
-@contextmanager
-def _keys_of(path: str, what: str):
-    """Re-raise a missing key, or any ValueError (a value of the wrong kind, an
-    unknown or out-of-range value, a shape mismatch), found while building
-    objects from a file's document as a ValueError naming the file."""
     try:
-        yield
+        yield doc
     except KeyError as exc:
         raise ValueError(f"{what} file {path!r} has no key {exc.args[0]!r}") from None
     except ValueError as exc:
@@ -153,8 +166,7 @@ def _model_artifact(post: Posterior, config: TrainConfig, schema: TableSchema) -
 
 
 def _load_model(path: str) -> tuple[Posterior, TableSchema]:
-    doc = _load_json(path, "model")
-    with _keys_of(path, "model"):
+    with _json_input(path, "model") as doc:
         check_keys(doc, ("shape", "prior", "variational", "config", "seed", "schema"), "a model")
         return (Posterior.from_json_dict(doc),
                 TableSchema.from_json_dict(json_field(doc, "schema", dict)))
@@ -165,8 +177,7 @@ def _load_labeled(data_path: str, schema_path: str | None) -> tuple[LabeledBatch
     path = schema_path or data_path + ".schema.json"
     if not schema_path and not os.path.exists(path):
         return load_csv(data_path)  # no --schema and no sidecar: infer the columns
-    doc = _load_json(path, "schema")
-    with _keys_of(path, "schema"):
+    with _json_input(path, "schema") as doc:
         schema = TableSchema.from_json_dict(doc)
     with _read_against(path, "schema"):
         return load_csv(data_path, schema)
@@ -175,24 +186,15 @@ def _load_labeled(data_path: str, schema_path: str | None) -> tuple[LabeledBatch
 def _load_truth(source: str) -> TrueFunction:
     if source == "reference":
         return REFERENCE_TRUTH
-    doc = _load_json(source, "truth")
-    with _keys_of(source, "truth"):
+    with _json_input(source, "truth") as doc:
         return TrueFunction.from_json_dict(doc)
 
 
 def _load_feature_rows(path: str, schema: TableSchema) -> np.ndarray:
     """Features for prediction; accepts full columns or feature columns only."""
-    feature_names = [c.name for c in schema.feature_columns]
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file, expected a header row")
-        if [h.strip() for h in header] == feature_names:
-            rows = list(reader)
-            x = _parse_rows(path, rows, feature_names)
-            _check_binary_columns(path, feature_names, rows, x, schema)
-            return x
+    with _open_table(path) as (header, reader):
+        if header == [c.name for c in schema.feature_columns]:
+            return _parse_table(path, header, list(reader), schema)
     batch, _ = load_csv(path, schema)
     return batch.x
 
@@ -268,8 +270,7 @@ def cmd_train(args) -> int:
     # the file is checked on its own, so that a bad flag is not blamed on it
     config, shape = TrainConfig(), NetworkShape(p=batch.p, k=_DEFAULT_K)
     if args.config:
-        doc = _load_json(args.config, "config")
-        with _keys_of(args.config, "config"):
+        with _json_input(args.config, "config") as doc:
             # k sizes the network, not the training run
             shape = NetworkShape(p=batch.p, k=json_field(doc, "k", int, _DEFAULT_K))
             config = TrainConfig.from_json_dict({key: v for key, v in doc.items() if key != "k"})
@@ -367,8 +368,7 @@ def cmd_sweep(args) -> int:
     # checked before the grid, so that a bad flag is not blamed on it nor found after a fit
     TrainConfig(**flags)
     cfg = PredictiveConfig(M=args.M, seed=args.seed)
-    grid = _load_json(args.grid, "grid")
-    with _keys_of(args.grid, "grid"):
+    with _json_input(args.grid, "grid") as grid:
         check_keys(grid, ("S", "schedule", "algo", "base", "k", "folds"), "a sweep grid")
         axes = [json_field(grid, key, list, []) for key in ("S", "schedule", "algo")]
         if not all(axes):

@@ -6,8 +6,11 @@ single label column) and the normalization to apply (none, zscore, or
 minmax01).  Normalization statistics are fitted once on training data and
 carried inside the schema, so held-out data is transformed with the training
 statistics rather than its own.  ``split`` cuts a batch into seeded k-fold
-cross-validation pairs.  Data, predictions and training reports are written
-by one block writer, ``_write_rows``: CRLF line ends, numbers as ``repr``.
+cross-validation pairs.  Every data CSV is opened by ``_open_table``, which
+reads it as UTF-8 and drops a byte order mark; an empty file, or one holding
+bytes that are not UTF-8, raises DataError naming the file.  Data, predictions
+and training reports are written by one block writer, ``_write_rows``: CRLF
+line ends, numbers as ``repr``.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -50,7 +54,8 @@ class SchemaError(ValueError):
 
 
 class DataError(ValueError):
-    """Rows of the file could not be parsed; carries the offending line numbers."""
+    """The file could not be parsed: it is empty, it is not UTF-8 text, or
+    some of its rows are malformed, whose line numbers it then carries."""
 
     def __init__(self, message: str, lines=()):
         super().__init__(message)
@@ -161,13 +166,16 @@ def _is_finite_number(cell: str) -> bool:
         return False
 
 
-def _parse_rows(path, rows: list, names: list) -> np.ndarray:
-    """The (len(rows), len(names)) values of the data rows that follow a header.
+def _parse_table(path, names: list, rows: list, schema: TableSchema) -> np.ndarray:
+    """The (len(rows), len(names)) values of the data rows under a header of
+    ``names``, which holds the schema's columns, or its feature columns only.
 
     A row with the wrong cell count, or with a cell that is missing, not a
     number, nan or infinite, raises DataError listing every such row's file
     line number (1-based, header is line 1) and quoting the first few bad
-    cells with their column names.
+    cells with their column names.  A label or categorical_binary cell that
+    is not 0 or 1 raises SchemaError naming the column, the first bad line
+    and its cell.
     """
     ncol = len(names)
     values = np.full((len(rows), ncol), np.nan)
@@ -195,7 +203,38 @@ def _parse_rows(path, rows: list, names: list) -> np.ndarray:
             + f" ({'; '.join(cells[:_CELLS_QUOTED])})",
             lines=bad_lines,
         )
+    for col in schema.columns:
+        if col.kind == "numeric" or col.name not in names:
+            continue
+        j = names.index(col.name)
+        bad = np.flatnonzero(~np.isin(values[:, j], (0.0, 1.0)))
+        if bad.size:
+            i = int(bad[0])
+            what = ("label column must contain only 0/1 values" if col.kind == "label"
+                    else f"categorical column {col.name!r} must be 0/1")
+            raise SchemaError(f"{path}: {what} (line {i + 2}: {rows[i][j]!r})")
     return values
+
+
+@contextmanager
+def _open_table(path):
+    """Yield a data CSV's header, its names stripped, and a ``csv.reader``
+    over the rows that follow.
+
+    The file is read as UTF-8 and a byte order mark is dropped.  An empty
+    file, or bytes that are not UTF-8 anywhere in the block, raise DataError
+    naming the file.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty file, expected a header row")
+            yield [h.strip() for h in header], reader
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: "
+                        f"{exc.reason})") from None
 
 
 def load_csv(path, schema: TableSchema | None = None) -> tuple[LabeledBatch, TableSchema]:
@@ -208,15 +247,9 @@ def load_csv(path, schema: TableSchema | None = None) -> tuple[LabeledBatch, Tab
     appears); a header with a repeated name or with no feature column then
     raises SchemaError naming the file.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected a header row")
+    with _open_table(path) as (header, reader):
         rows = list(reader)
 
-    header = [h.strip() for h in header]
     if schema is None:
         if "y" in header:
             label = header.index("y")
@@ -242,31 +275,11 @@ def load_csv(path, schema: TableSchema | None = None) -> tuple[LabeledBatch, Tab
                 f"{path}: header {header} does not match schema columns {expected}"
             )
 
-    values = _parse_rows(path, rows, header)
-    _check_binary_columns(path, header, rows, values, schema)
+    values = _parse_table(path, header, rows, schema)
     label_idx = schema.label_index
     feature_idx = [i for i in range(len(header)) if i != label_idx]
     y = values[:, label_idx].astype(np.int64)
     return LabeledBatch(x=values[:, feature_idx], y=y), schema
-
-
-def _check_binary_columns(path, header: list, rows: list, values: np.ndarray,
-                          schema: TableSchema) -> None:
-    """Raise SchemaError at the first label or categorical_binary cell that
-    is not 0 or 1, naming the file, the column, the line and the cell.
-
-    ``values`` are the parsed ``rows`` under ``header``, which holds the
-    schema's columns, or its feature columns only."""
-    for col in schema.columns:
-        if col.kind == "numeric" or col.name not in header:
-            continue
-        j = header.index(col.name)
-        bad = np.flatnonzero(~np.isin(values[:, j], (0.0, 1.0)))
-        if bad.size:
-            i = int(bad[0])
-            what = ("label column must contain only 0/1 values" if col.kind == "label"
-                    else f"categorical column {col.name!r} must be 0/1")
-            raise SchemaError(f"{path}: {what} (line {i + 2}: {rows[i][j]!r})")
 
 
 # Rows that _write_rows formats and writes at once, so its memory stays near

@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import itertools
 import json
 import math
 import os
@@ -709,6 +710,15 @@ class TestUsage:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.rstrip().endswith(f"{str(out)!r}")
 
+    def test_output_that_is_a_directory_names_the_output(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        out.mkdir()
+        assert main(["synth", "--n", "5", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.rstrip().endswith(f"{str(out)!r}")
+        assert ".part" not in err
+        assert not [f for f in os.listdir(tmp_path) if f.startswith(".tmp.")]
+
 
 def json_input_argv(use, path, workdir, tmp_path):
     """argv of the command that reads ``path`` for ``use``, with valid other inputs."""
@@ -915,6 +925,25 @@ class TestJsonInputs:
         assert "unknown key(s) for " in err and err.rstrip().endswith(f": {key}")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("use", ["train-config", "train-schema", "sweep-grid",
+                                     "diagnose-truth", "synth-truth", "predict-model",
+                                     "evaluate-model", "diagnose-model"])
+    @pytest.mark.parametrize("text, message", [
+        (b'{"S": 5, "S": 7}', "repeats the key 'S'"),
+        (b'{"schedule": {"kind": "rm", "kind": "fixed"}}', "repeats the key 'kind'"),
+        (b'{"kind": "caf\xe9"}', "is not UTF-8 text: 'utf-8' codec can't decode byte 0xe9 "
+                                 "in position 13: invalid continuation byte"),
+    ], ids=["repeated-key", "repeated-nested-key", "not-utf-8"])
+    def test_repeated_key_or_non_utf8_text_names_the_file(self, tmp_path, capsys, workdir,
+                                                           use, text, message):
+        path = tmp_path / "in.json"
+        path.write_bytes(text)
+        what = use.split("-")[1]
+        code = main(json_input_argv(use, str(path), workdir, tmp_path))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {what} file {str(path)!r} {message}\n"
+        assert not (tmp_path / "out").exists()
+
 
     @pytest.mark.parametrize("use", ["predict-model", "train-config", "sweep-grid",
                                      "train-schema", "diagnose-truth"])
@@ -948,6 +977,88 @@ class TestJsonInputs:
                 if code not in (0, 2) and not (code == 1 and err.startswith("error: ")
                                                and "in.json" in err):
                     failures.append(f"{'.'.join(map(str, field))}={value!r}: {code} {err}")
+        assert not failures, "\n".join(failures)
+
+
+# a valid data file for a model whose schema is x1, a 0/1 flag and the label y
+CSV_ROWS = [[b"x1", b"flag", b"y"], [b"0.1", b"0", b"1"], [b"0.5", b"1", b"0"],
+            [b"0.9", b"1", b"1"]]
+
+# the values each data cell is set to in turn
+CELL_VALUES = [b"", b" ", b"nan", b"inf", b"-inf", b"1e309", b"x", b'"1"', b"0x10", b"1_0",
+               "１".encode(), b'"1,2"', b"-0", b"True", b"2", b"0.5", b"1e-400", b"\xff"]
+
+
+def csv_bytes(rows, end=b"\n"):
+    return b"".join(b",".join(row) + end for row in rows)
+
+
+# whole-file mutations of a data file's rows
+CSV_STRUCTURES = {
+    "bom": lambda rows: b"\xef\xbb\xbf" + csv_bytes(rows),
+    "cr-line-ends": lambda rows: csv_bytes(rows, end=b"\r"),
+    "extra-cell": lambda rows: csv_bytes(rows[:2] + [rows[2] + [b"0"]] + rows[3:]),
+    "short-row": lambda rows: csv_bytes(rows[:2] + [rows[2][:-1]] + rows[3:]),
+    "unclosed-quote": lambda rows: csv_bytes(rows[:2] + [[b'"' + rows[2][0]] + rows[2][1:]]
+                                             + rows[3:]),
+    "blank-line": lambda rows: csv_bytes(rows[:2] + [[]] + rows[2:]),
+    "header-only": lambda rows: csv_bytes(rows[:1]),
+    "empty-file": lambda rows: b"",
+    "repeated-header-name": lambda rows: csv_bytes([rows[0][:1] * 2 + rows[0][2:]]
+                                                   + rows[1:]),
+    "padded-header-names": lambda rows: csv_bytes([[b" " + h + b" " for h in rows[0]]]
+                                                  + rows[1:]),
+    "utf-16": lambda rows: csv_bytes(rows).decode().encode("utf-16"),
+    "cp1252-header": lambda rows: csv_bytes([["âge".encode("cp1252")] + rows[0][1:]]
+                                            + rows[1:]),
+}
+
+
+class TestCsvInputs:
+    @pytest.mark.parametrize("command", ["train", "predict-full", "predict-features"])
+    def test_every_cell_and_structure_exits_cleanly(self, tmp_path, capsys, command):
+        # each data cell set to each of CELL_VALUES, and each of CSV_STRUCTURES:
+        # the command succeeds (exit 0, or 2 for a fit that ran out of
+        # iterations) or exits 1 naming the file, and a bad cell of a UTF-8
+        # file is named by its line and column; it never raises
+        model = tmp_path / "model.json"
+        hand_built_model(model, schema_doc={"columns": [
+            {"name": "x1"}, {"name": "flag", "kind": "categorical_binary"},
+            {"name": "y", "kind": "label"}]})
+        data, out = tmp_path / "in.csv", str(tmp_path / "out")
+        argv = (["train", "--data", str(data), "--out", out, "--S", "2", "--max-iters", "1",
+                 "--k", "1", "--lr", "0.05"] if command == "train" else
+                ["predict", "--model", str(model), "--data", str(data), "--out", out,
+                 "--M", "1"])
+        rows = [row[:2] for row in CSV_ROWS] if command == "predict-features" else CSV_ROWS
+        header = [name.decode() for name in rows[0]]
+
+        def run(content):
+            data.write_bytes(content)
+            try:
+                code = main(argv)
+            except Exception as exc:  # any exception is a failure
+                return "raised", repr(exc)
+            return code, capsys.readouterr().err
+
+        failures = []
+        for i, j in itertools.product(range(1, len(rows)), range(len(header))):
+            for value in CELL_VALUES:
+                mutated = [list(row) for row in rows]
+                mutated[i][j] = value
+                code, err = run(csv_bytes(mutated))
+                named = code == 1 and err.startswith("error: ") and str(data) in err
+                if value != b"\xff":  # a file that is not UTF-8 has no line to name
+                    column = f"column {header[j]!r}" in err or (
+                        header[j] == "y" and "label column" in err)
+                    named = named and f"line {i + 1}" in err and column
+                if code not in (0, 2) and not named:
+                    failures.append(f"line {i + 1}, {header[j]}={value!r}: {code} {err}")
+        for name, mutate in CSV_STRUCTURES.items():
+            code, err = run(mutate(rows))
+            if code not in (0, 2) and not (code == 1 and err.startswith("error: ")
+                                           and str(data) in err):
+                failures.append(f"{name}: {code} {err}")
         assert not failures, "\n".join(failures)
 
 
