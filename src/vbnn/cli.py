@@ -20,6 +20,7 @@ import os
 import sys
 import tempfile
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 
@@ -202,42 +203,34 @@ def _load_feature_rows(path: str, schema: TableSchema) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # config assembly for `train` and `sweep`
 
-def _schedule_dict_with_overrides(schedule: Schedule, args) -> dict:
-    """The schedule's JSON form with the CLI flags applied.
+def _train_config_from(args, config: TrainConfig) -> TrainConfig:
+    """The config with the CLI flags applied; a flag the command lacks is unset.
 
     --lr implies a fixed schedule and --rho0/--b/--c a decaying (rm) one;
-    flags that imply different kinds are rejected.  When the flags change the
-    schedule's kind, its keys for the old kind are dropped, since the new kind
-    rejects them.
+    flags that imply different kinds are rejected.  Flags that change the
+    schedule's kind start from the new kind's defaults.
     """
-    doc = schedule.to_json_dict()
-    flags = {key: getattr(args, attr, None)
-             for key, attr in (("rho", "lr"), ("rho0", "rho0"), ("b", "b"), ("c", "c"))}
-    flags = {key: value for key, value in flags.items() if value is not None}
-    kinds = {kind for kind, keys in SCHEDULE_KEYS.items() if flags.keys() & keys}
-    if getattr(args, "schedule", None):
+    def flag(name):
+        return getattr(args, name, None)
+
+    rates = {key: flag(name) for name, key in
+             (("lr", "rho"), ("rho0", "rho0"), ("b", "b"), ("c", "c")) if flag(name) is not None}
+    kinds = {kind for kind, keys in SCHEDULE_KEYS.items() if rates.keys() & keys}
+    if flag("schedule"):
         kinds.add(args.schedule)
     if len(kinds) > 1:
         raise ValueError(
             f"schedule flags mix the {' and '.join(sorted(kinds))} kinds: "
             "--lr sets a fixed rate and --rho0/--b/--c a decaying one"
         )
-    if kinds:
-        (kind,) = kinds
-        if kind != schedule.kind:
-            doc = {"kind": kind}
-    doc.update(flags)
-    return doc
-
-
-def _train_config_from(args, config: TrainConfig) -> TrainConfig:
-    """The config with the CLI flags applied."""
-    doc = config.to_json_dict()
-    doc["schedule"] = _schedule_dict_with_overrides(config.schedule, args)
-    flags = {"algo": args.algo, "S": args.S, "max_iters": args.max_iters,
-             "seed": args.seed, "threads": args.threads}
-    doc.update({key: value for key, value in flags.items() if value is not None})
-    return TrainConfig.from_json_dict(doc)
+    schedule = config.schedule
+    if kinds and kinds != {schedule.kind}:
+        schedule = Schedule(kind=kinds.pop())
+    values = {key: flag(key) for key in ("S", "max_iters", "seed", "threads")
+              if flag(key) is not None}
+    if flag("algo"):
+        values["use_control_variates"] = args.algo == "bbvi-cv"
+    return replace(config, schedule=replace(schedule, **rates), **values)
 
 
 def _run_training(batch, config: TrainConfig, shape: NetworkShape):
@@ -362,11 +355,8 @@ def cmd_sweep(args) -> int:
     batch, schema = _load_labeled(args.data, args.schema)
     if batch.n < 2:  # before the grid's folds are checked against the rows
         raise DataError(f"{args.data}: a sweep needs at least 2 rows, found {batch.n}")
-    flags = {"seed": args.seed}
-    if args.threads is not None:
-        flags["threads"] = args.threads
     # checked before the grid, so that a bad flag is not blamed on it nor found after a fit
-    TrainConfig(**flags)
+    _train_config_from(args, TrainConfig())
     cfg = PredictiveConfig(M=args.M, seed=args.seed)
     with _json_input(args.grid, "grid") as grid:
         check_keys(grid, ("S", "schedule", "algo", "base", "k", "folds"), "a sweep grid")
@@ -374,12 +364,16 @@ def cmd_sweep(args) -> int:
         if not all(axes):
             raise ValueError("empty grid: S, schedule and algo must each be non-empty")
         base = json_field(grid, "base", dict, {})
+        overridden = sorted(base.keys() & {"S", "schedule", "algo", "seed"})
+        if overridden:
+            raise ValueError(f"a sweep grid's base may not set {', '.join(overridden)}: the "
+                             "grid's axes set S, schedule and algo, and --seed sets seed")
         shape = NetworkShape(p=batch.p, k=json_field(grid, "k", int, _DEFAULT_K))
         folds = json_field(grid, "folds", int, 5)
         cells = []
         for S, sched_doc, algo in itertools.product(*axes):
-            doc = {**base, "S": S, "schedule": sched_doc, "algo": algo, **flags}
-            cells.append((algo, TrainConfig.from_json_dict(doc)))
+            doc = {**base, "S": S, "schedule": sched_doc, "algo": algo}
+            cells.append((algo, _train_config_from(args, TrainConfig.from_json_dict(doc))))
         pairs = split(batch, folds, args.seed)
 
     rows = []

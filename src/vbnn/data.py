@@ -159,7 +159,15 @@ def default_schema(p: int) -> TableSchema:
 _CELLS_QUOTED = 3
 
 
+def _is_plain(text: str) -> bool:
+    """False for text holding what Python's ``float`` reads but a plain ASCII
+    number never holds: a non-ASCII digit or space, or an ``_`` (``1_0`` is 10)."""
+    return text.isascii() and "_" not in text
+
+
 def _is_finite_number(cell: str) -> bool:
+    if not _is_plain(cell):
+        return False
     try:
         return math.isfinite(float(cell))
     except ValueError:
@@ -171,9 +179,10 @@ def _parse_table(path, names: list, rows: list, schema: TableSchema) -> np.ndarr
     ``names``, which holds the schema's columns, or its feature columns only.
 
     A row with the wrong cell count, or with a cell that is missing, not a
-    number, nan or infinite, raises DataError listing every such row's file
-    line number (1-based, header is line 1) and quoting the first few bad
-    cells with their column names.  A label or categorical_binary cell that
+    plain ASCII number (``1_0`` and a full-width digit are not), nan or
+    infinite, raises DataError listing every such row's file line number
+    (1-based, header is line 1) and quoting the first few bad cells with
+    their column names.  A label or categorical_binary cell that
     is not 0 or 1 raises SchemaError naming the column, the first bad line
     and its cell.
     """
@@ -185,6 +194,10 @@ def _parse_table(path, names: list, rows: list, schema: TableSchema) -> np.ndarr
                 values[i] = [float(cell) for cell in row]
             except ValueError:
                 pass  # the row stays nan and is reported below
+    if not _is_plain("".join(map("".join, rows))):  # one test of the whole table
+        for i, row in enumerate(rows):
+            if not _is_plain("".join(row)):
+                values[i] = np.nan
     bad_lines = (np.flatnonzero(~np.isfinite(values).all(axis=1)) + 2).tolist()
     if bad_lines:
         cells = []

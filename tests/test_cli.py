@@ -182,6 +182,29 @@ class TestTrain:
         assert code in (0, 2)
         assert read_json(out / "model.json")["config"]["schedule"] == expected
 
+    @pytest.mark.parametrize("flags, changed, seed", [
+        (["--c", "0.5"], {"schedule": {"kind": "rm", "rho0": 2.0, "b": 50.0, "c": 0.5}}, 4),
+        (["--schedule", "rm"], {}, 4),
+        (["--algo", "bbvi-cv"], {"algo": "bbvi-cv"}, 4),
+        (["--seed", "7"], {"seed": 7}, 7),
+        (["--threads", "2"], {}, 4),
+        ([], {}, 4),
+    ], ids=["same-kind-rate", "same-kind", "algo", "seed", "threads", "no-flags"])
+    def test_flags_apply_over_a_config_file(self, tmp_path, workdir, flags, changed, seed):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"S": 6, "max_iters": 8, "k": 2, "seed": 4, "algo": "bbvi",
+                                   "schedule": {"kind": "rm", "rho0": 2.0, "b": 50.0}}))
+        out = tmp_path / "m"
+        code = main(["train", "--data", str(workdir["data"]), "--config", str(cfg),
+                     "--out", str(out)] + flags)
+        assert code in (0, 2)
+        doc = read_json(out / "model.json")
+        assert doc["config"] == {
+            "S": 6, "algo": "bbvi", "max_iters": 8, "conv_window": 50, "grad_clip": None,
+            "seed": 4, "schedule": {"kind": "rm", "rho0": 2.0, "b": 50.0, "c": 0.3},
+            **changed}
+        assert doc["seed"] == seed
+
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_non_json_number_in_config_names_the_file(self, tmp_path, capsys, workdir,
                                                       token):
@@ -612,6 +635,39 @@ class TestSweep:
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_flags_reach_every_cell(self, tmp_path, workdir):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({**GRID, "S": [6, 8], "base": {"max_iters": 4}}))
+
+        def sweep(*flags):
+            out = tmp_path / f"s{''.join(flags)}.csv"
+            assert main(["sweep", "--grid", str(grid), "--data", str(workdir["data"]),
+                         "--out", str(out), "--M", "5", *flags]) == 0
+            with open(out) as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == 2
+            return [{k: v for k, v in row.items() if k != "wall_time_s"} for row in rows]
+
+        assert sweep("--threads", "2") == sweep("--threads", "1")
+        assert sweep("--seed", "5") != sweep()
+
+    @pytest.mark.parametrize("base, keys", [
+        ({"S": "abc", "algo": 7, "schedule": 1}, "S, algo, schedule"),
+        ({"seed": 5, "max_iters": 15}, "seed"),
+    ], ids=["axes", "seed"])
+    def test_base_may_not_set_what_the_grid_always_sets(self, tmp_path, capsys, workdir,
+                                                       base, keys):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({**GRID, "base": base}))
+        out = tmp_path / "s.csv"
+        code = main(["sweep", "--grid", str(grid), "--data", str(workdir["data"]),
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: grid file {str(grid)!r}: a sweep grid's base may not set {keys}: the "
+            "grid's axes set S, schedule and algo, and --seed sets seed\n")
+        assert not out.exists()
+
     def test_bad_draw_count_fails_before_any_fit(self, tmp_path, capsys, workdir,
                                                  monkeypatch):
         # one long cell: 3 folds of 2000 iterations each, were any of them fitted
@@ -984,6 +1040,9 @@ class TestJsonInputs:
 CSV_ROWS = [[b"x1", b"flag", b"y"], [b"0.1", b"0", b"1"], [b"0.5", b"1", b"0"],
             [b"0.9", b"1", b"1"]]
 
+# cells that Python's float reads (as 10 and 1) but that are not plain ASCII numbers
+NOT_PLAIN = [b"1_0", "１".encode()]
+
 # the values each data cell is set to in turn
 CELL_VALUES = [b"", b" ", b"nan", b"inf", b"-inf", b"1e309", b"x", b'"1"', b"0x10", b"1_0",
                "１".encode(), b'"1,2"', b"-0", b"True", b"2", b"0.5", b"1e-400", b"\xff"]
@@ -1020,7 +1079,8 @@ class TestCsvInputs:
         # each data cell set to each of CELL_VALUES, and each of CSV_STRUCTURES:
         # the command succeeds (exit 0, or 2 for a fit that ran out of
         # iterations) or exits 1 naming the file, and a bad cell of a UTF-8
-        # file is named by its line and column; it never raises
+        # file is named by its line and column; it never raises, and each of
+        # NOT_PLAIN is such a bad cell
         model = tmp_path / "model.json"
         hand_built_model(model, schema_doc={"columns": [
             {"name": "x1"}, {"name": "flag", "kind": "categorical_binary"},
@@ -1052,7 +1112,7 @@ class TestCsvInputs:
                     column = f"column {header[j]!r}" in err or (
                         header[j] == "y" and "label column" in err)
                     named = named and f"line {i + 1}" in err and column
-                if code not in (0, 2) and not named:
+                if (code not in (0, 2) or value in NOT_PLAIN) and not named:
                     failures.append(f"line {i + 1}, {header[j]}={value!r}: {code} {err}")
         for name, mutate in CSV_STRUCTURES.items():
             code, err = run(mutate(rows))
