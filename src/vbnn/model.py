@@ -286,6 +286,9 @@ def _score_terms(thetas: np.ndarray, x: np.ndarray, shape: NetworkShape):
     weights, where they are exact, instead of the (S, k, n) array.  Returns
     the halved hidden weights (S, k, p+1) with the bias last, the halved
     output weights (S, 1, k), the offsets (S, 1) and [x.T; 1] (p+1, n).
+    The design is C-ordered whatever the layout of x: ``np.vstack`` of x.T
+    would give a Fortran-ordered array, on which each stacked layer-1 matmul
+    of a likelihood block takes about twice as long, for the same bytes.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != shape.p:
@@ -295,7 +298,8 @@ def _score_terms(thetas: np.ndarray, x: np.ndarray, shape: NetworkShape):
     weights = 0.5 * np.concatenate([gamma, gamma0[:, :, None]], axis=2)
     half_beta = 0.5 * beta
     offset = beta0 + half_beta.sum(axis=1)
-    design = np.vstack([x.T, np.ones(x.shape[0])])
+    design = np.ones((shape.p + 1, x.shape[0]))
+    design[:-1] = x.T
     return weights, half_beta[:, None, :], offset[:, None], design
 
 
@@ -394,8 +398,10 @@ def log_likelihood_many(
     (``np.errstate`` is per thread).  Row s depends only on parameter row s
     and the block size only on k and n, so the result is byte-identical to
     scoring all S rows at once, with or without a pool of any size.  The
-    per-call work (the halved weights, the design [x.T; 1]) is done once,
-    not per block.
+    per-call work (the halved weights, the C-ordered design [x.T; 1], see
+    :func:`_score_terms`) is done once, not per block.  Each block computes
+    softplus in place on its own score array, with :func:`softplus`'s
+    ufuncs in the same order, so only one other (rows, n) array is made.
     """
     thetas = np.atleast_2d(thetas)
     terms = _score_terms(thetas, batch.x, shape)
@@ -408,7 +414,13 @@ def log_likelihood_many(
         with np.errstate(**errors):
             z = _score_rows(terms, slice(lo, lo + block))
             z *= sign
-            out[lo : lo + block] = -softplus(z).sum(axis=1)
+            positive = np.maximum(z, 0.0)
+            np.abs(z, out=z)
+            np.negative(z, out=z)
+            np.exp(z, out=z)
+            np.log1p(z, out=z)
+            z += positive  # softplus(z)
+            out[lo : lo + block] = -z.sum(axis=1)
 
     list((pool.map if pool else map)(score, range(0, thetas.shape[0], block)))
     return out

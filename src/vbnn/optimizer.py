@@ -124,13 +124,15 @@ class Schedule:
     def __post_init__(self) -> None:
         if self.kind not in SCHEDULE_KEYS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.kind == "fixed" and self.rho <= 0:
-            raise ValueError("fixed learning rate must be positive")
-        if self.kind == "rm":
-            if self.rho0 <= 0 or self.b <= 0:
-                raise ValueError("rho0 and b must be positive")
-            if not 0 < self.c <= 1:
-                raise ValueError("decay exponent c must satisfy 0 < c <= 1")
+        # a NaN would pass a "<= 0" test, and an infinite rate fails only at the end
+        # of a fit, when model.json cannot hold it
+        for key in ("rho",) if self.kind == "fixed" else ("rho0", "b"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"schedule {key!r} must be a positive finite number, "
+                                 f"got {value!r}")
+        if self.kind == "rm" and not 0 < self.c <= 1:
+            raise ValueError("decay exponent c must satisfy 0 < c <= 1")
 
     def rate(self, t: int) -> float:
         """Learning rate for 0-based iteration t; always > 0."""
@@ -313,12 +315,16 @@ def control_variate_coefficients(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape or u.ndim != 2:
         raise ValueError("u and v must both be (S, D)")
-    if u.shape[0] < 2:
+    S = u.shape[0]
+    if S < 2:
         raise ValueError("coefficient estimation needs at least two sample rows")
-    du = u - u.mean(axis=0)
-    dv = v - v.mean(axis=0)
-    cov = np.mean(du * dv, axis=0)
-    var = np.mean(dv * dv, axis=0)
+    # the sums over S divided by S are np.mean's own arithmetic
+    du = u - u.sum(axis=0) / S
+    dv = v - v.sum(axis=0) / S
+    du *= dv
+    dv *= dv
+    cov = du.sum(axis=0) / S
+    var = dv.sum(axis=0) / S
     safe = var > 1e-300
     return np.where(safe, cov / np.where(safe, var, 1.0), 0.0)
 
@@ -376,9 +382,10 @@ def train(
                                  f"K={shape.K}")
 
     q = initial_params(shape.K)
-    elbos: list[float] = []
-    gvars: list[float] = []
-    rhos: list[float] = []
+    # traces[:, t] holds iteration t's ELBO, gradient variance and rate; the
+    # buffer doubles when full, so a large max_iters reserves nothing up front
+    traces = np.empty((3, 2 * config.conv_window))
+    run = 0  # iterations recorded
     converged = False
     diverged_at: int | None = None
     w = config.conv_window
@@ -393,17 +400,24 @@ def train(
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 elbo_t, rows = _iterate(q, batch, prior, shape, draws,
                                         config.use_control_variates, pool)
-                grad = rows.mean(axis=0)
-                gvar = float(np.mean(np.var(rows, axis=0, ddof=1))) if config.S > 1 else 0.0
+                # np.mean and np.var(ddof=1) over the S rows, without their wrappers
+                grad = rows.sum(axis=0) / config.S
+                gvar = 0.0
+                if config.S > 1:
+                    rows -= grad
+                    rows *= rows
+                    gvar = float((rows.sum(axis=0) / (config.S - 1)).sum() / rows.shape[1])
             if not (np.isfinite(elbo_t) and np.all(np.isfinite(grad))):
                 diverged_at = t
                 break
-            elbos.append(elbo_t)
-            gvars.append(gvar)
-            rhos.append(config.schedule.rate(t))
-            if len(elbos) >= 2 * w:
-                recent = float(np.mean(elbos[-w:]))
-                previous = float(np.mean(elbos[-2 * w : -w]))
+            if run == traces.shape[1]:
+                traces = np.concatenate([traces, np.empty_like(traces)], axis=1)
+            traces[:, run] = elbo_t, gvar, config.schedule.rate(t)
+            run += 1
+            if run >= 2 * w:
+                elbos = traces[0]
+                recent = float(elbos[run - w : run].sum() / w)
+                previous = float(elbos[run - 2 * w : run - w].sum() / w)
                 if (recent >= elbos[0]
                         and abs(recent - previous) / (abs(previous) + 1e-12) < CONV_REL_TOL):
                     converged = True
@@ -419,9 +433,9 @@ def train(
                 break
 
     report = TrainReport(
-        elbo_trace=np.asarray(elbos),
-        grad_var_trace=np.asarray(gvars),
-        rho_trace=np.asarray(rhos),
+        elbo_trace=traces[0, :run].copy(),
+        grad_var_trace=traces[1, :run].copy(),
+        rho_trace=traces[2, :run].copy(),
         converged=converged,
         wall_time=time.perf_counter() - start,
         diverged_at=diverged_at,

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -89,10 +90,16 @@ class VariationalParams:
     def K(self) -> int:
         return self.mean.shape[0]
 
-    @property
+    @cached_property
     def scale(self) -> np.ndarray:
-        """Per-coordinate standard deviations softplus(r), strictly positive."""
-        return np.maximum(softplus(self.raw_scale), _TINY)
+        """Per-coordinate standard deviations softplus(r), strictly positive.
+
+        Computed once per q, on first use, and shared by :func:`sample`,
+        :func:`log_q` and the gradients, so the array is read-only.
+        """
+        s = np.maximum(softplus(self.raw_scale), _TINY)
+        s.flags.writeable = False
+        return s
 
     def to_json_dict(self) -> dict:
         return {"m": [float(v) for v in self.mean], "r": [float(v) for v in self.raw_scale]}

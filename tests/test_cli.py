@@ -240,6 +240,16 @@ class TestTrain:
         assert "fixed and rm" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_infinite_rate_is_rejected_before_the_fit(self, tmp_path, capsys, workdir):
+        # model.json cannot hold an infinite rate, so the fit must not start
+        out = tmp_path / "m"
+        code = main(["train", "--data", str(workdir["data"]), "--out", str(out),
+                     "--schedule", "rm", "--b", "inf", "--max-iters", "50"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: schedule 'b' must be a positive finite number, got inf\n")
+        assert not (out / "model.json").exists()
+
     def test_header_only_data_is_rejected(self, tmp_path, capsys):
         data = tmp_path / "header-only.csv"
         data.write_text("x1,x2,y\n")

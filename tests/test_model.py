@@ -167,6 +167,23 @@ class TestKernelRows:
             single = np.concatenate([fn(thetas[i : i + 1], *args) for i in range(200)])
             assert single.tobytes() == whole.tobytes()
 
+    @pytest.mark.parametrize("n", [200, 800, 3200])
+    def test_layout_of_x_does_not_show(self, rng, n):
+        # at S=200, n = 200, 800 and 3200 give one, four and sixteen likelihood blocks
+        thetas = rng.normal(0, 2, (200, BENCH_SHAPE.K))
+        wide = rng.uniform(0, 1, (n, 5))
+        x = np.ascontiguousarray(wide[:, 1:4:2])
+        y = rng.integers(0, 2, n)
+        layouts = {"fortran": np.asfortranarray(x), "strided": wide[:, 1:4:2]}
+        assert not any(v.flags.c_contiguous for v in layouts.values())
+        prior = PriorConfig.standard(BENCH_SHAPE.K)
+        for fn, args in ((scores_many, lambda x: (x, BENCH_SHAPE)),
+                         (log_likelihood_many, lambda x: (LabeledBatch(x, y), BENCH_SHAPE)),
+                         (log_joint_many, lambda x: (LabeledBatch(x, y), prior, BENCH_SHAPE))):
+            whole = fn(thetas, *args(x))
+            for name, other in layouts.items():
+                assert fn(thetas, *args(other)).tobytes() == whole.tobytes(), name
+
     @pytest.mark.parametrize("workers", [2, 3])
     def test_pool_runs_the_blocks_byte_identically(self, rng, workers):
         # n=1000 and S=200 give five blocks of at most 43 rows, each written

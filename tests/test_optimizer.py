@@ -91,6 +91,12 @@ class TestSchedule:
             Schedule(kind="fixed", rho=0.0)
         with pytest.raises(ValueError):
             Schedule(kind="rm", c=1.5)
+        # a NaN passes a "<= 0" test, and an infinite rate only fails once the
+        # fitted model cannot be written as JSON
+        for key, kind in (("rho", "fixed"), ("rho0", "rm"), ("b", "rm")):
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=f"'{key}' must be a positive finite"):
+                    Schedule(kind=kind, **{key: value})
 
     def test_unknown_kind_is_named(self):
         with pytest.raises(ValueError, match="unknown schedule kind"):
@@ -366,6 +372,42 @@ class TestTrain:
         assert report.elbo_trace.tobytes() == np.asarray(elbos).tobytes()
         assert q_train.mean.tobytes() == q.mean.tobytes()
         assert q_train.raw_scale.tobytes() == q.raw_scale.tobytes()
+
+    def test_train_calls_each_public_estimator_once_per_iteration(self, monkeypatch):
+        # perfbench records these calls through vbnn.optimizer's names and cuts
+        # an untraced fit into segments at `sample`, so train must keep making
+        # each of them once per iteration, through that module's names
+        import vbnn.optimizer
+
+        names = ("sample", "log_joint_many", "log_q", "grad_log_q_mean", "grad_log_q_raw",
+                 "control_variate_coefficients", "step")
+        counts = dict.fromkeys(names, 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(vbnn.optimizer, name, counted(name, getattr(vbnn.optimizer, name)))
+        cfg = TrainConfig(S=20, max_iters=5, use_control_variates=True, seed=2)
+        _, report = train(bench_batch(n=40), PriorConfig.standard(BENCH_SHAPE.K),
+                          BENCH_SHAPE, cfg)
+        assert report.iterations_run == 5
+        assert counts == dict.fromkeys(names, 5)
+
+    def test_traces_survive_the_buffer_growing(self):
+        # the trace buffer starts at two windows and doubles when full: with a
+        # window of 1 it grows at iterations 2, 4 and 8, with 50 never
+        batch = bench_batch(n=60)
+        prior = PriorConfig.standard(BENCH_SHAPE.K)
+        reports = [train(batch, prior, BENCH_SHAPE,
+                         TrainConfig(S=20, max_iters=9, conv_window=w, seed=4))[1]
+                   for w in (1, 50)]
+        assert [r.iterations_run for r in reports] == [9, 9]
+        for name in ("elbo_trace", "grad_var_trace", "rho_trace"):
+            assert getattr(reports[0], name).tobytes() == getattr(reports[1], name).tobytes()
 
     def test_learns_the_benchmark(self):
         from vbnn.prediction import PredictiveConfig, test_accuracy

@@ -1,8 +1,10 @@
-"""The study scripts under scripts/ still run against the library.
+"""The scripts under scripts/ still run against the library.
 
-Both build ``TrainConfig`` and call ``train`` directly, so an API change that
-breaks them shows up here.  Tiny sizes; the exit status is checked, and the
-header line of a report CSV that variance_study.py writes.
+The two study scripts build ``TrainConfig`` and call ``train`` directly, so
+an API change that breaks them shows up here.  Tiny sizes; the exit status is
+checked, and the header line of a report CSV that variance_study.py writes.
+walkthrough_hashes.py runs the README walkthrough through the CLI; its line
+count is checked, not its hashes.
 """
 
 import os
@@ -15,6 +17,17 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def run_script(script, args, cwd):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        capture_output=True, text=True, cwd=cwd, timeout=300,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    return proc.stdout
+
+
 @pytest.mark.parametrize("script, args, report", [
     ("variance_study.py", ["--n", "40", "--S", "10", "--seeds", "1",
                            "--max-iters", "20", "--window", "5", "--out-dir", "out"],
@@ -23,12 +36,13 @@ ROOT = Path(__file__).resolve().parents[1]
                               "--n-mc", "200", "--M", "10"], None),
 ], ids=["variance_study", "consistency_trend"])
 def test_script_runs(tmp_path, script, args, report):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
-        capture_output=True, text=True, cwd=tmp_path, timeout=300,
-        env=dict(os.environ, PYTHONPATH=path),
-    )
-    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    run_script(script, args, tmp_path)
     if report:
         assert (tmp_path / report).read_bytes().startswith(b"iteration,elbo,grad_var,rho_t\r\n")
+
+
+def test_walkthrough_hashes_prints_one_line_per_artifact(tmp_path):
+    # the hashes themselves are not gated: the script exists to diff two trees
+    lines = run_script("walkthrough_hashes.py", [], tmp_path).splitlines()
+    assert len(lines) == 8
+    assert all(len(line.split("  ")[0]) == 64 for line in lines)
