@@ -50,7 +50,7 @@ def main() -> None:
             path = os.path.join(args.out_dir, f"trace_{label}_seed{seed}.csv")
             save_report_csv(report, path)
             means[label] = float(report.grad_var_trace.mean())
-            profile = gradient_variance_profile(report, window=args.window)
+            profile = gradient_variance_profile(report.grad_var_trace, window=args.window)
             print(f"{label:>6}: {report.iterations_run} iters, "
                   f"mean grad var {means[label]:.3e}")
             for start, value in profile:

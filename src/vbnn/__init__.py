@@ -6,32 +6,4 @@ variates), produces posterior-predictive classifications, and measures how
 close the fitted conditional label density is to a known truth.
 """
 
-from .model import (
-    LabeledBatch,
-    NetworkParams,
-    NetworkShape,
-    PriorConfig,
-    ShapeMismatchError,
-)
-from .optimizer import Schedule, TrainConfig, TrainReport, train
-from .prediction import PredictiveConfig, predictive_probabilities
-from .variational import Posterior, SampleMatrix, VariationalParams
-
-__all__ = [
-    "LabeledBatch",
-    "NetworkParams",
-    "NetworkShape",
-    "PriorConfig",
-    "ShapeMismatchError",
-    "Schedule",
-    "TrainConfig",
-    "TrainReport",
-    "train",
-    "PredictiveConfig",
-    "predictive_probabilities",
-    "Posterior",
-    "SampleMatrix",
-    "VariationalParams",
-]
-
 __version__ = "0.1.0"

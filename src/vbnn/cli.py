@@ -112,19 +112,20 @@ def _json_input(path: str, what: str):
     """Parse a JSON input and yield its document.
 
     The file must be UTF-8 text holding an object, with no NaN, Infinity or
-    repeated key.  A missing key, or any ValueError (a value of the wrong kind,
-    an unknown or out-of-range value, a shape mismatch), raised in the block
-    is re-raised as a ValueError naming the file."""
+    repeated key.  Any ValueError raised while parsing (bad syntax, or an
+    integer literal too long for ``int``) or in the block (a value of the wrong
+    kind, an unknown or out-of-range value, a shape mismatch), and a missing
+    key in the block, is re-raised as a ValueError naming the file."""
     def reject(token):
         # RFC 8259 has no NaN or Infinity, and every writer here refuses them
-        raise ValueError(f"{what} file {path!r} is not valid JSON: {token} is not a number")
+        raise ValueError(f"{token} is not a number")
 
     def unique(pairs):
         # RFC 8259 leaves a repeated name's meaning open: refuse to pick one
         obj = {}
         for key, value in pairs:
             if key in obj:
-                raise ValueError(f"{what} file {path!r} repeats the key {key!r}")
+                raise KeyError(key)
             obj[key] = value
         return obj
 
@@ -133,10 +134,12 @@ def _json_input(path: str, what: str):
             doc = json.load(fh, parse_constant=reject, object_pairs_hook=unique)
     except FileNotFoundError:
         raise FileNotFoundError(f"cannot read {what} file {path!r}: no such file")
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{what} file {path!r} is not valid JSON: {exc}")
+    except KeyError as exc:  # raised by unique only
+        raise ValueError(f"{what} file {path!r} repeats the key {exc.args[0]!r}") from None
     except UnicodeDecodeError as exc:
         raise ValueError(f"{what} file {path!r} is not UTF-8 text: {exc}") from None
+    except ValueError as exc:  # a syntax error, NaN, Infinity or an over-long integer
+        raise ValueError(f"{what} file {path!r} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{what} file {path!r} must hold a JSON object at its top level")
     try:

@@ -55,11 +55,7 @@ class SchemaError(ValueError):
 
 class DataError(ValueError):
     """The file could not be parsed: it is empty, it is not UTF-8 text, or
-    some of its rows are malformed, whose line numbers it then carries."""
-
-    def __init__(self, message: str, lines=()):
-        super().__init__(message)
-        self.lines = tuple(lines)
+    some of its rows are malformed, whose line numbers its message lists."""
 
 
 @dataclass(frozen=True)
@@ -79,6 +75,13 @@ class ColumnSchema:
             raise SchemaError(f"unknown normalization {self.normalization!r}")
         if self.kind in ("label", "categorical_binary") and self.normalization != "none":
             raise SchemaError(f"column {self.name!r}: {self.kind} columns are never normalized")
+        # a negative sd would flip the feature, and a zero one divide by zero
+        if self.normalization == "zscore" and self.sd is not None and not self.sd > 0:
+            raise SchemaError(f"column {self.name!r}: zscore sd must be > 0, got {self.sd!r}")
+        if (self.normalization == "minmax01" and None not in (self.min, self.max)
+                and not self.max > self.min):
+            raise SchemaError(f"column {self.name!r}: minmax01 max must exceed min, "
+                              f"got min={self.min!r}, max={self.max!r}")
 
     @property
     def fitted(self) -> bool:
@@ -213,8 +216,7 @@ def _parse_table(path, names: list, rows: list, schema: TableSchema) -> np.ndarr
         raise DataError(
             f"{path}: malformed, missing or non-finite values at line(s) "
             + ", ".join(str(b) for b in bad_lines)
-            + f" ({'; '.join(cells[:_CELLS_QUOTED])})",
-            lines=bad_lines,
+            + f" ({'; '.join(cells[:_CELLS_QUOTED])})"
         )
     for col in schema.columns:
         if col.kind == "numeric" or col.name not in names:
@@ -315,9 +317,8 @@ def _write_rows(path, header: list, columns: list) -> None:
             fh.writelines(",".join(row) + "\r\n" for row in zip(*cells, strict=True))
 
 
-def write_csv(batch: LabeledBatch, path, schema: TableSchema | None = None) -> None:
+def write_csv(batch: LabeledBatch, path, schema: TableSchema) -> None:
     """Write a batch back to CSV in schema column order, labels as 0/1."""
-    schema = schema or default_schema(batch.p)
     if schema.p != batch.p:
         raise SchemaError("schema width does not match batch width")
     columns = list(batch.x.T)

@@ -89,9 +89,6 @@ class MCEstimate:
     value: float
     stderr: float
 
-    def __float__(self) -> float:
-        return self.value
-
 
 @dataclass(frozen=True)
 class TrueFunction:
@@ -228,7 +225,7 @@ def gradient_variance_profile(trace, window: int = 50) -> np.ndarray:
     Returns (R, 2) rows of (window start iteration, window mean); a shorter
     final window is averaged over the iterations it has.
     """
-    trace = np.asarray(getattr(trace, "grad_var_trace", trace), dtype=float)
+    trace = np.asarray(trace, dtype=float)
     if window < 1:
         raise ValueError("window must be >= 1")
     if trace.ndim != 1 or trace.size == 0:

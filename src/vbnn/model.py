@@ -35,6 +35,7 @@ call from worker threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,13 +76,16 @@ class JsonFieldError(ValueError):
 
 
 _JSON_KINDS = {dict: "a JSON object", list: "a JSON array", int: "an integer",
-               float: "a number", str: "a string", list[float]: "an array of numbers",
-               list[dict]: "an array of JSON objects"}
+               float: "a finite number", str: "a string",
+               list[float]: "an array of finite numbers", list[dict]: "an array of JSON objects"}
 
 
 def _is_kind(value, kind) -> bool:
     if kind is float:
-        return type(value) in (int, float)
+        try:
+            return type(value) in (int, float) and math.isfinite(value)
+        except OverflowError:  # an integer too large for a float
+            return False
     if kind in (list[float], list[dict]):
         return type(value) is list and all(_is_kind(v, kind.__args__[0]) for v in value)
     return type(value) is kind
@@ -89,9 +93,10 @@ def _is_kind(value, kind) -> bool:
 
 def json_field(doc: dict, key: str, kind, default=None):
     """doc[key] as parsed by ``json``, checked to be an object (dict), an array
-    (list), an integer (int: not a float such as 2.9, nor a boolean), a number
-    (float: an integer or a float, not a boolean; returned as a float), a string
-    (str), or an array of numbers or of objects (list[float], list[dict]).  A
+    (list), an integer (int: not a float such as 2.9, nor a boolean), a finite
+    number (float: an integer or a float that a float holds, not a boolean, nor
+    1e999, which ``json`` reads as inf; returned as a float), a string (str), or
+    an array of finite numbers or of objects (list[float], list[dict]).  A
     missing key raises KeyError, or gives ``default`` when one is passed."""
     value = doc[key] if default is None else doc.get(key, default)
     if not _is_kind(value, kind):
@@ -114,10 +119,20 @@ def sigmoid(z):
         return 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=float)))
 
 
-def softplus(z):
-    """Overflow-safe log(1 + e^z), computed as max(z, 0) + log1p(e^-|z|)."""
+def softplus(z, out=None):
+    """Overflow-safe log(1 + e^z), computed as max(z, 0) + log1p(e^-|z|).  As for a
+    ufunc, a float array ``out`` of z's shape (z itself, say) receives the result,
+    and only one other array is made; a scalar z gives a scalar."""
     z = np.asarray(z, dtype=float)
-    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+    positive = np.maximum(z, 0.0)
+    if out is None:
+        out = np.empty_like(z)
+    np.abs(z, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += positive
+    return out if out.ndim else out[()]
 
 
 @dataclass(frozen=True)
@@ -400,8 +415,8 @@ def log_likelihood_many(
     scoring all S rows at once, with or without a pool of any size.  The
     per-call work (the halved weights, the C-ordered design [x.T; 1], see
     :func:`_score_terms`) is done once, not per block.  Each block computes
-    softplus in place on its own score array, with :func:`softplus`'s
-    ufuncs in the same order, so only one other (rows, n) array is made.
+    :func:`softplus` in place on its own score array, so only one other
+    (rows, n) array is made.
     """
     thetas = np.atleast_2d(thetas)
     terms = _score_terms(thetas, batch.x, shape)
@@ -414,13 +429,7 @@ def log_likelihood_many(
         with np.errstate(**errors):
             z = _score_rows(terms, slice(lo, lo + block))
             z *= sign
-            positive = np.maximum(z, 0.0)
-            np.abs(z, out=z)
-            np.negative(z, out=z)
-            np.exp(z, out=z)
-            np.log1p(z, out=z)
-            z += positive  # softplus(z)
-            out[lo : lo + block] = -z.sum(axis=1)
+            out[lo : lo + block] = -softplus(z, out=z).sum(axis=1)
 
     list((pool.map if pool else map)(score, range(0, thetas.shape[0], block)))
     return out

@@ -90,11 +90,7 @@ __all__ = [
 ]
 
 class NonFiniteGradientError(RuntimeError):
-    """A NaN/Inf gradient was about to be applied; carries the iteration."""
-
-    def __init__(self, iteration: int):
-        super().__init__(f"non-finite gradient at iteration {iteration}")
-        self.iteration = iteration
+    """A NaN/Inf gradient was about to be applied; the message names the iteration."""
 
 
 # Each schedule kind and, in to_json_dict's order, the fields it reads.
@@ -258,7 +254,7 @@ def _iterate(
     shape: NetworkShape,
     draws: SampleMatrix,
     cv: bool | None,
-    pool: ThreadPoolExecutor | None = None,
+    pool: ThreadPoolExecutor | None,
 ) -> tuple[float, np.ndarray | None]:
     """ELBO estimate and (S, 2K) gradient rows of one set of draws.
 
@@ -351,7 +347,7 @@ def step(
     if grad.shape != (2 * q.K,):
         raise ShapeMismatchError(f"gradient must have length {2 * q.K}")
     if not np.all(np.isfinite(grad)):
-        raise NonFiniteGradientError(t)
+        raise NonFiniteGradientError(f"non-finite gradient at iteration {t}")
     rho = schedule.rate(t)
     return VariationalParams(
         mean=q.mean + rho * grad[: q.K],

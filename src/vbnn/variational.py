@@ -160,14 +160,6 @@ class SampleMatrix:
             raise ValueError("thetas must be (S, K) with S >= 1")
         object.__setattr__(self, "thetas", t)
 
-    @property
-    def S(self) -> int:
-        return self.thetas.shape[0]
-
-    @property
-    def K(self) -> int:
-        return self.thetas.shape[1]
-
 
 def sample(q: VariationalParams, S: int, seed) -> SampleMatrix:
     """Draw S vectors theta = m + s * z, z ~ N(0, I), from a seeded generator."""
@@ -180,9 +172,7 @@ def sample(q: VariationalParams, S: int, seed) -> SampleMatrix:
 
 def log_q(q: VariationalParams, theta: np.ndarray):
     """Variational log-density at theta; accepts (K,) or stacked (..., K)."""
-    theta = np.asarray(theta, dtype=float)
-    out = normal_logpdf_total(theta, q.mean, q.scale)
-    return float(out) if theta.ndim == 1 else out
+    return normal_logpdf_total(theta, q.mean, q.scale)
 
 
 def _clamped_scale(q: VariationalParams) -> np.ndarray:

@@ -439,6 +439,26 @@ class TestPredict:
         assert "model.json" in err and "the prior 5" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("stats, message", [
+        ({"normalization": "zscore", "mean": 0.0, "sd": -1.0}, "zscore sd must be > 0, got -1.0"),
+        ({"normalization": "zscore", "mean": 0.0, "sd": 0}, "zscore sd must be > 0, got 0.0"),
+        ({"normalization": "minmax01", "min": 1.0, "max": 1.0},
+         "minmax01 max must exceed min, got min=1.0, max=1.0"),
+    ], ids=["negative-sd", "zero-sd", "empty-range"])
+    def test_unusable_statistics_name_the_model_and_the_column(self, tmp_path, capsys,
+                                                               workdir, stats, message):
+        doc = read_json(workdir["model"])
+        doc["schema"]["columns"][0].update(stats)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "p.csv"
+        code = main(["predict", "--model", str(model), "--data", str(workdir["data"]),
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (f"error: model file {str(model)!r}: "
+                                           f"column 'x1': {message}\n")
+        assert not out.exists()
+
     def test_out_of_range_minmax_features_are_reported_by_default(self, tmp_path):
         schema_doc = {"columns": [
             {"name": "x1", "kind": "numeric", "normalization": "minmax01",
@@ -1010,6 +1030,41 @@ class TestJsonInputs:
         assert capsys.readouterr().err == f"error: {what} file {str(path)!r} {message}\n"
         assert not (tmp_path / "out").exists()
 
+
+    @pytest.mark.parametrize("use, text, key", [
+        ("diagnose-truth", '{"kind": "constant", "p": 2, "value": N}', "value"),
+        ("synth-truth", '{"kind": "linear", "intercept": 0.0, "weights": [1.0, N]}',
+         "weights"),
+        ("predict-model", json.dumps({**MODEL, "variational": {
+            "m": [0.0] * 8 + ["N"], "r": [0.0] * 9}}).replace('"N"', "N"), "m"),
+        ("train-schema", '{"columns": [{"name": "x1", "normalization": "zscore", '
+                         '"mean": 0.0, "sd": N}, {"name": "x2"}, '
+                         '{"name": "y", "kind": "label"}]}', "sd"),
+        ("train-config", '{"schedule": {"kind": "fixed", "rho": N}}', "rho"),
+    ], ids=["truth-value", "truth-weights-item", "model-m-item", "schema-sd", "config-rho"])
+    @pytest.mark.parametrize("number", ["1e999", "-1e999", "1" + "0" * 400],
+                             ids=["1e999", "-1e999", "400-digits"])
+    def test_number_no_float_holds_names_the_file_and_the_key(self, tmp_path, capsys,
+                                                               workdir, use, text, key,
+                                                               number):
+        # json reads 1e999 as inf, and a 400-digit integer overflows float()
+        path = tmp_path / "in.json"
+        path.write_text(text.replace("N", number))
+        code = main(json_input_argv(use, str(path), workdir, tmp_path))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "in.json" in err
+        assert f"key '{key}' must be " in err and "finite number" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_integer_too_long_to_read_names_the_file(self, tmp_path, capsys, workdir):
+        path = tmp_path / "in.json"
+        path.write_text('{"kind": "constant", "p": 2, "value": 1' + "0" * 4999 + "}")
+        code = main(json_input_argv("diagnose-truth", str(path), workdir, tmp_path))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: truth file {str(path)!r} is not valid JSON: ")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("use", ["predict-model", "train-config", "sweep-grid",
                                      "train-schema", "diagnose-truth"])

@@ -65,23 +65,21 @@ class TestLoadCsv:
         write_text(path, "x1,y\n0.5,1\n,0\n0.7,1\nnope,0\n")
         with pytest.raises(DataError) as err:
             load_csv(path)
-        assert err.value.lines == (3, 5)
-        assert "3, 5" in str(err.value)
+        assert "line(s) 3, 5 (" in str(err.value)
 
     def test_non_finite_cells_name_their_lines(self, tmp_path):
         path = tmp_path / "d.csv"
         write_text(path, "x1,x2,y\n0.5,nan,1\n0.1,0.2,0\ninf,0.3,1\n0.4,-inf,0\n")
         with pytest.raises(DataError) as err:
             load_csv(path)
-        assert err.value.lines == (2, 4, 5)
-        assert "2, 4, 5" in str(err.value)
+        assert "line(s) 2, 4, 5 (" in str(err.value)
 
     def test_short_row_is_an_error(self, tmp_path):
         path = tmp_path / "d.csv"
         write_text(path, "x1,x2,y\n0.5,1\n")
         with pytest.raises(DataError) as err:
             load_csv(path)
-        assert err.value.lines == (2,)
+        assert "line(s) 2 (" in str(err.value)
 
     def test_non_binary_label_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -173,7 +171,7 @@ class TestWriteCsv:
         batch = LabeledBatch(x=rng.normal(0, 10, (20, 3)),
                              y=rng.integers(0, 2, 20))
         path = tmp_path / "d.csv"
-        write_csv(batch, path)
+        write_csv(batch, path, default_schema(3))
         back, _ = load_csv(path)
         np.testing.assert_array_equal(back.x, batch.x)
         np.testing.assert_array_equal(back.y, batch.y)

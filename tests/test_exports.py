@@ -1,7 +1,9 @@
 """Every name a module exports resolves, so ``from vbnn.<module> import *`` works,
-every ``from vbnn... import ...`` line in README.md's code blocks resolves, and
-every ``vbnn ...`` command in its bash blocks parses."""
+every ``from vbnn... import ...`` line in README.md's code blocks and in the
+programs under scripts/ and perfbench/ resolves, as does each ``vbnn.<module>.<name>``
+those programs use, and every ``vbnn ...`` command in README.md's bash blocks parses."""
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -14,7 +16,9 @@ import vbnn
 from vbnn.cli import build_parser
 
 MODULES = ["vbnn"] + [f"vbnn.{info.name}" for info in pkgutil.iter_modules(vbnn.__path__)]
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+PROGRAMS = sorted([*ROOT.glob("scripts/*.py"), *ROOT.glob("perfbench/*.py")])
 
 
 def readme_imports() -> list[tuple[str, str]]:
@@ -27,6 +31,24 @@ def readme_imports() -> list[tuple[str, str]]:
             if name:
                 pairs.append((module, name))
     return pairs
+
+
+def program_imports(path: Path) -> list[tuple[str, str]]:
+    """(module, name) of each name a program imports from vbnn, or reads as
+    ``vbnn.<module>.<name>``."""
+    pairs = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "vbnn":
+            pairs += [(node.module, alias.name) for alias in node.names]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+              and isinstance(node.value.value, ast.Name) and node.value.value.id == "vbnn"):
+            pairs.append((f"vbnn.{node.value.attr}", node.attr))
+    return pairs
+
+
+def unresolved(pairs) -> list[str]:
+    return [f"{module}.{name}" for module, name in pairs
+            if not hasattr(importlib.import_module(module), name)]
 
 
 def readme_commands() -> list[str]:
@@ -47,9 +69,12 @@ def test_every_exported_name_resolves(name):
 def test_readme_imports_resolve():
     pairs = readme_imports()
     assert pairs, "README.md has no 'from vbnn... import' line in a code block"
-    missing = [f"{module}.{name}" for module, name in pairs
-               if not hasattr(importlib.import_module(module), name)]
-    assert missing == []
+    assert unresolved(pairs) == []
+
+
+@pytest.mark.parametrize("path", PROGRAMS, ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_program_imports_resolve(path):
+    assert unresolved(program_imports(path)) == []
 
 
 def test_readme_commands_parse():

@@ -14,7 +14,6 @@ from scipy.special import expit
 
 from vbnn.metrics import (
     IntegrationConfig,
-    MCEstimate,
     TrueFunction,
     bayes_risk,
     diagnostics_dict,
@@ -23,7 +22,7 @@ from vbnn.metrics import (
     hellinger_distance,
     kl_distance,
 )
-from vbnn.model import NetworkParams, NetworkShape, PriorConfig, ShapeMismatchError
+from vbnn.model import NetworkParams, PriorConfig, ShapeMismatchError
 from vbnn.prediction import PredictiveConfig
 from vbnn.variational import Posterior, VariationalParams
 
@@ -133,10 +132,6 @@ class TestHellinger:
             b = TrueFunction.from_network(random_theta(BENCH_SHAPE, scale=3.0))
             est = hellinger_distance(a, b, cfg)
             assert 0.0 <= est.value <= 1.0
-
-    def test_float_protocol(self):
-        est = MCEstimate(value=0.25, stderr=0.01)
-        assert float(est) == 0.25
 
 
 class TestKl:
@@ -255,20 +250,6 @@ class TestGradientVarianceProfile:
         assert prof.shape == (2, 2)
         assert prof[1, 0] == 50
         assert prof[1, 1] == 1.0
-
-    def test_accepts_training_report(self):
-        from vbnn.model import LabeledBatch, PriorConfig
-        from vbnn.optimizer import Schedule, TrainConfig, train
-
-        shape = NetworkShape(p=1, k=1)
-        batch = LabeledBatch(x=np.empty((0, 1)), y=np.empty(0, dtype=int))
-        _, report = train(
-            batch, PriorConfig.standard(shape.K), shape,
-            TrainConfig(S=8, schedule=Schedule(kind="fixed", rho=1e-3),
-                        max_iters=30, conv_window=5, seed=0),
-        )
-        prof = gradient_variance_profile(report, window=5)
-        assert prof.ndim == 2 and prof.shape[1] == 2
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

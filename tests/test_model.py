@@ -340,6 +340,19 @@ class TestSoftplus:
             values = softplus(np.array([-745.0, -700.0, 700.0, 745.0]))
         assert np.all(np.isfinite(values))
 
+    def test_every_form_is_the_formula_to_the_bit(self, rng):
+        z = np.concatenate([[0.0, -0.0, 36.7, -36.7, 800.0, -800.0, 1e308, -1e308],
+                            rng.standard_normal(10**5)])
+        formula = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+        assert softplus(z).tobytes() == formula.tobytes()
+        assert softplus(z, out=z.copy()).tobytes() == formula.tobytes()
+        in_place = z.copy()
+        assert softplus(in_place, out=in_place) is in_place
+        assert in_place.tobytes() == formula.tobytes()
+        for value, expected in zip(z[:8], formula[:8]):
+            scalar = softplus(value)
+            assert type(scalar) is np.float64 and scalar.tobytes() == expected.tobytes()
+
     @given(st.floats(min_value=-700, max_value=700))
     def test_nonnegative_and_above_identity(self, z):
         s = float(softplus(z))

@@ -86,7 +86,7 @@ class TestSampling:
         a = sample(q, 100, 1234)
         b = sample(q, 100, 1234)
         np.testing.assert_array_equal(a.thetas, b.thetas)
-        assert a.S == 100 and a.K == 6
+        assert a.thetas.shape == (100, 6)
 
     def test_degenerate_scale_collapses_to_mean(self, rng):
         q = VariationalParams(mean=rng.normal(0, 1, 4),
