@@ -19,8 +19,8 @@ import numpy as np
 
 from vbnn.data import REFERENCE_TRUTH, generate_synthetic
 from vbnn.metrics import IntegrationConfig, diagnostics_dict
-from vbnn.model import NetworkShape, PriorConfig
-from vbnn.optimizer import Schedule, TrainConfig, train
+from vbnn.model import PriorConfig
+from vbnn.optimizer import REFERENCE_CONFIG, train
 from vbnn.prediction import PredictiveConfig
 from vbnn.variational import Posterior
 
@@ -35,15 +35,9 @@ def main() -> int:
     ap.add_argument("--out", default=None, help="optional CSV for the raw rows")
     args = ap.parse_args()
 
-    shape = NetworkShape(p=2, k=3)
+    shape = REFERENCE_TRUTH.network.shape
     prior = PriorConfig.standard(shape.K)
-    base = TrainConfig(
-        S=args.S,
-        schedule=Schedule(kind="rm", rho0=1.0, b=100.0, c=0.3),
-        use_control_variates=True,
-        grad_clip=10.0,
-        max_iters=1500,
-    )
+    base = replace(REFERENCE_CONFIG, S=args.S, max_iters=1500)
     pred_cfg = PredictiveConfig(M=args.M, seed=99)
     int_cfg = IntegrationConfig(n_mc=args.n_mc, seed=77)
 

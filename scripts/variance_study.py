@@ -12,11 +12,10 @@ import argparse
 import os
 from dataclasses import replace
 
-
 from vbnn.data import REFERENCE_TRUTH, generate_synthetic, save_report_csv
 from vbnn.metrics import gradient_variance_profile
-from vbnn.model import NetworkShape, PriorConfig
-from vbnn.optimizer import Schedule, TrainConfig, train
+from vbnn.model import PriorConfig
+from vbnn.optimizer import REFERENCE_CONFIG, train
 
 
 def main() -> None:
@@ -29,15 +28,10 @@ def main() -> None:
     ap.add_argument("--out-dir", default="variance_study_out")
     args = ap.parse_args()
 
-    shape = NetworkShape(p=2, k=3)
+    shape = REFERENCE_TRUTH.network.shape
     prior = PriorConfig.standard(shape.K)
-    base = TrainConfig(
-        S=args.S,
-        schedule=Schedule(kind="rm", rho0=1.0, b=100.0, c=0.3),
-        grad_clip=10.0,
-        max_iters=args.max_iters,
-        conv_window=args.window,
-    )
+    base = replace(REFERENCE_CONFIG, S=args.S, max_iters=args.max_iters,
+                   conv_window=args.window)
     os.makedirs(args.out_dir, exist_ok=True)
 
     for seed in range(args.seeds):

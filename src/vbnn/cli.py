@@ -29,6 +29,7 @@ from .data import (
     REFERENCE_TRUTH,
     SchemaError,
     TableSchema,
+    _is_plain,
     _open_table,
     _parse_table,
     default_schema,
@@ -120,6 +121,13 @@ def _json_input(path: str, what: str):
         # RFC 8259 has no NaN or Infinity, and every writer here refuses them
         raise ValueError(f"{token} is not a number")
 
+    def integer(text):
+        try:
+            return int(text)
+        except ValueError:  # only Python's digit limit; its message advises programmers
+            raise ValueError(f"it holds an integer literal over "
+                             f"{sys.get_int_max_str_digits()} digits") from None
+
     def unique(pairs):
         # RFC 8259 leaves a repeated name's meaning open: refuse to pick one
         obj = {}
@@ -131,7 +139,8 @@ def _json_input(path: str, what: str):
 
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh, parse_constant=reject, object_pairs_hook=unique)
+            doc = json.load(fh, parse_constant=reject, parse_int=integer,
+                            object_pairs_hook=unique)
     except FileNotFoundError:
         raise FileNotFoundError(f"cannot read {what} file {path!r}: no such file")
     except KeyError as exc:  # raised by unique only
@@ -172,8 +181,10 @@ def _model_artifact(post: Posterior, config: TrainConfig, schema: TableSchema) -
 def _load_model(path: str) -> tuple[Posterior, TableSchema]:
     with _json_input(path, "model") as doc:
         check_keys(doc, ("shape", "prior", "variational", "config", "seed", "schema"), "a model")
-        return (Posterior.from_json_dict(doc),
-                TableSchema.from_json_dict(json_field(doc, "schema", dict)))
+        post = Posterior.from_json_dict(doc)
+        schema = TableSchema.from_json_dict(json_field(doc, "schema", dict))
+        schema.check_fitted()  # train writes the statistics: a model without them was edited
+        return post, schema
 
 
 def _load_labeled(data_path: str, schema_path: str | None) -> tuple[LabeledBatch, TableSchema]:
@@ -423,11 +434,26 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+def _plain(kind):
+    """An argparse type that reads a flag's value as ``kind`` only if it passes
+    the test a data cell passes: ``1_0`` and a full-width digit are refused."""
+    def parse(text: str):
+        if not _is_plain(text):
+            raise ValueError(text)
+        return kind(text)
+
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" names it
+    return parse
+
+
+_plain_int, _plain_float = _plain(int), _plain(float)
+
+
 def _add_predictive_flags(sub, default_m=1000):
-    sub.add_argument("--M", type=int, default=default_m,
+    sub.add_argument("--M", type=_plain_int, default=default_m,
                      help="posterior draws per prediction")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--threads", type=int, default=1,
+    sub.add_argument("--seed", type=_plain_int, default=0)
+    sub.add_argument("--threads", type=_plain_int, default=1,
                      help="ignored: serving is single-threaded")
 
 
@@ -441,12 +467,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synth", help="generate a labeled synthetic dataset")
     p_synth.add_argument("--truth", default="reference",
                          help="'reference' or a truth JSON path")
-    p_synth.add_argument("--n", type=int, required=True)
-    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--n", type=_plain_int, required=True)
+    p_synth.add_argument("--seed", type=_plain_int, default=0)
     p_synth.add_argument("--out", required=True, help="output CSV path")
     p_synth.add_argument("--truth-out", default=None,
                          help="also save the truth function JSON here")
-    p_synth.set_defaults(func=cmd_synth)
+    p_synth.set_defaults(func=cmd_synth, sizes="--n")
 
     p_train = sub.add_parser("train", help="fit the variational posterior")
     p_train.add_argument("--data", required=True)
@@ -454,33 +480,33 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--config", default=None, help="training config JSON")
     p_train.add_argument("--out", default=".", help="output directory")
     p_train.add_argument("--algo", choices=["bbvi", "bbvi-cv"], default=None)
-    p_train.add_argument("--S", type=int, default=None)
-    p_train.add_argument("--lr", type=float, default=None,
+    p_train.add_argument("--S", type=_plain_int, default=None)
+    p_train.add_argument("--lr", type=_plain_float, default=None,
                          help="fixed learning rate (implies --schedule fixed)")
     p_train.add_argument("--schedule", choices=list(SCHEDULE_KEYS), default=None)
-    p_train.add_argument("--rho0", type=float, default=None)
-    p_train.add_argument("--b", type=float, default=None)
-    p_train.add_argument("--c", type=float, default=None)
-    p_train.add_argument("--max-iters", type=int, default=None, dest="max_iters")
-    p_train.add_argument("--k", type=int, default=None, help="hidden nodes")
-    p_train.add_argument("--seed", type=int, default=None)
-    p_train.add_argument("--threads", type=int, default=None,
+    p_train.add_argument("--rho0", type=_plain_float, default=None)
+    p_train.add_argument("--b", type=_plain_float, default=None)
+    p_train.add_argument("--c", type=_plain_float, default=None)
+    p_train.add_argument("--max-iters", type=_plain_int, default=None, dest="max_iters")
+    p_train.add_argument("--k", type=_plain_int, default=None, help="hidden nodes")
+    p_train.add_argument("--seed", type=_plain_int, default=None)
+    p_train.add_argument("--threads", type=_plain_int, default=None,
                          help="training threads; results do not depend on it")
-    p_train.set_defaults(func=cmd_train)
+    p_train.set_defaults(func=cmd_train, sizes="--S or --k")
 
     p_pred = sub.add_parser("predict", help="posterior-predictive probabilities")
     p_pred.add_argument("--model", required=True)
     p_pred.add_argument("--data", required=True)
     p_pred.add_argument("--out", required=True)
     _add_predictive_flags(p_pred)
-    p_pred.set_defaults(func=cmd_predict)
+    p_pred.set_defaults(func=cmd_predict, sizes="--M")
 
     p_eval = sub.add_parser("evaluate", help="accuracy on labeled data")
     p_eval.add_argument("--model", required=True)
     p_eval.add_argument("--data", required=True)
     p_eval.add_argument("--out", required=True)
     _add_predictive_flags(p_eval)
-    p_eval.set_defaults(func=cmd_evaluate)
+    p_eval.set_defaults(func=cmd_evaluate, sizes="--M")
 
     p_diag = sub.add_parser("diagnose",
                             help="distances and risk gap against a known truth")
@@ -488,20 +514,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("--truth", required=True,
                         help="'reference' or a truth JSON path")
     p_diag.add_argument("--out", required=True)
-    p_diag.add_argument("--n-mc", type=int, default=20000, dest="n_mc")
+    p_diag.add_argument("--n-mc", type=_plain_int, default=20000, dest="n_mc")
     _add_predictive_flags(p_diag, default_m=200)
-    p_diag.set_defaults(func=cmd_diagnose)
+    p_diag.set_defaults(func=cmd_diagnose, sizes="--M or --n-mc")
 
     p_sweep = sub.add_parser("sweep", help="hyper-parameter grid with k-fold CV")
     p_sweep.add_argument("--grid", required=True, help="grid JSON path")
     p_sweep.add_argument("--data", required=True)
     p_sweep.add_argument("--schema", default=None)
     p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--M", type=int, default=200)
-    p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--threads", type=int, default=None,
+    p_sweep.add_argument("--M", type=_plain_int, default=200)
+    p_sweep.add_argument("--seed", type=_plain_int, default=0)
+    p_sweep.add_argument("--threads", type=_plain_int, default=None,
                          help="training threads; fold scoring is single-threaded")
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.set_defaults(func=cmd_sweep, sizes="the grid's S or k, or --M")
 
     return parser
 
@@ -524,6 +550,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print(f"error: {args.command} ran out of memory; lower {args.sizes}", file=sys.stderr)
         return 1
 
 

@@ -46,7 +46,8 @@ __all__ = [
 logger = logging.getLogger("vbnn")
 
 _KINDS = ("numeric", "categorical_binary", "label")
-_NORMALIZATIONS = ("none", "zscore", "minmax01")
+# Each normalization and the fitted statistics it reads.
+_NORMALIZATIONS = {"none": (), "zscore": ("mean", "sd"), "minmax01": ("min", "max")}
 
 
 class SchemaError(ValueError):
@@ -71,7 +72,7 @@ class ColumnSchema:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise SchemaError(f"unknown column kind {self.kind!r}")
-        if self.normalization not in _NORMALIZATIONS:
+        if self.normalization not in tuple(_NORMALIZATIONS):  # a JSON array is unhashable
             raise SchemaError(f"unknown normalization {self.normalization!r}")
         if self.kind in ("label", "categorical_binary") and self.normalization != "none":
             raise SchemaError(f"column {self.name!r}: {self.kind} columns are never normalized")
@@ -85,11 +86,7 @@ class ColumnSchema:
 
     @property
     def fitted(self) -> bool:
-        if self.normalization == "zscore":
-            return self.mean is not None and self.sd is not None
-        if self.normalization == "minmax01":
-            return self.min is not None and self.max is not None
-        return True
+        return all(getattr(self, key) is not None for key in _NORMALIZATIONS[self.normalization])
 
     def to_json_dict(self) -> dict:
         doc: dict = {"name": self.name, "kind": self.kind, "normalization": self.normalization}
@@ -140,6 +137,14 @@ class TableSchema:
     @property
     def fitted(self) -> bool:
         return all(c.fitted for c in self.feature_columns)
+
+    def check_fitted(self) -> None:
+        """Raise SchemaError naming the first feature column that lacks the
+        statistics of its normalization."""
+        for col in self.feature_columns:
+            if not col.fitted:
+                raise SchemaError(f"column {col.name!r} is not fitted: {col.normalization} "
+                                  f"needs {' and '.join(_NORMALIZATIONS[col.normalization])}")
 
     def to_json_dict(self) -> dict:
         return {"columns": [c.to_json_dict() for c in self.columns]}
@@ -367,8 +372,7 @@ def fit_normalization(schema: TableSchema, batch: LabeledBatch) -> TableSchema:
 def normalize(batch: LabeledBatch, schema: TableSchema) -> LabeledBatch:
     """Apply the fitted per-column transforms; logs a warning when minmax01
     values fall outside the fitted range (they map outside [0,1])."""
-    if not schema.fitted:
-        raise SchemaError("schema is not fitted; call fit_normalization first")
+    schema.check_fitted()
     if schema.p != batch.p:
         raise SchemaError("schema width does not match batch width")
     x = batch.x.copy()

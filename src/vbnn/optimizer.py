@@ -78,6 +78,7 @@ __all__ = [
     "SCHEDULE_KEYS",
     "CONV_REL_TOL",
     "TrainConfig",
+    "REFERENCE_CONFIG",
     "TrainReport",
     "NonFiniteGradientError",
     "estimate_elbo",
@@ -212,6 +213,11 @@ class TrainConfig:
                 raise ValueError(f"unknown algo {doc['algo']!r}")
             values["use_control_variates"] = doc["algo"] == "bbvi-cv"
         return cls(**values)
+
+
+# The paper's synthetic-study fit; its network shape is REFERENCE_TRUTH.network.shape.
+REFERENCE_CONFIG = TrainConfig(S=200, schedule=Schedule(kind="rm", rho0=1.0, b=100.0, c=0.3),
+                               use_control_variates=True, grad_clip=10.0)
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from vbnn.data import REFERENCE_TRUTH
 from vbnn.model import NetworkParams, NetworkShape, PriorConfig, unflatten_many
 
 # Network shapes used across the suite: the smallest legal network and the
 # synthetic benchmark size.
 TOY_SHAPE = NetworkShape(p=1, k=1)
-BENCH_SHAPE = NetworkShape(p=2, k=3)
+BENCH_SHAPE = REFERENCE_TRUTH.network.shape
 
 
 def implied_thetas(mean, scale, z, x, shape: NetworkShape) -> np.ndarray:

@@ -28,6 +28,7 @@ from vbnn.model import (
     log_joint_many,
 )
 from vbnn.optimizer import (
+    REFERENCE_CONFIG,
     Schedule,
     TrainConfig,
     control_variate_coefficients,
@@ -213,10 +214,7 @@ def test_criterion_4_cv_variance_reduction(capsys):
     var_cv = contrib.var(axis=0, ddof=1)
     exact_ok = bool(np.all(var_cv <= var_plain * (1 + 1e-12) + 1e-300))
 
-    base = TrainConfig(
-        S=200, schedule=Schedule(kind="rm", rho0=1.0, b=100.0, c=0.3),
-        grad_clip=10.0, max_iters=300, conv_window=50, seed=0,
-    )
+    base = replace(REFERENCE_CONFIG, max_iters=300)
     ratios = []
     paired_ok = True
     for seed in (0, 1, 2):
@@ -310,14 +308,7 @@ def test_criterion_5_metric_oracles(capsys):
 @pytest.fixture(scope="module")
 def consistency_runs():
     """Fifteen full training runs: n in {200, 800, 3200} x 5 seeds each."""
-    base = TrainConfig(
-        S=200,
-        schedule=Schedule(kind="rm", rho0=1.0, b=100.0, c=0.3),
-        use_control_variates=True,
-        grad_clip=10.0,
-        max_iters=1500,
-        conv_window=50,
-    )
+    base = replace(REFERENCE_CONFIG, max_iters=1500)
     shape = BENCH_SHAPE
     prior = PriorConfig.standard(shape.K)
     pred_cfg = PredictiveConfig(M=200, seed=99)

@@ -806,6 +806,72 @@ class TestUsage:
         assert not [f for f in os.listdir(tmp_path) if f.startswith(".tmp.")]
 
 
+# every numeric flag of every command, and its type's name in argparse's message
+NUMERIC_FLAGS = {
+    "synth": {"--n": "int", "--seed": "int"},
+    "train": {"--S": "int", "--lr": "float", "--rho0": "float", "--b": "float",
+              "--c": "float", "--max-iters": "int", "--k": "int", "--seed": "int",
+              "--threads": "int"},
+    **{command: {"--M": "int", "--seed": "int", "--threads": "int"}
+       for command in ("predict", "evaluate", "sweep")},
+    "diagnose": {"--M": "int", "--n-mc": "int", "--seed": "int", "--threads": "int"},
+}
+
+
+def command_argv(command, workdir, tmp_path):
+    """argv of a valid run of ``command`` on the workdir's data and model."""
+    data, model, out = str(workdir["data"]), str(workdir["model"]), str(tmp_path / "out")
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(GRID))
+    return {
+        "synth": ["synth", "--n", "5", "--out", out],
+        "train": ["train", "--data", data, "--out", out],
+        "predict": ["predict", "--model", model, "--data", data, "--out", out],
+        "evaluate": ["evaluate", "--model", model, "--data", data, "--out", out],
+        "diagnose": ["diagnose", "--model", model, "--truth", "reference", "--out", out],
+        "sweep": ["sweep", "--grid", str(grid), "--data", data, "--out", out],
+    }[command]
+
+
+class TestNumericFlags:
+    @pytest.mark.parametrize("command, flag", [(command, flag)
+                                               for command, flags in NUMERIC_FLAGS.items()
+                                               for flag in flags])
+    @pytest.mark.parametrize("value", ["1_0", "１２"], ids=["underscore", "full-width"])
+    def test_value_no_data_cell_holds_is_a_usage_error(self, tmp_path, capsys, workdir,
+                                                       command, flag, value):
+        # Python's int and float read both (as 10 and 12); a data cell may hold neither
+        argv = command_argv(command, workdir, tmp_path) + [flag, value]
+        assert main(argv) == 1
+        kind = NUMERIC_FLAGS[command][flag]
+        assert f"argument {flag}: invalid {kind} value: {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def raise_memory_error(*args, **kwargs):
+    raise MemoryError
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize("command, callee, sizes", [
+        ("synth", "generate_synthetic", "--n"),
+        ("train", "train", "--S or --k"),
+        ("predict", "predictive_probabilities", "--M"),
+        ("evaluate", "evaluation_dict", "--M"),
+        ("diagnose", "diagnostics_dict", "--M or --n-mc"),
+        ("sweep", "train", "the grid's S or k, or --M"),
+    ])
+    def test_one_error_line_names_the_size_flags(self, tmp_path, capsys, workdir,
+                                                 monkeypatch, command, callee, sizes):
+        # a callee that raises stands in for a huge array: on an overcommitting
+        # host such a request is granted and then filled
+        monkeypatch.setattr(f"vbnn.cli.{callee}", raise_memory_error)
+        assert main(command_argv(command, workdir, tmp_path)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {command} ran out of memory; lower {sizes}\n")
+        assert not (tmp_path / "out").exists()
+
+
 def json_input_argv(use, path, workdir, tmp_path):
     """argv of the command that reads ``path`` for ``use``, with valid other inputs."""
     data, model, out = str(workdir["data"]), str(workdir["model"]), str(tmp_path / "out")
@@ -1064,6 +1130,24 @@ class TestJsonInputs:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: truth file {str(path)!r} is not valid JSON: ")
+        assert f"an integer literal over {sys.get_int_max_str_digits()} digits" in err
+        assert "set_int_max_str_digits" not in err  # Python's advice to programmers
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("use", ["predict-model", "evaluate-model", "diagnose-model"])
+    @pytest.mark.parametrize("column, message", [
+        ({"name": "x1", "normalization": "zscore"}, "zscore needs mean and sd"),
+        ({"name": "x1", "normalization": "minmax01", "min": 0.0}, "minmax01 needs min and max"),
+    ], ids=["zscore", "minmax01"])
+    def test_unfitted_schema_names_the_file_and_the_column(self, tmp_path, capsys, workdir,
+                                                           use, column, message):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({**MODEL, "schema": {"columns": [
+            column, {"name": "x2"}, {"name": "y", "kind": "label"}]}}))
+        code = main(json_input_argv(use, str(path), workdir, tmp_path))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: model file {str(path)!r}: column 'x1' is not fitted: {message}\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("use", ["predict-model", "train-config", "sweep-grid",

@@ -10,6 +10,7 @@ import math
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -41,7 +42,7 @@ from vbnn.model import (
     softplus,
     unflatten,
 )
-from vbnn.optimizer import Schedule, TrainConfig, train
+from vbnn.optimizer import REFERENCE_CONFIG, train
 
 from conftest import BENCH_SHAPE, TOY_SHAPE, implied_thetas
 
@@ -235,9 +236,8 @@ class TestKernelRows:
         # rows, run in turn on one thread and by a pool of two or three
         batch = generate_synthetic(REFERENCE_TRUTH, 700, seed=4)
         prior = PriorConfig.standard(BENCH_SHAPE.K)
-        base = dict(S=64, max_iters=5, seed=7, use_control_variates=True, grad_clip=10.0,
-                    schedule=Schedule(kind="rm", rho0=1.0, b=100.0, c=0.3))
-        (q1, r1), *pooled = [train(batch, prior, BENCH_SHAPE, TrainConfig(threads=t, **base))
+        (q1, r1), *pooled = [train(batch, prior, BENCH_SHAPE,
+                                   replace(REFERENCE_CONFIG, S=64, max_iters=5, seed=7, threads=t))
                              for t in (1, 2, 3)]
         for q2, r2 in pooled:
             assert r1.elbo_trace.tobytes() == r2.elbo_trace.tobytes()

@@ -2,6 +2,7 @@
 
 import csv
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -19,6 +20,7 @@ from vbnn.model import (
     log_joint_many,
 )
 from vbnn.optimizer import (
+    REFERENCE_CONFIG,
     NonFiniteGradientError,
     Schedule,
     TrainConfig,
@@ -342,9 +344,8 @@ class TestTrain:
         # results
         batch = bench_batch(n=150)
         prior = PriorConfig.standard(BENCH_SHAPE.K)
-        base = dict(S=200, max_iters=20, seed=11, use_control_variates=True,
-                    grad_clip=10.0, schedule=Schedule(kind="rm", rho0=1.0, b=100.0, c=0.3))
-        runs = [train(batch, prior, BENCH_SHAPE, TrainConfig(threads=t, **base))
+        runs = [train(batch, prior, BENCH_SHAPE,
+                      replace(REFERENCE_CONFIG, max_iters=20, seed=11, threads=t))
                 for t in (1, 2, 3)]
         for q, report in runs[1:]:
             assert report.elbo_trace.tobytes() == runs[0][1].elbo_trace.tobytes()
