@@ -25,10 +25,18 @@ from vbnn.prediction import PredictiveConfig
 from vbnn.variational import Posterior
 
 
+def at_least_one(text: str) -> int:
+    """argparse type for a count that must be >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--sizes", type=int, nargs="+", default=[200, 800, 3200])
-    ap.add_argument("--seeds", type=int, default=5)
+    ap.add_argument("--seeds", type=at_least_one, default=5)
     ap.add_argument("--S", type=int, default=200)
     ap.add_argument("--n-mc", type=int, default=20_000)
     ap.add_argument("--M", type=int, default=200)

@@ -84,6 +84,10 @@ def _atomic_write(path: str, writer) -> None:
                                    prefix=".tmp.", suffix=".part")
     except OSError as exc:  # name the destination, not the temporary file
         raise type(exc)(exc.errno, exc.strerror, path) from None
+    # mkstemp makes the file 0600; give it the mode open(path, "w") would
+    umask = os.umask(0)  # os has no way to read the umask but to set it
+    os.umask(umask)
+    os.fchmod(fd, 0o666 & ~umask)
     os.close(fd)
     try:
         writer(tmp)
@@ -298,12 +302,8 @@ def cmd_train(args) -> int:
 
     if report.diverged:
         under = f" under config file {args.config!r}" if args.config else ""
-        print(
-            f"error: training diverged (non-finite estimate) at iteration "
-            f"{report.diverged_at}{under}",
-            file=sys.stderr,
-        )
-        return 1
+        raise ValueError(f"training diverged (non-finite estimate) at iteration "
+                         f"{report.diverged_at}{under}")
     logger.info(
         "finished after %d iterations (converged=%s)",
         report.iterations_run,

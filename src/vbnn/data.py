@@ -84,10 +84,6 @@ class ColumnSchema:
             raise SchemaError(f"column {self.name!r}: minmax01 max must exceed min, "
                               f"got min={self.min!r}, max={self.max!r}")
 
-    @property
-    def fitted(self) -> bool:
-        return all(getattr(self, key) is not None for key in _NORMALIZATIONS[self.normalization])
-
     def to_json_dict(self) -> dict:
         doc: dict = {"name": self.name, "kind": self.kind, "normalization": self.normalization}
         for key in ("mean", "sd", "min", "max"):
@@ -134,15 +130,11 @@ class TableSchema:
     def p(self) -> int:
         return len(self.feature_columns)
 
-    @property
-    def fitted(self) -> bool:
-        return all(c.fitted for c in self.feature_columns)
-
     def check_fitted(self) -> None:
         """Raise SchemaError naming the first feature column that lacks the
         statistics of its normalization."""
         for col in self.feature_columns:
-            if not col.fitted:
+            if any(getattr(col, key) is None for key in _NORMALIZATIONS[col.normalization]):
                 raise SchemaError(f"column {col.name!r} is not fitted: {col.normalization} "
                                   f"needs {' and '.join(_NORMALIZATIONS[col.normalization])}")
 

@@ -59,7 +59,6 @@ __all__ = [
     "draw_points",
     "hellinger_distance",
     "kl_distance",
-    "bayes_risk",
     "gradient_variance_profile",
     "diagnostics_dict",
 ]
@@ -210,13 +209,6 @@ def kl_distance(eta_a: TrueFunction, eta_b: TrueFunction, cfg: IntegrationConfig
     """KL divergence d_KL(ell_a || ell_b); asymmetric in its arguments."""
     x = draw_points(cfg, eta_a.p)
     return _kl_core(np.asarray(eta_a(x), float), np.asarray(eta_b(x), float))
-
-
-def bayes_risk(eta0: TrueFunction, cfg: IntegrationConfig) -> MCEstimate:
-    """E_X[min(p0, 1 - p0)]: the lowest achievable misclassification rate."""
-    x = draw_points(cfg, eta0.p)
-    p0 = sigmoid(np.asarray(eta0(x), float))
-    return MCEstimate(*_mean_with_se(np.minimum(p0, 1.0 - p0)))
 
 
 def gradient_variance_profile(trace, window: int = 50) -> np.ndarray:

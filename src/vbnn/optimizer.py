@@ -80,7 +80,6 @@ __all__ = [
     "TrainConfig",
     "REFERENCE_CONFIG",
     "TrainReport",
-    "NonFiniteGradientError",
     "estimate_elbo",
     "estimate_gradient",
     "control_variate_coefficients",
@@ -89,10 +88,6 @@ __all__ = [
     "train",
     "report_summary",
 ]
-
-class NonFiniteGradientError(RuntimeError):
-    """A NaN/Inf gradient was about to be applied; the message names the iteration."""
-
 
 # Each schedule kind and, in to_json_dict's order, the fields it reads.
 SCHEDULE_KEYS = {"fixed": ("rho",), "rm": ("rho0", "b", "c")}
@@ -353,7 +348,7 @@ def step(
     if grad.shape != (2 * q.K,):
         raise ShapeMismatchError(f"gradient must have length {2 * q.K}")
     if not np.all(np.isfinite(grad)):
-        raise NonFiniteGradientError(f"non-finite gradient at iteration {t}")
+        raise ValueError(f"non-finite gradient at iteration {t}")
     rho = schedule.rate(t)
     return VariationalParams(
         mean=q.mean + rho * grad[: q.K],

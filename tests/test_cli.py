@@ -208,8 +208,8 @@ class TestTrain:
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_non_json_number_in_config_names_the_file(self, tmp_path, capsys, workdir,
                                                       token):
-        # Python's json reads these tokens; a NaN grad_clip once ended in a
-        # NonFiniteGradientError traceback at iteration 0
+        # Python's json reads these tokens; a NaN grad_clip once made a
+        # non-finite gradient at iteration 0 and ended in a traceback
         cfg = tmp_path / "c.json"
         cfg.write_text(f'{{"grad_clip": {token}, "max_iters": 5}}')
         out = tmp_path / "fit"
@@ -870,6 +870,31 @@ class TestOutOfMemory:
         assert capsys.readouterr().err == (
             f"error: {command} ran out of memory; lower {sizes}\n")
         assert not (tmp_path / "out").exists()
+
+
+class TestOutputModes:
+    # flags that keep each run small; synth also writes a truth file
+    SMALL = {"synth": ["--truth-out"], "train": ["--S", "5", "--max-iters", "5", "--k", "2"],
+             "predict": ["--M", "5"], "evaluate": ["--M", "5"],
+             "diagnose": ["--M", "5", "--n-mc", "100"], "sweep": ["--M", "5"]}
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask022", "umask077"])
+    @pytest.mark.parametrize("command", sorted(SMALL))
+    def test_outputs_get_the_mode_a_plain_write_gives(self, tmp_path, workdir, command,
+                                                      umask, mode):
+        argv = command_argv(command, workdir, tmp_path) + self.SMALL[command]
+        if command == "synth":
+            argv.append(str(tmp_path / "out.truth.json"))
+        old = os.umask(umask)
+        try:
+            assert main(argv) in (0, 2)
+        finally:
+            os.umask(old)
+        written = [f for f in tmp_path.rglob("*") if f.is_file() and f.name != "grid.json"]
+        assert len(written) == {"synth": 3, "train": 3}.get(command, 1)
+        assert {f.name: oct(f.stat().st_mode & 0o777) for f in written} == {
+            f.name: oct(mode) for f in written}
 
 
 def json_input_argv(use, path, workdir, tmp_path):

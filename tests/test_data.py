@@ -288,7 +288,7 @@ class TestSchemaJson:
         fitted = fit_normalization(schema, batch)
         back = TableSchema.from_json_dict(json.loads(json.dumps(fitted.to_json_dict())))
         assert back == fitted
-        assert back.fitted
+        back.check_fitted()
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(SchemaError):

@@ -15,16 +15,15 @@ from scipy.special import expit
 from vbnn.metrics import (
     IntegrationConfig,
     TrueFunction,
-    bayes_risk,
     diagnostics_dict,
     draw_points,
     gradient_variance_profile,
     hellinger_distance,
     kl_distance,
 )
-from vbnn.model import NetworkParams, PriorConfig, ShapeMismatchError
+from vbnn.model import NetworkParams, NetworkShape, PriorConfig, ShapeMismatchError
 from vbnn.prediction import PredictiveConfig
-from vbnn.variational import Posterior, VariationalParams
+from vbnn.variational import Posterior, VariationalParams, initial_params
 
 from conftest import BENCH_SHAPE
 
@@ -171,14 +170,20 @@ class TestKl:
 
 
 class TestBayesRisk:
+    """``diagnostics_dict``'s Bayes risk E_X[min(p0, 1 - p0)], which does
+    not depend on the posterior."""
+
+    @staticmethod
+    def bayes_risk(eta: TrueFunction, cfg: IntegrationConfig) -> float:
+        shape = NetworkShape(p=eta.p, k=1)
+        post = Posterior(shape, initial_params(shape.K), PriorConfig.standard(shape.K))
+        return diagnostics_dict(post, eta, PredictiveConfig(M=1, seed=0), cfg)["bayes_risk"]
+
     def test_coin_flip_truth_is_half(self):
-        est = bayes_risk(constant_eta(0.0), IntegrationConfig(n_mc=100, seed=0))
-        assert est.value == 0.5
-        assert est.stderr == 0.0
+        assert self.bayes_risk(constant_eta(0.0), IntegrationConfig(n_mc=100, seed=0)) == 0.5
 
     def test_separable_truth_is_zero(self):
-        est = bayes_risk(constant_eta(50.0), IntegrationConfig(n_mc=100, seed=0))
-        assert est.value <= 1e-10
+        assert self.bayes_risk(constant_eta(50.0), IntegrationConfig(n_mc=100, seed=0)) <= 1e-10
 
     def test_linear_truth_matches_quadrature(self):
         eta = TrueFunction.linear(-2.0, [4.0])
@@ -186,8 +191,10 @@ class TestBayesRisk:
         expected, _ = integrate.quad(
             lambda x: min(expit(-2 + 4 * x), 1 - expit(-2 + 4 * x)), 0, 1
         )
-        est = bayes_risk(eta, IntegrationConfig(n_mc=200_000, seed=3))
-        assert est.value == pytest.approx(expected, abs=4 * est.stderr)
+        cfg = IntegrationConfig(n_mc=200_000, seed=3)
+        p0 = expit(eta(draw_points(cfg, eta.p)))
+        stderr = np.minimum(p0, 1 - p0).std(ddof=1) / math.sqrt(cfg.n_mc)
+        assert self.bayes_risk(eta, cfg) == pytest.approx(expected, abs=4 * stderr)
 
 
 def trained_like_q(params: NetworkParams, spread: float = 1e-3) -> Posterior:
@@ -222,9 +229,7 @@ class TestRiskGap:
         q = trained_like_q(anti, spread=1e-6)
         icfg = IntegrationConfig(n_mc=2000, seed=2)
         res = diagnostics_dict(q, eta, PredictiveConfig(M=400, seed=0), icfg)
-        rb = bayes_risk(eta, icfg)
-        assert res["risk_gap"] == pytest.approx(1.0 - 2.0 * rb.value, abs=1e-3)
-        assert res["bayes_risk"] == rb.value
+        assert res["risk_gap"] == pytest.approx(1.0 - 2.0 * res["bayes_risk"], abs=1e-3)
 
     def test_gap_never_exceeds_bound(self, random_theta):
         for trial in range(5):

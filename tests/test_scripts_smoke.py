@@ -2,7 +2,8 @@
 
 The two study scripts build ``TrainConfig`` and call ``train`` directly, so
 an API change that breaks them shows up here.  Tiny sizes; the exit status is
-checked, and the header line of a report CSV that variance_study.py writes.
+checked, and the header line of a report CSV that variance_study.py writes;
+``--seeds 0`` must be a usage error in both.
 walkthrough_hashes.py runs the README walkthrough through the CLI; its line
 count is checked, not its hashes.
 """
@@ -17,15 +18,15 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(script, args, cwd):
+def run_script(script, args, cwd, code=0):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
         capture_output=True, text=True, cwd=cwd, timeout=300,
         env=dict(os.environ, PYTHONPATH=path),
     )
-    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
-    return proc.stdout
+    assert proc.returncode == code, proc.stdout[-2000:] + proc.stderr[-2000:]
+    return proc
 
 
 @pytest.mark.parametrize("script, args, report", [
@@ -43,6 +44,16 @@ def test_script_runs(tmp_path, script, args, report):
 
 def test_walkthrough_hashes_prints_one_line_per_artifact(tmp_path):
     # the hashes themselves are not gated: the script exists to diff two trees
-    lines = run_script("walkthrough_hashes.py", [], tmp_path).splitlines()
+    lines = run_script("walkthrough_hashes.py", [], tmp_path).stdout.splitlines()
     assert len(lines) == 8
     assert all(len(line.split("  ")[0]) == 64 for line in lines)
+
+
+@pytest.mark.parametrize("script, args", [
+    ("consistency_trend.py", ["--sizes", "40", "--seeds", "0", "--out", "rows.csv"]),
+    ("variance_study.py", ["--seeds", "0"]),
+], ids=["consistency_trend", "variance_study"])
+def test_zero_seeds_is_a_usage_error(tmp_path, script, args):
+    proc = run_script(script, args, tmp_path, code=2)
+    assert "argument --seeds: must be >= 1, got 0" in proc.stderr
+    assert not any(tmp_path.iterdir())
