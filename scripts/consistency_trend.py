@@ -25,21 +25,23 @@ from vbnn.prediction import PredictiveConfig
 from vbnn.variational import Posterior
 
 
-def at_least_one(text: str) -> int:
-    """argparse type for a count that must be >= 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def at_least(minimum: int):
+    """argparse type for a count that must be >= minimum."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return count
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--sizes", type=int, nargs="+", default=[200, 800, 3200])
-    ap.add_argument("--seeds", type=at_least_one, default=5)
-    ap.add_argument("--S", type=int, default=200)
-    ap.add_argument("--n-mc", type=int, default=20_000)
-    ap.add_argument("--M", type=int, default=200)
+    ap.add_argument("--sizes", type=at_least(1), nargs="+", default=[200, 800, 3200])
+    ap.add_argument("--seeds", type=at_least(1), default=5)
+    ap.add_argument("--S", type=at_least(1), default=200)
+    ap.add_argument("--n-mc", type=at_least(2), default=20_000)
+    ap.add_argument("--M", type=at_least(1), default=200)
     ap.add_argument("--out", default=None, help="optional CSV for the raw rows")
     args = ap.parse_args()
 

@@ -18,21 +18,23 @@ from vbnn.model import PriorConfig
 from vbnn.optimizer import REFERENCE_CONFIG, train
 
 
-def at_least_one(text: str) -> int:
-    """argparse type for a count that must be >= 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def at_least(minimum: int):
+    """argparse type for a count that must be >= minimum."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return count
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--n", type=int, default=300)
-    ap.add_argument("--S", type=int, default=200)
-    ap.add_argument("--seeds", type=at_least_one, default=3, help="number of paired seeds")
-    ap.add_argument("--max-iters", type=int, default=400)
-    ap.add_argument("--window", type=int, default=50)
+    ap.add_argument("--n", type=at_least(1), default=300)
+    ap.add_argument("--S", type=at_least(1), default=200)
+    ap.add_argument("--seeds", type=at_least(1), default=3, help="number of paired seeds")
+    ap.add_argument("--max-iters", type=at_least(1), default=400)
+    ap.add_argument("--window", type=at_least(1), default=50)
     ap.add_argument("--out-dir", default="variance_study_out")
     args = ap.parse_args()
 

@@ -25,7 +25,6 @@ from dataclasses import replace
 import numpy as np
 
 from .data import (
-    DataError,
     REFERENCE_TRUTH,
     SchemaError,
     TableSchema,
@@ -61,6 +60,7 @@ from .optimizer import (
 from .prediction import (
     PredictiveConfig,
     evaluation_dict,
+    plug_in_labels,
     predictive_probabilities,
     test_accuracy,
 )
@@ -275,7 +275,7 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     batch, schema = _load_labeled(args.data, args.schema)
     if batch.n == 0:
-        raise DataError(f"{args.data}: training needs at least one data row")
+        raise ValueError(f"{args.data}: training needs at least one data row")
     schema = fit_normalization(schema, batch)
     batch = normalize(batch, schema)
     # the file is checked on its own, so that a bad flag is not blamed on it
@@ -319,7 +319,7 @@ def cmd_predict(args) -> int:
     x = normalize(LabeledBatch(x=x, y=np.zeros(x.shape[0], dtype=np.int64)), schema).x
     cfg = PredictiveConfig(M=args.M, seed=args.seed)
     probs = predictive_probabilities(post, x, cfg)
-    labels = (probs >= 0.5).astype(np.int64)
+    labels = plug_in_labels(probs)
     _atomic_write(args.out, lambda tmp: save_predictions_csv(tmp, probs, labels))
     logger.info("wrote %d predictions to %s", probs.shape[0], args.out)
     return 0
@@ -330,7 +330,7 @@ def cmd_evaluate(args) -> int:
     with _read_against(args.model, "model"):
         batch, _ = load_csv(args.data, schema)
     if batch.n == 0:
-        raise DataError(f"{args.data}: accuracy is undefined on a file with no data rows")
+        raise ValueError(f"{args.data}: accuracy is undefined on a file with no data rows")
     batch = normalize(batch, schema)
     cfg = PredictiveConfig(M=args.M, seed=args.seed)
     doc = evaluation_dict(post, batch, cfg)
@@ -368,7 +368,7 @@ def _schedule_label(schedule: Schedule) -> str:
 def cmd_sweep(args) -> int:
     batch, schema = _load_labeled(args.data, args.schema)
     if batch.n < 2:  # before the grid's folds are checked against the rows
-        raise DataError(f"{args.data}: a sweep needs at least 2 rows, found {batch.n}")
+        raise ValueError(f"{args.data}: a sweep needs at least 2 rows, found {batch.n}")
     # checked before the grid, so that a bad flag is not blamed on it nor found after a fit
     _train_config_from(args, TrainConfig())
     cfg = PredictiveConfig(M=args.M, seed=args.seed)

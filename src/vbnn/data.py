@@ -8,7 +8,7 @@ carried inside the schema, so held-out data is transformed with the training
 statistics rather than its own.  ``split`` cuts a batch into seeded k-fold
 cross-validation pairs.  Every data CSV is opened by ``_open_table``, which
 reads it as UTF-8 and drops a byte order mark; an empty file, or one holding
-bytes that are not UTF-8, raises DataError naming the file.  Data, predictions
+bytes that are not UTF-8, raises ValueError naming the file.  Data, predictions
 and training reports are written by one block writer, ``_write_rows``: CRLF
 line ends, numbers as ``repr``.
 """
@@ -28,7 +28,6 @@ from .model import LabeledBatch, NetworkParams, check_keys, json_field, sigmoid
 
 __all__ = [
     "SchemaError",
-    "DataError",
     "ColumnSchema",
     "TableSchema",
     "default_schema",
@@ -52,11 +51,6 @@ _NORMALIZATIONS = {"none": (), "zscore": ("mean", "sd"), "minmax01": ("min", "ma
 
 class SchemaError(ValueError):
     """The schema is inconsistent, or the data violates it."""
-
-
-class DataError(ValueError):
-    """The file could not be parsed: it is empty, it is not UTF-8 text, or
-    some of its rows are malformed, whose line numbers its message lists."""
 
 
 @dataclass(frozen=True)
@@ -155,7 +149,7 @@ def default_schema(p: int) -> TableSchema:
     return TableSchema(columns=tuple(cols))
 
 
-# Bad cells that a DataError quotes; its list of lines stays complete.
+# Bad cells that a malformed-row error quotes; its list of lines stays complete.
 _CELLS_QUOTED = 3
 
 
@@ -180,7 +174,7 @@ def _parse_table(path, names: list, rows: list, schema: TableSchema) -> np.ndarr
 
     A row with the wrong cell count, or with a cell that is missing, not a
     plain ASCII number (``1_0`` and a full-width digit are not), nan or
-    infinite, raises DataError listing every such row's file line number
+    infinite, raises ValueError listing every such row's file line number
     (1-based, header is line 1) and quoting the first few bad cells with
     their column names.  A label or categorical_binary cell that
     is not 0 or 1 raises SchemaError naming the column, the first bad line
@@ -210,7 +204,7 @@ def _parse_table(path, names: list, rows: list, schema: TableSchema) -> np.ndarr
                           for name, cell in zip(names, row) if not _is_finite_number(cell)]
             if len(cells) >= _CELLS_QUOTED:
                 break
-        raise DataError(
+        raise ValueError(
             f"{path}: malformed, missing or non-finite values at line(s) "
             + ", ".join(str(b) for b in bad_lines)
             + f" ({'; '.join(cells[:_CELLS_QUOTED])})"
@@ -234,7 +228,7 @@ def _open_table(path):
     over the rows that follow.
 
     The file is read as UTF-8 and a byte order mark is dropped.  An empty
-    file, or bytes that are not UTF-8 anywhere in the block, raise DataError
+    file, or bytes that are not UTF-8 anywhere in the block, raise ValueError
     naming the file.
     """
     try:
@@ -242,17 +236,17 @@ def _open_table(path):
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
-                raise DataError(f"{path}: empty file, expected a header row")
+                raise ValueError(f"{path}: empty file, expected a header row")
             yield [h.strip() for h in header], reader
     except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: "
-                        f"{exc.reason})") from None
+        raise ValueError(f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: "
+                         f"{exc.reason})") from None
 
 
 def load_csv(path, schema: TableSchema | None = None) -> tuple[LabeledBatch, TableSchema]:
     """Parse a headered CSV into a batch, validating against the schema.
 
-    Unparseable, missing or non-finite values raise DataError listing the
+    Unparseable, missing or non-finite values raise ValueError listing the
     file line numbers (1-based, header is line 1).  Without a schema, every
     column is an unnormalized numeric feature except the label, which is the
     column named 'y' or 'label' (or the last column when neither name

@@ -49,7 +49,7 @@ from .model import (
     sigmoid,
     softplus,
 )
-from .prediction import PredictiveConfig, predictive_probabilities
+from .prediction import PredictiveConfig, plug_in_labels, predictive_probabilities
 from .variational import Posterior
 
 __all__ = [
@@ -253,7 +253,7 @@ def diagnostics_dict(
     hell = _hellinger_core(z0, z_hat)
     kl = _kl_core(z0, z_hat)
     err_bayes = np.minimum(p0, 1.0 - p0)
-    gap, gap_se = _mean_with_se(np.where(p_hat >= 0.5, 1.0 - p0, p0) - err_bayes)
+    gap, gap_se = _mean_with_se(np.where(plug_in_labels(p_hat) == 1, 1.0 - p0, p0) - err_bayes)
     bound, bound_se = _mean_with_se(2.0 * np.abs(p0 - p_hat))
     return {
         "hellinger": hell.value,

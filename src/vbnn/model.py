@@ -46,7 +46,6 @@ __all__ = [
     "PriorConfig",
     "LabeledBatch",
     "ShapeMismatchError",
-    "JsonFieldError",
     "json_field",
     "check_keys",
     "sigmoid",
@@ -69,10 +68,6 @@ __all__ = [
 
 class ShapeMismatchError(ValueError):
     """An argument's dimensions disagree with the declared network shape."""
-
-
-class JsonFieldError(ValueError):
-    """A key of a JSON document holds the wrong kind of value."""
 
 
 _JSON_KINDS = {dict: "a JSON object", list: "a JSON array", int: "an integer",
@@ -100,15 +95,15 @@ def json_field(doc: dict, key: str, kind, default=None):
     missing key raises KeyError, or gives ``default`` when one is passed."""
     value = doc[key] if default is None else doc.get(key, default)
     if not _is_kind(value, kind):
-        raise JsonFieldError(f"key {key!r} must be {_JSON_KINDS[kind]}, got {value!r:.40}")
+        raise ValueError(f"key {key!r} must be {_JSON_KINDS[kind]}, got {value!r:.40}")
     return float(value) if kind is float else value
 
 
 def check_keys(doc: dict, allowed, what: str) -> None:
-    """Raise JsonFieldError naming every key of ``doc`` not in ``allowed``."""
+    """Raise ValueError naming every key of ``doc`` not in ``allowed``."""
     unknown = sorted(set(doc) - set(allowed))
     if unknown:
-        raise JsonFieldError(f"unknown key(s) for {what}: {', '.join(unknown)}")
+        raise ValueError(f"unknown key(s) for {what}: {', '.join(unknown)}")
 
 
 def sigmoid(z):

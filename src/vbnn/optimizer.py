@@ -140,7 +140,7 @@ class Schedule:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Schedule":
         """Inverse of to_json_dict; missing keys take the field defaults, and
-        keys that do not belong to the kind raise JsonFieldError naming them."""
+        keys that do not belong to the kind raise ValueError naming them."""
         kind = json_field(doc, "kind", str, cls.kind)
         if kind not in SCHEDULE_KEYS:
             raise ValueError(f"unknown schedule kind {kind!r}")

@@ -35,6 +35,7 @@ from .variational import Posterior
 __all__ = [
     "PredictiveConfig",
     "predictive_probabilities",
+    "plug_in_labels",
     "test_accuracy",
     "evaluation_dict",
 ]
@@ -82,11 +83,16 @@ def predictive_probabilities(
     return out
 
 
+def plug_in_labels(p_hat) -> np.ndarray:
+    """int64 plug-in labels: 1 where p_hat >= 0.5 (so a tie is 1), else 0."""
+    return (np.asarray(p_hat) >= 0.5).astype(np.int64)
+
+
 def test_accuracy(post: Posterior, batch: LabeledBatch, cfg: PredictiveConfig) -> float:
-    """Fraction of batch rows whose plug-in label (p_hat >= 0.5) matches y."""
+    """Fraction of batch rows whose plug-in label matches y."""
     if batch.n == 0:
         raise ValueError("accuracy is undefined on an empty batch")
-    labels = predictive_probabilities(post, batch.x, cfg) >= 0.5
+    labels = plug_in_labels(predictive_probabilities(post, batch.x, cfg))
     return float(np.mean(labels == batch.y))
 
 

@@ -14,7 +14,6 @@ from vbnn.data import (
     _BLOCK_ROWS,
     REFERENCE_TRUTH,
     ColumnSchema,
-    DataError,
     SchemaError,
     TableSchema,
     default_schema,
@@ -63,21 +62,21 @@ class TestLoadCsv:
     def test_missing_values_name_their_lines(self, tmp_path):
         path = tmp_path / "d.csv"
         write_text(path, "x1,y\n0.5,1\n,0\n0.7,1\nnope,0\n")
-        with pytest.raises(DataError) as err:
+        with pytest.raises(ValueError) as err:
             load_csv(path)
         assert "line(s) 3, 5 (" in str(err.value)
 
     def test_non_finite_cells_name_their_lines(self, tmp_path):
         path = tmp_path / "d.csv"
         write_text(path, "x1,x2,y\n0.5,nan,1\n0.1,0.2,0\ninf,0.3,1\n0.4,-inf,0\n")
-        with pytest.raises(DataError) as err:
+        with pytest.raises(ValueError) as err:
             load_csv(path)
         assert "line(s) 2, 4, 5 (" in str(err.value)
 
     def test_short_row_is_an_error(self, tmp_path):
         path = tmp_path / "d.csv"
         write_text(path, "x1,x2,y\n0.5,1\n")
-        with pytest.raises(DataError) as err:
+        with pytest.raises(ValueError) as err:
             load_csv(path)
         assert "line(s) 2 (" in str(err.value)
 
@@ -106,7 +105,7 @@ class TestLoadCsv:
     def test_empty_file_is_an_error(self, tmp_path):
         path = tmp_path / "d.csv"
         write_text(path, "")
-        with pytest.raises(DataError, match="empty"):
+        with pytest.raises(ValueError, match="empty"):
             load_csv(path)
 
     def test_header_only_gives_empty_batch(self, tmp_path):

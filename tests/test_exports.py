@@ -1,7 +1,9 @@
 """Every name a module exports resolves, so ``from vbnn.<module> import *`` works,
 every ``from vbnn... import ...`` line in README.md's code blocks and in the
 programs under scripts/ and perfbench/ resolves, as does each ``vbnn.<module>.<name>``
-those programs use, and every ``vbnn ...`` command in README.md's bash blocks parses."""
+those programs use, and every ``vbnn ...`` command in README.md's bash blocks parses.
+An exception class of its own is kept only where some ``except`` clause in
+``src/vbnn`` tells it apart; everywhere else a plain ``ValueError`` does."""
 
 import ast
 import importlib
@@ -19,6 +21,7 @@ MODULES = ["vbnn"] + [f"vbnn.{info.name}" for info in pkgutil.iter_modules(vbnn.
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
 PROGRAMS = sorted([*ROOT.glob("scripts/*.py"), *ROOT.glob("perfbench/*.py")])
+SOURCES = sorted(ROOT.glob("src/vbnn/*.py"))
 
 
 def readme_imports() -> list[tuple[str, str]]:
@@ -86,3 +89,17 @@ def test_readme_commands_parse():
             parser.parse_args(shlex.split(command)[1:])
         except SystemExit:
             pytest.fail(f"README.md command does not parse: {command}")
+
+
+def test_every_exception_class_is_caught_somewhere():
+    defined, caught = set(), set()
+    for path in SOURCES:
+        module = importlib.import_module(f"vbnn.{path.stem}")
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and issubclass(getattr(module, node.name),
+                                                             BaseException):
+                defined.add(node.name)
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught |= {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+    assert defined, "no exception class found under src/vbnn"
+    assert sorted(defined - caught) == []

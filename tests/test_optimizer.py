@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from vbnn.data import generate_synthetic, save_report_csv, split
 from vbnn.metrics import TrueFunction
 from vbnn.model import (
-    JsonFieldError,
     LabeledBatch,
     PriorConfig,
     ShapeMismatchError,
@@ -149,11 +148,11 @@ class TestTrainConfig:
     @pytest.mark.parametrize("doc", [{"S": 20.9}, {"seed": True}, {"max_iters": "100"},
                                      {"conv_window": 5.5}, {"threads": False}])
     def test_integer_fields_reject_non_integers(self, doc):
-        with pytest.raises(JsonFieldError, match=f"key '{next(iter(doc))}' must be an integer"):
+        with pytest.raises(ValueError, match=f"key '{next(iter(doc))}' must be an integer"):
             TrainConfig.from_json_dict(doc)
 
     def test_schedule_must_be_an_object(self):
-        with pytest.raises(JsonFieldError, match="key 'schedule' must be a JSON object"):
+        with pytest.raises(ValueError, match="key 'schedule' must be a JSON object"):
             TrainConfig.from_json_dict({"schedule": 5})
 
 

@@ -25,6 +25,7 @@ from vbnn.model import (
 from vbnn.prediction import (
     PredictiveConfig,
     evaluation_dict,
+    plug_in_labels,
     predictive_probabilities,
 )
 from vbnn.prediction import _BLOCK_FLOATS
@@ -263,6 +264,10 @@ class TestLogits:
 
 class TestClassification:
     """The plug-in label is 1 wherever p_hat >= 0.5."""
+
+    def test_plug_in_labels_break_a_tie_upward(self):
+        labels = plug_in_labels([0.5, np.nextafter(0.5, 0), 1.0, 0.0])
+        assert labels.dtype == np.int64 and labels.tolist() == [1, 0, 1, 0]
 
     def test_exact_tie_is_labeled_one(self):
         # the zero point mass has p_hat exactly 0.5 everywhere

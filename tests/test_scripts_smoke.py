@@ -3,7 +3,8 @@
 The two study scripts build ``TrainConfig`` and call ``train`` directly, so
 an API change that breaks them shows up here.  Tiny sizes; the exit status is
 checked, and the header line of a report CSV that variance_study.py writes;
-``--seeds 0`` must be a usage error in both.
+a count flag below its minimum (``--seeds 0``, ``--n-mc 1``) must be a
+usage error that writes no file.
 walkthrough_hashes.py runs the README walkthrough through the CLI; its line
 count is checked, not its hashes.
 """
@@ -49,11 +50,20 @@ def test_walkthrough_hashes_prints_one_line_per_artifact(tmp_path):
     assert all(len(line.split("  ")[0]) == 64 for line in lines)
 
 
-@pytest.mark.parametrize("script, args", [
-    ("consistency_trend.py", ["--sizes", "40", "--seeds", "0", "--out", "rows.csv"]),
-    ("variance_study.py", ["--seeds", "0"]),
-], ids=["consistency_trend", "variance_study"])
-def test_zero_seeds_is_a_usage_error(tmp_path, script, args):
-    proc = run_script(script, args, tmp_path, code=2)
-    assert "argument --seeds: must be >= 1, got 0" in proc.stderr
+@pytest.mark.parametrize("script, flag, value, minimum", [
+    ("consistency_trend.py", "--seeds", "0", 1),
+    ("consistency_trend.py", "--sizes", "0", 1),
+    ("consistency_trend.py", "--S", "0", 1),
+    ("consistency_trend.py", "--n-mc", "1", 2),
+    ("consistency_trend.py", "--M", "0", 1),
+    ("variance_study.py", "--seeds", "0", 1),
+    ("variance_study.py", "--n", "0", 1),
+    ("variance_study.py", "--S", "0", 1),
+    ("variance_study.py", "--max-iters", "0", 1),
+    ("variance_study.py", "--window", "0", 1),
+])
+def test_size_below_its_minimum_is_a_usage_error(tmp_path, script, flag, value, minimum):
+    extra = ["--out", "rows.csv"] if script == "consistency_trend.py" else []
+    proc = run_script(script, [flag, value, *extra], tmp_path, code=2)
+    assert f"argument {flag}: must be >= {minimum}, got {value}" in proc.stderr
     assert not any(tmp_path.iterdir())

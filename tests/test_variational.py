@@ -15,7 +15,6 @@ from scipy import integrate, stats
 from scipy.special import expit
 
 from vbnn.model import (
-    JsonFieldError,
     NetworkShape,
     PriorConfig,
     ShapeMismatchError,
@@ -271,5 +270,5 @@ class TestPosterior:
                                        {"p": "2", "k": 3}])
     def test_shape_must_hold_integers(self, rng, shape):
         doc = Posterior(self.SHAPE, random_q(rng, 13), PriorConfig.standard(13)).to_json_dict()
-        with pytest.raises(JsonFieldError, match="must be an integer"):
+        with pytest.raises(ValueError, match="must be an integer"):
             Posterior.from_json_dict({**doc, "shape": shape})
