@@ -3,14 +3,26 @@
 
 Trains on growing synthetic samples from the reference truth and reports,
 for each n, the per-seed Hellinger distance between the posterior-predictive
-density and the truth, plus the excess classification risk.
+density and the truth, plus the excess classification risk and the fit's
+final-window ELBO.  :func:`run_study` is the one statement of these fits;
+the acceptance tests' criteria 6 and 7 run it at its defaults.
+
+``--against OLD.csv`` compares this tree's rows with a table written by
+``--out`` on another tree, fit by fit: the change in iterations, in
+final-window ELBO (in units of its standard error) and in Hellinger and risk
+gap (in units of their stderrs), then the medians per n.  A fit is flagged
+when its converged outcome changed, its final-window ELBO moved more than 4
+SE (perfbench's reference-fit rule) or its Hellinger more than 5 stderr
+(perfbench's ``diagnose`` rule); any flag makes the exit status 1.
 
 Usage:
-    python3 scripts/consistency_trend.py --sizes 200 800 3200 --seeds 5
+    python3 scripts/consistency_trend.py --sizes 200 800 3200 --seeds 5 --out rows.csv
+    python3 scripts/consistency_trend.py --against scripts/consistency_table.csv
 """
 
 import argparse
 import csv
+import math
 import sys
 import time
 from dataclasses import replace
@@ -24,6 +36,88 @@ from vbnn.optimizer import REFERENCE_CONFIG, train
 from vbnn.prediction import PredictiveConfig
 from vbnn.variational import Posterior
 
+ELBO_SE_LIMIT = 4.0
+HELLINGER_SE_LIMIT = 5.0
+
+
+def run_study(sizes=(200, 800, 3200), seeds=5, S=200, n_mc=20_000, M=200, log=None):
+    """One row per fit of the reference config (max_iters 1500) on n rows of
+    data seed 1000 + s with train seed s, for each n in ``sizes`` and s below
+    ``seeds``.  A row holds n, seed, iterations, converged, diverged, the mean
+    of the last ``conv_window`` ELBO estimates (``elbo_final``) with its
+    standard error, and ``diagnostics_dict``'s distances and risks.  ``log``,
+    when given, receives one progress line per fit."""
+    shape = REFERENCE_TRUTH.network.shape
+    prior = PriorConfig.standard(shape.K)
+    base = replace(REFERENCE_CONFIG, S=S, max_iters=1500)
+    pred_cfg = PredictiveConfig(M=M, seed=99)
+    int_cfg = IntegrationConfig(n_mc=n_mc, seed=77)
+
+    rows = []
+    for n in sizes:
+        for seed in range(seeds):
+            t0 = time.perf_counter()
+            data = generate_synthetic(REFERENCE_TRUTH, n, seed=1000 + seed)
+            q, rep = train(data, prior, shape, replace(base, seed=seed))
+            window = rep.elbo_trace[-base.conv_window:]
+            se = float(np.std(window, ddof=1)) / math.sqrt(window.size) if window.size > 1 else 0.0
+            doc = diagnostics_dict(Posterior(shape, q, prior), REFERENCE_TRUTH, pred_cfg,
+                                   int_cfg)
+            del doc["n_mc"], doc["seed"]  # the integration's, the same for every fit
+            rows.append({"n": n, "seed": seed, "iterations": rep.iterations_run,
+                         "converged": rep.converged, "diverged": rep.diverged,
+                         "elbo_final": float(window.mean()) if window.size else math.nan,
+                         "elbo_final_se": se, **doc})
+            if log:
+                log(f"n={n:5d} seed={seed}: hellinger={doc['hellinger']:.4f} "
+                    f"risk_gap={doc['risk_gap']:.5f} elbo_final={rows[-1]['elbo_final']:.4f} "
+                    f"({rep.iterations_run} iters, {time.perf_counter() - t0:.0f}s)")
+    return rows
+
+
+def read_rows(path: str) -> list[dict]:
+    """The rows of a table written by ``--out``, numbers parsed."""
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        for key, value in row.items():
+            row[key] = value == "True" if value in ("True", "False") else float(value)
+    return rows
+
+
+def _in_units(delta: float, unit: float) -> float:
+    return delta / unit if unit > 0 else (0.0 if delta == 0 else math.copysign(math.inf, delta))
+
+
+def compare(rows: list[dict], old: list[dict]) -> tuple[list[str], int]:
+    """The ``--against`` report lines and the number of flagged fits."""
+    by_key = {(int(r["n"]), int(r["seed"])): r for r in old}
+    lines, deltas, flagged = [], {}, 0
+    for row in rows:
+        key = (row["n"], row["seed"])
+        if key not in by_key:
+            raise ValueError(f"the old table has no fit at n={key[0]}, seed={key[1]}")
+        was = by_key[key]
+        d = (row["iterations"] - int(was["iterations"]),
+             _in_units(row["elbo_final"] - was["elbo_final"], row["elbo_final_se"]),
+             _in_units(row["hellinger"] - was["hellinger"], row["hellinger_stderr"]),
+             _in_units(row["risk_gap"] - was["risk_gap"], row["risk_gap_stderr"]))
+        deltas.setdefault(row["n"], []).append(d)
+        flags = [name for name, bad in (
+            ("CONVERGED-CHANGED", row["converged"] != was["converged"]),
+            (f"ELBO>{ELBO_SE_LIMIT:g}SE", abs(d[1]) > ELBO_SE_LIMIT),
+            (f"HELLINGER>{HELLINGER_SE_LIMIT:g}SE", abs(d[2]) > HELLINGER_SE_LIMIT)) if bad]
+        flagged += bool(flags)
+        lines.append(f"n={key[0]:5d} seed={key[1]}: d_iters={d[0]:+5d}  d_elbo={d[1]:+7.3f} SE  "
+                     f"d_hellinger={d[2]:+7.3f} se  d_risk_gap={d[3]:+7.3f} se"
+                     + (f"  FLAG {' '.join(flags)}" if flags else ""))
+    for n, ds in deltas.items():
+        med = np.median(np.array(ds), axis=0)
+        lines.append(f"--- median at n={n}: d_iters={med[0]:+.1f}  d_elbo={med[1]:+.3f} SE  "
+                     f"d_hellinger={med[2]:+.3f} se  d_risk_gap={med[3]:+.3f} se")
+    lines.append(f"{flagged} of {len(rows)} fits flagged")
+    return lines, flagged
+
 
 def at_least(minimum: int):
     """argparse type for a count that must be >= minimum."""
@@ -36,35 +130,22 @@ def at_least(minimum: int):
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--sizes", type=at_least(1), nargs="+", default=[200, 800, 3200])
     ap.add_argument("--seeds", type=at_least(1), default=5)
     ap.add_argument("--S", type=at_least(1), default=200)
     ap.add_argument("--n-mc", type=at_least(2), default=20_000)
     ap.add_argument("--M", type=at_least(1), default=200)
     ap.add_argument("--out", default=None, help="optional CSV for the raw rows")
+    ap.add_argument("--against", default=None, metavar="OLD.csv",
+                    help="compare each fit with the same (n, seed) row of an --out table")
     args = ap.parse_args()
+    old = read_rows(args.against) if args.against else None
 
-    shape = REFERENCE_TRUTH.network.shape
-    prior = PriorConfig.standard(shape.K)
-    base = replace(REFERENCE_CONFIG, S=args.S, max_iters=1500)
-    pred_cfg = PredictiveConfig(M=args.M, seed=99)
-    int_cfg = IntegrationConfig(n_mc=args.n_mc, seed=77)
-
-    rows = []
+    rows = run_study(args.sizes, args.seeds, args.S, args.n_mc, args.M,
+                     log=lambda line: print(line, flush=True))
     for n in args.sizes:
-        for seed in range(args.seeds):
-            t0 = time.perf_counter()
-            data = generate_synthetic(REFERENCE_TRUTH, n, seed=1000 + seed)
-            q, rep = train(data, prior, shape, replace(base, seed=seed))
-            doc = diagnostics_dict(Posterior(shape, q, prior), REFERENCE_TRUTH, pred_cfg,
-                                   int_cfg)
-            rows.append({"n": n, "seed": seed, "iterations": rep.iterations_run,
-                         "converged": rep.converged, **doc})
-            print(f"n={n:5d} seed={seed}: hellinger={doc['hellinger']:.4f} "
-                  f"risk_gap={doc['risk_gap']:.5f} "
-                  f"({rep.iterations_run} iters, "
-                  f"{time.perf_counter() - t0:.0f}s)", flush=True)
         med = np.median([r["hellinger"] for r in rows if r["n"] == n])
         print(f"--- median hellinger at n={n}: {med:.4f}")
 
@@ -74,6 +155,11 @@ def main() -> int:
             writer.writeheader()
             writer.writerows(rows)
         print(f"wrote {len(rows)} rows to {args.out}")
+    if old is not None:
+        lines, flagged = compare(rows, old)
+        print(f"against {args.against}:")
+        print("\n".join(lines))
+        return 1 if flagged else 0
     return 0
 
 

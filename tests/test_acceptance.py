@@ -8,6 +8,7 @@ numerical tolerance and the runtime budget of its claim.
 import math
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from vbnn.data import REFERENCE_TRUTH, generate_synthetic
 from vbnn.metrics import (
     IntegrationConfig,
     TrueFunction,
-    diagnostics_dict,
     hellinger_distance,
     kl_distance,
 )
@@ -36,9 +36,7 @@ from vbnn.optimizer import (
     estimate_gradient_cv,
     train,
 )
-from vbnn.prediction import PredictiveConfig
 from vbnn.variational import (
-    Posterior,
     VariationalParams,
     grad_log_q_mean,
     grad_log_q_raw,
@@ -50,6 +48,8 @@ from vbnn.variational import (
 
 from conftest import BENCH_SHAPE, TOY_SHAPE
 from oracles import elbo_gradient_oracle
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def report(num: int, ok: bool, detail: str, capsys=None) -> None:
@@ -307,22 +307,14 @@ def test_criterion_5_metric_oracles(capsys):
 
 @pytest.fixture(scope="module")
 def consistency_runs():
-    """Fifteen full training runs: n in {200, 800, 3200} x 5 seeds each."""
-    base = replace(REFERENCE_CONFIG, max_iters=1500)
-    shape = BENCH_SHAPE
-    prior = PriorConfig.standard(shape.K)
-    pred_cfg = PredictiveConfig(M=200, seed=99)
-    int_cfg = IntegrationConfig(n_mc=20_000, seed=77)
+    """Fifteen full training runs: n in {200, 800, 3200} x 5 seeds each, the
+    fits that scripts/consistency_trend.py states."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(ROOT / "scripts"))
+        from consistency_trend import run_study
 
     start = time.perf_counter()
-    results = []
-    for n in (200, 800, 3200):
-        for s in range(5):
-            data = generate_synthetic(REFERENCE_TRUTH, n, seed=1000 + s)
-            q, rep = train(data, prior, shape, replace(base, seed=s))
-            doc = diagnostics_dict(Posterior(shape, q, prior), REFERENCE_TRUTH, pred_cfg,
-                                   int_cfg)
-            results.append({"n": n, "seed": s, "diverged": rep.diverged, **doc})
+    results = run_study()
     return {"results": results, "elapsed": time.perf_counter() - start}
 
 

@@ -5,10 +5,13 @@ an API change that breaks them shows up here.  Tiny sizes; the exit status is
 checked, and the header line of a report CSV that variance_study.py writes;
 a count flag below its minimum (``--seeds 0``, ``--n-mc 1``) must be a
 usage error that writes no file.
+consistency_trend.py's ``--against`` must find no change between two runs of
+one tree, and flag a fit whose final-window ELBO a table moves.
 walkthrough_hashes.py runs the README walkthrough through the CLI; its line
 count is checked, not its hashes.
 """
 
+import csv
 import os
 import subprocess
 import sys
@@ -41,6 +44,26 @@ def test_script_runs(tmp_path, script, args, report):
     run_script(script, args, tmp_path)
     if report:
         assert (tmp_path / report).read_bytes().startswith(b"iteration,elbo,grad_var,rho_t\r\n")
+
+
+def test_consistency_against_compares_two_tables(tmp_path):
+    study = ["--sizes", "40", "--seeds", "1", "--S", "10", "--n-mc", "200", "--M", "10"]
+    run_script("consistency_trend.py", [*study, "--out", "old.csv"], tmp_path)
+    out = run_script("consistency_trend.py", [*study, "--against", "old.csv"], tmp_path).stdout
+    assert "n=   40 seed=0: d_iters=   +0  d_elbo= +0.000 SE  d_hellinger= +0.000 se" in out
+    assert out.endswith("0 of 1 fits flagged\n")
+
+    with open(tmp_path / "old.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    row["elbo_final"] = str(float(row["elbo_final"]) + 4.5 * float(row["elbo_final_se"]))
+    with open(tmp_path / "moved.csv", "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(row))
+        writer.writeheader()
+        writer.writerow(row)
+    out = run_script("consistency_trend.py", [*study, "--against", "moved.csv"], tmp_path,
+                     code=1).stdout
+    assert "d_elbo= -4.500 SE" in out and "FLAG ELBO>4SE" in out
+    assert out.endswith("1 of 1 fits flagged\n")
 
 
 def test_walkthrough_hashes_prints_one_line_per_artifact(tmp_path):
