@@ -60,7 +60,7 @@ def run_study(sizes=(200, 800, 3200), seeds=5, S=200, n_mc=20_000, M=200, log=No
             data = generate_synthetic(REFERENCE_TRUTH, n, seed=1000 + seed)
             q, rep = train(data, prior, shape, replace(base, seed=seed))
             window = rep.elbo_trace[-base.conv_window:]
-            se = float(np.std(window, ddof=1)) / math.sqrt(window.size) if window.size > 1 else 0.0
+            se = float(np.std(window, ddof=1) / math.sqrt(window.size)) if window.size > 1 else 0.0
             doc = diagnostics_dict(Posterior(shape, q, prior), REFERENCE_TRUTH, pred_cfg,
                                    int_cfg)
             del doc["n_mc"], doc["seed"]  # the integration's, the same for every fit
@@ -108,13 +108,13 @@ def compare(rows: list[dict], old: list[dict]) -> tuple[list[str], int]:
             (f"ELBO>{ELBO_SE_LIMIT:g}SE", abs(d[1]) > ELBO_SE_LIMIT),
             (f"HELLINGER>{HELLINGER_SE_LIMIT:g}SE", abs(d[2]) > HELLINGER_SE_LIMIT)) if bad]
         flagged += bool(flags)
-        lines.append(f"n={key[0]:5d} seed={key[1]}: d_iters={d[0]:+5d}  d_elbo={d[1]:+7.3f} SE  "
-                     f"d_hellinger={d[2]:+7.3f} se  d_risk_gap={d[3]:+7.3f} se"
+        lines.append(f"n={key[0]:5d} seed={key[1]}: d_iters={d[0]:+5d}  d_elbo={d[1]:+.2e} SE  "
+                     f"d_hellinger={d[2]:+.2e} se  d_risk_gap={d[3]:+.2e} se"
                      + (f"  FLAG {' '.join(flags)}" if flags else ""))
     for n, ds in deltas.items():
         med = np.median(np.array(ds), axis=0)
-        lines.append(f"--- median at n={n}: d_iters={med[0]:+.1f}  d_elbo={med[1]:+.3f} SE  "
-                     f"d_hellinger={med[2]:+.3f} se  d_risk_gap={med[3]:+.3f} se")
+        lines.append(f"--- median at n={n}: d_iters={med[0]:+.1f}  d_elbo={med[1]:+.2e} SE  "
+                     f"d_hellinger={med[2]:+.2e} se  d_risk_gap={med[3]:+.2e} se")
     lines.append(f"{flagged} of {len(rows)} fits flagged")
     return lines, flagged
 

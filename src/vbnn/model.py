@@ -15,19 +15,24 @@ arithmetic.  :func:`scores_many` scores S parameter vectors on every row of
 x in an (S, k, n) layout, and :func:`batch_scores` wraps it for one network.
 Row s of its output depends only on parameter row s, so any contiguous split
 of the rows is byte-identical.  :func:`log_likelihood_many` relies on that:
-it runs the same kernel on blocks of rows whose (rows, k, n) hidden array
-holds about ``_BLOCK_FLOATS`` = 2**17 floats (1 MiB, half of a 2 MiB
-per-core L2), so its memory is O(block + S + n) instead of O(S * k * n) and
-its output is byte-identical to scoring all S rows at once.  These blocks are
-training's only unit of parallel work: given a thread pool, the likelihood
-runs its blocks there, with a result that does not depend on the pool.
+it feeds the same kernel float32 factors and runs it on blocks of rows whose
+(rows, k, n) float32 hidden array holds about ``_BLOCK_FLOATS`` = 2**18
+values (1 MiB, half of a 2 MiB per-core L2), so its memory is
+O(block + S + n) instead of O(S * k * n) and its output is byte-identical to
+scoring all S rows at once.  Its scores and softplus terms are float32 and
+each row is summed in float64; its docstring bounds the relative error and
+states float32's range (about 3.4e38) and tail (a term below e^-87.3 is
+denormal, below about e^-103.9 it is 0).  These blocks are training's only
+unit of parallel work: given a thread pool, the likelihood runs its blocks
+there, with a result that does not depend on the pool.  Everything else
+here, serving's :func:`scores` and :func:`scores_many` included, is float64.
 :func:`scores` scores posterior-predictive draws at each row of x from k+1
 normals per draw: the exact Gaussian marginals of the hidden
 pre-activations, then the exact Gaussian law of the score given the hidden
 units.  Its row r depends only on that row's normals and x[r].  Hidden units
 use sigmoid(z) = 0.5 + 0.5*tanh(z/2), exact to a few ulps in absolute terms;
-output probabilities (``sigmoid``) and the likelihood (``softplus``) stay
-tail-exact; ``sigmoid`` is numpy's 1 / (1 + exp(-z)).
+output probabilities (``sigmoid``) and ``softplus`` stay tail-exact in their
+precision; ``sigmoid`` is numpy's 1 / (1 + exp(-z)).
 
 Everything here is pure and side-effect free, so the functions are safe to
 call from worker threads.
@@ -115,10 +120,13 @@ def sigmoid(z):
 
 
 def softplus(z, out=None):
-    """Overflow-safe log(1 + e^z), computed as max(z, 0) + log1p(e^-|z|).  As for a
-    ufunc, a float array ``out`` of z's shape (z itself, say) receives the result,
+    """Overflow-safe log(1 + e^z), computed as max(z, 0) + log1p(e^-|z|).  A float32
+    z is computed in float32; anything else is read as float64.  As for a ufunc,
+    an array ``out`` of z's shape and dtype (z itself, say) receives the result,
     and only one other array is made; a scalar z gives a scalar."""
-    z = np.asarray(z, dtype=float)
+    z = np.asarray(z)
+    if z.dtype != np.float32:
+        z = z.astype(float, copy=False)
     positive = np.maximum(z, 0.0)
     if out is None:
         out = np.empty_like(z)
@@ -385,9 +393,9 @@ def batch_scores(theta: NetworkParams, x: np.ndarray) -> np.ndarray:
     return scores_many(flatten(theta)[None], x, theta.shape)[0]
 
 
-# The likelihood scores its S rows in blocks whose (rows, k, n) hidden array
-# holds about 1 MiB, half of a 2 MiB per-core L2 (at least one row).
-_BLOCK_FLOATS = 2**17
+# The likelihood scores its S rows in blocks whose (rows, k, n) float32 hidden
+# array holds about 1 MiB, half of a 2 MiB per-core L2 (at least one row).
+_BLOCK_FLOATS = 2**18
 
 
 def log_likelihood_many(
@@ -401,6 +409,25 @@ def log_likelihood_many(
     about -1.93e-22, which the subtraction form would cancel to -0.0).
     Always <= 0; an empty batch contributes exactly 0.
 
+    Precision.  The four factors of :func:`_score_terms` and the label signs
+    are cast to float32 once per call; the scores and their softplus terms
+    are float32, and each row's n terms are summed in float64.  softplus'
+    slope (a sigmoid) never exceeds softplus itself, so a term's relative
+    error is at most its score's absolute error plus a few float32 rounding
+    errors, and a first-order rounding analysis of the kernel gives, for each
+    row (u = 2^-24, float32's unit roundoff),
+
+        |got - exact| <= (p + k + 8) * u * (1 + B * (1 + H)) * |exact|,
+
+    with B = |beta0| + sum_j |beta_j| and H = max_{j,i} (|gamma0_j| +
+    sum_d |gamma_jd x_id|) / 2, the largest halved pre-activation magnitude.
+    That bound holds while every term is a normal float32, i.e. while each
+    sign-adjusted score is above -87.3: below e^-87.3 (2^-126) a term's tail
+    mass is denormal, and below about e^-103.9 (2^-150) it is 0, an absolute
+    error under 1.2e-38 per term.  The range is float32's: a factor or score
+    beyond about 3.4e38 overflows to inf (under the caller's error settings),
+    where float64 would have reached 1.8e308.
+
     The rows are scored ``_BLOCK_FLOATS // (k * n)`` at a time (at least
     one), so memory is O(_BLOCK_FLOATS + S + n) rather than O(S * k * n).
     The blocks run on ``pool`` (an executor) when one is given, else in
@@ -409,13 +436,13 @@ def log_likelihood_many(
     and the block size only on k and n, so the result is byte-identical to
     scoring all S rows at once, with or without a pool of any size.  The
     per-call work (the halved weights, the C-ordered design [x.T; 1], see
-    :func:`_score_terms`) is done once, not per block.  Each block computes
-    :func:`softplus` in place on its own score array, so only one other
-    (rows, n) array is made.
+    :func:`_score_terms`, and the casts) is done once, not per block.  Each
+    block computes :func:`softplus` in place on its own score array, so only
+    one other (rows, n) array is made.
     """
     thetas = np.atleast_2d(thetas)
-    terms = _score_terms(thetas, batch.x, shape)
-    sign = (1 - 2 * batch.y).astype(float)
+    terms = [t.astype(np.float32) for t in _score_terms(thetas, batch.x, shape)]
+    sign = (1 - 2 * batch.y).astype(np.float32)
     block = max(1, _BLOCK_FLOATS // (shape.k * max(batch.n, 1)))
     out = np.empty(thetas.shape[0])
     errors = np.geterr()
@@ -424,7 +451,7 @@ def log_likelihood_many(
         with np.errstate(**errors):
             z = _score_rows(terms, slice(lo, lo + block))
             z *= sign
-            out[lo : lo + block] = -softplus(z, out=z).sum(axis=1)
+            out[lo : lo + block] = -softplus(z, out=z).sum(axis=1, dtype=float)
 
     list((pool.map if pool else map)(score, range(0, thetas.shape[0], block)))
     return out

@@ -12,9 +12,7 @@ The gradients of log q follow the standard mean-field Gaussian forms
 
 with s_j floored at 1e-6 inside gradient evaluation only, to keep the
 estimator finite when a coordinate collapses.  Densities themselves use the
-unclamped scale.  sigmoid(r_j) takes libm's ``exp`` per coordinate, not
-numpy's SIMD one: those differ in ~3% of values, and an ulp in the gradient
-moves a fit's stopping iteration.
+unclamped scale.
 
 A :class:`Posterior` is the fitted q together with the network shape and
 the prior it was fitted under; serving takes it, and its JSON form is the
@@ -23,7 +21,6 @@ the prior it was fitted under; serving takes it, and its JSON form is the
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,6 +33,7 @@ from .model import (
     check_keys,
     json_field,
     normal_logpdf_total,
+    sigmoid,
     softplus,
 )
 
@@ -192,15 +190,6 @@ def grad_log_q_scale(q: VariationalParams, theta: np.ndarray) -> np.ndarray:
     return d * d / (s * s * s) - 1.0 / s
 
 
-def _libm_sigmoid(r: float) -> float:
-    """1 / (1 + e^-r) through libm's exp, which keeps training's bytes."""
-    try:
-        return 1.0 / (1.0 + math.exp(-r))
-    except OverflowError:  # e^-r overflows below r ~ -709.78, where the limit is 0
-        return 0.0
-
-
 def grad_log_q_raw(q: VariationalParams, theta: np.ndarray) -> np.ndarray:
     """d log q / dr via the softplus chain rule: sigmoid(r) * d log q / ds."""
-    ds_dr = np.array([_libm_sigmoid(r) for r in q.raw_scale.tolist()])
-    return ds_dr * grad_log_q_scale(q, theta)
+    return sigmoid(q.raw_scale) * grad_log_q_scale(q, theta)

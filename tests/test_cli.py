@@ -269,19 +269,22 @@ class TestTrain:
         assert names == ["x1", "x2", "y"]
 
     def test_diverging_fit_warns_nothing_and_writes_strict_json(self, tmp_path, capsys):
-        # fold 1 of a 3-fold split of the README's training data, at a large
-        # fixed rate: the gradient variance overflows to inf at iteration 12
-        # and the ELBO itself at iteration 13
+        # fold 0 of a 3-fold split of the README's training data, at a large
+        # fixed rate and train seed 23: the gradient variance overflows to
+        # inf at iteration 12 and the ELBO itself at iteration 13.  Most such
+        # runaway fits (fold 1 at seed 0, say) drive a parameter past
+        # float32's ~3.4e38, and so the likelihood to a non-finite value,
+        # before any gradient variance overflows float64
         data = tmp_path / "train.csv"
         assert main(["synth", "--n", "800", "--seed", "1000", "--out", str(data)]) == 0
         batch, schema = load_csv(data)
         fold = tmp_path / "fold.csv"
-        write_csv(split(batch, 3, 0)[1][0], fold, schema)
+        write_csv(split(batch, 3, 0)[0][0], fold, schema)
         out = tmp_path / "fit"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(["train", "--data", str(fold), "--out", str(out), "--S", "20",
-                         "--lr", "0.01", "--k", "3", "--seed", "0"])
+                         "--lr", "0.01", "--k", "3", "--seed", "23"])
         assert code == 1
         assert "diverged" in capsys.readouterr().err
 
@@ -639,7 +642,8 @@ class TestSweep:
 
     def test_diverged_fold_is_an_error(self, tmp_path, capsys):
         # on the README's training data, fold 1 of this cell diverges at
-        # iteration 13 (the fit of TestTrain's diverging-fit test)
+        # iteration 12, where a parameter past float32's ~3.4e38 makes the
+        # likelihood non-finite
         data = tmp_path / "train.csv"
         assert main(["synth", "--n", "800", "--seed", "1000", "--out", str(data)]) == 0
         grid = tmp_path / "grid.json"
@@ -650,7 +654,7 @@ class TestSweep:
                      "--seed", "0"])
         assert code == 1
         err = capsys.readouterr().err
-        assert "diverged" in err and "at iteration 13" in err
+        assert "diverged" in err and "at iteration 12" in err
         assert "S=20, schedule fixed(rho=0.01), algo bbvi, on fold 1" in err
         assert not out.exists()
 

@@ -23,6 +23,8 @@ from scipy.special import expit
 from vbnn.data import REFERENCE_TRUTH, generate_synthetic
 from vbnn.model import (
     _BLOCK_FLOATS,
+    _score_rows,
+    _score_terms,
     LabeledBatch,
     NetworkParams,
     NetworkShape,
@@ -41,6 +43,7 @@ from vbnn.model import (
     sigmoid,
     softplus,
     unflatten,
+    unflatten_many,
 )
 from vbnn.optimizer import REFERENCE_CONFIG, train
 
@@ -59,6 +62,15 @@ def scalar_forward_oracle(theta: NetworkParams, x) -> float:
         else:  # same logistic, without overflowing math.exp for pre << 0
             total += theta.beta[j] * math.exp(pre) / (1.0 + math.exp(pre))
     return total
+
+
+def float32_bound(thetas, x, shape: NetworkShape) -> np.ndarray:
+    """log_likelihood_many's documented relative error bound for each row:
+    (p + k + 8) * 2^-24 * (1 + B * (1 + H))."""
+    beta0, beta, gamma0, gamma = unflatten_many(np.atleast_2d(thetas), shape)
+    B = np.abs(beta0) + np.abs(beta).sum(axis=1)
+    H = ((np.abs(gamma0)[:, :, None] + np.abs(gamma) @ np.abs(x).T) / 2).max(axis=(1, 2))
+    return (shape.p + shape.k + 8) * 2.0**-24 * (1 + B * (1 + H))
 
 
 class TestForwardScore:
@@ -151,15 +163,18 @@ class TestKernelRows:
                 assert fn(thetas[i : i + 1], *args).tobytes() == whole[i : i + 1].tobytes()
 
     def test_likelihood_blocks_do_not_show(self, rng):
-        # at n=1000 the likelihood scores 43 rows per block, so S=200 spans five
-        n = 1000
+        # at n=2000 the likelihood scores 43 rows per block, so S=200 spans
+        # five; unblocked, the same float32 factors give the same bytes
+        n = 2000
         assert _BLOCK_FLOATS // (BENCH_SHAPE.k * n) == 43
         thetas = rng.normal(0, 2, (200, BENCH_SHAPE.K))
         batch = LabeledBatch(x=rng.uniform(0, 1, (n, 2)), y=rng.integers(0, 2, n))
         prior = PriorConfig.standard(BENCH_SHAPE.K)
-        z = scores_many(thetas, batch.x, BENCH_SHAPE) * (1 - 2 * batch.y)
+        terms = [t.astype(np.float32) for t in _score_terms(thetas, batch.x, BENCH_SHAPE)]
+        z = _score_rows(terms) * (1 - 2 * batch.y).astype(np.float32)
+        assert z.dtype == np.float32
         assert log_likelihood_many(thetas, batch, BENCH_SHAPE).tobytes() == (
-            -softplus(z).sum(axis=1)).tobytes()
+            -softplus(z).sum(axis=1, dtype=float)).tobytes()
         for fn, args in ((log_likelihood_many, (batch, BENCH_SHAPE)),
                          (log_joint_many, (batch, prior, BENCH_SHAPE))):
             whole = fn(thetas, *args)
@@ -170,7 +185,7 @@ class TestKernelRows:
 
     @pytest.mark.parametrize("n", [200, 800, 3200])
     def test_layout_of_x_does_not_show(self, rng, n):
-        # at S=200, n = 200, 800 and 3200 give one, four and sixteen likelihood blocks
+        # at S=200, n = 200, 800 and 3200 give one, two and eight likelihood blocks
         thetas = rng.normal(0, 2, (200, BENCH_SHAPE.K))
         wide = rng.uniform(0, 1, (n, 5))
         x = np.ascontiguousarray(wide[:, 1:4:2])
@@ -187,10 +202,10 @@ class TestKernelRows:
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_pool_runs_the_blocks_byte_identically(self, rng, workers):
-        # n=1000 and S=200 give five blocks of at most 43 rows, each written
+        # n=2000 and S=200 give five blocks of at most 43 rows, each written
         # into its own slice of the output; frequent thread switches would
         # expose a lost or misplaced write
-        n = 1000
+        n = 2000
         thetas = rng.normal(0, 2, (200, BENCH_SHAPE.K))
         batch = LabeledBatch(x=rng.uniform(0, 1, (n, 2)), y=rng.integers(0, 2, n))
         prior = PriorConfig.standard(BENCH_SHAPE.K)
@@ -206,11 +221,12 @@ class TestKernelRows:
 
     @pytest.mark.filterwarnings("error")
     def test_pool_blocks_run_under_the_callers_error_settings(self, rng):
-        # output weights of 1e308 on saturated hidden units overflow each
-        # score, and that overflow happens inside the blocks, on the workers
+        # output weights of 2e38 fit float32 (its maximum is ~3.4e38), and so
+        # does the offset sum(beta)/2 = 3e38, but on saturated hidden units
+        # each score is 6e38: it overflows inside the blocks, on the workers
         n = 1000
         thetas = np.zeros((200, BENCH_SHAPE.K))
-        thetas[:, 1 : 1 + BENCH_SHAPE.k] = 1e308
+        thetas[:, 1 : 1 + BENCH_SHAPE.k] = 2e38
         thetas[:, 1 + BENCH_SHAPE.k : 1 + 2 * BENCH_SHAPE.k] = 40.0
         batch = LabeledBatch(x=rng.uniform(0, 1, (n, 2)), y=rng.integers(0, 2, n))
         with pytest.raises(RuntimeWarning, match="overflow"):
@@ -229,12 +245,12 @@ class TestKernelRows:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 * _BLOCK_FLOATS * 8
+        assert peak < 4 * _BLOCK_FLOATS * np.dtype(np.float32).itemsize
 
     def test_training_with_blocked_likelihood_is_thread_independent(self):
-        # n=700 scores 62 rows per block: S=64 is two blocks, of 62 and 2
+        # n=1400 scores 62 rows per block: S=64 is two blocks, of 62 and 2
         # rows, run in turn on one thread and by a pool of two or three
-        batch = generate_synthetic(REFERENCE_TRUTH, 700, seed=4)
+        batch = generate_synthetic(REFERENCE_TRUTH, 1400, seed=4)
         prior = PriorConfig.standard(BENCH_SHAPE.K)
         (q1, r1), *pooled = [train(batch, prior, BENCH_SHAPE,
                                    replace(REFERENCE_CONFIG, S=64, max_iters=5, seed=7, threads=t))
@@ -353,6 +369,20 @@ class TestSoftplus:
             scalar = softplus(value)
             assert type(scalar) is np.float64 and scalar.tobytes() == expected.tobytes()
 
+    def test_float32_stays_float32_and_all_else_is_float64(self):
+        z32 = np.array([-90.0, -1.0, 0.0, 2.5, 100.0], dtype=np.float32)
+        formula = np.maximum(z32, 0) + np.log1p(np.exp(-np.abs(z32)))
+        assert formula.dtype == np.float32
+        assert softplus(z32).dtype == np.float32
+        assert softplus(z32).tobytes() == formula.tobytes()
+        assert softplus(z32, out=z32.copy()).tobytes() == formula.tobytes()
+        assert type(softplus(np.float32(2.5))) is np.float32
+        for z in ([-1, 0, 2], np.array([-1, 0, 2]), [-1.0, 0.0, 2.5],
+                  np.array([1.0], dtype=np.float16)):
+            assert softplus(z).dtype == np.float64
+        for z in (3, 2.5, np.int64(3), np.float16(2.5)):
+            assert type(softplus(z)) is np.float64
+
     @given(st.floats(min_value=-700, max_value=700))
     def test_nonnegative_and_above_identity(self, z):
         s = float(softplus(z))
@@ -362,16 +392,19 @@ class TestSoftplus:
 
 class TestLikelihood:
     def test_zero_scores_give_n_log_half(self):
+        # every term is float32's log 2, and four of them sum exactly in float64
         theta = NetworkParams(beta0=0.0, beta=np.zeros(1), gamma0=np.zeros(1),
                               gamma=np.zeros((1, 1)))
         batch = LabeledBatch(x=np.linspace(0, 1, 4)[:, None], y=np.array([0, 1, 1, 0]))
         assert log_likelihood_many(flatten(theta)[None], batch, theta.shape)[0] == pytest.approx(
-            -4 * math.log(2), abs=1e-14
+            -4 * float(np.float32(math.log(2))), abs=1e-14
         )
 
     def test_saturated_score_keeps_tail_mass(self):
         # y=1 with score +50: the exact value is -log1p(e^-50), about
         # -1.93e-22; a cancelling implementation would return -0.0 instead.
+        # The score is exact in float32, so only float32's exp and log1p
+        # (within 2 ulps each) round the term.
         mpmath.mp.dps = 60
         exact = float(-mpmath.log1p(mpmath.e ** mpmath.mpf(-50)))
         theta = NetworkParams(beta0=50.0, beta=np.zeros(1), gamma0=np.zeros(1),
@@ -379,7 +412,7 @@ class TestLikelihood:
         batch = LabeledBatch(x=np.array([[0.5]]), y=np.array([1]))
         got = log_likelihood_many(flatten(theta)[None], batch, theta.shape)[0]
         assert got != 0.0
-        assert got == pytest.approx(exact, rel=1e-12)
+        assert got == pytest.approx(exact, rel=4 * np.finfo(np.float32).eps, abs=0)
 
     def test_matches_per_point_probability_oracle(self, rng, random_theta):
         theta = random_theta(BENCH_SHAPE)
@@ -390,7 +423,8 @@ class TestLikelihood:
             prob = 1.0 / (1.0 + math.exp(-scalar_forward_oracle(theta, batch.x[i])))
             expected += math.log(prob if batch.y[i] == 1 else 1.0 - prob)
         got = log_likelihood_many(flatten(theta)[None], batch, BENCH_SHAPE)[0]
-        assert got == pytest.approx(expected, rel=1e-10)
+        bound = float32_bound(flatten(theta), batch.x, BENCH_SHAPE)[0]
+        assert got == pytest.approx(expected, rel=bound, abs=0)
 
     def test_empty_batch_contributes_exactly_zero(self, random_theta):
         theta = random_theta(BENCH_SHAPE)
@@ -415,6 +449,23 @@ class TestLikelihood:
         for i in range(5):
             expected = log_likelihood_many(thetas[i : i + 1], batch, BENCH_SHAPE)[0]
             assert got[i] == pytest.approx(expected, rel=1e-12)
+
+
+class TestFloat32Likelihood:
+    """log_likelihood_many's documented precision: float32 blocks, float64 sums."""
+
+    @pytest.mark.parametrize("n, blocks", [(200, 1), (800, 2), (3200, 8)])
+    def test_within_the_documented_bound_of_float64(self, rng, n, blocks):
+        assert math.ceil(200 / (_BLOCK_FLOATS // (BENCH_SHAPE.k * n))) == blocks
+        for scale in (0.5, 2.0, 8.0):
+            thetas = rng.normal(0, scale, (200, BENCH_SHAPE.K))
+            batch = LabeledBatch(x=rng.uniform(-2, 2, (n, 2)), y=rng.integers(0, 2, n))
+            z = scores_many(thetas, batch.x, BENCH_SHAPE) * (1 - 2 * batch.y)
+            exact = -softplus(z).sum(axis=1)
+            got = log_likelihood_many(thetas, batch, BENCH_SHAPE)
+            assert got.dtype == np.float64
+            bound = float32_bound(thetas, batch.x, BENCH_SHAPE)
+            assert np.all(np.abs(got - exact) <= bound * np.abs(exact))
 
 
 class TestPriorAndJoint:

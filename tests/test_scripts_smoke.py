@@ -50,7 +50,7 @@ def test_consistency_against_compares_two_tables(tmp_path):
     study = ["--sizes", "40", "--seeds", "1", "--S", "10", "--n-mc", "200", "--M", "10"]
     run_script("consistency_trend.py", [*study, "--out", "old.csv"], tmp_path)
     out = run_script("consistency_trend.py", [*study, "--against", "old.csv"], tmp_path).stdout
-    assert "n=   40 seed=0: d_iters=   +0  d_elbo= +0.000 SE  d_hellinger= +0.000 se" in out
+    assert "n=   40 seed=0: d_iters=   +0  d_elbo=+0.00e+00 SE  d_hellinger=+0.00e+00 se" in out
     assert out.endswith("0 of 1 fits flagged\n")
 
     with open(tmp_path / "old.csv", newline="") as fh:
@@ -62,7 +62,7 @@ def test_consistency_against_compares_two_tables(tmp_path):
         writer.writerow(row)
     out = run_script("consistency_trend.py", [*study, "--against", "moved.csv"], tmp_path,
                      code=1).stdout
-    assert "d_elbo= -4.500 SE" in out and "FLAG ELBO>4SE" in out
+    assert "d_elbo=-4.50e+00 SE" in out and "FLAG ELBO>4SE" in out
     assert out.endswith("1 of 1 fits flagged\n")
 
 

