@@ -13,7 +13,9 @@ final-window ELBO (in units of its standard error) and in Hellinger and risk
 gap (in units of their stderrs), then the medians per n.  A fit is flagged
 when its converged outcome changed, its final-window ELBO moved more than 4
 SE (perfbench's reference-fit rule) or its Hellinger more than 5 stderr
-(perfbench's ``diagnose`` rule); any flag makes the exit status 1.
+(perfbench's ``diagnose`` rule); any flag makes the exit status 1.  A table
+without a requested fit or a column the comparison reads is a usage error
+(exit 2), found before any fit runs.
 
 Usage:
     python3 scripts/consistency_trend.py --sizes 200 800 3200 --seeds 5 --out rows.csv
@@ -38,6 +40,8 @@ from vbnn.variational import Posterior
 
 ELBO_SE_LIMIT = 4.0
 HELLINGER_SE_LIMIT = 5.0
+# the columns of an --against table that compare reads
+OLD_COLUMNS = ("n", "seed", "iterations", "converged", "elbo_final", "hellinger", "risk_gap")
 
 
 def run_study(sizes=(200, 800, 3200), seeds=5, S=200, n_mc=20_000, M=200, log=None):
@@ -85,18 +89,32 @@ def read_rows(path: str) -> list[dict]:
     return rows
 
 
+def first_missing(old: list[dict], sizes, seeds: int) -> str | None:
+    """The first column in ``OLD_COLUMNS`` or requested (n, seed) fit that an
+    old table lacks, or None when ``compare`` can read all it needs."""
+    columns = old[0].keys() if old else OLD_COLUMNS  # a table of no rows lacks only fits
+    for column in OLD_COLUMNS:
+        if column not in columns:
+            return f"column {column!r}"
+    fits = {(int(r["n"]), int(r["seed"])) for r in old}
+    for n in sizes:
+        for seed in range(seeds):
+            if (n, seed) not in fits:
+                return f"fit at n={n}, seed={seed}"
+    return None
+
+
 def _in_units(delta: float, unit: float) -> float:
     return delta / unit if unit > 0 else (0.0 if delta == 0 else math.copysign(math.inf, delta))
 
 
 def compare(rows: list[dict], old: list[dict]) -> tuple[list[str], int]:
-    """The ``--against`` report lines and the number of flagged fits."""
+    """The ``--against`` report lines and the number of flagged fits; ``old``
+    has every fit of ``rows`` (see :func:`first_missing`)."""
     by_key = {(int(r["n"]), int(r["seed"])): r for r in old}
     lines, deltas, flagged = [], {}, 0
     for row in rows:
         key = (row["n"], row["seed"])
-        if key not in by_key:
-            raise ValueError(f"the old table has no fit at n={key[0]}, seed={key[1]}")
         was = by_key[key]
         d = (row["iterations"] - int(was["iterations"]),
              _in_units(row["elbo_final"] - was["elbo_final"], row["elbo_final_se"]),
@@ -142,6 +160,8 @@ def main() -> int:
                     help="compare each fit with the same (n, seed) row of an --out table")
     args = ap.parse_args()
     old = read_rows(args.against) if args.against else None
+    if old is not None and (missing := first_missing(old, args.sizes, args.seeds)):
+        ap.error(f"--against {args.against}: the table has no {missing}")
 
     rows = run_study(args.sizes, args.seeds, args.S, args.n_mc, args.M,
                      log=lambda line: print(line, flush=True))

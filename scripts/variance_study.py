@@ -2,7 +2,9 @@
 """Paired comparison of gradient-variance traces with and without control
 variates, on the reference synthetic benchmark.
 
-Writes one CSV per arm (plain/cv) and prints windowed trace summaries.
+Writes one CSV per arm (plain/cv) and prints windowed trace summaries.  The
+fits are ``REFERENCE_CONFIG``'s at the given S and max_iters; ``--window``
+sizes only the printed profile, not when a fit stops.
 
 Usage:
     python3 scripts/variance_study.py --n 300 --S 200 --seeds 3 --out-dir out/
@@ -12,20 +14,11 @@ import argparse
 import os
 from dataclasses import replace
 
+from consistency_trend import at_least
 from vbnn.data import REFERENCE_TRUTH, generate_synthetic, save_report_csv
 from vbnn.metrics import gradient_variance_profile
 from vbnn.model import PriorConfig
 from vbnn.optimizer import REFERENCE_CONFIG, train
-
-
-def at_least(minimum: int):
-    """argparse type for a count that must be >= minimum."""
-    def count(text: str) -> int:
-        value = int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
-        return value
-    return count
 
 
 def main() -> None:
@@ -34,14 +27,14 @@ def main() -> None:
     ap.add_argument("--S", type=at_least(1), default=200)
     ap.add_argument("--seeds", type=at_least(1), default=3, help="number of paired seeds")
     ap.add_argument("--max-iters", type=at_least(1), default=400)
-    ap.add_argument("--window", type=at_least(1), default=50)
+    ap.add_argument("--window", type=at_least(1), default=50,
+                    help="iterations per window of the printed profile")
     ap.add_argument("--out-dir", default="variance_study_out")
     args = ap.parse_args()
 
     shape = REFERENCE_TRUTH.network.shape
     prior = PriorConfig.standard(shape.K)
-    base = replace(REFERENCE_CONFIG, S=args.S, max_iters=args.max_iters,
-                   conv_window=args.window)
+    base = replace(REFERENCE_CONFIG, S=args.S, max_iters=args.max_iters)
     os.makedirs(args.out_dir, exist_ok=True)
 
     for seed in range(args.seeds):

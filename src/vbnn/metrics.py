@@ -129,7 +129,7 @@ class TrueFunction:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.p:
-            raise ValueError(f"x must be (n, {self.p})")
+            raise ShapeMismatchError(f"x must be (n, p={self.p}) for this truth, got {x.shape}")
         if self.kind == "constant":
             return np.full(x.shape[0], self.value)
         if self.kind == "linear":

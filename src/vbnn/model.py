@@ -359,7 +359,8 @@ def scores(
     z = np.asarray(z, dtype=float)
     k = shape.k
     if x.ndim != 2 or x.shape[1] != shape.p:
-        raise ShapeMismatchError("x must be (R, p) matching the network input width")
+        raise ShapeMismatchError(f"x must be (R, p={shape.p}) matching the network input "
+                                 f"width, got {x.shape}")
     if z.ndim != 3 or z.shape[:2] != (x.shape[0], k + 1):
         raise ShapeMismatchError(f"z must be (R, {k + 1}, M), one stack per row of x")
     beta0_m, beta_m, gamma0_m, gamma_m = unflatten_many(mean, shape)

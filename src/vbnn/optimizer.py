@@ -19,11 +19,11 @@ estimated from the same samples (u = score * weight terms, v = plain scores),
 which leaves the gradient unbiased up to the plug-in coefficient and can cut
 its variance dramatically.
 
-One function, ``_iterate``, computes the weights, the ELBO estimate and the
-per-sample gradient rows.  Every ``train`` iteration and every ``estimate_*``
-call goes through it, so the estimator is written once; ``train`` adds only
-the loop, divergence and convergence tests, gradient variance, clipping and
-``step``.
+One function, ``_iterate``, computes the weights, the ELBO estimate, the
+gradient estimate and its variance.  Every ``train`` iteration and every
+``estimate_*`` call goes through it, so the estimator is written once;
+``train`` adds only the loop, the traces, divergence and convergence tests,
+clipping and ``step``.
 
 Step sizes follow a ``Schedule``, whose kinds and their fields are listed once
 in ``SCHEDULE_KEYS``.  ``train`` stops when successive window means of the
@@ -35,7 +35,7 @@ SeedSequence(entropy=seed, spawn_key=(1, t)), so traces are reproducible for
 a given seed and independent of thread count.  Threads only run the blocks
 of sample rows into which ``model.log_likelihood_many`` cuts the log-joint
 evaluation.  The block size depends on k and n alone, so with one block (at
-S=200 and k=3, any n <= 218) there is nothing to run in parallel.  Rows are
+S=200 and k=3, any n <= 436) there is nothing to run in parallel.  Rows are
 independent (each depends only on its own theta), so the results are
 byte-identical for any thread count; every reduction happens in a single
 deterministic pass afterwards.  ``train`` keeps one thread pool for the whole
@@ -256,24 +256,34 @@ def _iterate(
     draws: SampleMatrix,
     cv: bool | None,
     pool: ThreadPoolExecutor | None,
-) -> tuple[float, np.ndarray | None]:
-    """ELBO estimate and (S, 2K) gradient rows of one set of draws.
+) -> tuple[float, np.ndarray | None, float | None]:
+    """ELBO estimate, gradient estimate and gradient variance of one set of draws.
 
-    The gradient estimate is the rows' mean.  ``cv`` picks the rows:
-    ``False`` the plain terms u[i] = v[i] * w[i]; ``True`` u[i] - a_hat * v[i]
-    with the in-sample coefficients; ``None`` no rows at all, for the ELBO
-    alone.  ``pool`` runs the log-likelihood's blocks.
+    The gradient estimate is the mean of S sample rows of length 2K, and its
+    variance the mean over coordinates of the rows' ddof=1 variance (0.0 for
+    one row).  ``cv`` picks the rows: ``False`` the plain terms
+    u[i] = v[i] * w[i]; ``True`` u[i] - a_hat * v[i] with the in-sample
+    coefficients; ``None`` no rows at all, for the ELBO alone, with None for
+    the other two.  ``pool`` runs the log-likelihood's blocks.
     """
     thetas = draws.thetas
     weights = log_joint_many(thetas, batch, prior, shape, pool) - log_q(q, thetas)
     elbo = float(weights.mean())
     if cv is None:
-        return elbo, None
+        return elbo, None, None
     v = np.concatenate([grad_log_q_mean(q, thetas), grad_log_q_raw(q, thetas)], axis=1)
-    u = v * weights[:, None]
+    rows = v * weights[:, None]
     if cv:
-        return elbo, u - control_variate_coefficients(u, v) * v
-    return elbo, u
+        rows -= control_variate_coefficients(rows, v) * v
+    # np.mean and np.var(ddof=1) over the S rows, without their wrappers
+    S = rows.shape[0]
+    grad = rows.sum(axis=0) / S
+    gvar = 0.0
+    if S > 1:
+        rows -= grad
+        rows *= rows
+        gvar = float((rows.sum(axis=0) / (S - 1)).sum() / rows.shape[1])
+    return elbo, grad, gvar
 
 
 def estimate_elbo(
@@ -297,8 +307,7 @@ def estimate_gradient(
 ) -> np.ndarray:
     """Plain score-function gradient estimate over (m, r); returns (2K,)."""
     with _pool(threads) as pool:
-        _, rows = _iterate(q, batch, prior, shape_for(q.K, batch.p), draws, False, pool)
-    return rows.mean(axis=0)
+        return _iterate(q, batch, prior, shape_for(q.K, batch.p), draws, False, pool)[1]
 
 
 def control_variate_coefficients(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -336,8 +345,7 @@ def estimate_gradient_cv(
     """Control-variate gradient estimate mean_i [u[i] - a_hat * v[i]] with the
     in-sample coefficients a_hat of :func:`control_variate_coefficients`."""
     with _pool(threads) as pool:
-        _, rows = _iterate(q, batch, prior, shape_for(q.K, batch.p), draws, True, pool)
-    return rows.mean(axis=0)
+        return _iterate(q, batch, prior, shape_for(q.K, batch.p), draws, True, pool)[1]
 
 
 def step(
@@ -379,10 +387,7 @@ def train(
                                  f"K={shape.K}")
 
     q = initial_params(shape.K)
-    # traces[:, t] holds iteration t's ELBO, gradient variance and rate; the
-    # buffer doubles when full, so a large max_iters reserves nothing up front
-    traces = np.empty((3, 2 * config.conv_window))
-    run = 0  # iterations recorded
+    elbos, gvars, rhos = [], [], []
     converged = False
     diverged_at: int | None = None
     w = config.conv_window
@@ -395,26 +400,17 @@ def train(
             )
             # overflow here is divergence, detected below, not a warning condition
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                elbo_t, rows = _iterate(q, batch, prior, shape, draws,
-                                        config.use_control_variates, pool)
-                # np.mean and np.var(ddof=1) over the S rows, without their wrappers
-                grad = rows.sum(axis=0) / config.S
-                gvar = 0.0
-                if config.S > 1:
-                    rows -= grad
-                    rows *= rows
-                    gvar = float((rows.sum(axis=0) / (config.S - 1)).sum() / rows.shape[1])
+                elbo_t, grad, gvar = _iterate(q, batch, prior, shape, draws,
+                                              config.use_control_variates, pool)
             if not (np.isfinite(elbo_t) and np.all(np.isfinite(grad))):
                 diverged_at = t
                 break
-            if run == traces.shape[1]:
-                traces = np.concatenate([traces, np.empty_like(traces)], axis=1)
-            traces[:, run] = elbo_t, gvar, config.schedule.rate(t)
-            run += 1
-            if run >= 2 * w:
-                elbos = traces[0]
-                recent = float(elbos[run - w : run].sum() / w)
-                previous = float(elbos[run - 2 * w : run - w].sum() / w)
+            elbos.append(elbo_t)
+            gvars.append(gvar)
+            rhos.append(config.schedule.rate(t))
+            if len(elbos) >= 2 * w:
+                recent = float(np.sum(elbos[-w:]) / w)
+                previous = float(np.sum(elbos[-2 * w : -w]) / w)
                 if (recent >= elbos[0]
                         and abs(recent - previous) / (abs(previous) + 1e-12) < CONV_REL_TOL):
                     converged = True
@@ -430,9 +426,9 @@ def train(
                 break
 
     report = TrainReport(
-        elbo_trace=traces[0, :run].copy(),
-        grad_var_trace=traces[1, :run].copy(),
-        rho_trace=traces[2, :run].copy(),
+        elbo_trace=elbos,
+        grad_var_trace=gvars,
+        rho_trace=rhos,
         converged=converged,
         wall_time=time.perf_counter() - start,
         diverged_at=diverged_at,

@@ -124,6 +124,11 @@ class TestHellinger:
         cfg = IntegrationConfig(n_mc=1000, seed=5)
         assert hellinger_distance(a, b, cfg).value == hellinger_distance(b, a, cfg).value
 
+    def test_truths_of_two_widths_name_both_widths(self):
+        with pytest.raises(ShapeMismatchError, match=r"\(n, p=3\) for this truth, got \(100, 2\)"):
+            hellinger_distance(constant_eta(0.0, p=2), constant_eta(0.0, p=3),
+                               IntegrationConfig(n_mc=100, seed=0))
+
     def test_bounded_in_unit_interval(self, rng, random_theta):
         cfg = IntegrationConfig(n_mc=400, seed=8)
         for _ in range(5):

@@ -235,6 +235,22 @@ class TestKernelRows:
             out = log_likelihood_many(thetas, batch, BENCH_SHAPE, pool)
         assert np.all(np.isneginf(out))
 
+    @pytest.mark.parametrize("n, blocks", [(436, 1), (437, 2)])
+    def test_reference_fit_needs_a_second_block_past_n_436(self, rng, n, blocks):
+        # S=200 rows at k=3 fit one block of _BLOCK_FLOATS float32 values up
+        # to n=436; the pool is handed the block starts
+        class RecordingPool:
+            def map(self, fn, starts):
+                self.starts = list(starts)
+                return map(fn, self.starts)
+
+        pool = RecordingPool()
+        thetas = rng.normal(0, 2, (200, BENCH_SHAPE.K))
+        batch = LabeledBatch(x=rng.uniform(0, 1, (n, 2)), y=rng.integers(0, 2, n))
+        out = log_likelihood_many(thetas, batch, BENCH_SHAPE, pool)
+        assert len(pool.starts) == blocks
+        assert out.tobytes() == log_likelihood_many(thetas, batch, BENCH_SHAPE).tobytes()
+
     def test_large_batch_allocates_about_one_block(self, rng):
         # unblocked, S=200 rows at n=3200 allocated 19.6 MB
         thetas = rng.normal(0, 2, (200, BENCH_SHAPE.K))
@@ -337,6 +353,11 @@ class TestPairedKernel:
         for bad_z, x, m, s in bad_inputs:
             with pytest.raises(ShapeMismatchError):
                 scores(bad_z, x, m, s, BENCH_SHAPE)
+
+    def test_x_of_another_width_names_both_widths(self, rng):
+        mean, scale = self.moments(rng, BENCH_SHAPE, 1.0)
+        with pytest.raises(ShapeMismatchError, match=r"\(R, p=2\) .*, got \(3, 3\)"):
+            scores(rng.standard_normal((3, 4, 5)), np.zeros((3, 3)), mean, scale, BENCH_SHAPE)
 
     def test_empty_batch(self):
         K = BENCH_SHAPE.K

@@ -382,6 +382,30 @@ class TestTrain:
         assert q_train.mean.tobytes() == q.mean.tobytes()
         assert q_train.raw_scale.tobytes() == q.raw_scale.tobytes()
 
+    @pytest.mark.parametrize("use_cv", [False, True])
+    def test_grad_var_is_the_mean_coordinate_variance_of_the_rows(self, use_cv):
+        # each iteration's gradient rows rebuilt from the public pieces: the
+        # trace holds their ddof=1 variance averaged over coordinates
+        batch = bench_batch(n=120)
+        prior = PriorConfig.standard(BENCH_SHAPE.K)
+        cfg = TrainConfig(S=64, max_iters=3, grad_clip=10.0, seed=9,
+                          use_control_variates=use_cv)
+        _, report = train(batch, prior, BENCH_SHAPE, cfg)
+        assert report.iterations_run == 3
+        q = initial_params(BENCH_SHAPE.K)
+        for t in range(cfg.max_iters):
+            draws = sample(q, cfg.S, np.random.SeedSequence(9, spawn_key=(1, t)))
+            u, v = sample_terms(q, batch, prior, BENCH_SHAPE, draws)
+            rows = u - control_variate_coefficients(u, v) * v if use_cv else u
+            assert (report.grad_var_trace[t].tobytes()
+                    == rows.var(axis=0, ddof=1).mean().tobytes())
+            q = step(q, np.clip(rows.mean(axis=0), -10.0, 10.0), t, cfg.schedule)
+
+    def test_one_sample_records_zero_grad_var(self):
+        _, report = train(bench_batch(n=40), PriorConfig.standard(BENCH_SHAPE.K), BENCH_SHAPE,
+                          TrainConfig(S=1, max_iters=4, seed=3))
+        assert report.grad_var_trace.tobytes() == np.zeros(4).tobytes()
+
     def test_train_calls_each_public_estimator_once_per_iteration(self, monkeypatch):
         # perfbench records these calls through vbnn.optimizer's names and cuts
         # an untraced fit into segments at `sample`, so train must keep making
@@ -406,9 +430,10 @@ class TestTrain:
         assert report.iterations_run == 5
         assert counts == dict.fromkeys(names, 5)
 
-    def test_traces_survive_the_buffer_growing(self):
-        # the trace buffer starts at two windows and doubles when full: with a
-        # window of 1 it grows at iterations 2, 4 and 8, with 50 never
+    def test_traces_do_not_depend_on_the_window_while_no_fit_stops(self):
+        # the window only decides when a fit stops: two fits that run all 9
+        # iterations, one checking convergence after each from the second (window 1)
+        # and one never (window 50), record the same traces
         batch = bench_batch(n=60)
         prior = PriorConfig.standard(BENCH_SHAPE.K)
         reports = [train(batch, prior, BENCH_SHAPE,

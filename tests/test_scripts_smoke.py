@@ -4,9 +4,11 @@ The two study scripts build ``TrainConfig`` and call ``train`` directly, so
 an API change that breaks them shows up here.  Tiny sizes; the exit status is
 checked, and the header line of a report CSV that variance_study.py writes;
 a count flag below its minimum (``--seeds 0``, ``--n-mc 1``) must be a
-usage error that writes no file.
+usage error that writes no file.  variance_study.py's ``--window`` must not
+change its fits.
 consistency_trend.py's ``--against`` must find no change between two runs of
-one tree, and flag a fit whose final-window ELBO a table moves.
+one tree, flag a fit whose final-window ELBO a table moves, and refuse a
+table that lacks a requested fit before fitting anything.
 walkthrough_hashes.py runs the README walkthrough through the CLI; its line
 count is checked, not its hashes.
 """
@@ -64,6 +66,30 @@ def test_consistency_against_compares_two_tables(tmp_path):
                      code=1).stdout
     assert "d_elbo=-4.50e+00 SE" in out and "FLAG ELBO>4SE" in out
     assert out.endswith("1 of 1 fits flagged\n")
+
+
+def test_variance_study_window_sizes_only_the_profile(tmp_path):
+    # a window of 2 used to be the fits' convergence window too, and stopped
+    # seed 0's plain and cv fits at 12 and 15 of 60 iterations
+    study = ["--n", "40", "--S", "10", "--seeds", "1", "--max-iters", "60"]
+    for window in ("2", "50"):
+        run_script("variance_study.py", [*study, "--window", window, "--out-dir", window],
+                   tmp_path)
+    for arm in ("plain", "cv"):
+        name = f"trace_{arm}_seed0.csv"
+        assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "50" / name).read_bytes()
+
+
+def test_consistency_against_a_table_without_the_fit_is_a_usage_error(tmp_path):
+    (tmp_path / "old.csv").write_text(
+        "n,seed,iterations,converged,elbo_final,hellinger,risk_gap\n40,0,5,True,-1,0.1,0\n")
+    proc = run_script("consistency_trend.py", ["--sizes", "40", "50", "--seeds", "1", "--S", "10",
+                                               "--n-mc", "200", "--M", "10",
+                                               "--against", "old.csv"], tmp_path, code=2)
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert errors == ["consistency_trend.py: error: --against old.csv: the table has no fit "
+                      "at n=50, seed=0"]
+    assert proc.stdout == ""
 
 
 def test_walkthrough_hashes_prints_one_line_per_artifact(tmp_path):
