@@ -14,8 +14,8 @@ gap (in units of their stderrs), then the medians per n.  A fit is flagged
 when its converged outcome changed, its final-window ELBO moved more than 4
 SE (perfbench's reference-fit rule) or its Hellinger more than 5 stderr
 (perfbench's ``diagnose`` rule); any flag makes the exit status 1.  A table
-without a requested fit or a column the comparison reads is a usage error
-(exit 2), found before any fit runs.
+that cannot be read, or lacks a requested fit or a column the comparison
+reads, is a usage error (exit 2), found before any fit runs.
 
 Usage:
     python3 scripts/consistency_trend.py --sizes 200 800 3200 --seeds 5 --out rows.csv
@@ -80,12 +80,17 @@ def run_study(sizes=(200, 800, 3200), seeds=5, S=200, n_mc=20_000, M=200, log=No
 
 
 def read_rows(path: str) -> list[dict]:
-    """The rows of a table written by ``--out``, numbers parsed."""
+    """The rows of a table written by ``--out``, numbers parsed; a cell that is
+    neither a number nor True/False raises ValueError naming its line and column."""
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    for row in rows:
+    for line, row in enumerate(rows, start=2):
         for key, value in row.items():
-            row[key] = value == "True" if value in ("True", "False") else float(value)
+            try:
+                row[key] = value == "True" if value in ("True", "False") else float(value)
+            except (TypeError, ValueError):  # TypeError: a short or long row
+                raise ValueError(
+                    f"line {line}, column {key!r}: {value!r} is not a number") from None
     return rows
 
 
@@ -152,14 +157,17 @@ def main() -> int:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--sizes", type=at_least(1), nargs="+", default=[200, 800, 3200])
     ap.add_argument("--seeds", type=at_least(1), default=5)
-    ap.add_argument("--S", type=at_least(1), default=200)
+    ap.add_argument("--S", type=at_least(2), default=200)  # control variates need two draws
     ap.add_argument("--n-mc", type=at_least(2), default=20_000)
     ap.add_argument("--M", type=at_least(1), default=200)
     ap.add_argument("--out", default=None, help="optional CSV for the raw rows")
     ap.add_argument("--against", default=None, metavar="OLD.csv",
                     help="compare each fit with the same (n, seed) row of an --out table")
     args = ap.parse_args()
-    old = read_rows(args.against) if args.against else None
+    try:
+        old = read_rows(args.against) if args.against else None
+    except (OSError, ValueError) as exc:
+        ap.error(f"--against {args.against}: {exc.strerror if isinstance(exc, OSError) else exc}")
     if old is not None and (missing := first_missing(old, args.sizes, args.seeds)):
         ap.error(f"--against {args.against}: the table has no {missing}")
 

@@ -70,6 +70,12 @@ class ColumnSchema:
             raise SchemaError(f"unknown normalization {self.normalization!r}")
         if self.kind in ("label", "categorical_binary") and self.normalization != "none":
             raise SchemaError(f"column {self.name!r}: {self.kind} columns are never normalized")
+        allowed = _NORMALIZATIONS[self.normalization]
+        stray = [key for key in ("mean", "sd", "min", "max")
+                 if getattr(self, key) is not None and key not in allowed]
+        if stray:
+            raise SchemaError(f"column {self.name!r}: {self.normalization} normalization "
+                              f"takes no {' or '.join(stray)}")
         # a negative sd would flip the feature, and a zero one divide by zero
         if self.normalization == "zscore" and self.sd is not None and not self.sd > 0:
             raise SchemaError(f"column {self.name!r}: zscore sd must be > 0, got {self.sd!r}")

@@ -40,14 +40,15 @@ import numpy as np
 
 from .model import (
     NetworkParams,
+    NetworkShape,
     ShapeMismatchError,
-    batch_scores,
     check_keys,
+    flatten,
     json_field,
-    network_from_json_dict,
-    network_to_json_dict,
+    scores_many,
     sigmoid,
     softplus,
+    unflatten,
 )
 from .prediction import PredictiveConfig, plug_in_labels, predictive_probabilities
 from .variational import Posterior
@@ -91,7 +92,8 @@ class MCEstimate:
 
 @dataclass(frozen=True)
 class TrueFunction:
-    """A score function eta0 on [0,1]^p: constant, linear or a shipped network."""
+    """A score function eta0 on [0,1]^p: constant, linear or a shipped network.
+    ``to_json_dict`` and ``from_json_dict`` hold the whole truth-file format."""
 
     kind: str
     p: int
@@ -134,7 +136,7 @@ class TrueFunction:
             return np.full(x.shape[0], self.value)
         if self.kind == "linear":
             return self.value + x @ self.weights
-        return batch_scores(self.network, x)
+        return scores_many(flatten(self.network)[None], x, self.network.shape)[0]
 
     def to_json_dict(self) -> dict:
         if self.kind == "constant":
@@ -145,9 +147,8 @@ class TrueFunction:
                 "intercept": self.value,
                 "weights": [float(w) for w in self.weights],
             }
-        doc = network_to_json_dict(self.network)
-        doc["kind"] = "network"
-        return doc
+        return {"shape": self.network.shape.to_json_dict(),
+                "flat_theta": flatten(self.network).tolist(), "kind": "network"}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TrueFunction":
@@ -161,7 +162,8 @@ class TrueFunction:
                               json_field(doc, "weights", list[float]))
         if kind == "network":
             check_keys(doc, ("kind", "shape", "flat_theta"), "a network truth")
-            return cls.from_network(network_from_json_dict(doc))
+            shape = NetworkShape.from_json_dict(json_field(doc, "shape", dict))
+            return cls.from_network(unflatten(json_field(doc, "flat_theta", list[float]), shape))
         raise ValueError(f"unknown true-function kind {kind!r}")
 
 

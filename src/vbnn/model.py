@@ -11,10 +11,10 @@ order is [beta0, beta, gamma0, Gamma row-major]; ``flatten``/``unflatten``
 are exact inverses of each other.
 
 Every score comes from one of two kernels with the same hidden-unit
-arithmetic.  :func:`scores_many` scores S parameter vectors on every row of
-x in an (S, k, n) layout, and :func:`batch_scores` wraps it for one network.
-Row s of its output depends only on parameter row s, so any contiguous split
-of the rows is byte-identical.  :func:`log_likelihood_many` relies on that:
+arithmetic.  :func:`scores_many` scores S parameter vectors (one network is
+a stack of one) on every row of x in an (S, k, n) layout.  Row s of its
+output depends only on parameter row s, so any contiguous split of the rows
+is byte-identical.  :func:`log_likelihood_many` relies on that:
 it feeds the same kernel float32 factors and runs it on blocks of rows whose
 (rows, k, n) float32 hidden array holds about ``_BLOCK_FLOATS`` = 2**18
 values (1 MiB, half of a 2 MiB per-core L2), so its memory is
@@ -59,15 +59,12 @@ __all__ = [
     "flatten",
     "unflatten",
     "unflatten_many",
-    "batch_scores",
     "scores_many",
     "scores",
     "log_likelihood_many",
     "log_prior",
     "log_joint_many",
     "normal_logpdf_total",
-    "network_to_json_dict",
-    "network_from_json_dict",
 ]
 
 
@@ -389,11 +386,6 @@ def scores(
     return out
 
 
-def batch_scores(theta: NetworkParams, x: np.ndarray) -> np.ndarray:
-    """Network scores for a design matrix x of shape (n, p)."""
-    return scores_many(flatten(theta)[None], x, theta.shape)[0]
-
-
 # The likelihood scores its S rows in blocks whose (rows, k, n) float32 hidden
 # array holds about 1 MiB, half of a 2 MiB per-core L2 (at least one row).
 _BLOCK_FLOATS = 2**18
@@ -481,12 +473,3 @@ def log_joint_many(
     return (log_likelihood_many(thetas, batch, shape, pool)
             + log_prior(np.atleast_2d(thetas), prior))
 
-
-def network_to_json_dict(theta: NetworkParams) -> dict:
-    """Portable artifact form: {"shape": {"p", "k"}, "flat_theta": [...]}."""
-    return {"shape": theta.shape.to_json_dict(), "flat_theta": flatten(theta).tolist()}
-
-
-def network_from_json_dict(doc: dict) -> NetworkParams:
-    shape = NetworkShape.from_json_dict(json_field(doc, "shape", dict))
-    return unflatten(json_field(doc, "flat_theta", list[float]), shape)

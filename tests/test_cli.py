@@ -447,7 +447,13 @@ class TestPredict:
         ({"normalization": "zscore", "mean": 0.0, "sd": 0}, "zscore sd must be > 0, got 0.0"),
         ({"normalization": "minmax01", "min": 1.0, "max": 1.0},
          "minmax01 max must exceed min, got min=1.0, max=1.0"),
-    ], ids=["negative-sd", "zero-sd", "empty-range"])
+        ({"normalization": "zscore", "mean": 0.0, "sd": 1.0, "min": 9.0, "max": 1.0},
+         "zscore normalization takes no min or max"),
+        ({"normalization": "none", "sd": -4.0}, "none normalization takes no sd"),
+        ({"normalization": "minmax01", "min": 0.0, "max": 1.0, "mean": 5.0},
+         "minmax01 normalization takes no mean"),
+    ], ids=["negative-sd", "zero-sd", "empty-range", "zscore-with-range", "none-with-sd",
+            "minmax01-with-mean"])
     def test_unusable_statistics_name_the_model_and_the_column(self, tmp_path, capsys,
                                                                workdir, stats, message):
         doc = read_json(workdir["model"])

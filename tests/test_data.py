@@ -276,6 +276,10 @@ class TestNormalization:
         with pytest.raises(SchemaError, match="never normalized"):
             ColumnSchema(name="y", kind="label", normalization="zscore")
 
+    def test_label_column_holds_no_statistics(self):
+        with pytest.raises(SchemaError, match="column 'y': none normalization takes no mean"):
+            ColumnSchema(name="y", kind="label", mean=5.0)
+
 
 class TestSchemaJson:
     def test_round_trip_preserves_fitted_stats(self, rng):

@@ -3,7 +3,10 @@ every ``from vbnn... import ...`` line in README.md's code blocks and in the
 programs under scripts/ and perfbench/ resolves, as does each ``vbnn.<module>.<name>``
 those programs use, and every ``vbnn ...`` command in README.md's bash blocks parses.
 An exception class of its own is kept only where some ``except`` clause in
-``src/vbnn`` tells it apart; everywhere else a plain ``ValueError`` does."""
+``src/vbnn`` tells it apart; everywhere else a plain ``ValueError`` does.  A
+name stays in a module's ``__all__`` only while something besides the unit
+tests reads it: ``src/vbnn``, the programs, the acceptance tests or README.md's
+code."""
 
 import ast
 import importlib
@@ -22,11 +25,18 @@ ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
 PROGRAMS = sorted([*ROOT.glob("scripts/*.py"), *ROOT.glob("perfbench/*.py")])
 SOURCES = sorted(ROOT.glob("src/vbnn/*.py"))
+# every file besides README.md whose reads keep an exported name
+READERS = [*SOURCES, *PROGRAMS, ROOT / "tests" / "test_acceptance.py"]
+
+
+def readme_code() -> str:
+    """The text of README.md's code blocks."""
+    return "\n".join(re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(), re.M | re.S))
 
 
 def readme_imports() -> list[tuple[str, str]]:
     """(module, name) of each name imported from vbnn in README.md's code blocks."""
-    code = "\n".join(re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(), re.M | re.S))
+    code = readme_code()
     pairs = []
     for module, names in re.findall(r"^\s*from (vbnn[\w.]*) import (\([^)]*\)|.*)$", code, re.M):
         for name in re.sub(r"#[^\n]*", "", names).strip("()").split(","):
@@ -47,6 +57,20 @@ def program_imports(path: Path) -> list[tuple[str, str]]:
               and isinstance(node.value.value, ast.Name) and node.value.value.id == "vbnn"):
             pairs.append((f"vbnn.{node.value.attr}", node.attr))
     return pairs
+
+
+def names_read(path: Path) -> set[str]:
+    """Each name a file loads, reads as an attribute or imports; a definition
+    or an assignment alone does not count."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
 
 
 def unresolved(pairs) -> list[str]:
@@ -103,3 +127,10 @@ def test_every_exception_class_is_caught_somewhere():
                 caught |= {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
     assert defined, "no exception class found under src/vbnn"
     assert sorted(defined - caught) == []
+
+
+def test_every_exported_name_is_read_beyond_the_unit_tests():
+    read = set(re.findall(r"\w+", readme_code())).union(*map(names_read, READERS))
+    unread = [f"{name}.{n}" for name in MODULES
+              for n in getattr(importlib.import_module(name), "__all__", []) if n not in read]
+    assert unread == []

@@ -21,7 +21,14 @@ from vbnn.metrics import (
     hellinger_distance,
     kl_distance,
 )
-from vbnn.model import NetworkParams, NetworkShape, PriorConfig, ShapeMismatchError
+from vbnn.model import (
+    NetworkParams,
+    NetworkShape,
+    PriorConfig,
+    ShapeMismatchError,
+    flatten,
+    scores_many,
+)
 from vbnn.prediction import PredictiveConfig
 from vbnn.variational import Posterior, VariationalParams, initial_params
 
@@ -57,20 +64,24 @@ class TestTrueFunction:
         np.testing.assert_allclose(eta(x), [-2.0, 0.0, 2.0])
 
     def test_network_matches_direct_forward(self, rng, random_theta):
-        from vbnn.model import batch_scores
-
         params = random_theta(BENCH_SHAPE)
         eta = TrueFunction.from_network(params)
         x = rng.uniform(0, 1, (9, 2))
-        np.testing.assert_array_equal(eta(x), batch_scores(params, x))
+        np.testing.assert_array_equal(
+            eta(x), scores_many(flatten(params)[None], x, params.shape)[0]
+        )
 
     def test_json_round_trip(self, random_theta):
-        for eta in (
-            constant_eta(0.3),
-            TrueFunction.linear(1.0, [2.0, -1.0]),
-            TrueFunction.from_network(random_theta(BENCH_SHAPE)),
+        for eta, keys in (
+            (constant_eta(0.3), ["kind", "p", "value"]),
+            (TrueFunction.linear(1.0, [2.0, -1.0]), ["kind", "intercept", "weights"]),
+            (TrueFunction.from_network(random_theta(BENCH_SHAPE)),
+             ["shape", "flat_theta", "kind"]),
         ):
-            back = TrueFunction.from_json_dict(eta.to_json_dict())
+            doc = eta.to_json_dict()
+            assert list(doc) == keys
+            back = TrueFunction.from_json_dict(doc)
+            assert back.to_json_dict() == doc
             x = np.array([[0.2, 0.7]])
             np.testing.assert_array_equal(eta(x), back(x))
 
@@ -203,8 +214,6 @@ class TestBayesRisk:
 
 
 def trained_like_q(params: NetworkParams, spread: float = 1e-3) -> Posterior:
-    from vbnn.model import flatten
-
     flat = flatten(params)
     from vbnn.variational import softplus_inverse
 

@@ -21,6 +21,7 @@ from scipy import stats
 from scipy.special import expit
 
 from vbnn.data import REFERENCE_TRUTH, generate_synthetic
+from vbnn.metrics import TrueFunction
 from vbnn.model import (
     _BLOCK_FLOATS,
     _score_rows,
@@ -30,13 +31,10 @@ from vbnn.model import (
     NetworkShape,
     PriorConfig,
     ShapeMismatchError,
-    batch_scores,
     flatten,
     log_joint_many,
     log_likelihood_many,
     log_prior,
-    network_from_json_dict,
-    network_to_json_dict,
     scores,
     scores_many,
     shape_for,
@@ -73,38 +71,43 @@ def float32_bound(thetas, x, shape: NetworkShape) -> np.ndarray:
     return (shape.p + shape.k + 8) * 2.0**-24 * (1 + B * (1 + H))
 
 
+def one_network_scores(theta: NetworkParams, x) -> np.ndarray:
+    """The kernel's scores of one network: a stack of one parameter row."""
+    return scores_many(flatten(theta)[None], x, theta.shape)[0]
+
+
 class TestForwardScore:
     def test_all_zero_parameters_give_zero_score(self):
         theta = NetworkParams(beta0=0.0, beta=np.zeros(3), gamma0=np.zeros(3),
                               gamma=np.zeros((3, 2)))
-        assert batch_scores(theta, np.array([[0.3, 0.7]]))[0] == 0.0
+        assert one_network_scores(theta, np.array([[0.3, 0.7]]))[0] == 0.0
 
     def test_single_node_at_activation_midpoint(self):
         # beta0=0, beta=2, inactive hidden input => 2 * sigmoid(0) = 1
         theta = NetworkParams(beta0=0.0, beta=np.array([2.0]),
                               gamma0=np.array([0.0]), gamma=np.array([[0.0]]))
-        assert batch_scores(theta, np.array([[0.0]]))[0] == pytest.approx(1.0, abs=1e-15)
+        assert one_network_scores(theta, np.array([[0.0]]))[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_matches_scalar_oracle(self, rng, random_theta):
         for _ in range(10):
             theta = random_theta(BENCH_SHAPE)
             x = rng.uniform(0, 1, BENCH_SHAPE.p)
-            assert batch_scores(theta, x[None])[0] == pytest.approx(
+            assert one_network_scores(theta, x[None])[0] == pytest.approx(
                 scalar_forward_oracle(theta, x), rel=1e-12
             )
 
-    def test_batch_scores_match_rowwise_forward(self, rng, random_theta):
+    def test_scores_of_all_rows_match_rowwise_forward(self, rng, random_theta):
         theta = random_theta(BENCH_SHAPE)
         x = rng.uniform(0, 1, (20, 2))
-        expected = np.array([batch_scores(theta, row[None])[0] for row in x])
-        np.testing.assert_allclose(batch_scores(theta, x), expected, rtol=1e-12)
+        expected = np.array([one_network_scores(theta, row[None])[0] for row in x])
+        np.testing.assert_allclose(one_network_scores(theta, x), expected, rtol=1e-12)
 
-    def test_scores_many_matches_per_sample_batch_scores(self, rng, random_theta):
+    def test_scores_many_matches_each_network_alone(self, rng, random_theta):
         thetas = np.stack([flatten(random_theta(BENCH_SHAPE)) for _ in range(7)])
         x = rng.uniform(0, 1, (11, 2))
         got = scores_many(thetas, x, BENCH_SHAPE)
         for i in range(7):
-            expected = batch_scores(unflatten(thetas[i], BENCH_SHAPE), x)
+            expected = one_network_scores(unflatten(thetas[i], BENCH_SHAPE), x)
             np.testing.assert_allclose(got[i], expected, rtol=1e-12, atol=1e-12)
 
     def test_monotone_in_single_weight(self):
@@ -112,20 +115,20 @@ class TestForwardScore:
         theta = NetworkParams(beta0=0.0, beta=np.array([1.0]),
                               gamma0=np.array([0.0]), gamma=np.array([[2.0]]))
         xs = np.linspace(0, 1, 9)[:, None]
-        scores = batch_scores(theta, xs)
+        scores = one_network_scores(theta, xs)
         assert np.all(np.diff(scores) > 0)
 
     def test_width_mismatch_raises(self, random_theta):
         theta = random_theta(BENCH_SHAPE)
         with pytest.raises(ShapeMismatchError, match=r"p=2\) .* got \(4, 3\)"):
-            batch_scores(theta, np.zeros((4, 3)))
+            one_network_scores(theta, np.zeros((4, 3)))
 
     def test_single_point_width_mismatch_raises(self, random_theta):
         theta = random_theta(BENCH_SHAPE)
         # one point of the wrong width, or the right width but not one row of an (n, p) x
         for x in (np.zeros((1, 3)), np.zeros((1, 1)), np.zeros(2), np.zeros((1, 1, 2))):
             with pytest.raises(ShapeMismatchError):
-                batch_scores(theta, x)
+                one_network_scores(theta, x)
 
     @pytest.mark.parametrize("pre", [40.0, 800.0])
     def test_saturated_hidden_units_match_oracle(self, rng, pre):
@@ -135,12 +138,12 @@ class TestForwardScore:
                                               [pre, 1.0], [-pre, -1.0]]))
         x = np.column_stack([np.ones(9), np.linspace(0, 1, 9)])
         tol = 1e-12 * (1.0 + np.sum(np.abs(theta.beta)))
-        scores = batch_scores(theta, x)
+        scores = one_network_scores(theta, x)
         assert np.all(np.isfinite(scores))
         for row, score in zip(x, scores):
             oracle = scalar_forward_oracle(theta, row)
             assert abs(score - oracle) <= tol
-            assert abs(batch_scores(theta, row[None])[0] - oracle) <= tol
+            assert abs(one_network_scores(theta, row[None])[0] - oracle) <= tol
         batch = LabeledBatch(x=x, y=np.arange(9) % 2)
         assert np.isfinite(log_likelihood_many(flatten(theta)[None], batch, theta.shape)[0])
 
@@ -572,10 +575,10 @@ class TestFlattening:
 
     def test_artifact_dict_round_trip(self, random_theta):
         theta = random_theta(BENCH_SHAPE)
-        doc = network_to_json_dict(theta)
-        assert set(doc) == {"shape", "flat_theta"}
+        doc = TrueFunction.from_network(theta).to_json_dict()
+        assert set(doc) == {"shape", "flat_theta", "kind"}
         assert doc["shape"] == {"p": 2, "k": 3}
-        back = network_from_json_dict(doc)
+        back = TrueFunction.from_json_dict(doc).network
         np.testing.assert_array_equal(flatten(back), flatten(theta))
 
 

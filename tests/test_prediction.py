@@ -17,7 +17,7 @@ from vbnn.model import (
     NetworkShape,
     PriorConfig,
     ShapeMismatchError,
-    batch_scores,
+    flatten,
     scores_many,
     sigmoid,
     unflatten,
@@ -99,7 +99,7 @@ class TestPredictiveProbability:
             gamma0,
             gamma_m,
         ]), TOY_SHAPE)
-        expected = float(sigmoid(batch_scores(theta, x[None])[0]))
+        expected = float(sigmoid(scores_many(flatten(theta)[None], x[None], TOY_SHAPE)[0, 0]))
         p_hat = predictive_probabilities(posterior(q, TOY_SHAPE), x[None, :], cfg)[0]
         assert p_hat == pytest.approx(expected, rel=0, abs=1e-15)
 
@@ -252,8 +252,6 @@ class TestLogits:
     def test_round_trip_through_sigmoid(self, random_theta):
         # at a point mass p_hat = sigmoid(score), so the logits recover the
         # network's own scores and its distances to itself vanish
-        from vbnn.model import flatten
-
         theta = random_theta(BENCH_SHAPE, scale=2.0)
         doc = diagnostics_dict(point_mass_at(flatten(theta)), TrueFunction.from_network(theta),
                                PredictiveConfig(M=40, seed=2),
@@ -284,13 +282,12 @@ class TestClassification:
 
     def test_labels_agree_with_logit_sign(self, rng, random_theta):
         # at a point mass the label is the sign of the network's score
-        from vbnn.model import flatten
-
         theta = random_theta(BENCH_SHAPE, scale=2.0)
         x = rng.uniform(0, 1, (100, 2))
         # centre the output bias so that both labels occur
-        theta = replace(theta, beta0=theta.beta0 - float(np.median(batch_scores(theta, x))))
-        y = (batch_scores(theta, x) >= 0).astype(int)
+        score = scores_many(flatten(theta)[None], x, BENCH_SHAPE)[0]
+        theta = replace(theta, beta0=theta.beta0 - float(np.median(score)))
+        y = (scores_many(flatten(theta)[None], x, BENCH_SHAPE)[0] >= 0).astype(int)
         assert 0 < y.sum() < y.size
         cfg = PredictiveConfig(M=25, seed=6)
         assert accuracy_of(point_mass_at(flatten(theta)), LabeledBatch(x=x, y=y), cfg) == 1.0

@@ -3,12 +3,13 @@
 The two study scripts build ``TrainConfig`` and call ``train`` directly, so
 an API change that breaks them shows up here.  Tiny sizes; the exit status is
 checked, and the header line of a report CSV that variance_study.py writes;
-a count flag below its minimum (``--seeds 0``, ``--n-mc 1``) must be a
-usage error that writes no file.  variance_study.py's ``--window`` must not
+a count flag below its minimum (``--seeds 0``, ``--n-mc 1``, ``--S 1``) must
+be a usage error that writes no file.  variance_study.py's ``--window`` must not
 change its fits.
 consistency_trend.py's ``--against`` must find no change between two runs of
 one tree, flag a fit whose final-window ELBO a table moves, and refuse a
-table that lacks a requested fit before fitting anything.
+missing table, a cell that is not a number or a table that lacks a requested
+fit before fitting anything.
 walkthrough_hashes.py runs the README walkthrough through the CLI; its line
 count is checked, not its hashes.
 """
@@ -80,15 +81,22 @@ def test_variance_study_window_sizes_only_the_profile(tmp_path):
         assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "50" / name).read_bytes()
 
 
-def test_consistency_against_a_table_without_the_fit_is_a_usage_error(tmp_path):
-    (tmp_path / "old.csv").write_text(
-        "n,seed,iterations,converged,elbo_final,hellinger,risk_gap\n40,0,5,True,-1,0.1,0\n")
+OLD_HEADER = "n,seed,iterations,converged,elbo_final,hellinger,risk_gap\n"
+
+
+@pytest.mark.parametrize("table, error", [
+    (OLD_HEADER + "40,0,5,True,-1,0.1,0\n", "the table has no fit at n=50, seed=0"),
+    (None, "No such file or directory"),
+    (OLD_HEADER + "40,0,x,True,-1,0.1,0\n", "line 2, column 'iterations': 'x' is not a number"),
+], ids=["no-fit", "no-file", "not-a-number"])
+def test_consistency_against_a_table_without_the_fit_is_a_usage_error(tmp_path, table, error):
+    if table is not None:
+        (tmp_path / "old.csv").write_text(table)
     proc = run_script("consistency_trend.py", ["--sizes", "40", "50", "--seeds", "1", "--S", "10",
                                                "--n-mc", "200", "--M", "10",
                                                "--against", "old.csv"], tmp_path, code=2)
     errors = [line for line in proc.stderr.splitlines() if "error:" in line]
-    assert errors == ["consistency_trend.py: error: --against old.csv: the table has no fit "
-                      "at n=50, seed=0"]
+    assert errors == [f"consistency_trend.py: error: --against old.csv: {error}"]
     assert proc.stdout == ""
 
 
@@ -102,12 +110,12 @@ def test_walkthrough_hashes_prints_one_line_per_artifact(tmp_path):
 @pytest.mark.parametrize("script, flag, value, minimum", [
     ("consistency_trend.py", "--seeds", "0", 1),
     ("consistency_trend.py", "--sizes", "0", 1),
-    ("consistency_trend.py", "--S", "0", 1),
+    ("consistency_trend.py", "--S", "1", 2),
     ("consistency_trend.py", "--n-mc", "1", 2),
     ("consistency_trend.py", "--M", "0", 1),
     ("variance_study.py", "--seeds", "0", 1),
     ("variance_study.py", "--n", "0", 1),
-    ("variance_study.py", "--S", "0", 1),
+    ("variance_study.py", "--S", "1", 2),
     ("variance_study.py", "--max-iters", "0", 1),
     ("variance_study.py", "--window", "0", 1),
 ])

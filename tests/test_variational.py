@@ -35,6 +35,8 @@ from vbnn.variational import (
     softplus_inverse,
 )
 
+from oracles import fd_gradient
+
 
 def random_q(rng, K, scale_range=(0.2, 2.0)) -> VariationalParams:
     scales = rng.uniform(*scale_range, K)
@@ -139,18 +141,6 @@ class TestLogDensity:
         assert total == pytest.approx(1.0, abs=1e-8)
 
 
-def fd_gradient(f, x0, h=1e-6):
-    """Central finite differences of a scalar function of a vector."""
-    x0 = np.asarray(x0, dtype=float)
-    grad = np.zeros_like(x0)
-    for j in range(x0.size):
-        up, down = x0.copy(), x0.copy()
-        up[j] += h
-        down[j] -= h
-        grad[j] = (f(up) - f(down)) / (2 * h)
-    return grad
-
-
 class TestGradients:
     def test_mean_gradient_zero_at_the_mean(self, rng):
         q = random_q(rng, 4)
@@ -162,7 +152,7 @@ class TestGradients:
             q = random_q(rng, 4)
             theta = rng.normal(0, 1, 4)
             fd = fd_gradient(lambda m: log_q(VariationalParams(m, q.raw_scale), theta),
-                             q.mean)
+                             q.mean, h=1e-6)
             np.testing.assert_allclose(grad_log_q_mean(q, theta), fd, atol=1e-6)
 
     def test_scale_gradient_vanishes_one_sd_out(self, rng):
@@ -186,7 +176,7 @@ class TestGradients:
             def log_q_at_scale(s):
                 return log_q(VariationalParams(q.mean, softplus_inverse(s)), theta)
 
-            fd = fd_gradient(log_q_at_scale, s0)
+            fd = fd_gradient(log_q_at_scale, s0, h=1e-6)
             np.testing.assert_allclose(grad_log_q_scale(q, theta), fd, atol=1e-6)
 
     def test_raw_gradient_finite_differences(self, rng):
@@ -194,7 +184,7 @@ class TestGradients:
             q = random_q(rng, 4)
             theta = rng.normal(0, 1, 4)
             fd = fd_gradient(lambda r: log_q(VariationalParams(q.mean, r), theta),
-                             q.raw_scale)
+                             q.raw_scale, h=1e-6)
             np.testing.assert_allclose(grad_log_q_raw(q, theta), fd, atol=1e-6)
 
     def test_raw_gradient_is_chain_rule_of_scale_gradient(self, rng):
