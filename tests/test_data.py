@@ -252,6 +252,35 @@ class TestNormalization:
         assert out.x[:, 0].std() == pytest.approx(1.0, rel=1e-12)
         assert out.x[:, 1].min() == 0.0 and out.x[:, 1].max() == 1.0
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-100, 1e100])
+    def test_fitted_statistics_are_numpys_in_model_json_order(self, rng, scale):
+        # the statistics and their key order are the bytes of model.json's schema
+        n = 40
+        x = scale * np.column_stack([rng.normal(5, 2, n), rng.uniform(10, 20, n),
+                                     rng.normal(0, 1, n)])
+        x = np.column_stack([x, rng.integers(0, 2, n)])
+        schema = TableSchema(columns=(
+            ColumnSchema(name="a", normalization="zscore"),
+            ColumnSchema(name="y", kind="label"),
+            ColumnSchema(name="b", normalization="minmax01"),
+            ColumnSchema(name="c"),
+            ColumnSchema(name="d", kind="categorical_binary"),
+        ))
+        doc = fit_normalization(schema, LabeledBatch(x=x, y=rng.integers(0, 2, n))).to_json_dict()
+        a, b = x[:, 0], x[:, 1]
+        assert doc["columns"] == [
+            {"name": "a", "kind": "numeric", "normalization": "zscore",
+             "mean": float(np.mean(a)), "sd": float(np.std(a))},
+            {"name": "y", "kind": "label", "normalization": "none"},
+            {"name": "b", "kind": "numeric", "normalization": "minmax01",
+             "min": float(np.min(b)), "max": float(np.max(b))},
+            {"name": "c", "kind": "numeric", "normalization": "none"},
+            {"name": "d", "kind": "categorical_binary", "normalization": "none"},
+        ]
+        head = ["name", "kind", "normalization"]
+        assert [list(col) for col in doc["columns"]] == [
+            head + ["mean", "sd"], head, head + ["min", "max"], head, head]
+
     def test_unfitted_schema_refused(self, rng):
         with pytest.raises(SchemaError, match="not fitted"):
             normalize(self.batch(rng), self.schema())
