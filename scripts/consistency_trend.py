@@ -15,7 +15,8 @@ when its converged outcome changed, its final-window ELBO moved more than 4
 SE (perfbench's reference-fit rule) or its Hellinger more than 5 stderr
 (perfbench's ``diagnose`` rule); any flag makes the exit status 1.  A table
 that cannot be read, or lacks a requested fit or a column the comparison
-reads, is a usage error (exit 2), found before any fit runs.
+reads, is a usage error (exit 2), found before any fit runs, as is an
+``--out`` path in a directory that does not exist.
 
 Usage:
     python3 scripts/consistency_trend.py --sizes 200 800 3200 --seeds 5 --out rows.csv
@@ -25,6 +26,7 @@ Usage:
 import argparse
 import csv
 import math
+import os
 import sys
 import time
 from dataclasses import replace
@@ -170,6 +172,8 @@ def main() -> int:
         ap.error(f"--against {args.against}: {exc.strerror if isinstance(exc, OSError) else exc}")
     if old is not None and (missing := first_missing(old, args.sizes, args.seeds)):
         ap.error(f"--against {args.against}: the table has no {missing}")
+    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+        ap.error(f"--out {args.out}: no directory {os.path.dirname(args.out)!r}")
 
     rows = run_study(args.sizes, args.seeds, args.S, args.n_mc, args.M,
                      log=lambda line: print(line, flush=True))

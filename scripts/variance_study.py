@@ -4,7 +4,9 @@ variates, on the reference synthetic benchmark.
 
 Writes one CSV per arm (plain/cv) and prints windowed trace summaries.  The
 fits are ``REFERENCE_CONFIG``'s at the given S and max_iters; ``--window``
-sizes only the printed profile, not when a fit stops.
+sizes only the printed profile, not when a fit stops.  An ``--out-dir`` that
+cannot be made (a file of that name, say) is a usage error (exit 2), found
+before any fit runs.
 
 Usage:
     python3 scripts/variance_study.py --n 300 --S 200 --seeds 3 --out-dir out/
@@ -31,11 +33,14 @@ def main() -> None:
                     help="iterations per window of the printed profile")
     ap.add_argument("--out-dir", default="variance_study_out")
     args = ap.parse_args()
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:  # such as a file of that name
+        ap.error(f"--out-dir {args.out_dir}: {exc.strerror}")
 
     shape = REFERENCE_TRUTH.network.shape
     prior = PriorConfig.standard(shape.K)
     base = replace(REFERENCE_CONFIG, S=args.S, max_iters=args.max_iters)
-    os.makedirs(args.out_dir, exist_ok=True)
 
     for seed in range(args.seeds):
         data = generate_synthetic(REFERENCE_TRUTH, args.n, seed=1000 + seed)

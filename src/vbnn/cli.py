@@ -276,7 +276,10 @@ def cmd_train(args) -> int:
     batch, schema = _load_labeled(args.data, args.schema)
     if batch.n == 0:
         raise ValueError(f"{args.data}: training needs at least one data row")
-    schema = fit_normalization(schema, batch)
+    try:
+        schema = fit_normalization(schema, batch)
+    except SchemaError as exc:  # a statistic that cannot normalize
+        raise SchemaError(f"{args.data}: {exc}") from None
     batch = normalize(batch, schema)
     # the file is checked on its own, so that a bad flag is not blamed on it
     config, shape = TrainConfig(), NetworkShape(p=batch.p, k=_DEFAULT_K)
@@ -394,26 +397,28 @@ def cmd_sweep(args) -> int:
     for algo, config in cells:
         accs, iters, wall = [], [], 0.0
         for fold, (train_part, test_part) in enumerate(pairs):
-            fitted = fit_normalization(schema, train_part)
-            post, report = _run_training(normalize(train_part, fitted), config, shape)
-            if report.diverged:
+            try:
+                fitted = fit_normalization(schema, train_part)
+                post, report = _run_training(normalize(train_part, fitted), config, shape)
+                if report.diverged:
+                    raise ValueError(f"training diverged (non-finite estimate) at iteration "
+                                     f"{report.diverged_at}")
+                accs.append(test_accuracy(post, normalize(test_part, fitted), cfg))
+            except ValueError as exc:  # raised on one fold's rows under one cell's config
                 raise ValueError(
-                    f"training diverged (non-finite estimate) at iteration "
-                    f"{report.diverged_at} in cell S={config.S}, schedule "
-                    f"{_schedule_label(config.schedule)}, algo {algo}, on fold {fold} "
-                    f"(folds 0-{folds - 1}) of grid file {args.grid!r}"
-                )
-            accs.append(test_accuracy(post, normalize(test_part, fitted), cfg))
+                    f"{exc} in cell S={config.S}, schedule {_schedule_label(config.schedule)}, "
+                    f"algo {algo}, on fold {fold} (folds 0-{folds - 1}) of grid file "
+                    f"{args.grid!r}"
+                ) from None
             iters.append(report.iterations_run)
             wall += report.wall_time
-        accs_arr = np.asarray(accs)
         rows.append(
             {
                 "S": config.S,
                 "schedule": _schedule_label(config.schedule),
                 "algo": algo,
-                "accuracy_mean": float(accs_arr.mean()),
-                "accuracy_sd": float(accs_arr.std(ddof=1)) if len(accs) > 1 else 0.0,
+                "accuracy_mean": float(np.mean(accs)),
+                "accuracy_sd": float(np.std(accs, ddof=1)),
                 "iterations_mean": float(np.mean(iters)),
                 "wall_time_s": wall,
             }

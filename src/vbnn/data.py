@@ -47,6 +47,8 @@ logger = logging.getLogger("vbnn")
 _KINDS = ("numeric", "categorical_binary", "label")
 # Each normalization and the fitted statistics it reads.
 _NORMALIZATIONS = {"none": (), "zscore": ("mean", "sd"), "minmax01": ("min", "max")}
+# Each fitted statistic and how it is fitted, in model.json's key order.
+_STATISTICS = {"mean": np.mean, "sd": np.std, "min": np.min, "max": np.max}
 
 
 class SchemaError(ValueError):
@@ -71,31 +73,29 @@ class ColumnSchema:
         if self.kind in ("label", "categorical_binary") and self.normalization != "none":
             raise SchemaError(f"column {self.name!r}: {self.kind} columns are never normalized")
         allowed = _NORMALIZATIONS[self.normalization]
-        stray = [key for key in ("mean", "sd", "min", "max")
+        stray = [key for key in _STATISTICS
                  if getattr(self, key) is not None and key not in allowed]
         if stray:
             raise SchemaError(f"column {self.name!r}: {self.normalization} normalization "
                               f"takes no {' or '.join(stray)}")
-        # a negative sd would flip the feature, and a zero one divide by zero
-        if self.normalization == "zscore" and self.sd is not None and not self.sd > 0:
-            raise SchemaError(f"column {self.name!r}: zscore sd must be > 0, got {self.sd!r}")
+        # a negative sd would flip the feature, a zero one divide by zero, and an
+        # infinite sd or range map every value to 0
+        if self.normalization == "zscore" and self.sd is not None and not 0 < self.sd < math.inf:
+            raise SchemaError(f"column {self.name!r}: zscore sd must be > 0 and finite, "
+                              f"got {self.sd!r}")
         if (self.normalization == "minmax01" and None not in (self.min, self.max)
-                and not self.max > self.min):
-            raise SchemaError(f"column {self.name!r}: minmax01 max must exceed min, "
-                              f"got min={self.min!r}, max={self.max!r}")
+                and not 0 < self.max - self.min < math.inf):
+            raise SchemaError(f"column {self.name!r}: minmax01 max - min must be > 0 and "
+                              f"finite, got min={self.min!r}, max={self.max!r}")
 
     def to_json_dict(self) -> dict:
-        doc: dict = {"name": self.name, "kind": self.kind, "normalization": self.normalization}
-        for key in ("mean", "sd", "min", "max"):
-            value = getattr(self, key)
-            if value is not None:
-                doc[key] = value
-        return doc
+        stats = {key: getattr(self, key) for key in _STATISTICS if getattr(self, key) is not None}
+        return {"name": self.name, "kind": self.kind, "normalization": self.normalization, **stats}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ColumnSchema":
         check_keys(doc, [f.name for f in fields(cls)], f"schema column {doc.get('name')!r}")
-        stats = {key: json_field(doc, key, float) for key in ("mean", "sd", "min", "max")
+        stats = {key: json_field(doc, key, float) for key in _STATISTICS
                  if doc.get(key) is not None}
         return cls(name=json_field(doc, "name", str), kind=doc.get("kind", "numeric"),
                    normalization=doc.get("normalization", "none"), **stats)
@@ -338,26 +338,16 @@ def save_report_csv(report, path) -> None:
 
 
 def fit_normalization(schema: TableSchema, batch: LabeledBatch) -> TableSchema:
-    """Fill normalization statistics from this batch (training data only)."""
+    """Fill normalization statistics from this batch (training data only).
+    ``ColumnSchema`` refuses a statistic that cannot normalize, such as the sd
+    of a constant column or a range that overflows, naming its column."""
     if schema.p != batch.p:
         raise SchemaError("schema width does not match batch width")
-    cols = list(schema.columns)
-    j = 0
-    for idx, col in enumerate(cols):
-        if col.kind == "label":
-            continue
-        values = batch.x[:, j]
-        if col.normalization == "zscore":
-            sd = float(values.std())
-            if sd == 0.0:
-                raise SchemaError(f"column {col.name!r} has zero variance, cannot zscore")
-            cols[idx] = replace(col, mean=float(values.mean()), sd=sd)
-        elif col.normalization == "minmax01":
-            lo, hi = float(values.min()), float(values.max())
-            if hi <= lo:
-                raise SchemaError(f"column {col.name!r} is constant, cannot minmax scale")
-            cols[idx] = replace(col, min=lo, max=hi)
-        j += 1
+    with np.errstate(over="ignore", invalid="ignore"):  # ColumnSchema refuses inf and nan
+        cols = [replace(col, **{key: float(_STATISTICS[key](values))
+                                for key in _NORMALIZATIONS[col.normalization]})
+                for col, values in zip(schema.feature_columns, batch.x.T)]
+    cols.insert(schema.label_index, schema.columns[schema.label_index])
     return TableSchema(columns=tuple(cols))
 
 

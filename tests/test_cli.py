@@ -268,6 +268,26 @@ class TestTrain:
         names = [c["name"] for c in read_json(out / "model.json")["schema"]["columns"]]
         assert names == ["x1", "x2", "y"]
 
+    @pytest.mark.parametrize("normalization, x1, message", [
+        ("zscore", [1e200, 2e200, 3e200, 4e200], "zscore sd must be > 0 and finite, got inf"),
+        ("minmax01", [1.7e308, -1.7e308, 0.0, 1.0],
+         "minmax01 max - min must be > 0 and finite, got min=-1.7e+308, max=1.7e+308"),
+    ], ids=["zscore-sd", "minmax01-range"])
+    def test_overflowing_statistic_names_the_data_and_the_column(self, tmp_path, capsys,
+                                                                normalization, x1, message):
+        data = tmp_path / "train.csv"
+        data.write_text("x1,y\n" + "".join(f"{v!r},{i % 2}\n" for i, v in enumerate(x1)))
+        (tmp_path / "train.csv.schema.json").write_text(json.dumps({"columns": [
+            {"name": "x1", "normalization": normalization}, {"name": "y", "kind": "label"}]}))
+        out = tmp_path / "fit"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the refusal is all the output: no RuntimeWarning
+            code = main(["train", "--data", str(data), "--out", str(out), "--S", "5",
+                         "--max-iters", "5", "--k", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {data}: column 'x1': {message}\n"
+        assert not out.exists()
+
     def test_diverging_fit_warns_nothing_and_writes_strict_json(self, tmp_path, capsys):
         # fold 0 of a 3-fold split of the README's training data, at a large
         # fixed rate and train seed 23: the gradient variance overflows to
@@ -443,17 +463,22 @@ class TestPredict:
         assert not out.exists()
 
     @pytest.mark.parametrize("stats, message", [
-        ({"normalization": "zscore", "mean": 0.0, "sd": -1.0}, "zscore sd must be > 0, got -1.0"),
-        ({"normalization": "zscore", "mean": 0.0, "sd": 0}, "zscore sd must be > 0, got 0.0"),
+        ({"normalization": "zscore", "mean": 0.0, "sd": -1.0},
+         "zscore sd must be > 0 and finite, got -1.0"),
+        ({"normalization": "zscore", "mean": 0.0, "sd": 0},
+         "zscore sd must be > 0 and finite, got 0.0"),
         ({"normalization": "minmax01", "min": 1.0, "max": 1.0},
-         "minmax01 max must exceed min, got min=1.0, max=1.0"),
+         "minmax01 max - min must be > 0 and finite, got min=1.0, max=1.0"),
+        # max - min overflows, and every value would normalize to 0
+        ({"normalization": "minmax01", "min": -1.7e308, "max": 1.7e308},
+         "minmax01 max - min must be > 0 and finite, got min=-1.7e+308, max=1.7e+308"),
         ({"normalization": "zscore", "mean": 0.0, "sd": 1.0, "min": 9.0, "max": 1.0},
          "zscore normalization takes no min or max"),
         ({"normalization": "none", "sd": -4.0}, "none normalization takes no sd"),
         ({"normalization": "minmax01", "min": 0.0, "max": 1.0, "mean": 5.0},
          "minmax01 normalization takes no mean"),
-    ], ids=["negative-sd", "zero-sd", "empty-range", "zscore-with-range", "none-with-sd",
-            "minmax01-with-mean"])
+    ], ids=["negative-sd", "zero-sd", "empty-range", "overflowing-range", "zscore-with-range",
+            "none-with-sd", "minmax01-with-mean"])
     def test_unusable_statistics_name_the_model_and_the_column(self, tmp_path, capsys,
                                                                workdir, stats, message):
         doc = read_json(workdir["model"])
@@ -662,6 +687,24 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "diverged" in err and "at iteration 12" in err
         assert "S=20, schedule fixed(rho=0.01), algo bbvi, on fold 1" in err
+        assert not out.exists()
+
+    def test_error_in_a_fold_names_the_cell_and_the_fold(self, tmp_path, capsys):
+        # x1 varies in the file, but fold 0 trains on two of its 0.5 rows
+        data = tmp_path / "train.csv"
+        data.write_text("x1,y\n0.5,0\n0.5,1\n0.6,0\n0.5,1\n")
+        (tmp_path / "train.csv.schema.json").write_text(json.dumps({"columns": [
+            {"name": "x1", "normalization": "zscore"}, {"name": "y", "kind": "label"}]}))
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({**GRID, "folds": 2}))
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--grid", str(grid), "--data", str(data), "--out", str(out),
+                     "--seed", "0"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: column 'x1': zscore sd must be > 0 and finite, got 0.0 in cell S=8, "
+            f"schedule fixed(rho=0.05), algo bbvi, on fold 0 (folds 0-1) of grid file "
+            f"{str(grid)!r}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("flags, message", [(["--seed", "-1"], "seed must be >= 0"),

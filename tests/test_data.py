@@ -288,7 +288,7 @@ class TestNormalization:
     def test_zero_variance_column_refused(self):
         batch = LabeledBatch(x=np.column_stack([np.ones(5), np.arange(5.0)]),
                              y=np.zeros(5, dtype=int))
-        with pytest.raises(SchemaError, match="zero variance"):
+        with pytest.raises(SchemaError, match="column 'a': zscore sd must be > 0 and finite"):
             fit_normalization(self.schema(), batch)
 
     def test_out_of_range_counted_and_warned(self, rng, caplog):

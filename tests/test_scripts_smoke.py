@@ -9,7 +9,8 @@ change its fits.
 consistency_trend.py's ``--against`` must find no change between two runs of
 one tree, flag a fit whose final-window ELBO a table moves, and refuse a
 missing table, a cell that is not a number or a table that lacks a requested
-fit before fitting anything.
+fit before fitting anything.  Each study script refuses an output path it
+could not write before fitting anything.
 walkthrough_hashes.py runs the README walkthrough through the CLI; its line
 count is checked, not its hashes.
 """
@@ -98,6 +99,22 @@ def test_consistency_against_a_table_without_the_fit_is_a_usage_error(tmp_path, 
     errors = [line for line in proc.stderr.splitlines() if "error:" in line]
     assert errors == [f"consistency_trend.py: error: --against old.csv: {error}"]
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("script, args, error", [
+    ("consistency_trend.py", ["--sizes", "40", "--seeds", "1", "--S", "10", "--n-mc", "200",
+                              "--out", "nosuchdir/rows.csv"],
+     "--out nosuchdir/rows.csv: no directory 'nosuchdir'"),
+    ("variance_study.py", ["--n", "40", "--seeds", "1", "--S", "10", "--max-iters", "20",
+                           "--out-dir", "taken"],
+     "--out-dir taken: File exists"),
+], ids=["consistency_trend-out", "variance_study-out-dir"])
+def test_unwritable_output_path_is_a_usage_error(tmp_path, script, args, error):
+    (tmp_path / "taken").write_text("")
+    proc = run_script(script, args, tmp_path, code=2)
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert errors == [f"{script}: error: {error}"]
+    assert proc.stdout == ""  # each fit prints a line
 
 
 def test_walkthrough_hashes_prints_one_line_per_artifact(tmp_path):
