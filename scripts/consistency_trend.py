@@ -16,7 +16,7 @@ SE (perfbench's reference-fit rule) or its Hellinger more than 5 stderr
 (perfbench's ``diagnose`` rule); any flag makes the exit status 1.  A table
 that cannot be read, or lacks a requested fit or a column the comparison
 reads, is a usage error (exit 2), found before any fit runs, as is an
-``--out`` path in a directory that does not exist.
+``--out`` path in a directory that does not exist or that is a directory.
 
 Usage:
     python3 scripts/consistency_trend.py --sizes 200 800 3200 --seeds 5 --out rows.csv
@@ -174,6 +174,8 @@ def main() -> int:
         ap.error(f"--against {args.against}: the table has no {missing}")
     if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
         ap.error(f"--out {args.out}: no directory {os.path.dirname(args.out)!r}")
+    if args.out and os.path.isdir(args.out):
+        ap.error(f"--out {args.out}: Is a directory")
 
     rows = run_study(args.sizes, args.seeds, args.S, args.n_mc, args.M,
                      log=lambda line: print(line, flush=True))

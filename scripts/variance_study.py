@@ -18,7 +18,6 @@ from dataclasses import replace
 
 from consistency_trend import at_least
 from vbnn.data import REFERENCE_TRUTH, generate_synthetic, save_report_csv
-from vbnn.metrics import gradient_variance_profile
 from vbnn.model import PriorConfig
 from vbnn.optimizer import REFERENCE_CONFIG, train
 
@@ -52,11 +51,11 @@ def main() -> None:
             path = os.path.join(args.out_dir, f"trace_{label}_seed{seed}.csv")
             save_report_csv(report, path)
             means[label] = float(report.grad_var_trace.mean())
-            profile = gradient_variance_profile(report.grad_var_trace, window=args.window)
             print(f"{label:>6}: {report.iterations_run} iters, "
                   f"mean grad var {means[label]:.3e}")
-            for start, value in profile:
-                print(f"        window@{int(start):4d}: {value:.3e}")
+            for start in range(0, report.iterations_run, args.window):
+                window = report.grad_var_trace[start:start + args.window]
+                print(f"        window@{start:4d}: {window.mean():.3e}")
         print(f"  variance ratio cv/plain = {means['cv'] / means['plain']:.4f}")
 
 

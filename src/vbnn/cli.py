@@ -1,8 +1,9 @@
 """Subcommand CLI: synth, train, predict, evaluate, diagnose, sweep.
 
 Structured artifacts are JSON, traces and predictions are CSV.  Every output
-is written to a temporary file in the destination directory and atomically
-renamed, so a failing command never leaves a partial artifact behind.
+path is checked before the command's work starts, and every output is written
+to a temporary file in the destination directory and atomically renamed, so a
+failing command never leaves a partial artifact behind.
 
 Exit codes: 0 success (training converged), 2 training hit max_iters without
 converging, 1 any error, a usage error included.  Warnings and errors are
@@ -13,12 +14,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import itertools
 import json
 import logging
 import os
 import sys
-import tempfile
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -79,16 +80,12 @@ _DEFAULT_K = 10
 
 def _atomic_write(path: str, writer) -> None:
     """Run ``writer(tmp_path)`` then atomically rename over ``path``."""
-    try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                                   prefix=".tmp.", suffix=".part")
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".tmp.{os.urandom(8).hex()}.part")
+    try:  # exclusive, with the mode open(path, "w") gives
+        os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
     except OSError as exc:  # name the destination, not the temporary file
         raise type(exc)(exc.errno, exc.strerror, path) from None
-    # mkstemp makes the file 0600; give it the mode open(path, "w") would
-    umask = os.umask(0)  # os has no way to read the umask but to set it
-    os.umask(umask)
-    os.fchmod(fd, 0o666 & ~umask)
-    os.close(fd)
     try:
         writer(tmp)
         try:
@@ -98,6 +95,16 @@ def _atomic_write(path: str, writer) -> None:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def _check_outputs(*paths: str) -> None:
+    """Raise, naming the path, the OSError that ``_atomic_write`` would raise for
+    a path whose directory is missing or that is a directory, before any work."""
+    for path in paths:
+        code = (errno.ENOENT if not os.path.isdir(os.path.dirname(os.path.abspath(path)))
+                else errno.EISDIR if os.path.isdir(path) else None)
+        if code:
+            raise OSError(code, os.strerror(code), path)
 
 
 def _atomic_write_json(path: str, doc: dict) -> None:
@@ -261,6 +268,7 @@ def _run_training(batch, config: TrainConfig, shape: NetworkShape):
 # subcommands
 
 def cmd_synth(args) -> int:
+    _check_outputs(args.out, args.out + ".schema.json", *filter(None, [args.truth_out]))
     truth = _load_truth(args.truth)
     batch = generate_synthetic(truth, args.n, seed=args.seed)
     schema = default_schema(truth.p)
@@ -273,6 +281,12 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
+    model_out, report_out, summary_out = (os.path.join(args.out, name) for name in
+                                          ("model.json", "report.csv", "summary.json"))
+    if os.path.isdir(args.out):
+        _check_outputs(model_out, report_out, summary_out)
+    elif os.path.exists(args.out):  # os.makedirs would refuse it after the fit
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), args.out)
     batch, schema = _load_labeled(args.data, args.schema)
     if batch.n == 0:
         raise ValueError(f"{args.data}: training needs at least one data row")
@@ -294,14 +308,9 @@ def cmd_train(args) -> int:
     post, report = _run_training(batch, config, shape)
 
     os.makedirs(args.out, exist_ok=True)
-    _atomic_write_json(
-        os.path.join(args.out, "model.json"), _model_artifact(post, config, schema)
-    )
-    _atomic_write(
-        os.path.join(args.out, "report.csv"),
-        lambda tmp: save_report_csv(report, tmp),
-    )
-    _atomic_write_json(os.path.join(args.out, "summary.json"), report_summary(report))
+    _atomic_write_json(model_out, _model_artifact(post, config, schema))
+    _atomic_write(report_out, lambda tmp: save_report_csv(report, tmp))
+    _atomic_write_json(summary_out, report_summary(report))
 
     if report.diverged:
         under = f" under config file {args.config!r}" if args.config else ""
@@ -316,6 +325,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    _check_outputs(args.out)
     post, schema = _load_model(args.model)
     with _read_against(args.model, "model"):
         x = _load_feature_rows(args.data, schema)
@@ -329,6 +339,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    _check_outputs(args.out)
     post, schema = _load_model(args.model)
     with _read_against(args.model, "model"):
         batch, _ = load_csv(args.data, schema)
@@ -343,6 +354,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    _check_outputs(args.out)
     post, schema = _load_model(args.model)
     for col in schema.feature_columns:
         if col.normalization != "none":
@@ -369,6 +381,7 @@ def _schedule_label(schedule: Schedule) -> str:
 
 
 def cmd_sweep(args) -> int:
+    _check_outputs(args.out)
     batch, schema = _load_labeled(args.data, args.schema)
     if batch.n < 2:  # before the grid's folds are checked against the rows
         raise ValueError(f"{args.data}: a sweep needs at least 2 rows, found {batch.n}")

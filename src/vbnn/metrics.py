@@ -60,7 +60,6 @@ __all__ = [
     "draw_points",
     "hellinger_distance",
     "kl_distance",
-    "gradient_variance_profile",
     "diagnostics_dict",
 ]
 
@@ -211,22 +210,6 @@ def kl_distance(eta_a: TrueFunction, eta_b: TrueFunction, cfg: IntegrationConfig
     """KL divergence d_KL(ell_a || ell_b); asymmetric in its arguments."""
     x = draw_points(cfg, eta_a.p)
     return _kl_core(np.asarray(eta_a(x), float), np.asarray(eta_b(x), float))
-
-
-def gradient_variance_profile(trace, window: int = 50) -> np.ndarray:
-    """Mean gradient variance over non-overlapping windows of a trace.
-
-    Returns (R, 2) rows of (window start iteration, window mean); a shorter
-    final window is averaged over the iterations it has.
-    """
-    trace = np.asarray(trace, dtype=float)
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    if trace.ndim != 1 or trace.size == 0:
-        raise ValueError("trace must be a nonempty 1-d array")
-    starts = np.arange(0, trace.size, window)
-    means = [trace[s : s + window].mean() for s in starts]
-    return np.column_stack([starts.astype(float), np.asarray(means)])
 
 
 def diagnostics_dict(

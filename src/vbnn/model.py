@@ -147,8 +147,8 @@ class NetworkShape:
     k: int
 
     def __post_init__(self) -> None:
-        if int(self.p) != self.p or int(self.k) != self.k:
-            raise ShapeMismatchError("p and k must be integers")
+        if not (_is_kind(self.p, int) and _is_kind(self.k, int)):  # json_field's rule
+            raise ShapeMismatchError(f"p and k must be integers, got p={self.p!r}, k={self.k!r}")
         if self.p < 1 or self.k < 1:
             raise ShapeMismatchError(f"p and k must be >= 1, got p={self.p}, k={self.k}")
 

@@ -905,15 +905,19 @@ def raise_memory_error(*args, **kwargs):
     raise MemoryError
 
 
+# each command, the call that does its work and the flags that size it
+WORK = [
+    ("synth", "generate_synthetic", "--n"),
+    ("train", "train", "--S or --k"),
+    ("predict", "predictive_probabilities", "--M"),
+    ("evaluate", "evaluation_dict", "--M"),
+    ("diagnose", "diagnostics_dict", "--M or --n-mc"),
+    ("sweep", "train", "the grid's S or k, or --M"),
+]
+
+
 class TestOutOfMemory:
-    @pytest.mark.parametrize("command, callee, sizes", [
-        ("synth", "generate_synthetic", "--n"),
-        ("train", "train", "--S or --k"),
-        ("predict", "predictive_probabilities", "--M"),
-        ("evaluate", "evaluation_dict", "--M"),
-        ("diagnose", "diagnostics_dict", "--M or --n-mc"),
-        ("sweep", "train", "the grid's S or k, or --M"),
-    ])
+    @pytest.mark.parametrize("command, callee, sizes", WORK)
     def test_one_error_line_names_the_size_flags(self, tmp_path, capsys, workdir,
                                                  monkeypatch, command, callee, sizes):
         # a callee that raises stands in for a huge array: on an overcommitting
@@ -923,6 +927,48 @@ class TestOutOfMemory:
         assert capsys.readouterr().err == (
             f"error: {command} ran out of memory; lower {sizes}\n")
         assert not (tmp_path / "out").exists()
+
+
+def refuse_work(*args, **kwargs):
+    pytest.fail("the command did its work before it checked its outputs")
+
+
+class TestUnwritableOutputs:
+    @pytest.mark.parametrize("blocked", ["directory-at-output", "no-output-directory"])
+    @pytest.mark.parametrize("command, callee", [(command, callee) for command, callee, _ in WORK])
+    def test_refused_before_any_work(self, tmp_path, capsys, workdir, monkeypatch, command,
+                                     callee, blocked):
+        monkeypatch.setattr(f"vbnn.cli.{callee}", refuse_work)
+        argv = command_argv(command, workdir, tmp_path)
+        out = tmp_path / "out"
+        if blocked == "directory-at-output":
+            path = out / "model.json" if command == "train" else out  # train's --out is a directory
+            path.mkdir(parents=True)
+            error = "[Errno 21] Is a directory"
+        elif command == "train":  # os.makedirs makes a missing --out, but not over a file
+            path = out
+            path.write_text("")
+            error = "[Errno 17] File exists"
+        else:
+            path = tmp_path / "no" / "out"
+            argv[argv.index(str(out))] = str(path)
+            error = "[Errno 2] No such file or directory"
+        before = sorted(tmp_path.rglob("*"))
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {error}: {str(path)!r}\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("blocked", ["d.csv.schema.json", "t.json"],
+                             ids=["sidecar", "truth-out"])
+    def test_synth_writes_nothing_if_one_output_cannot_be_written(self, tmp_path, capsys,
+                                                                  blocked):
+        (tmp_path / blocked).mkdir()
+        argv = ["synth", "--n", "5", "--out", str(tmp_path / "d.csv"),
+                "--truth-out", str(tmp_path / "t.json")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: [Errno 21] Is a directory: {str(tmp_path / blocked)!r}\n")
+        assert os.listdir(tmp_path) == [blocked]
 
 
 class TestOutputModes:

@@ -17,7 +17,6 @@ from vbnn.metrics import (
     TrueFunction,
     diagnostics_dict,
     draw_points,
-    gradient_variance_profile,
     hellinger_distance,
     kl_distance,
 )
@@ -253,26 +252,6 @@ class TestRiskGap:
                                    IntegrationConfig(n_mc=800, seed=trial))
             assert res["risk_gap"] <= res["risk_bound"] + 1e-15
             assert res["risk_gap"] >= 0.0
-
-
-class TestGradientVarianceProfile:
-    def test_windows_and_means(self):
-        trace = np.arange(100, dtype=float)
-        prof = gradient_variance_profile(trace, window=25)
-        assert prof.shape == (4, 2)
-        np.testing.assert_array_equal(prof[:, 0], [0, 25, 50, 75])
-        np.testing.assert_allclose(prof[:, 1], [12.0, 37.0, 62.0, 87.0])
-
-    def test_partial_tail_window(self):
-        trace = np.ones(60)
-        prof = gradient_variance_profile(trace, window=50)
-        assert prof.shape == (2, 2)
-        assert prof[1, 0] == 50
-        assert prof[1, 1] == 1.0
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            gradient_variance_profile(np.empty(0), window=10)
 
 
 class TestDiagnosticsDict:

@@ -7,6 +7,7 @@ for the output sigmoid.
 """
 
 import math
+import re
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -603,6 +604,13 @@ class TestValidation:
             NetworkShape(p=0, k=1)
         with pytest.raises(ShapeMismatchError):
             NetworkShape(p=1, k=0)
+
+    @pytest.mark.parametrize("p, k", [(2.0, 3), (2, 3.0), (2.5, 3), (True, True), (2, True),
+                                      (np.int64(2), 3), ("2", 3)])
+    def test_shape_sizes_must_be_plain_integers(self, p, k):
+        # 2.0 once gave K == 13.0, which PriorConfig.standard could not size
+        with pytest.raises(ShapeMismatchError, match=re.escape(f"got p={p!r}, k={k!r}")):
+            NetworkShape(p=p, k=k)
 
     def test_prior_scale_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,8 @@ an API change that breaks them shows up here.  Tiny sizes; the exit status is
 checked, and the header line of a report CSV that variance_study.py writes;
 a count flag below its minimum (``--seeds 0``, ``--n-mc 1``, ``--S 1``) must
 be a usage error that writes no file.  variance_study.py's ``--window`` must not
-change its fits.
+change its fits, and each window line it prints must be the mean of that
+window of the trace CSV it writes.
 consistency_trend.py's ``--against`` must find no change between two runs of
 one tree, flag a fit whose final-window ELBO a table moves, and refuse a
 missing table, a cell that is not a number or a table that lacks a requested
@@ -21,6 +22,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -82,6 +84,31 @@ def test_variance_study_window_sizes_only_the_profile(tmp_path):
         assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "50" / name).read_bytes()
 
 
+def test_variance_study_prints_window_means_of_the_trace_it_writes(tmp_path):
+    # 23 iterations in windows of 5: the last window holds 3
+    window = 5
+    out = run_script("variance_study.py", ["--n", "40", "--S", "10", "--seeds", "1",
+                                           "--max-iters", "23", "--window", str(window),
+                                           "--out-dir", "out"], tmp_path).stdout
+    printed, arm = {}, None
+    for line in out.splitlines():
+        if " iters, mean grad var " in line:
+            arm = line.split(":")[0].strip()
+            printed[arm] = []
+        elif "window@" in line:
+            start, value = line.split("window@")[1].split(":")
+            printed[arm].append((int(start), value.strip()))
+    assert sorted(printed) == ["cv", "plain"]
+    for arm, lines in printed.items():
+        with open(tmp_path / "out" / f"trace_{arm}_seed0.csv", newline="") as fh:
+            trace = [float(row["grad_var"]) for row in csv.DictReader(fh)]
+        assert len(trace) == 23
+        starts = list(range(0, len(trace), window))
+        assert [start for start, _ in lines] == starts
+        assert [value for _, value in lines] == [
+            f"{np.mean(trace[start:start + window]):.3e}" for start in starts]
+
+
 OLD_HEADER = "n,seed,iterations,converged,elbo_final,hellinger,risk_gap\n"
 
 
@@ -105,12 +132,17 @@ def test_consistency_against_a_table_without_the_fit_is_a_usage_error(tmp_path, 
     ("consistency_trend.py", ["--sizes", "40", "--seeds", "1", "--S", "10", "--n-mc", "200",
                               "--out", "nosuchdir/rows.csv"],
      "--out nosuchdir/rows.csv: no directory 'nosuchdir'"),
+    ("consistency_trend.py", ["--sizes", "40", "--seeds", "1", "--S", "10", "--n-mc", "200",
+                              "--M", "10", "--out", "adir"],
+     "--out adir: Is a directory"),
     ("variance_study.py", ["--n", "40", "--seeds", "1", "--S", "10", "--max-iters", "20",
                            "--out-dir", "taken"],
      "--out-dir taken: File exists"),
-], ids=["consistency_trend-out", "variance_study-out-dir"])
+], ids=["consistency_trend-out", "consistency_trend-out-directory",
+        "variance_study-out-dir"])
 def test_unwritable_output_path_is_a_usage_error(tmp_path, script, args, error):
     (tmp_path / "taken").write_text("")
+    (tmp_path / "adir").mkdir()
     proc = run_script(script, args, tmp_path, code=2)
     errors = [line for line in proc.stderr.splitlines() if "error:" in line]
     assert errors == [f"{script}: error: {error}"]
