@@ -36,7 +36,7 @@ import numpy as np
 from vbnn.data import REFERENCE_TRUTH, generate_synthetic
 from vbnn.metrics import IntegrationConfig, diagnostics_dict
 from vbnn.model import PriorConfig
-from vbnn.optimizer import REFERENCE_CONFIG, train
+from vbnn.optimizer import TrainConfig, train
 from vbnn.prediction import PredictiveConfig
 from vbnn.variational import Posterior
 
@@ -55,7 +55,7 @@ def run_study(sizes=(200, 800, 3200), seeds=5, S=200, n_mc=20_000, M=200, log=No
     when given, receives one progress line per fit."""
     shape = REFERENCE_TRUTH.network.shape
     prior = PriorConfig.standard(shape.K)
-    base = replace(REFERENCE_CONFIG, S=S, max_iters=1500)
+    base = TrainConfig(S=S, max_iters=1500)
     pred_cfg = PredictiveConfig(M=M, seed=99)
     int_cfg = IntegrationConfig(n_mc=n_mc, seed=77)
 

@@ -3,7 +3,7 @@
 variates, on the reference synthetic benchmark.
 
 Writes one CSV per arm (plain/cv) and prints windowed trace summaries.  The
-fits are ``REFERENCE_CONFIG``'s at the given S and max_iters; ``--window``
+fits are ``TrainConfig()``'s at the given S and max_iters; ``--window``
 sizes only the printed profile, not when a fit stops.  An ``--out-dir`` that
 cannot be made (a file of that name, say) is a usage error (exit 2), found
 before any fit runs.
@@ -19,7 +19,7 @@ from dataclasses import replace
 from consistency_trend import at_least
 from vbnn.data import REFERENCE_TRUTH, generate_synthetic, save_report_csv
 from vbnn.model import PriorConfig
-from vbnn.optimizer import REFERENCE_CONFIG, train
+from vbnn.optimizer import TrainConfig, train
 
 
 def main() -> None:
@@ -39,7 +39,7 @@ def main() -> None:
 
     shape = REFERENCE_TRUTH.network.shape
     prior = PriorConfig.standard(shape.K)
-    base = replace(REFERENCE_CONFIG, S=args.S, max_iters=args.max_iters)
+    base = TrainConfig(S=args.S, max_iters=args.max_iters)
 
     for seed in range(args.seeds):
         data = generate_synthetic(REFERENCE_TRUTH, args.n, seed=1000 + seed)

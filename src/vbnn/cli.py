@@ -97,11 +97,21 @@ def _atomic_write(path: str, writer) -> None:
             os.unlink(tmp)
 
 
+def _below_a_file(path: str) -> bool:
+    """Whether the nearest existing ancestor of ``path`` is not a directory."""
+    parent = os.path.dirname(os.path.abspath(path))
+    while not os.path.exists(parent):
+        parent = os.path.dirname(parent)
+    return not os.path.isdir(parent)
+
+
 def _check_outputs(*paths: str) -> None:
     """Raise, naming the path, the OSError that ``_atomic_write`` would raise for
-    a path whose directory is missing or that is a directory, before any work."""
+    a path below a file, whose directory is missing or that is a directory,
+    before any work."""
     for path in paths:
-        code = (errno.ENOENT if not os.path.isdir(os.path.dirname(os.path.abspath(path)))
+        code = (errno.ENOTDIR if _below_a_file(path)
+                else errno.ENOENT if not os.path.isdir(os.path.dirname(os.path.abspath(path)))
                 else errno.EISDIR if os.path.isdir(path) else None)
         if code:
             raise OSError(code, os.strerror(code), path)
@@ -287,6 +297,8 @@ def cmd_train(args) -> int:
         _check_outputs(model_out, report_out, summary_out)
     elif os.path.exists(args.out):  # os.makedirs would refuse it after the fit
         raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), args.out)
+    elif _below_a_file(args.out):  # as it would a file among its parents
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), args.out)
     batch, schema = _load_labeled(args.data, args.schema)
     if batch.n == 0:
         raise ValueError(f"{args.data}: training needs at least one data row")
@@ -497,11 +509,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--schema", default=None)
     p_train.add_argument("--config", default=None, help="training config JSON")
     p_train.add_argument("--out", default=".", help="output directory")
-    p_train.add_argument("--algo", choices=["bbvi", "bbvi-cv"], default=None)
+    p_train.add_argument("--algo", choices=["bbvi", "bbvi-cv"], default=None,
+                         help="gradient estimator (default bbvi-cv: control variates)")
     p_train.add_argument("--S", type=_plain_int, default=None)
     p_train.add_argument("--lr", type=_plain_float, default=None,
                          help="fixed learning rate (implies --schedule fixed)")
-    p_train.add_argument("--schedule", choices=list(SCHEDULE_KEYS), default=None)
+    p_train.add_argument("--schedule", choices=list(SCHEDULE_KEYS), default=None,
+                         help="learning-rate schedule (default rm)")
     p_train.add_argument("--rho0", type=_plain_float, default=None)
     p_train.add_argument("--b", type=_plain_float, default=None)
     p_train.add_argument("--c", type=_plain_float, default=None)

@@ -78,7 +78,6 @@ __all__ = [
     "SCHEDULE_KEYS",
     "CONV_REL_TOL",
     "TrainConfig",
-    "REFERENCE_CONFIG",
     "TrainReport",
     "estimate_elbo",
     "estimate_gradient",
@@ -98,8 +97,8 @@ CONV_REL_TOL = 1e-4
 
 @dataclass(frozen=True)
 class Schedule:
-    """Learning-rate schedule: kind "fixed" uses rate rho, kind "rm" the
-    decaying Robbins-Monro rate rho0 / (b * (t+1)^c).
+    """Learning-rate schedule: kind "fixed" uses rate rho, kind "rm" (the
+    default) the decaying Robbins-Monro rate rho0 / (b * (t+1)^c).
 
     The decaying variant follows the stochastic-approximation recipe with any
     exponent 0 < c <= 1 (the reference experiments use c = 0.3, below the
@@ -107,7 +106,7 @@ class Schedule:
     its JSON form (``SCHEDULE_KEYS``) holds only its own.
     """
 
-    kind: str = "fixed"
+    kind: str = "rm"
     rho: float = 1e-3
     rho0: float = 1.0
     b: float = 100.0
@@ -151,14 +150,15 @@ class Schedule:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Everything that determines a training run besides the data itself."""
+    """Everything that determines a training run besides the data itself.  The
+    defaults are the paper's synthetic-study fit (its network is REFERENCE_TRUTH's)."""
 
     S: int = 200
     schedule: Schedule = field(default_factory=Schedule)
-    use_control_variates: bool = False
+    use_control_variates: bool = True
     max_iters: int = 2000
     conv_window: int = 50
-    grad_clip: float | None = None
+    grad_clip: float | None = 10.0
     seed: int = 0
     threads: int = 1
 
@@ -194,25 +194,22 @@ class TrainConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TrainConfig":
-        """Inverse of to_json_dict; missing keys take the field defaults, and keys
-        it does not read or values of the wrong kind raise errors naming the key."""
+        """Inverse of to_json_dict; missing keys take the field defaults, a null
+        grad_clip means no clipping, and keys it does not read or values of the
+        wrong kind raise errors naming the key."""
         check_keys(doc, cls().to_json_dict(), "a training config")
         values = {key: json_field(doc, key, int) for key in
                   ("S", "max_iters", "conv_window", "seed", "threads") if key in doc}
         if "schedule" in doc:
             values["schedule"] = Schedule.from_json_dict(json_field(doc, "schedule", dict))
-        if doc.get("grad_clip") is not None:
-            values["grad_clip"] = json_field(doc, "grad_clip", float)
+        if "grad_clip" in doc:
+            values["grad_clip"] = (None if doc["grad_clip"] is None
+                                   else json_field(doc, "grad_clip", float))
         if "algo" in doc:
             if doc["algo"] not in ("bbvi", "bbvi-cv"):
                 raise ValueError(f"unknown algo {doc['algo']!r}")
             values["use_control_variates"] = doc["algo"] == "bbvi-cv"
         return cls(**values)
-
-
-# The paper's synthetic-study fit; its network shape is REFERENCE_TRUTH.network.shape.
-REFERENCE_CONFIG = TrainConfig(S=200, schedule=Schedule(kind="rm", rho0=1.0, b=100.0, c=0.3),
-                               use_control_variates=True, grad_clip=10.0)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ from vbnn.model import (
     log_joint_many,
 )
 from vbnn.optimizer import (
-    REFERENCE_CONFIG,
     Schedule,
     TrainConfig,
     control_variate_coefficients,
@@ -200,8 +199,8 @@ def test_criterion_4_cv_variance_reduction(capsys):
 
     # a fixed mid-training state: 100 plain iterations, window too wide to stop
     q_mid, _ = train(batch, prior, shape, TrainConfig(
-        S=200, schedule=Schedule(kind="fixed", rho=0.01), grad_clip=10.0,
-        max_iters=100, conv_window=60, seed=0,
+        S=200, schedule=Schedule(kind="fixed", rho=0.01), use_control_variates=False,
+        grad_clip=10.0, max_iters=100, conv_window=60, seed=0,
     ))
 
     draws = sample(q_mid, 200, seed=77)
@@ -214,7 +213,7 @@ def test_criterion_4_cv_variance_reduction(capsys):
     var_cv = contrib.var(axis=0, ddof=1)
     exact_ok = bool(np.all(var_cv <= var_plain * (1 + 1e-12) + 1e-300))
 
-    base = replace(REFERENCE_CONFIG, max_iters=300)
+    base = TrainConfig(max_iters=300)
     ratios = []
     paired_ok = True
     for seed in (0, 1, 2):

@@ -86,6 +86,18 @@ class TestTrain:
         assert len(rows) == summary["iterations_run"]
         assert [*rows[0]] == ["iteration", "elbo", "grad_var", "rho_t"]
 
+    def test_no_training_flag_fits_the_readme_data(self, tmp_path):
+        # TrainConfig()'s defaults are the paper's fit, so the README's
+        # training data converges and lands near the truth at the default k
+        data = tmp_path / "train.csv"
+        assert main(["synth", "--n", "800", "--seed", "1000", "--out", str(data)]) == 0
+        out = tmp_path / "fit"
+        assert main(["train", "--data", str(data), "--out", str(out)]) == 0
+        diag = tmp_path / "diag.json"
+        assert main(["diagnose", "--model", str(out / "model.json"), "--truth", "reference",
+                     "--out", str(diag)]) == 0
+        assert read_json(diag)["hellinger"] < 0.1
+
     def test_missing_config_file_names_it(self, tmp_path, capsys, workdir):
         code = main(["train", "--data", str(workdir["data"]),
                      "--config", str(tmp_path / "nope.json"),
@@ -193,6 +205,7 @@ class TestTrain:
     def test_flags_apply_over_a_config_file(self, tmp_path, workdir, flags, changed, seed):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"S": 6, "max_iters": 8, "k": 2, "seed": 4, "algo": "bbvi",
+                                   "grad_clip": None,
                                    "schedule": {"kind": "rm", "rho0": 2.0, "b": 50.0}}))
         out = tmp_path / "m"
         code = main(["train", "--data", str(workdir["data"]), "--config", str(cfg),
@@ -289,22 +302,25 @@ class TestTrain:
         assert not out.exists()
 
     def test_diverging_fit_warns_nothing_and_writes_strict_json(self, tmp_path, capsys):
-        # fold 0 of a 3-fold split of the README's training data, at a large
-        # fixed rate and train seed 23: the gradient variance overflows to
-        # inf at iteration 12 and the ELBO itself at iteration 13.  Most such
-        # runaway fits (fold 1 at seed 0, say) drive a parameter past
-        # float32's ~3.4e38, and so the likelihood to a non-finite value,
-        # before any gradient variance overflows float64
+        # fold 0 of a 3-fold split of the README's training data, plain and
+        # unclipped at a large fixed rate and train seed 23: the gradient
+        # variance overflows to inf at iteration 12 and the ELBO itself at
+        # iteration 13.  Most such runaway fits (fold 1 at seed 0, say) drive
+        # a parameter past float32's ~3.4e38, and so the likelihood to a
+        # non-finite value, before any gradient variance overflows float64
         data = tmp_path / "train.csv"
         assert main(["synth", "--n", "800", "--seed", "1000", "--out", str(data)]) == 0
         batch, schema = load_csv(data)
         fold = tmp_path / "fold.csv"
         write_csv(split(batch, 3, 0)[0][0], fold, schema)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grad_clip": None}))
         out = tmp_path / "fit"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = main(["train", "--data", str(fold), "--out", str(out), "--S", "20",
-                         "--lr", "0.01", "--k", "3", "--seed", "23"])
+            code = main(["train", "--data", str(fold), "--out", str(out), "--config", str(cfg),
+                         "--algo", "bbvi", "--S", "20", "--lr", "0.01", "--k", "3",
+                         "--seed", "23"])
         assert code == 1
         assert "diverged" in capsys.readouterr().err
 
@@ -672,14 +688,15 @@ class TestSweep:
         assert rows[0]["S"] == "8"
 
     def test_diverged_fold_is_an_error(self, tmp_path, capsys):
-        # on the README's training data, fold 1 of this cell diverges at
-        # iteration 12, where a parameter past float32's ~3.4e38 makes the
-        # likelihood non-finite
+        # on the README's training data, fold 1 of this plain, unclipped cell
+        # diverges at iteration 12, where a parameter past float32's ~3.4e38
+        # makes the likelihood non-finite
         data = tmp_path / "train.csv"
         assert main(["synth", "--n", "800", "--seed", "1000", "--out", str(data)]) == 0
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"S": [20], "schedule": [{"kind": "fixed", "rho": 0.01}],
-                                    "algo": ["bbvi"], "k": 3, "folds": 3}))
+                                    "algo": ["bbvi"], "base": {"grad_clip": None}, "k": 3,
+                                    "folds": 3}))
         out = tmp_path / "sweep.csv"
         code = main(["sweep", "--grid", str(grid), "--data", str(data), "--out", str(out),
                      "--seed", "0"])
@@ -934,7 +951,8 @@ def refuse_work(*args, **kwargs):
 
 
 class TestUnwritableOutputs:
-    @pytest.mark.parametrize("blocked", ["directory-at-output", "no-output-directory"])
+    @pytest.mark.parametrize("blocked", ["directory-at-output", "no-output-directory",
+                                         "below-a-file"])
     @pytest.mark.parametrize("command, callee", [(command, callee) for command, callee, _ in WORK])
     def test_refused_before_any_work(self, tmp_path, capsys, workdir, monkeypatch, command,
                                      callee, blocked):
@@ -945,6 +963,11 @@ class TestUnwritableOutputs:
             path = out / "model.json" if command == "train" else out  # train's --out is a directory
             path.mkdir(parents=True)
             error = "[Errno 21] Is a directory"
+        elif blocked == "below-a-file":  # a file where a parent directory belongs
+            (tmp_path / "afile").write_text("")
+            path = tmp_path / "afile" / "out"
+            argv[argv.index(str(out))] = str(path)
+            error = "[Errno 20] Not a directory"
         elif command == "train":  # os.makedirs makes a missing --out, but not over a file
             path = out
             path.write_text("")
@@ -1110,7 +1133,7 @@ class TestJsonInputs:
             {"name": "x1", "normalization": "zscore", "mean": "0", "sd": 1.0},
             {"name": "x2"}, {"name": "y", "kind": "label"}]}}, "mean"),
         ("train-config", {"schedule": {"kind": "fixed", "rho": [0.1]}}, "rho"),
-        ("train-config", {"schedule": {"rho": True}}, "rho"),
+        ("train-config", {"schedule": {"kind": "fixed", "rho": True}}, "rho"),
         ("train-config", {"schedule": {"kind": ["rm"]}}, "kind"),
         ("train-config", {"grad_clip": "10"}, "grad_clip"),
         ("sweep-grid", {**GRID, "schedule": [{"kind": "rm", "c": False}]}, "c"),

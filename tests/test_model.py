@@ -11,7 +11,6 @@ import re
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -44,7 +43,7 @@ from vbnn.model import (
     unflatten,
     unflatten_many,
 )
-from vbnn.optimizer import REFERENCE_CONFIG, train
+from vbnn.optimizer import TrainConfig, train
 
 from conftest import BENCH_SHAPE, TOY_SHAPE, implied_thetas
 
@@ -273,7 +272,7 @@ class TestKernelRows:
         batch = generate_synthetic(REFERENCE_TRUTH, 1400, seed=4)
         prior = PriorConfig.standard(BENCH_SHAPE.K)
         (q1, r1), *pooled = [train(batch, prior, BENCH_SHAPE,
-                                   replace(REFERENCE_CONFIG, S=64, max_iters=5, seed=7, threads=t))
+                                   TrainConfig(S=64, max_iters=5, seed=7, threads=t))
                              for t in (1, 2, 3)]
         for q2, r2 in pooled:
             assert r1.elbo_trace.tobytes() == r2.elbo_trace.tobytes()

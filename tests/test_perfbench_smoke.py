@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from vbnn.data import REFERENCE_TRUTH
-from vbnn.optimizer import REFERENCE_CONFIG
+from vbnn.optimizer import TrainConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -33,5 +33,5 @@ def test_perfbench_fits_the_reference_config(monkeypatch, seed, threads, max_ite
     import workloads
 
     assert workloads._train_config(seed, threads, max_iters) == replace(
-        REFERENCE_CONFIG, seed=seed, threads=threads, max_iters=max_iters)
+        TrainConfig(), seed=seed, threads=threads, max_iters=max_iters)
     assert workloads.SHAPE == REFERENCE_TRUTH.network.shape
