@@ -24,15 +24,18 @@ each row is summed in float64; its docstring bounds the relative error and
 states float32's range (about 3.4e38) and tail (a term below e^-87.3 is
 denormal, below about e^-103.9 it is 0).  These blocks are training's only
 unit of parallel work: given a thread pool, the likelihood runs its blocks
-there, with a result that does not depend on the pool.  Everything else
-here, serving's :func:`scores` and :func:`scores_many` included, is float64.
+there, with a result that does not depend on the pool.
 :func:`scores` scores posterior-predictive draws at each row of x from k+1
 normals per draw: the exact Gaussian marginals of the hidden
 pre-activations, then the exact Gaussian law of the score given the hidden
-units.  Its row r depends only on that row's normals and x[r].  Hidden units
+units.  Its row r depends only on that row's normals and x[r].  It computes
+its factors in float64, clips them to float32's range and casts them once
+per call, and scores in float32; its docstring bounds the error.
+Everything else here, :func:`scores_many` included, is float64.  Hidden units
 use sigmoid(z) = 0.5 + 0.5*tanh(z/2), exact to a few ulps in absolute terms;
 output probabilities (``sigmoid``) and ``softplus`` stay tail-exact in their
-precision; ``sigmoid`` is numpy's 1 / (1 + exp(-z)).
+precision, float32 for a float32 input and float64 otherwise; ``sigmoid`` is
+numpy's 1 / (1 + exp(-z)).
 
 Everything here is pure and side-effect free, so the functions are safe to
 call from worker threads.
@@ -108,12 +111,20 @@ def check_keys(doc: dict, allowed, what: str) -> None:
         raise ValueError(f"unknown key(s) for {what}: {', '.join(unknown)}")
 
 
+def _float_array(z) -> np.ndarray:
+    """z as an array: float32 if it is float32, else float64."""
+    z = np.asarray(z)
+    return z if z.dtype == np.float32 else z.astype(float, copy=False)
+
+
 def sigmoid(z):
     """Logistic 1 / (1 + e^-z): 0 below z ~ -709.78, where e^-z overflows,
     0.5 at +-0, 1 for large z and NaN for NaN.  numpy's SIMD ``exp`` keeps it
-    within 4 ulps of libm's form (2 away from z ~ -36.7)."""
+    within 4 ulps of libm's form (2 away from z ~ -36.7).  A float32 z is
+    computed in float32 (0 below z ~ -88.72); anything else is read as
+    float64, and a scalar z gives a scalar."""
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=float)))
+        return 1.0 / (1.0 + np.exp(-_float_array(z)))
 
 
 def softplus(z, out=None):
@@ -121,9 +132,7 @@ def softplus(z, out=None):
     z is computed in float32; anything else is read as float64.  As for a ufunc,
     an array ``out`` of z's shape and dtype (z itself, say) receives the result,
     and only one other array is made; a scalar z gives a scalar."""
-    z = np.asarray(z)
-    if z.dtype != np.float32:
-        z = z.astype(float, copy=False)
+    z = _float_array(z)
     positive = np.maximum(z, 0.0)
     if out is None:
         out = np.empty_like(z)
@@ -333,10 +342,15 @@ def scores_many(thetas: np.ndarray, x: np.ndarray, shape: NetworkShape) -> np.nd
     return _score_rows(_score_terms(thetas, x, shape))
 
 
+# serving's factors are clipped to float32's finite range before the cast
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+
 def scores(
     z: np.ndarray, x: np.ndarray, mean: np.ndarray, scale: np.ndarray, shape: NetworkShape
 ) -> np.ndarray:
-    """Scores of M draws theta ~ N(mean, diag(scale^2)) at each row of x; returns (R, M).
+    """Scores of M draws theta ~ N(mean, diag(scale^2)) at each row of x; returns
+    float32 (R, M).
 
     Under mean-field q the halved hidden pre-activation (gamma0_j + gamma_j . x_r)/2
     is exactly Gaussian at a fixed x_r, independent of the betas and of the
@@ -348,12 +362,27 @@ def scores(
     row r of the output depends only on z[r] and x[r].  Nothing that could
     overflow is squared: the pre-activation standard deviation is a ``hypot``
     reduction, and the score's variance is summed in units of c^2, with c
-    the largest output-weight scale.  A draw times a scale near the float
-    maximum can still overflow; that gives an infinite pre-activation
-    (tanh = +-1) or score (a saturated probability), so it is not reported.
+    the largest output-weight scale.
+
+    Precision.  The factors (each unit's halved pre-activation mean loc_j and
+    standard deviation sd_j at each row, the halved output weights, the
+    offset and c) are computed in float64 and cast to float32 once per call;
+    z is read as float32 (a float64 z is rounded once), and the k-unit loop
+    runs on float32 (R, M) slices.  A first-order rounding analysis gives,
+    for each draw (u = 2^-24, float32's unit roundoff),
+
+        |got - exact| <= (k + 12) * u * B * (1 + H),
+
+    with B = |m_beta0| + sum_j |m_betaj| + |z0| * (s_beta0 + sum_j s_betaj),
+    H = max_j (|loc_j| + |z_j| * sd_j), and "exact" the float64 evaluation of
+    the same normals (a float64 z's rounding is counted in).  The range is
+    float32's: every factor is first clipped to +-3.4028235e38, so a mean or
+    scale of 1e308 saturates there instead of overflowing the cast, and a
+    draw times a scale near that maximum gives an infinite pre-activation
+    (tanh = +-1) or score (a saturated probability), which is not reported.
     """
     x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
+    z = np.asarray(z, dtype=np.float32)
     k = shape.k
     if x.ndim != 2 or x.shape[1] != shape.p:
         raise ShapeMismatchError(f"x must be (R, p={shape.p}) matching the network input "
@@ -365,9 +394,11 @@ def scores(
     loc = 0.5 * gamma0_m + (0.5 * gamma_m * x[:, None, :]).sum(axis=2)
     sd = np.hypot(0.5 * gamma0_s, np.hypot.reduce(0.5 * gamma_s * np.abs(x[:, None, :]), axis=2))
     c = max(beta0_s, beta_s.max()) or 1.0
-    half_m, half_s = 0.5 * beta_m, 0.5 * (beta_s / c)
-    out = np.full(z[:, 0].shape, beta0_m)
-    var = np.full(z[:, 0].shape, (beta0_s / c) ** 2)  # in units of c^2
+    loc, sd, half_m, half_s, offset, var0, c = (
+        np.clip(f, -_FLOAT32_MAX, _FLOAT32_MAX).astype(np.float32)
+        for f in (loc, sd, 0.5 * beta_m, 0.5 * (beta_s / c), beta0_m, (beta0_s / c) ** 2, c))
+    out = np.full(z[:, 0].shape, offset)
+    var = np.full(z[:, 0].shape, var0)  # in units of c^2
     # one hidden unit at a time, so every temporary is one (R, M) slice
     u, tmp = np.empty_like(out), np.empty_like(out)
     with np.errstate(over="ignore"):

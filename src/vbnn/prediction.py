@@ -19,8 +19,10 @@ is the score given the hidden units, so a score draw takes D = k+1 normals
 (``model.scores``), and row r owns normals r*M*D to (r+1)*M*D - 1, laid out
 (D, M): its p_hat depends only on the seed, its index and its features, and
 its Monte Carlo error is independent of every other row's.  Blocks of rows
-fill one reused buffer of about 0.5 MB with one ``standard_normal`` call
-each.  Serving is single-threaded.
+fill one reused float32 buffer of about 0.25 MB with one ``standard_normal``
+call each.  The normals, the scores and their sigmoids are float32 (see
+``model.scores`` for the error bound and the range), and each row's mean is
+taken in float64.  Serving is single-threaded.
 """
 
 from __future__ import annotations
@@ -54,16 +56,19 @@ class PredictiveConfig:
             raise ValueError("seed must be >= 0")
 
 
-# Rows are served in blocks whose normals fill about 0.5 MB (at least one
-# row), so memory stays near one row's (D, M) normals whatever M is.
+# Rows are served in blocks whose float32 normals fill about 0.25 MB (at least
+# one row), so memory stays near one row's (D, M) normals whatever M is.
 _BLOCK_FLOATS = 65_536
 
 
 def predictive_probabilities(
     post: Posterior, x: np.ndarray, cfg: PredictiveConfig
 ) -> np.ndarray:
-    """p_hat for every row of x (n, p); returns values in [0, 1].
+    """p_hat for every row of x (n, p); returns float64 values in [0, 1].
 
+    sigmoid's slope is at most 1/4, so each p_hat is within a quarter of the
+    mean of its draws' score bounds (see ``model.scores``) plus 8 * 2^-24
+    (float32's sigmoid) of the float64 evaluation of the same normals.
     Raises ShapeMismatchError unless x is 2-d with the posterior's input width p.
     """
     x, shape = np.asarray(x, dtype=float), post.shape
@@ -72,14 +77,15 @@ def predictive_probabilities(
     mean, scale = post.q.mean, post.q.scale
     n, D = x.shape[0], shape.k + 1
     rows = max(1, _BLOCK_FLOATS // (cfg.M * D))
-    block = np.empty((min(rows, n), D, cfg.M))
+    block = np.empty((min(rows, n), D, cfg.M), dtype=np.float32)
     seeds = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(3,))
     rng = np.random.Generator(np.random.SFC64(seeds))
     out = np.empty(n)
     for start in range(0, n, rows):
         stop = min(start + rows, n)
-        z = rng.standard_normal(out=block[: stop - start])
-        out[start:stop] = sigmoid(scores(z, x[start:stop], mean, scale, shape)).mean(axis=1)
+        z = rng.standard_normal(out=block[: stop - start], dtype=np.float32)
+        p = sigmoid(scores(z, x[start:stop], mean, scale, shape))
+        out[start:stop] = p.mean(axis=1, dtype=float)
     return out
 
 

@@ -37,6 +37,24 @@ def implied_thetas(mean, scale, z, x, shape: NetworkShape) -> np.ndarray:
     return thetas
 
 
+def scores_bound(mean, scale, z, x, shape: NetworkShape) -> np.ndarray:
+    """model.scores' documented error bound (R, M) for normals z (R, k+1, M) at
+    x (R, p): (k + 12) * 2^-24 * B * (1 + H) for each draw."""
+    beta0_m, beta_m, gamma0_m, gamma_m = unflatten_many(mean, shape)
+    beta0_s, beta_s, gamma0_s, gamma_s = unflatten_many(scale, shape)
+    loc = (gamma0_m + x @ gamma_m.T) / 2
+    sd = np.sqrt(gamma0_s**2 + x**2 @ (gamma_s**2).T) / 2
+    H = (np.abs(loc)[:, :, None] + np.abs(z[:, 1:]) * sd[:, :, None]).max(axis=1)
+    B = abs(beta0_m) + np.abs(beta_m).sum() + np.abs(z[:, 0]) * (beta0_s + beta_s.sum())
+    return (shape.k + 12) * 2.0**-24 * B * (1 + H)
+
+
+def p_hat_bound(mean, scale, z, x, shape: NetworkShape) -> np.ndarray:
+    """predictive_probabilities' documented error bound (R,) for normals z
+    (R, k+1, M) at x (R, p): a quarter of the mean score bound plus 8 * 2^-24."""
+    return scores_bound(mean, scale, z, x, shape).mean(axis=1) / 4 + 8 * 2.0**-24
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -45,7 +45,7 @@ from vbnn.model import (
 )
 from vbnn.optimizer import TrainConfig, train
 
-from conftest import BENCH_SHAPE, TOY_SHAPE, implied_thetas
+from conftest import BENCH_SHAPE, TOY_SHAPE, implied_thetas, scores_bound
 
 
 def scalar_forward_oracle(theta: NetworkParams, x) -> float:
@@ -304,10 +304,29 @@ class TestPairedKernel:
             x = rng.uniform(-1, 1, (9, shape.p))
             out = scores(z, x, mean, scale, shape)
             assert out.shape == (9, 31)
+            bound = scores_bound(mean, scale, z, x, shape)
             for r in range(9):
                 thetas = implied_thetas(mean, scale, z[r], x[r], shape)
                 expected = scores_many(thetas, x[r : r + 1], shape)[:, 0]
-                np.testing.assert_allclose(out[r], expected, rtol=0, atol=1e-13)
+                assert np.all(np.abs(out[r] - expected) <= bound[r])
+
+    @pytest.mark.parametrize("shape", [TOY_SHAPE, BENCH_SHAPE, NetworkShape(p=5, k=8)])
+    @pytest.mark.parametrize("size", [0.5, 2.0, 8.0])
+    def test_float32_within_the_documented_bound_of_float64(self, rng, shape, size):
+        # float32 normals, scored in float32 and in float64 (cast up, through
+        # the networks they stand for)
+        mean = rng.normal(0, size, shape.K)
+        scale = size * rng.uniform(0.2, 1.0, shape.K)
+        z = rng.standard_normal((12, shape.k + 1, 200), dtype=np.float32)
+        x = rng.uniform(-2, 2, (12, shape.p))
+        out = scores(z, x, mean, scale, shape)
+        assert out.dtype == np.float32
+        exact = np.stack([
+            scores_many(implied_thetas(mean, scale, z[r].astype(float), x[r], shape),
+                        x[r : r + 1], shape)[:, 0]
+            for r in range(len(x))
+        ])
+        assert np.all(np.abs(out - exact) <= scores_bound(mean, scale, z, x, shape))
 
     def test_predictive_mean_matches_full_parameter_draws(self, rng):
         # M = 2e5 draws of both: each mean of sigmoid(score) has a standard
@@ -334,7 +353,8 @@ class TestPairedKernel:
         mean, scale = self.moments(rng, BENCH_SHAPE, 1.0)
         x = np.array([[1e200, -1e200], [1e300, 1.0]])
         huge_out = scale.copy()
-        huge_out[: BENCH_SHAPE.k + 1] *= 1e200  # output-weight scales: their squares overflow
+        # output-weight scales whose squares overflow float32
+        huge_out[: BENCH_SHAPE.k + 1] *= 1e30
         for s in (scale, huge_out):
             with np.errstate(all="raise"):
                 out = scores(rng.standard_normal((2, 4, 5)), x, mean, s, BENCH_SHAPE)
@@ -412,6 +432,22 @@ class TestSoftplus:
         s = float(softplus(z))
         assert s >= 0.0
         assert s >= z
+
+
+class TestSigmoid:
+    def test_float32_stays_float32_and_all_else_is_float64(self):
+        z32 = np.array([-100.0, -88.0, -1.0, 0.0, 2.5, 100.0], dtype=np.float32)
+        with np.errstate(over="ignore"):
+            formula = 1 / (1 + np.exp(-z32))
+        assert formula.dtype == np.float32
+        assert sigmoid(z32).tobytes() == formula.tobytes()
+        assert type(sigmoid(np.float32(2.5))) is np.float32
+        assert type(sigmoid(np.array(2.5, dtype=np.float32))) is np.float32
+        for z in ([-1, 0, 2], np.array([-1, 0, 2]), [-1.0, 0.0, 2.5],
+                  np.array([1.0], dtype=np.float16)):
+            assert sigmoid(z).dtype == np.float64
+        for z in (3, 2.5, np.int64(3), np.float16(2.5), np.array(2.5)):
+            assert type(sigmoid(z)) is np.float64
 
 
 class TestLikelihood:

@@ -32,7 +32,7 @@ from vbnn.prediction import _BLOCK_FLOATS
 from vbnn.prediction import test_accuracy as accuracy_of  # dodge pytest collection
 from vbnn.variational import Posterior, VariationalParams, softplus_inverse
 
-from conftest import BENCH_SHAPE, TOY_SHAPE, implied_thetas
+from conftest import BENCH_SHAPE, TOY_SHAPE, implied_thetas, p_hat_bound
 
 
 def posterior(q: VariationalParams, shape: NetworkShape = BENCH_SHAPE) -> Posterior:
@@ -56,7 +56,8 @@ def constant_score_q(score: float, shape: NetworkShape) -> Posterior:
 def documented_stream(seed: int, n: int, shape: NetworkShape, M: int) -> np.ndarray:
     """Every row's normals (n, k+1, M), in the documented order of one stream."""
     seeds = np.random.SeedSequence(entropy=seed, spawn_key=(3,))
-    return np.random.Generator(np.random.SFC64(seeds)).standard_normal((n, shape.k + 1, M))
+    rng = np.random.Generator(np.random.SFC64(seeds))
+    return rng.standard_normal((n, shape.k + 1, M), dtype=np.float32)
 
 
 def stream_oracle(post: Posterior, x: np.ndarray, M: int, seed: int) -> np.ndarray:
@@ -87,7 +88,7 @@ class TestPredictiveProbability:
         x = np.array([0.3])
         # the documented stream: row 0 owns its first k+1 normals, which draw
         # the score given the hidden unit and the hidden pre-activation
-        z = documented_stream(123, 1, TOY_SHAPE, 1)[0, :, 0]
+        z = documented_stream(123, 1, TOY_SHAPE, 1)[0, :, 0].astype(float)
         beta0_m, beta_m, gamma0_m, gamma_m = q.mean
         beta0_s, beta_s, gamma0_s, gamma_s = q.scale
         gamma0 = gamma0_m + math.sqrt(gamma0_s**2 + (gamma_s * x[0]) ** 2) * z[1]
@@ -101,7 +102,21 @@ class TestPredictiveProbability:
         ]), TOY_SHAPE)
         expected = float(sigmoid(scores_many(flatten(theta)[None], x[None], TOY_SHAPE)[0, 0]))
         p_hat = predictive_probabilities(posterior(q, TOY_SHAPE), x[None, :], cfg)[0]
-        assert p_hat == pytest.approx(expected, rel=0, abs=1e-15)
+        bound = p_hat_bound(q.mean, q.scale, z[None, :, None], x[None], TOY_SHAPE)[0]
+        assert p_hat == pytest.approx(expected, rel=0, abs=bound)
+
+    @pytest.mark.parametrize("shape", [TOY_SHAPE, BENCH_SHAPE, NetworkShape(p=5, k=8)])
+    @pytest.mark.parametrize("size", [0.5, 2.0, 8.0])
+    def test_float32_within_the_documented_bound_of_float64(self, rng, shape, size):
+        # the float64 evaluation scores the same float32 normals, cast up
+        post = posterior(VariationalParams(
+            mean=rng.normal(0, size, shape.K),
+            raw_scale=softplus_inverse(size * rng.uniform(0.2, 1.0, shape.K))), shape)
+        x = rng.uniform(-2, 2, (12, shape.p))
+        probs = predictive_probabilities(post, x, PredictiveConfig(M=200, seed=4))
+        bound = p_hat_bound(post.q.mean, post.q.scale, documented_stream(4, 12, shape, 200),
+                            x, shape)
+        assert np.all(np.abs(probs - stream_oracle(post, x, 200, 4)) <= bound)
 
     def test_deterministic_per_seed(self, rng):
         q = point_mass_at(rng.normal(0, 1, BENCH_SHAPE.K)).q
@@ -202,7 +217,9 @@ class TestRowBlocks:
         x = rng.uniform(0, 1, (n, 2))
         probs = predictive_probabilities(wide_q, x, PredictiveConfig(M=M, seed=seed))
         expected = stream_oracle(wide_q, x, M, seed)
-        np.testing.assert_allclose(probs, expected, rtol=0, atol=1e-15)
+        z = documented_stream(seed, n, wide_q.shape, M)
+        bound = p_hat_bound(wide_q.q.mean, wide_q.q.scale, z, x, wide_q.shape)
+        assert np.all(np.abs(probs - expected) <= bound)
 
     def test_large_budget_allocates_about_one_rows_draws(self, rng, wide_q):
         M = 50_000
@@ -214,7 +231,7 @@ class TestRowBlocks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * M * BENCH_SHAPE.K * 8
+        assert peak < 2 * M * BENCH_SHAPE.K * 4
 
 
 def constant_truth(score: float) -> TrueFunction:
