@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.special import expit, logit
 
 from vbnn.data import save_predictions_csv
@@ -28,7 +29,7 @@ from vbnn.prediction import (
     plug_in_labels,
     predictive_probabilities,
 )
-from vbnn.prediction import _BLOCK_FLOATS
+from vbnn.prediction import _BLOCK_FLOATS, _normal_blocks
 from vbnn.prediction import test_accuracy as accuracy_of  # dodge pytest collection
 from vbnn.variational import Posterior, VariationalParams, softplus_inverse
 
@@ -53,11 +54,28 @@ def constant_score_q(score: float, shape: NetworkShape) -> Posterior:
 
 
 
-def documented_stream(seed: int, n: int, shape: NetworkShape, M: int) -> np.ndarray:
-    """Every row's normals (n, k+1, M), in the documented order of one stream."""
+def documented_uniforms(seed: int, n: int, shape: NetworkShape, M: int) -> np.ndarray:
+    """Every row's float32 uniforms (n, 2, h), h = ceil((k+1) M / 2), in the
+    documented order of one stream: row r's U1 then its U2."""
     seeds = np.random.SeedSequence(entropy=seed, spawn_key=(3,))
     rng = np.random.Generator(np.random.SFC64(seeds))
-    return rng.standard_normal((n, shape.k + 1, M), dtype=np.float32)
+    h = math.ceil((shape.k + 1) * M / 2)
+    return rng.random((n, 2, h), dtype=np.float32)
+
+
+def box_muller(u: np.ndarray, shape: NetworkShape, M: int) -> np.ndarray:
+    """The normals (n, k+1, M) of uniforms u (n, 2, h): R cos A followed by
+    R sin A, cut to (k+1) M values, in u's dtype."""
+    one = u.dtype.type(1)
+    R = np.sqrt(u.dtype.type(-2) * np.log(one - u[:, 0]))
+    A = u.dtype.type(2 * np.pi) * u[:, 1]
+    z = np.concatenate([R * np.cos(A), R * np.sin(A)], axis=1)
+    return z[:, : (shape.k + 1) * M].reshape(-1, shape.k + 1, M)
+
+
+def documented_stream(seed: int, n: int, shape: NetworkShape, M: int) -> np.ndarray:
+    """Every row's float32 normals (n, k+1, M), made from its documented uniforms."""
+    return box_muller(documented_uniforms(seed, n, shape, M), shape, M)
 
 
 def stream_oracle(post: Posterior, x: np.ndarray, M: int, seed: int) -> np.ndarray:
@@ -188,8 +206,9 @@ class TestPredictiveProbability:
 
 
 def block_rows(M: int, shape: NetworkShape) -> int:
-    """Rows per serving block for a posterior of this network shape."""
-    return max(1, _BLOCK_FLOATS // (M * (shape.k + 1)))
+    """Rows per serving block for a posterior of this network shape: each row
+    takes (k+1) M uniforms, padded to an even count."""
+    return max(1, _BLOCK_FLOATS // (2 * math.ceil((shape.k + 1) * M / 2)))
 
 
 class TestRowBlocks:
@@ -201,14 +220,23 @@ class TestRowBlocks:
             mean=rng.normal(0, 1, BENCH_SHAPE.K),
             raw_scale=softplus_inverse(np.full(BENCH_SHAPE.K, 0.7))))
 
-    @pytest.mark.parametrize("M", [7, 200, 3000])
-    def test_prefixes_are_byte_identical(self, rng, wide_q, M):
-        B = block_rows(M, wide_q.shape)
+    @pytest.mark.parametrize("shape, M", [
+        pytest.param(BENCH_SHAPE, 7, id="7"),
+        pytest.param(BENCH_SHAPE, 200, id="200"),
+        pytest.param(BENCH_SHAPE, 3000, id="3000"),
+        # (k+1) M = 21 is odd, so each row's uniforms are padded to 22
+        pytest.param(NetworkShape(p=2, k=2), 7, id="odd-count"),
+    ])
+    def test_prefixes_are_byte_identical(self, rng, shape, M):
+        post = posterior(VariationalParams(
+            mean=rng.normal(0, 1, shape.K),
+            raw_scale=softplus_inverse(np.full(shape.K, 0.7))), shape)
+        B = block_rows(M, shape)
         cfg = PredictiveConfig(M=M, seed=17)
         x = rng.uniform(0, 1, (2 * B + 9, 2))
-        whole = predictive_probabilities(wide_q, x, cfg)
+        whole = predictive_probabilities(post, x, cfg)
         for m in (1, B - 1, B, B + 1, 2 * B + 3):
-            part = predictive_probabilities(wide_q, x[:m], cfg)
+            part = predictive_probabilities(post, x[:m], cfg)
             assert part.tobytes() == whole[:m].tobytes(), m
 
     def test_rows_match_the_documented_substream(self, rng, wide_q):
@@ -232,6 +260,44 @@ class TestRowBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 2 * M * BENCH_SHAPE.K * 4
+
+
+def served_normals(seed: int, n: int, shape: NetworkShape, M: int) -> np.ndarray:
+    """The normals (n, k+1, M) that predictive_probabilities scores."""
+    return np.concatenate([z.copy() for _, _, z in _normal_blocks(seed, n, shape.k + 1, M)])
+
+
+class TestNormals:
+    """The stream's normals are a float32 Box-Muller of its documented uniforms."""
+
+    @pytest.mark.parametrize("shape, M", [(TOY_SHAPE, 1), (BENCH_SHAPE, 7), (BENCH_SHAPE, 200),
+                                          (NetworkShape(p=2, k=2), 7)])
+    def test_served_normals_are_the_documented_stream(self, shape, M):
+        n = 3 * block_rows(M, shape) + 2
+        np.testing.assert_array_equal(served_normals(11, n, shape, M),
+                                      documented_stream(11, n, shape, M))
+
+    def test_float32_within_a_few_ulps_of_float64(self):
+        # First-order budget, u = 2^-24: 2 pi and its product with U2 round A
+        # by at most 2u * 2 pi; sin and cos are within 2 ulps, log within 4
+        # (halved by the sqrt), the sqrt and the final product within 1 each.
+        # That is under 24u * R, so 32u * (1 + R) holds with room to spare.
+        shape, M = BENCH_SHAPE, 1000
+        u = documented_uniforms(8, 500, shape, M)
+        z32 = documented_stream(8, 500, shape, M)
+        z64 = box_muller(u.astype(float), shape, M)
+        R = np.sqrt(-2 * np.log(1 - u[:, 0].astype(float)))
+        R = np.concatenate([R, R], axis=1)[:, : (shape.k + 1) * M].reshape(z64.shape)
+        assert np.all(np.abs(z32 - z64) <= 32 * 2.0**-24 * (1 + R))
+
+    def test_a_million_normals_look_standard(self):
+        z = served_normals(2024, 1000, BENCH_SHAPE, 250).astype(float).ravel()
+        assert z.size == 10**6
+        se = 1 / math.sqrt(z.size)
+        assert abs(z.mean()) < 5 * se
+        assert abs(z.var() - 1) < 5 * math.sqrt(2) * se
+        assert np.abs(z).max() <= math.sqrt(48 * math.log(2))  # 1 - U1 >= 2^-24
+        assert stats.kstest(z, "norm").pvalue > 1e-3
 
 
 def constant_truth(score: float) -> TrueFunction:
