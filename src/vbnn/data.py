@@ -187,19 +187,13 @@ def _parse_table(path, names: list, rows: list, schema: TableSchema) -> np.ndarr
     and its cell.
     """
     ncol = len(names)
-    values = np.full((len(rows), ncol), np.nan)
-    for i, row in enumerate(rows):
-        if len(row) == ncol:
-            try:
-                values[i] = [float(cell) for cell in row]
-            except ValueError:
-                pass  # the row stays nan and is reported below
-    if not _is_plain("".join(map("".join, rows))):  # one test of the whole table
-        for i, row in enumerate(rows):
-            if not _is_plain("".join(row)):
-                values[i] = np.nan
-    bad_lines = (np.flatnonzero(~np.isfinite(values).all(axis=1)) + 2).tolist()
-    if bad_lines:
+    try:  # numpy reads each str cell with Python's float
+        values = np.array(rows, dtype=float).reshape(len(rows), ncol)
+        if not (np.isfinite(values).all() and _is_plain("".join(map("".join, rows)))):
+            raise ValueError
+    except ValueError:  # a row of the wrong width, or a cell that is not a plain finite number
+        bad_lines = [i + 2 for i, row in enumerate(rows)
+                     if len(row) != ncol or not all(map(_is_finite_number, row))]
         cells = []
         for line in bad_lines:
             row = rows[line - 2]
@@ -214,7 +208,7 @@ def _parse_table(path, names: list, rows: list, schema: TableSchema) -> np.ndarr
             f"{path}: malformed, missing or non-finite values at line(s) "
             + ", ".join(str(b) for b in bad_lines)
             + f" ({'; '.join(cells[:_CELLS_QUOTED])})"
-        )
+        ) from None
     for col in schema.columns:
         if col.kind == "numeric" or col.name not in names:
             continue

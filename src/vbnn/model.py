@@ -25,12 +25,15 @@ states float32's range (about 3.4e38) and tail (a term below e^-87.3 is
 denormal, below about e^-103.9 it is 0).  These blocks are training's only
 unit of parallel work: given a thread pool, the likelihood runs its blocks
 there, with a result that does not depend on the pool.
-:func:`scores` scores posterior-predictive draws at each row of x from k+1
+Serving scores posterior-predictive draws at each row of x from k+1
 normals per draw: the exact Gaussian marginals of the hidden
 pre-activations, then the exact Gaussian law of the score given the hidden
-units.  Its row r depends only on that row's normals and x[r].  It computes
-its factors in float64, clips them to float32's range and casts them once
-per call, and scores in float32; its docstring bounds the error.
+units.  :func:`score_factors` computes those laws' factors for all n rows
+once per call, in float64, one feature at a time, and clips them to
+float32's range and casts them; :func:`scores` then scores one block of
+rows in float32, and its row r depends only on that row's normals and its
+factors' row.  So serving's memory is the O(n * k) factors plus one block,
+and :func:`scores`' docstring bounds the error.
 Everything else here, :func:`scores_many` included, is float64.  Hidden units
 use sigmoid(z) = 0.5 + 0.5*tanh(z/2), exact to a few ulps in absolute terms;
 output probabilities (``sigmoid``) and ``softplus`` stay tail-exact in their
@@ -63,6 +66,7 @@ __all__ = [
     "unflatten",
     "unflatten_many",
     "scores_many",
+    "score_factors",
     "scores",
     "log_likelihood_many",
     "log_prior",
@@ -346,30 +350,58 @@ def scores_many(thetas: np.ndarray, x: np.ndarray, shape: NetworkShape) -> np.nd
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
-def scores(
-    z: np.ndarray, x: np.ndarray, mean: np.ndarray, scale: np.ndarray, shape: NetworkShape
-) -> np.ndarray:
-    """Scores of M draws theta ~ N(mean, diag(scale^2)) at each row of x; returns
-    float32 (R, M).
+def score_factors(x: np.ndarray, mean: np.ndarray, scale: np.ndarray, shape: NetworkShape):
+    """Per-call factors of :func:`scores` for M draws theta ~ N(mean, diag(scale^2))
+    at each row of x (n, p): the float32 tuple (loc, sd, half_m, half_s,
+    offset, var0, c).
 
     Under mean-field q the halved hidden pre-activation (gamma0_j + gamma_j . x_r)/2
     is exactly Gaussian at a fixed x_r, independent of the betas and of the
-    other units, and given the hidden units w_j = (1 + t_j)/2 the score is
-    exactly N(m_beta0 + sum_j m_betaj w_j, s_beta0^2 + sum_j s_betaj^2 w_j^2).
-    So z (R, k+1, M) holds one standard normal for that score (z[:, 0]) and
-    one for each pre-activation (z[:, 1:]), with t_j = tanh(a_j/2) as in
-    :func:`scores_many`.  The moments are elementwise, with no BLAS call, so
-    row r of the output depends only on z[r] and x[r].  Nothing that could
-    overflow is squared: the pre-activation standard deviation is a ``hypot``
-    reduction, and the score's variance is summed in units of c^2, with c
-    the largest output-weight scale.
+    other units: loc[r, j] and sd[r, j], (n, k) each, are its mean and
+    standard deviation.  Given the hidden units w_j = (1 + t_j)/2 the score
+    is exactly N(m_beta0 + sum_j m_betaj w_j, s_beta0^2 + sum_j s_betaj^2 w_j^2),
+    stated by half_m = m_beta/2 and half_s = s_beta/(2c) (k,), offset = m_beta0,
+    var0 = (s_beta0/c)^2 and c, the largest output-weight scale.  loc and sd
+    are built one feature at a time, so every temporary is (n, k), and
+    nothing that could overflow is squared: sd is a ``hypot`` reduction.
+    Every factor is computed in float64, clipped to float32's finite range
+    (+-3.4028235e38) and cast once; see :func:`scores` for what that costs.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != shape.p:
+        raise ShapeMismatchError(f"x must be (R, p={shape.p}) matching the network input "
+                                 f"width, got {x.shape}")
+    beta0_m, beta_m, gamma0_m, gamma_m = unflatten_many(mean, shape)
+    beta0_s, beta_s, gamma0_s, gamma_s = unflatten_many(scale, shape)
+    gm, gs, ax = 0.5 * gamma_m, 0.5 * gamma_s, np.abs(x)
+    loc, sd = gm[:, 0] * x[:, :1], gs[:, 0] * ax[:, :1]
+    for d in range(1, shape.p):
+        loc += gm[:, d] * x[:, d : d + 1]
+        np.hypot(sd, gs[:, d] * ax[:, d : d + 1], out=sd)
+    loc += 0.5 * gamma0_m
+    sd = np.hypot(0.5 * gamma0_s, sd)
+    c = max(beta0_s, beta_s.max()) or 1.0
+    return tuple(np.clip(f, -_FLOAT32_MAX, _FLOAT32_MAX).astype(np.float32)
+                 for f in (loc, sd, 0.5 * beta_m, 0.5 * (beta_s / c), beta0_m,
+                           (beta0_s / c) ** 2, c))
 
-    Precision.  The factors (each unit's halved pre-activation mean loc_j and
-    standard deviation sd_j at each row, the halved output weights, the
-    offset and c) are computed in float64 and cast to float32 once per call;
-    z is read as float32 (a float64 z is rounded once), and the k-unit loop
-    runs on float32 (R, M) slices.  A first-order rounding analysis gives,
-    for each draw (u = 2^-24, float32's unit roundoff),
+
+def scores(z: np.ndarray, factors: tuple, rows: slice) -> np.ndarray:
+    """Scores of the rows ``rows`` of :func:`score_factors`' factors, one per
+    draw; returns float32 (R, M).
+
+    z (R, k+1, M) holds one standard normal for each draw's score given its
+    hidden units (z[:, 0]) and one for each halved pre-activation (z[:, 1:]),
+    with t_j = tanh(a_j/2) as in :func:`scores_many`.  The moments are
+    elementwise, with no BLAS call, so row r of the output depends only on
+    z[r] and its factors' row.  The score's variance is summed in units of
+    c^2, so nothing that could overflow is squared.
+
+    Precision.  The factors are float64 values cast to float32 once per call
+    of :func:`score_factors`; z is read as float32 (a float64 z is rounded
+    once), and the k-unit loop runs on float32 (R, M) slices.  A first-order
+    rounding analysis gives, for each draw (u = 2^-24, float32's unit
+    roundoff),
 
         |got - exact| <= (k + 12) * u * B * (1 + H),
 
@@ -380,23 +412,13 @@ def scores(
     scale of 1e308 saturates there instead of overflowing the cast, and a
     draw times a scale near that maximum gives an infinite pre-activation
     (tanh = +-1) or score (a saturated probability), which is not reported.
+    Memory is the O(n * k) factors plus four (R, M) float32 arrays per block.
     """
-    x = np.asarray(x, dtype=float)
+    loc, sd, half_m, half_s, offset, var0, c = factors
+    loc, sd, k = loc[rows], sd[rows], loc.shape[1]
     z = np.asarray(z, dtype=np.float32)
-    k = shape.k
-    if x.ndim != 2 or x.shape[1] != shape.p:
-        raise ShapeMismatchError(f"x must be (R, p={shape.p}) matching the network input "
-                                 f"width, got {x.shape}")
-    if z.ndim != 3 or z.shape[:2] != (x.shape[0], k + 1):
+    if z.ndim != 3 or z.shape[:2] != (loc.shape[0], k + 1):
         raise ShapeMismatchError(f"z must be (R, {k + 1}, M), one stack per row of x")
-    beta0_m, beta_m, gamma0_m, gamma_m = unflatten_many(mean, shape)
-    beta0_s, beta_s, gamma0_s, gamma_s = unflatten_many(scale, shape)
-    loc = 0.5 * gamma0_m + (0.5 * gamma_m * x[:, None, :]).sum(axis=2)
-    sd = np.hypot(0.5 * gamma0_s, np.hypot.reduce(0.5 * gamma_s * np.abs(x[:, None, :]), axis=2))
-    c = max(beta0_s, beta_s.max()) or 1.0
-    loc, sd, half_m, half_s, offset, var0, c = (
-        np.clip(f, -_FLOAT32_MAX, _FLOAT32_MAX).astype(np.float32)
-        for f in (loc, sd, 0.5 * beta_m, 0.5 * (beta_s / c), beta0_m, (beta0_s / c) ** 2, c))
     out = np.full(z[:, 0].shape, offset)
     var = np.full(z[:, 0].shape, var0)  # in units of c^2
     # one hidden unit at a time, so every temporary is one (R, M) slice

@@ -24,10 +24,13 @@ laid out (D, M).  So its p_hat depends only on the seed, its index and its
 features, and its Monte Carlo error is independent of every other row's.
 Since 1 - U1 >= 2^-24, every |z| <= sqrt(48 ln 2) ~ 5.768 (see
 :func:`predictive_probabilities`).  Blocks of rows fill one reused float32
-buffer of about 0.25 MB with one ``random`` call each, and the normals are
-built in place there, with one half-size buffer for cos A.  The scores and
-their sigmoids are float32 (see ``model.scores`` for the error bound and the
-range), and each row's mean is taken in float64.  Serving is single-threaded.
+buffer of about 0.5 MB with one ``random`` call each, and the normals are
+built in place there, with one half-size buffer for cos A.  The score
+factors of every row (``model.score_factors``) are made once per call, and
+each block is scored from its rows of them (``model.scores``).  The scores
+and their sigmoids are float32 (see ``model.scores`` for the error bound and
+the range), and each row's mean is taken in float64.  Serving is
+single-threaded.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LabeledBatch, ShapeMismatchError, scores, sigmoid
+from .model import LabeledBatch, ShapeMismatchError, score_factors, scores, sigmoid
 from .variational import Posterior
 
 __all__ = [
@@ -61,9 +64,9 @@ class PredictiveConfig:
             raise ValueError("seed must be >= 0")
 
 
-# Rows are served in blocks whose float32 uniforms fill about 0.25 MB (at least
+# Rows are served in blocks whose float32 uniforms fill about 0.5 MB (at least
 # one row), so memory stays near one row's (D, M) normals whatever M is.
-_BLOCK_FLOATS = 65_536
+_BLOCK_FLOATS = 131_072
 
 _TWO_PI = np.float32(2 * np.pi)
 
@@ -114,10 +117,10 @@ def predictive_probabilities(
     x, shape = np.asarray(x, dtype=float), post.shape
     if x.ndim != 2 or x.shape[1] != shape.p:
         raise ShapeMismatchError(f"x must be (n, p={shape.p}) for this posterior, got {x.shape}")
-    mean, scale = post.q.mean, post.q.scale
+    factors = score_factors(x, post.q.mean, post.q.scale, shape)
     out = np.empty(x.shape[0])
     for start, stop, z in _normal_blocks(cfg.seed, x.shape[0], shape.k + 1, cfg.M):
-        p = sigmoid(scores(z, x[start:stop], mean, scale, shape))
+        p = sigmoid(scores(z, factors, slice(start, stop)))
         out[start:stop] = p.mean(axis=1, dtype=float)
     return out
 

@@ -80,6 +80,14 @@ class TestLoadCsv:
             load_csv(path)
         assert "line(s) 2 (" in str(err.value)
 
+    def test_every_row_one_cell_short_names_every_line(self, tmp_path):
+        # a table of one wrong width throughout, not a ragged one
+        path = tmp_path / "d.csv"
+        write_text(path, "x1,x2,y\n0.5,1\n0.2,0\n0.3,1\n")
+        with pytest.raises(ValueError) as err:
+            load_csv(path)
+        assert "line(s) 2, 3, 4 (line 2 has 2 cell(s), expected 3; " in str(err.value)
+
     def test_non_binary_label_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         write_text(path, "x1,y\n0.5,2\n")

@@ -35,6 +35,7 @@ from vbnn.model import (
     log_joint_many,
     log_likelihood_many,
     log_prior,
+    score_factors,
     scores,
     scores_many,
     shape_for,
@@ -302,7 +303,7 @@ class TestPairedKernel:
             mean, scale = self.moments(rng, shape, hidden_scale)
             z = rng.standard_normal((9, shape.k + 1, 31))
             x = rng.uniform(-1, 1, (9, shape.p))
-            out = scores(z, x, mean, scale, shape)
+            out = scores(z, score_factors(x, mean, scale, shape), slice(None))
             assert out.shape == (9, 31)
             bound = scores_bound(mean, scale, z, x, shape)
             for r in range(9):
@@ -319,7 +320,7 @@ class TestPairedKernel:
         scale = size * rng.uniform(0.2, 1.0, shape.K)
         z = rng.standard_normal((12, shape.k + 1, 200), dtype=np.float32)
         x = rng.uniform(-2, 2, (12, shape.p))
-        out = scores(z, x, mean, scale, shape)
+        out = scores(z, score_factors(x, mean, scale, shape), slice(None))
         assert out.dtype == np.float32
         exact = np.stack([
             scores_many(implied_thetas(mean, scale, z[r].astype(float), x[r], shape),
@@ -335,7 +336,7 @@ class TestPairedKernel:
         mean, scale = self.moments(rng, shape, 1.0)
         x = np.array([[0.0, 0.0], [0.2, 0.9], [1.0, 1.0], [-1.5, 0.5]])
         z = rng.standard_normal((len(x), shape.k + 1, M))
-        fast = sigmoid(scores(z, x, mean, scale, shape))
+        fast = sigmoid(scores(z, score_factors(x, mean, scale, shape), slice(None)))
         full = sigmoid(scores_many(mean + scale * rng.standard_normal((M, shape.K)), x, shape)).T
         se = np.hypot(fast.std(axis=1), full.std(axis=1)) / math.sqrt(M)
         assert np.all(np.abs(fast.mean(axis=1) - full.mean(axis=1)) <= 5 * se)
@@ -344,9 +345,10 @@ class TestPairedKernel:
         mean, scale = self.moments(rng, BENCH_SHAPE, 1.0)
         z = rng.standard_normal((11, 4, 13))
         x = rng.uniform(0, 1, (11, 2))
-        whole = scores(z, x, mean, scale, BENCH_SHAPE)
+        whole = scores(z, score_factors(x, mean, scale, BENCH_SHAPE), slice(None))
         for rows in (slice(0, 1), slice(3, 4), slice(2, 9), slice(10, None)):
-            part = scores(z[rows].copy(), x[rows], mean, scale, BENCH_SHAPE)
+            part = scores(z[rows].copy(), score_factors(x[rows], mean, scale, BENCH_SHAPE),
+                          slice(None))
             assert part.tobytes() == whole[rows].tobytes()
 
     def test_huge_finite_features_do_not_overflow(self, rng):
@@ -357,7 +359,8 @@ class TestPairedKernel:
         huge_out[: BENCH_SHAPE.k + 1] *= 1e30
         for s in (scale, huge_out):
             with np.errstate(all="raise"):
-                out = scores(rng.standard_normal((2, 4, 5)), x, mean, s, BENCH_SHAPE)
+                out = scores(rng.standard_normal((2, 4, 5)),
+                             score_factors(x, mean, s, BENCH_SHAPE), slice(None))
             assert np.all(np.isfinite(out))
 
     def test_mismatched_shapes_raise(self, rng):
@@ -375,16 +378,19 @@ class TestPairedKernel:
         )
         for bad_z, x, m, s in bad_inputs:
             with pytest.raises(ShapeMismatchError):
-                scores(bad_z, x, m, s, BENCH_SHAPE)
+                scores(bad_z, score_factors(x, m, s, BENCH_SHAPE), slice(None))
 
     def test_x_of_another_width_names_both_widths(self, rng):
         mean, scale = self.moments(rng, BENCH_SHAPE, 1.0)
         with pytest.raises(ShapeMismatchError, match=r"\(R, p=2\) .*, got \(3, 3\)"):
-            scores(rng.standard_normal((3, 4, 5)), np.zeros((3, 3)), mean, scale, BENCH_SHAPE)
+            scores(rng.standard_normal((3, 4, 5)),
+                   score_factors(np.zeros((3, 3)), mean, scale, BENCH_SHAPE), slice(None))
 
     def test_empty_batch(self):
         K = BENCH_SHAPE.K
-        out = scores(np.empty((0, 4, 4)), np.empty((0, 2)), np.zeros(K), np.ones(K), BENCH_SHAPE)
+        out = scores(np.empty((0, 4, 4)),
+                     score_factors(np.empty((0, 2)), np.zeros(K), np.ones(K), BENCH_SHAPE),
+                     slice(None))
         assert out.shape == (0, 4)
 
 

@@ -11,6 +11,7 @@ import pytest
 from scipy import stats
 from scipy.special import expit, logit
 
+from vbnn import prediction
 from vbnn.data import save_predictions_csv
 from vbnn.metrics import IntegrationConfig, TrueFunction, diagnostics_dict
 from vbnn.model import (
@@ -238,6 +239,33 @@ class TestRowBlocks:
         for m in (1, B - 1, B, B + 1, 2 * B + 3):
             part = predictive_probabilities(post, x[:m], cfg)
             assert part.tobytes() == whole[:m].tobytes(), m
+
+    @pytest.mark.parametrize("shape", [BENCH_SHAPE, NetworkShape(p=9, k=4)], ids=["bench", "p9-k4"])
+    def test_block_size_does_not_change_a_byte(self, rng, monkeypatch, shape):
+        # one row per block, then 2^16, 2^17 and 2^20 uniforms (1 to 1311 rows)
+        post = posterior(VariationalParams(
+            mean=rng.normal(0, 1, shape.K),
+            raw_scale=softplus_inverse(np.full(shape.K, 0.7))), shape)
+        M, x = 200, rng.uniform(-1, 1, (300, shape.p))
+        served = []
+        for floats in (2 * math.ceil((shape.k + 1) * M / 2), 2**16, 2**17, 2**20):
+            monkeypatch.setattr(prediction, "_BLOCK_FLOATS", floats)
+            served.append(predictive_probabilities(post, x, PredictiveConfig(M=M, seed=23)))
+        assert all(p.tobytes() == served[0].tobytes() for p in served)
+
+    def test_factors_are_made_once_per_call(self, rng, wide_q, monkeypatch):
+        calls = []
+
+        def spy(name):
+            fn = getattr(prediction, name)
+            monkeypatch.setattr(prediction, name, lambda *a: calls.append(name) or fn(*a))
+
+        spy("score_factors")
+        spy("scores")
+        M = 200
+        x = rng.uniform(0, 1, (3 * block_rows(M, wide_q.shape) + 1, 2))
+        predictive_probabilities(wide_q, x, PredictiveConfig(M=M, seed=0))
+        assert calls == ["score_factors"] + 4 * ["scores"]
 
     def test_rows_match_the_documented_substream(self, rng, wide_q):
         M, seed = 200, 5
