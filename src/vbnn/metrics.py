@@ -42,6 +42,7 @@ from .model import (
     NetworkParams,
     NetworkShape,
     ShapeMismatchError,
+    _is_kind,
     check_keys,
     flatten,
     json_field,
@@ -75,6 +76,9 @@ class IntegrationConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n_mc", "seed"):  # NetworkShape's rule: not 2.5, nor True
+            if not _is_kind(getattr(self, name), int):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_mc < 2:
             raise ValueError("n_mc must be >= 2")
         if self.seed < 0:

@@ -121,14 +121,23 @@ def _float_array(z) -> np.ndarray:
     return z if z.dtype == np.float32 else z.astype(float, copy=False)
 
 
-def sigmoid(z):
+def sigmoid(z, out=None):
     """Logistic 1 / (1 + e^-z): 0 below z ~ -709.78, where e^-z overflows,
     0.5 at +-0, 1 for large z and NaN for NaN.  numpy's SIMD ``exp`` keeps it
     within 4 ulps of libm's form (2 away from z ~ -36.7).  A float32 z is
     computed in float32 (0 below z ~ -88.72); anything else is read as
-    float64, and a scalar z gives a scalar."""
+    float64.  As for a ufunc, an array ``out`` of z's shape and dtype (z
+    itself, say) receives the result, with the same bytes, and no other array
+    is made; a scalar z gives a scalar."""
+    z = _float_array(z)
+    if out is None:
+        out = np.empty_like(z)
+    np.negative(z, out=out)
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-_float_array(z)))
+        np.exp(out, out=out)
+    out += 1.0
+    np.divide(1.0, out, out=out)
+    return out if out.ndim else out[()]
 
 
 def softplus(z, out=None):

@@ -16,21 +16,25 @@ SeedSequence(entropy=seed, spawn_key=(3,)), a key neither
 ``metrics.draw_points`` nor training uses.
 At a fixed x the hidden pre-activations are exactly Gaussian under q, and so
 is the score given the hidden units, so a score draw takes D = k+1 normals
-(``model.scores``).  Row r owns float32 uniforms r*2h to (r+1)*2h - 1, with
-h = ceil(D*M/2): the first h are U1 and the next h are U2.  Its normals are
+(``model.scores``).  With h = ceil(D*M/2), row r owns the stream's 64-bit
+words r*h to (r+1)*h - 1.  Each word gives two uniforms, its low 32 bits
+first, and each uniform is its half's top 24 bits times 2^-24: the same
+floats that numpy's float32 ``Generator.random`` gives on SFC64.  Of a row's
+2h uniforms the first h are U1 and the next h are U2.  Its normals are
 the Box-Muller (1958) pairs R cos A followed by R sin A, with
 R = sqrt(-2 log(1 - U1)) and A = 2 pi U2 in float32, cut to D*M values and
 laid out (D, M).  So its p_hat depends only on the seed, its index and its
 features, and its Monte Carlo error is independent of every other row's.
 Since 1 - U1 >= 2^-24, every |z| <= sqrt(48 ln 2) ~ 5.768 (see
 :func:`predictive_probabilities`).  Blocks of rows fill one reused float32
-buffer of about 0.5 MB with one ``random`` call each, and the normals are
-built in place there, with one half-size buffer for cos A.  The score
-factors of every row (``model.score_factors``) are made once per call, and
-each block is scored from its rows of them (``model.scores``).  The scores
-and their sigmoids are float32 (see ``model.scores`` for the error bound and
-the range), and each row's mean is taken in float64.  Serving is
-single-threaded.
+buffer of about 0.5 MB from one ``random_raw`` call each, whose words are
+turned straight into 1 - U1 and A, and the normals are built in place
+there, with cos A held in the words' spent U2 halves.  The score factors
+of every row (``model.score_factors``) are made once per call, and each
+block is scored from its rows of them (``model.scores``).  The scores and
+their sigmoids, taken in place, are float32 (see ``model.scores`` for the
+error bound and the range), and each row's mean is taken in float64.
+Serving is single-threaded.
 """
 
 from __future__ import annotations
@@ -39,7 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LabeledBatch, ShapeMismatchError, score_factors, scores, sigmoid
+from .model import (LabeledBatch, ShapeMismatchError, _is_kind, score_factors, scores,
+                    sigmoid)
 from .variational import Posterior
 
 __all__ = [
@@ -58,6 +63,9 @@ class PredictiveConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("M", "seed"):  # NetworkShape's rule: not 2.5, nor True
+            if not _is_kind(getattr(self, name), int):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.M < 1:
             raise ValueError("M must be >= 1")
         if self.seed < 0:
@@ -68,35 +76,54 @@ class PredictiveConfig:
 # one row), so memory stays near one row's (D, M) normals whatever M is.
 _BLOCK_FLOATS = 131_072
 
-_TWO_PI = np.float32(2 * np.pi)
+# A = 2 pi U2 with U2 = m 2^-24: 2^-24 is a power of two, so folding it into
+# the factor rounds A exactly as float32(2 pi) * U2 does.
+_ANGLE_PER_STEP = np.float32(2 * np.pi) * np.float32(2.0**-24)
 
 
 def _normal_blocks(seed: int, n: int, D: int, M: int):
     """Yield (start, stop, z) over n rows, z the rows' float32 normals
     (stop - start, D, M) in the documented stream's order.
 
-    z is a view of one reused buffer, so it is valid until the next block.
+    Row r owns the stream's 64-bit words r*h to (r+1)*h - 1, h = ceil(D*M/2).
+    Each word gives two uniforms, its low 32 bits first, and each uniform is
+    its half's top 24 bits times 2^-24: the same floats that numpy's float32
+    ``Generator.random`` gives on SFC64.  A row's first h uniforms are U1 and
+    its next h are U2.  z is a view of one reused buffer of 2h float32 per
+    row, so it is valid until the next block; while a block is filled, its
+    words (h uint64 per row) are the only other buffer.
     """
     h = (D * M + 1) // 2
     rows = max(1, _BLOCK_FLOATS // (2 * h))
     block = np.empty((min(rows, n), 2, h), dtype=np.float32)
-    cos = np.empty((min(rows, n), h), dtype=np.float32)
-    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy=seed,
-                                                                     spawn_key=(3,))))
+    bits = np.random.SFC64(np.random.SeedSequence(entropy=seed, spawn_key=(3,)))
     for start in range(0, n, rows):
         stop = min(start + rows, n)
-        u = rng.random(out=block[: stop - start], dtype=np.float32)
-        r, a, c = u[:, 0], u[:, 1], cos[: stop - start]
-        np.subtract(np.float32(1), r, out=r)
-        np.log(r, out=r)
-        r *= np.float32(-2)
-        np.sqrt(r, out=r)  # R
-        a *= _TWO_PI  # A
-        np.cos(a, out=c)
-        np.sin(a, out=a)
-        a *= r  # R sin A
-        r *= c  # R cos A
+        u = block[: stop - start]
+        _box_muller(bits.random_raw((stop - start) * h), u)
         yield start, stop, u.reshape(stop - start, 2 * h)[:, : D * M].reshape(-1, D, M)
+
+
+def _box_muller(words: np.ndarray, u: np.ndarray) -> None:
+    """Fill u (R, 2, h) float32 with the normals of R*h raw words, R cos A in
+    u[:, 0] and R sin A in u[:, 1].  The words are read as little-endian
+    uint32 halves, low half first on any host, and used up in place: the
+    spent U2 halves hold cos A, so no other array is made.
+    """
+    m = words.astype("<u8", copy=False).view("<u4").reshape(u.shape)
+    m >>= 8  # each half's top 24 bits, m: U = m 2^-24
+    r, a = u[:, 0], u[:, 1]
+    np.subtract(np.uint32(2**24), m[:, 0], out=m[:, 0])
+    np.multiply(m[:, 0], np.float32(2.0**-24), out=r, dtype=np.float32)  # 1 - U1, exact
+    np.multiply(m[:, 1], _ANGLE_PER_STEP, out=a, dtype=np.float32)  # A
+    c = m[:, 1].view(np.float32)
+    np.log(r, out=r)
+    r *= np.float32(-2)
+    np.sqrt(r, out=r)  # R
+    np.cos(a, out=c)
+    np.sin(a, out=a)
+    a *= r  # R sin A
+    r *= c  # R cos A
 
 
 def predictive_probabilities(
@@ -120,8 +147,8 @@ def predictive_probabilities(
     factors = score_factors(x, post.q.mean, post.q.scale, shape)
     out = np.empty(x.shape[0])
     for start, stop, z in _normal_blocks(cfg.seed, x.shape[0], shape.k + 1, cfg.M):
-        p = sigmoid(scores(z, factors, slice(start, stop)))
-        out[start:stop] = p.mean(axis=1, dtype=float)
+        p = scores(z, factors, slice(start, stop))
+        out[start:stop] = sigmoid(p, out=p).mean(axis=1, dtype=float)
     return out
 
 

@@ -102,6 +102,11 @@ class TestDrawPoints:
         with pytest.raises(ValueError):
             IntegrationConfig(n_mc=1)
 
+    @pytest.mark.parametrize("field, value", [("n_mc", 2.5), ("seed", 1.5)])
+    def test_non_integer_field_is_refused_by_name(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer, got {value!r}$"):
+            IntegrationConfig(**{field: value})
+
 
 class TestHellinger:
     def test_identical_constants_give_exact_zero(self):

@@ -13,7 +13,8 @@ missing table, a cell that is not a number or a table that lacks a requested
 fit before fitting anything.  Each study script refuses an output path it
 could not write before fitting anything.
 walkthrough_hashes.py runs the README walkthrough through the CLI; its line
-count is checked, not its hashes.
+count is checked, not its hashes, and its ``--against`` must find no change
+against its own output and name the one artifact whose saved hash is edited.
 """
 
 import csv
@@ -156,6 +157,23 @@ def test_walkthrough_hashes_prints_one_line_per_artifact(tmp_path):
     lines = run_script("walkthrough_hashes.py", [], tmp_path).stdout.splitlines()
     assert len(lines) == 8
     assert all(len(line.split("  ")[0]) == 64 for line in lines)
+
+
+def test_walkthrough_hashes_against_names_each_changed_artifact(tmp_path):
+    saved = run_script("walkthrough_hashes.py", [], tmp_path).stdout
+    (tmp_path / "old.txt").write_text(saved)
+    out = run_script("walkthrough_hashes.py", ["--against", "old.txt"], tmp_path).stdout
+    assert out == saved + "against old.txt:\n0 of 8 artifacts differ\n"
+
+    lines = saved.splitlines(keepends=True)
+    digest, name = lines[5].rstrip("\n").split("  ")
+    assert name == "predictions.csv"
+    lines[5] = f"{'0' * 64}  {name}\n"
+    (tmp_path / "edited.txt").write_text("".join(lines))
+    out = run_script("walkthrough_hashes.py", ["--against", "edited.txt"], tmp_path,
+                     code=1).stdout
+    assert out.splitlines()[-2:] == [f"DIFFERS predictions.csv: {'0' * 64} -> {digest}",
+                                     "1 of 8 artifacts differ"]
 
 
 @pytest.mark.parametrize("script, flag, value, minimum", [
