@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .metrics import TrueFunction
-from .model import LabeledBatch, NetworkParams, check_keys, json_field, sigmoid
+from .model import LabeledBatch, NetworkParams, _check_counts, check_keys, json_field, sigmoid
 
 __all__ = [
     "SchemaError",
@@ -396,10 +396,7 @@ def generate_synthetic(truth: TrueFunction, n: int, seed: int) -> LabeledBatch:
     The generator makes exactly two draws (features, then label uniforms),
     so a given (truth, n, seed) always produces byte-identical data.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
+    _check_counts(n=(n, 0), seed=(seed, 0))
     rng = np.random.default_rng(seed)
     x = rng.random((n, truth.p))
     probs = sigmoid(truth(x))

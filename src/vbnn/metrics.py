@@ -42,7 +42,7 @@ from .model import (
     NetworkParams,
     NetworkShape,
     ShapeMismatchError,
-    _is_kind,
+    _check_counts,
     check_keys,
     flatten,
     json_field,
@@ -76,13 +76,7 @@ class IntegrationConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("n_mc", "seed"):  # NetworkShape's rule: not 2.5, nor True
-            if not _is_kind(getattr(self, name), int):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.n_mc < 2:
-            raise ValueError("n_mc must be >= 2")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        _check_counts(n_mc=(self.n_mc, 2), seed=(self.seed, 0))
 
 
 @dataclass(frozen=True)
@@ -107,8 +101,7 @@ class TrueFunction:
     def __post_init__(self) -> None:
         if self.kind not in ("constant", "linear", "network"):
             raise ValueError(f"unknown true-function kind {self.kind!r}")
-        if self.p < 1:
-            raise ValueError("p must be >= 1")
+        _check_counts(p=(self.p, 1))
         if self.kind == "linear":
             w = np.asarray(self.weights, dtype=float)
             if w.shape != (self.p,):

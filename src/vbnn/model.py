@@ -95,6 +95,16 @@ def _is_kind(value, kind) -> bool:
     return type(value) is kind
 
 
+def _check_counts(**counts) -> None:
+    """json_field's integer rule for arguments: each name=(value, minimum) must
+    be an int (not 2.5, True or a numpy integer) at or above its minimum."""
+    for name, (value, minimum) in counts.items():
+        if type(value) is not int:  # _is_kind(value, int), inline: sample runs per iteration
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < minimum:
+            raise ValueError(f"{name} must be >= {minimum}")
+
+
 def json_field(doc: dict, key: str, kind, default=None):
     """doc[key] as parsed by ``json``, checked to be an object (dict), an array
     (list), an integer (int: not a float such as 2.9, nor a boolean), a finite

@@ -58,6 +58,7 @@ from .model import (
     NetworkShape,
     PriorConfig,
     ShapeMismatchError,
+    _check_counts,
     check_keys,
     json_field,
     log_joint_many,
@@ -163,22 +164,15 @@ class TrainConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
-        if self.S < 1:
-            raise ValueError("S must be >= 1")
+        _check_counts(S=(self.S, 1), max_iters=(self.max_iters, 1),
+                      conv_window=(self.conv_window, 1), threads=(self.threads, 1),
+                      seed=(self.seed, 0))
         if self.use_control_variates and self.S < 2:
             raise ValueError("control variates require S >= 2")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.conv_window < 1:
-            raise ValueError("conv_window must be >= 1")
         # a NaN bound would pass a "<= 0" test and make every clipped gradient NaN
         if self.grad_clip is not None and not (math.isfinite(self.grad_clip)
                                                and self.grad_clip > 0):
             raise ValueError("grad_clip must be a positive finite number when given")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
 
     def to_json_dict(self) -> dict:
         return {

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (LabeledBatch, ShapeMismatchError, _is_kind, score_factors, scores,
+from .model import (LabeledBatch, ShapeMismatchError, _check_counts, score_factors, scores,
                     sigmoid)
 from .variational import Posterior
 
@@ -63,13 +63,7 @@ class PredictiveConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("M", "seed"):  # NetworkShape's rule: not 2.5, nor True
-            if not _is_kind(getattr(self, name), int):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.M < 1:
-            raise ValueError("M must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        _check_counts(M=(self.M, 1), seed=(self.seed, 0))
 
 
 # Rows are served in blocks whose float32 uniforms fill about 0.5 MB (at least
@@ -149,6 +143,7 @@ def predictive_probabilities(
     for start, stop, z in _normal_blocks(cfg.seed, x.shape[0], shape.k + 1, cfg.M):
         p = scores(z, factors, slice(start, stop))
         out[start:stop] = sigmoid(p, out=p).mean(axis=1, dtype=float)
+        del p  # else it lives on while the next block's words are drawn
     return out
 
 

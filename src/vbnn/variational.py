@@ -30,6 +30,7 @@ from .model import (
     NetworkShape,
     PriorConfig,
     ShapeMismatchError,
+    _check_counts,
     check_keys,
     json_field,
     normal_logpdf_total,
@@ -161,8 +162,7 @@ class SampleMatrix:
 
 def sample(q: VariationalParams, S: int, seed) -> SampleMatrix:
     """Draw S vectors theta = m + s * z, z ~ N(0, I), from a seeded generator."""
-    if S < 1:
-        raise ValueError("S must be >= 1")
+    _check_counts(S=(S, 1))
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((S, q.K))
     return SampleMatrix(thetas=q.mean + q.scale * z)

@@ -429,3 +429,10 @@ class TestGenerateSynthetic:
     def test_empty_draw(self):
         batch = generate_synthetic(REFERENCE_TRUTH, 0, seed=0)
         assert batch.n == 0 and batch.p == 2
+
+    @pytest.mark.parametrize("field, value", [("n", 2.5), ("n", True), ("seed", 2.5),
+                                              ("seed", True)])
+    def test_non_integer_count_is_refused_by_name(self, field, value):
+        counts = {"n": 10, "seed": 0, field: value}
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer, got {value!r}$"):
+            generate_synthetic(REFERENCE_TRUTH, **counts)

@@ -6,9 +6,11 @@ An exception class of its own is kept only where some ``except`` clause in
 ``src/vbnn`` tells it apart; everywhere else a plain ``ValueError`` does.  A
 name stays in a module's ``__all__`` only while something besides the unit
 tests reads it: ``src/vbnn``, the programs, the acceptance tests or README.md's
-code."""
+code.  Every dataclass field annotated ``int`` refuses 2.5 and True with a
+``ValueError`` that names the field and says it must be an integer."""
 
 import ast
+import dataclasses
 import importlib
 import pkgutil
 import re
@@ -19,6 +21,10 @@ import pytest
 
 import vbnn
 from vbnn.cli import build_parser
+from vbnn.metrics import IntegrationConfig, TrueFunction
+from vbnn.model import NetworkShape
+from vbnn.optimizer import TrainConfig
+from vbnn.prediction import PredictiveConfig
 
 MODULES = ["vbnn"] + [f"vbnn.{info.name}" for info in pkgutil.iter_modules(vbnn.__path__)]
 ROOT = Path(__file__).resolve().parents[1]
@@ -27,6 +33,14 @@ PROGRAMS = sorted([*ROOT.glob("scripts/*.py"), *ROOT.glob("perfbench/*.py")])
 SOURCES = sorted(ROOT.glob("src/vbnn/*.py"))
 # every file besides README.md whose reads keep an exported name
 READERS = [*SOURCES, *PROGRAMS, ROOT / "tests" / "test_acceptance.py"]
+# a valid instance of each dataclass in src/vbnn that has a field annotated int
+VALID_INSTANCES = {
+    "vbnn.metrics.IntegrationConfig": IntegrationConfig(),
+    "vbnn.metrics.TrueFunction": TrueFunction.constant(0.0, p=2),
+    "vbnn.model.NetworkShape": NetworkShape(p=2, k=3),
+    "vbnn.optimizer.TrainConfig": TrainConfig(),
+    "vbnn.prediction.PredictiveConfig": PredictiveConfig(),
+}
 
 
 def readme_code() -> str:
@@ -71,6 +85,18 @@ def names_read(path: Path) -> set[str]:
         elif isinstance(node, ast.alias):
             names.add(node.name)
     return names
+
+
+def int_fields() -> list[tuple[str, str]]:
+    """(module.Class, field) for each field annotated int of a dataclass defined
+    in a vbnn module."""
+    pairs = []
+    for name in MODULES:
+        for cls in vars(importlib.import_module(name)).values():
+            if isinstance(cls, type) and cls.__module__ == name and dataclasses.is_dataclass(cls):
+                pairs += [(f"{name}.{cls.__name__}", f.name) for f in dataclasses.fields(cls)
+                          if f.type in ("int", int)]
+    return pairs
 
 
 def unresolved(pairs) -> list[str]:
@@ -134,3 +160,14 @@ def test_every_exported_name_is_read_beyond_the_unit_tests():
     unread = [f"{name}.{n}" for name in MODULES
               for n in getattr(importlib.import_module(name), "__all__", []) if n not in read]
     assert unread == []
+
+
+def test_every_dataclass_with_an_int_field_has_a_valid_instance():
+    assert sorted({cls for cls, _ in int_fields()}) == sorted(VALID_INSTANCES)
+
+
+@pytest.mark.parametrize("value", [2.5, True])
+@pytest.mark.parametrize("cls, field", int_fields(), ids=lambda x: x.removeprefix("vbnn."))
+def test_int_field_refuses_a_non_integer_by_name(cls, field, value):
+    with pytest.raises(ValueError, match=rf"\b{field}\b.* integers?\b"):
+        dataclasses.replace(VALID_INSTANCES[cls], **{field: value})

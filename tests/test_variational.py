@@ -110,6 +110,11 @@ class TestSampling:
         with pytest.raises(ValueError):
             SampleMatrix(thetas=np.empty((0, 2)))
 
+    @pytest.mark.parametrize("S", [2.5, True])
+    def test_non_integer_count_is_refused_by_name(self, rng, S):
+        with pytest.raises(ValueError, match=rf"^S must be an integer, got {S!r}$"):
+            sample(random_q(rng, 2), S, 1)
+
 
 class TestLogDensity:
     def test_matches_scipy_oracle(self, rng):
