@@ -251,8 +251,6 @@ def _train_config_from(args, config: TrainConfig) -> TrainConfig:
     rates = {key: flag(name) for name, key in
              (("lr", "rho"), ("rho0", "rho0"), ("b", "b"), ("c", "c")) if flag(name) is not None}
     kinds = {kind for kind, keys in SCHEDULE_KEYS.items() if rates.keys() & keys}
-    if flag("schedule"):
-        kinds.add(args.schedule)
     if len(kinds) > 1:
         raise ValueError(
             f"schedule flags mix the {' and '.join(sorted(kinds))} kinds: "
@@ -513,9 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="gradient estimator (default bbvi-cv: control variates)")
     p_train.add_argument("--S", type=_plain_int, default=None)
     p_train.add_argument("--lr", type=_plain_float, default=None,
-                         help="fixed learning rate (implies --schedule fixed)")
-    p_train.add_argument("--schedule", choices=list(SCHEDULE_KEYS), default=None,
-                         help="learning-rate schedule (default rm)")
+                         help="fixed learning rate (default: the decaying rm schedule)")
     p_train.add_argument("--rho0", type=_plain_float, default=None)
     p_train.add_argument("--b", type=_plain_float, default=None)
     p_train.add_argument("--c", type=_plain_float, default=None)

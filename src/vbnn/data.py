@@ -374,6 +374,7 @@ def split(batch: LabeledBatch, folds: int, seed: int) -> list[tuple[LabeledBatch
     ``folds`` contiguous test folds whose sizes differ by at most one row;
     every row appears in exactly one test fold.
     """
+    _check_counts(seed=(seed, 0))
     n = batch.n
     if n < 2:
         raise ValueError("need at least 2 rows to split")

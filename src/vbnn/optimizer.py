@@ -59,6 +59,7 @@ from .model import (
     PriorConfig,
     ShapeMismatchError,
     _check_counts,
+    _is_kind,
     check_keys,
     json_field,
     log_joint_many,
@@ -120,10 +121,10 @@ class Schedule:
         # of a fit, when model.json cannot hold it
         for key in ("rho",) if self.kind == "fixed" else ("rho0", "b"):
             value = getattr(self, key)
-            if not (math.isfinite(value) and value > 0):
+            if not (_is_kind(value, float) and value > 0):
                 raise ValueError(f"schedule {key!r} must be a positive finite number, "
                                  f"got {value!r}")
-        if self.kind == "rm" and not 0 < self.c <= 1:
+        if self.kind == "rm" and not (_is_kind(self.c, float) and 0 < self.c <= 1):
             raise ValueError("decay exponent c must satisfy 0 < c <= 1")
 
     def rate(self, t: int) -> float:
@@ -170,7 +171,7 @@ class TrainConfig:
         if self.use_control_variates and self.S < 2:
             raise ValueError("control variates require S >= 2")
         # a NaN bound would pass a "<= 0" test and make every clipped gradient NaN
-        if self.grad_clip is not None and not (math.isfinite(self.grad_clip)
+        if self.grad_clip is not None and not (_is_kind(self.grad_clip, float)
                                                and self.grad_clip > 0):
             raise ValueError("grad_clip must be a positive finite number when given")
 

@@ -161,8 +161,10 @@ class SampleMatrix:
 
 
 def sample(q: VariationalParams, S: int, seed) -> SampleMatrix:
-    """Draw S vectors theta = m + s * z, z ~ N(0, I), from a seeded generator."""
+    """Draw S vectors theta = m + s * z, z ~ N(0, I), seeded by a SeedSequence or an int."""
     _check_counts(S=(S, 1))
+    if not isinstance(seed, np.random.SeedSequence):
+        _check_counts(seed=(seed, 0))
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((S, q.K))
     return SampleMatrix(thetas=q.mean + q.scale * z)

@@ -179,7 +179,7 @@ class TestTrain:
     @pytest.mark.parametrize("schedule, flags, expected", [
         ({"kind": "fixed", "rho": 0.01}, ["--rho0", "2", "--c", "0.5"],
          {"kind": "rm", "rho0": 2.0, "b": 100.0, "c": 0.5}),
-        ({"kind": "fixed", "rho": 0.01}, ["--schedule", "rm"],
+        ({"kind": "fixed", "rho": 0.01}, ["--b", "100"],
          {"kind": "rm", "rho0": 1.0, "b": 100.0, "c": 0.3}),
         ({"kind": "rm", "rho0": 2.0, "b": 50.0}, ["--lr", "0.02"],
          {"kind": "fixed", "rho": 0.02}),
@@ -196,7 +196,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("flags, changed, seed", [
         (["--c", "0.5"], {"schedule": {"kind": "rm", "rho0": 2.0, "b": 50.0, "c": 0.5}}, 4),
-        (["--schedule", "rm"], {}, 4),
+        (["--rho0", "2"], {}, 4),
         (["--algo", "bbvi-cv"], {"algo": "bbvi-cv"}, 4),
         (["--seed", "7"], {"seed": 7}, 7),
         (["--threads", "2"], {}, 4),
@@ -257,7 +257,7 @@ class TestTrain:
         # model.json cannot hold an infinite rate, so the fit must not start
         out = tmp_path / "m"
         code = main(["train", "--data", str(workdir["data"]), "--out", str(out),
-                     "--schedule", "rm", "--b", "inf", "--max-iters", "50"])
+                     "--b", "inf", "--max-iters", "50"])
         assert code == 1
         assert capsys.readouterr().err == (
             "error: schedule 'b' must be a positive finite number, got inf\n")
@@ -843,6 +843,11 @@ class TestUsage:
         # exit 2 means "training hit max_iters", so a usage error must not use it
         assert main(["train", "--data", "x.csv", "--S", "abc"]) == 1
         assert "invalid int value: 'abc'" in capsys.readouterr().err
+
+    def test_schedule_flag_is_a_usage_error(self, capsys):
+        # the rate flags choose the kind: --lr a fixed one, --rho0/--b/--c a decaying one
+        assert main(["train", "--data", "x.csv", "--schedule", "rm"]) == 1
+        assert "unrecognized arguments: --schedule rm" in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -382,6 +382,12 @@ class TestSplit:
         with pytest.raises(ValueError, match="folds"):
             split(self.make(3, rng), 5, 0)
 
+    @pytest.mark.parametrize("seed", [2.5, True, -1])
+    def test_non_integer_seed_is_refused_by_name(self, rng, seed):
+        rule = "must be >= 0" if seed == -1 else f"must be an integer, got {seed!r}"
+        with pytest.raises(ValueError, match=rf"^seed {rule}$"):
+            split(self.make(10, rng), 2, seed)
+
     def test_folds_keep_each_row_with_its_label(self, rng):
         # column 0 holds the row index, so each fold's rows can be looked up
         batch = LabeledBatch(x=np.column_stack([np.arange(6.0), rng.uniform(0, 1, 6)]),

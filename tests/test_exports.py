@@ -1,7 +1,8 @@
 """Every name a module exports resolves, so ``from vbnn.<module> import *`` works,
 every ``from vbnn... import ...`` line in README.md's code blocks and in the
 programs under scripts/ and perfbench/ resolves, as does each ``vbnn.<module>.<name>``
-those programs use, and every ``vbnn ...`` command in README.md's bash blocks parses.
+those programs use, every ``vbnn ...`` command in README.md's bash blocks parses, and
+README.md names every flag of every subcommand.
 An exception class of its own is kept only where some ``except`` clause in
 ``src/vbnn`` tells it apart; everywhere else a plain ``ValueError`` does.  A
 name stays in a module's ``__all__`` only while something besides the unit
@@ -9,6 +10,7 @@ tests reads it: ``src/vbnn``, the programs, the acceptance tests or README.md's
 code.  Every dataclass field annotated ``int`` refuses 2.5 and True with a
 ``ValueError`` that names the field and says it must be an integer."""
 
+import argparse
 import ast
 import dataclasses
 import importlib
@@ -139,6 +141,17 @@ def test_readme_commands_parse():
             parser.parse_args(shlex.split(command)[1:])
         except SystemExit:
             pytest.fail(f"README.md command does not parse: {command}")
+
+
+def test_readme_names_every_flag():
+    subcommands = next(action.choices for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    readme = README.read_text()
+    unnamed = [f"{name} {option}" for name, sub in subcommands.items()
+               for action in sub._actions if not isinstance(action, argparse._HelpAction)
+               for option in action.option_strings
+               if not re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", readme)]
+    assert unnamed == []
 
 
 def test_every_exception_class_is_caught_somewhere():

@@ -92,9 +92,15 @@ class TestSchedule:
         # a NaN passes a "<= 0" test, and an infinite rate only fails once the
         # fitted model cannot be written as JSON
         for key, kind in (("rho", "fixed"), ("rho0", "rm"), ("b", "rm")):
-            for value in (math.nan, math.inf, -math.inf):
+            for value in (math.nan, math.inf, -math.inf, True, "1"):
                 with pytest.raises(ValueError, match=f"'{key}' must be a positive finite"):
                     Schedule(kind=kind, **{key: value})
+
+    @pytest.mark.parametrize("c", [True, "1"])
+    def test_decay_exponent_must_be_a_number(self, c):
+        # True passed "0 < c <= 1" as 1, and "1" failed with an unnamed TypeError
+        with pytest.raises(ValueError, match="decay exponent c must satisfy"):
+            Schedule(kind="rm", c=c)
 
     def test_unknown_kind_is_named(self):
         with pytest.raises(ValueError, match="unknown schedule kind"):
@@ -139,7 +145,7 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="unknown algo"):
             TrainConfig.from_json_dict({"algo": "sgd"})
 
-    @pytest.mark.parametrize("clip", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("clip", [math.nan, math.inf, -math.inf, 0.0, -1.0, True])
     def test_grad_clip_must_be_positive_and_finite(self, clip):
         # a NaN bound would clip every gradient coordinate to NaN
         with pytest.raises(ValueError, match="grad_clip must be a positive finite number"):

@@ -110,10 +110,14 @@ class TestSampling:
         with pytest.raises(ValueError):
             SampleMatrix(thetas=np.empty((0, 2)))
 
-    @pytest.mark.parametrize("S", [2.5, True])
-    def test_non_integer_count_is_refused_by_name(self, rng, S):
-        with pytest.raises(ValueError, match=rf"^S must be an integer, got {S!r}$"):
-            sample(random_q(rng, 2), S, 1)
+    @pytest.mark.parametrize("field, value", [("S", 2.5), ("S", True), ("seed", 2.5),
+                                              ("seed", True), ("seed", -1)])
+    def test_non_integer_count_is_refused_by_name(self, rng, field, value):
+        # a seed of True once drew exactly seed 1's draws
+        counts = {"S": 3, "seed": 1, field: value}
+        rule = "must be >= 0" if value == -1 else f"must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=rf"^{field} {rule}$"):
+            sample(random_q(rng, 2), **counts)
 
 
 class TestLogDensity:
