@@ -374,12 +374,10 @@ def split(batch: LabeledBatch, folds: int, seed: int) -> list[tuple[LabeledBatch
     ``folds`` contiguous test folds whose sizes differ by at most one row;
     every row appears in exactly one test fold.
     """
-    _check_counts(seed=(seed, 0))
+    _check_counts(folds=(folds, 2), seed=(seed, 0))
     n = batch.n
     if n < 2:
         raise ValueError("need at least 2 rows to split")
-    if folds < 2:
-        raise ValueError("kfold needs at least 2 folds")
     if folds > n:
         raise ValueError("more folds than rows")
     parts = np.array_split(np.random.default_rng(seed).permutation(n), folds)

@@ -164,8 +164,9 @@ class TrueFunction:
 
 
 def draw_points(cfg: IntegrationConfig, p: int) -> np.ndarray:
-    """The seeded uniform sample over [0,1]^p shared by all integrals."""
-    rng = np.random.default_rng(cfg.seed)
+    """The seeded uniform sample over [0,1]^p shared by all integrals, from its own stream
+    SeedSequence(entropy=cfg.seed, spawn_key=(4,)), not ``generate_synthetic``'s."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(4,)))
     return rng.random((cfg.n_mc, p))
 
 

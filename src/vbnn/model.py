@@ -291,6 +291,7 @@ class PriorConfig:
     @classmethod
     def standard(cls, K: int) -> "PriorConfig":
         """The default N(0, 1) prior on every coordinate."""
+        _check_counts(K=(K, 1))
         return cls(mu=np.zeros(K), zeta=np.ones(K))
 
 
@@ -388,7 +389,7 @@ def score_factors(x: np.ndarray, mean: np.ndarray, scale: np.ndarray, shape: Net
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != shape.p:
-        raise ShapeMismatchError(f"x must be (R, p={shape.p}) matching the network input "
+        raise ShapeMismatchError(f"x must be (n, p={shape.p}) matching the network input "
                                  f"width, got {x.shape}")
     beta0_m, beta_m, gamma0_m, gamma_m = unflatten_many(mean, shape)
     beta0_s, beta_s, gamma0_s, gamma_s = unflatten_many(scale, shape)

@@ -12,8 +12,8 @@ is labelled 1.  x must have the posterior's input width p; any other width
 raises ShapeMismatchError.
 
 Each call draws from one stream: an SFC64 generator seeded by
-SeedSequence(entropy=seed, spawn_key=(3,)), a key neither
-``metrics.draw_points`` nor training uses.
+SeedSequence(entropy=seed, spawn_key=(3,)), a key neither training's (1, t)
+nor ``metrics.draw_points``' (4,) uses.
 At a fixed x the hidden pre-activations are exactly Gaussian under q, and so
 is the score given the hidden units, so a score draw takes D = k+1 normals
 (``model.scores``).  With h = ceil(D*M/2), row r owns the stream's 64-bit
@@ -43,8 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (LabeledBatch, ShapeMismatchError, _check_counts, score_factors, scores,
-                    sigmoid)
+from .model import LabeledBatch, _check_counts, score_factors, scores, sigmoid
 from .variational import Posterior
 
 __all__ = [
@@ -135,12 +134,10 @@ def predictive_probabilities(
     Monte Carlo standard error at M=200 (~2.5e-3).
     Raises ShapeMismatchError unless x is 2-d with the posterior's input width p.
     """
-    x, shape = np.asarray(x, dtype=float), post.shape
-    if x.ndim != 2 or x.shape[1] != shape.p:
-        raise ShapeMismatchError(f"x must be (n, p={shape.p}) for this posterior, got {x.shape}")
-    factors = score_factors(x, post.q.mean, post.q.scale, shape)
-    out = np.empty(x.shape[0])
-    for start, stop, z in _normal_blocks(cfg.seed, x.shape[0], shape.k + 1, cfg.M):
+    factors = score_factors(x, post.q.mean, post.q.scale, post.shape)
+    n, k = factors[0].shape
+    out = np.empty(n)
+    for start, stop, z in _normal_blocks(cfg.seed, n, k + 1, cfg.M):
         p = scores(z, factors, slice(start, stop))
         out[start:stop] = sigmoid(p, out=p).mean(axis=1, dtype=float)
         del p  # else it lives on while the next block's words are drawn

@@ -144,6 +144,7 @@ class Posterior:
 
 def initial_params(K: int) -> VariationalParams:
     """Starting point m = 0, s = 1 in every coordinate."""
+    _check_counts(K=(K, 1))
     return VariationalParams(mean=np.zeros(K), raw_scale=np.full(K, softplus_inverse(1.0)))
 
 

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from vbnn.cli import main
+from vbnn.cli import _atomic_write, main
 from vbnn.data import REFERENCE_TRUTH, load_csv, split, write_csv
 from vbnn.model import flatten
 from vbnn.prediction import PredictiveConfig, predictive_probabilities
@@ -1024,6 +1024,37 @@ class TestOutputModes:
             f.name: oct(mode) for f in written}
 
 
+class TestAtomicWrite:
+    @staticmethod
+    def write_partial(tmp):
+        with open(tmp, "w") as fh:
+            fh.write("partial")
+
+    def test_failing_writer_leaves_nothing(self, tmp_path):
+        def failing(tmp):
+            self.write_partial(tmp)
+            raise RuntimeError("writer failed")
+
+        with pytest.raises(RuntimeError, match="writer failed"):
+            _atomic_write(str(tmp_path / "out.json"), failing)
+        assert os.listdir(tmp_path) == []
+
+    def test_directory_at_path_is_named(self, tmp_path):
+        path = tmp_path / "out.json"
+        path.mkdir()
+        with pytest.raises(IsADirectoryError) as info:
+            _atomic_write(str(path), self.write_partial)
+        assert info.value.filename == str(path)
+        assert os.listdir(tmp_path) == ["out.json"] and os.listdir(path) == []
+
+    def test_missing_directory_is_named(self, tmp_path):
+        path = tmp_path / "no" / "out.json"
+        with pytest.raises(FileNotFoundError) as info:
+            _atomic_write(str(path), self.write_partial)
+        assert info.value.filename == str(path)
+        assert os.listdir(tmp_path) == []
+
+
 def json_input_argv(use, path, workdir, tmp_path):
     """argv of the command that reads ``path`` for ``use``, with valid other inputs."""
     data, model, out = str(workdir["data"]), str(workdir["model"]), str(tmp_path / "out")
@@ -1173,7 +1204,7 @@ class TestJsonInputs:
         ("train-schema", {"columns": [{"name": "x1", "kind": ["numeric"]}, {"name": "x2"},
                                       {"name": "y", "kind": "label"}]},
          "unknown column kind ['numeric']"),
-        ("sweep-grid", {**GRID, "folds": 1}, "kfold needs at least 2 folds"),
+        ("sweep-grid", {**GRID, "folds": 1}, "folds must be >= 2"),
         ("sweep-grid", {**GRID, "k": 0}, "p and k must be >= 1"),
     ], ids=["config-algo", "config-kind", "schema-kind", "grid-folds", "grid-k"])
     def test_unknown_or_out_of_range_value_names_the_file(self, tmp_path, capsys, workdir,
@@ -1483,3 +1514,13 @@ class TestLogging:
         )
         assert proc.returncode == 0
         assert proc.stderr == ""
+
+    def test_unknown_level_is_named_and_the_command_still_runs(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "vbnn.cli", "synth", "--n", "5",
+             "--out", str(tmp_path / "d.csv")],
+            capture_output=True, text=True, env=dict(os.environ, VBNN_LOG="loud"),
+        )
+        assert proc.returncode == 0
+        assert "unknown VBNN_LOG level 'loud'" in proc.stderr
+        assert load_csv(tmp_path / "d.csv")[0].n == 5

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -50,6 +51,14 @@ class TestLoadCsv:
         write_text(path, "y,a,b\n1,0.1,0.2\n0,0.3,0.4\n")
         batch, schema = load_csv(path)
         assert schema.label_index == 0
+        np.testing.assert_array_equal(batch.x, [[0.1, 0.2], [0.3, 0.4]])
+        np.testing.assert_array_equal(batch.y, [1, 0])
+
+    def test_label_column_named_label_when_there_is_no_y(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_text(path, "a,label,b\n0.1,1,0.2\n0.3,0,0.4\n")
+        batch, schema = load_csv(path)
+        assert schema.label_index == 1
         np.testing.assert_array_equal(batch.x, [[0.1, 0.2], [0.3, 0.4]])
         np.testing.assert_array_equal(batch.y, [1, 0])
 
@@ -387,6 +396,18 @@ class TestSplit:
         rule = "must be >= 0" if seed == -1 else f"must be an integer, got {seed!r}"
         with pytest.raises(ValueError, match=rf"^seed {rule}$"):
             split(self.make(10, rng), 2, seed)
+
+    @pytest.mark.parametrize("folds", [2.5, 3.0, True, np.int64(3)],
+                             ids=["2.5", "3.0", "True", "int64"])
+    def test_non_integer_folds_are_refused_by_name(self, rng, folds):
+        # 2.5 and 3.0 once failed in np.array_split with an unnamed TypeError
+        message = f"folds must be an integer, got {folds!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            split(self.make(10, rng), folds, 0)
+
+    def test_one_fold_is_refused_by_name(self, rng):
+        with pytest.raises(ValueError, match=r"^folds must be >= 2$"):
+            split(self.make(10, rng), 1, 0)
 
     def test_folds_keep_each_row_with_its_label(self, rng):
         # column 0 holds the row index, so each fold's rows can be looked up

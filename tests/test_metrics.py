@@ -12,6 +12,7 @@ import pytest
 from scipy import integrate
 from scipy.special import expit
 
+from vbnn.data import REFERENCE_TRUTH, generate_synthetic
 from vbnn.metrics import (
     IntegrationConfig,
     TrueFunction,
@@ -97,6 +98,18 @@ class TestDrawPoints:
         np.testing.assert_array_equal(a, b)
         assert a.shape == (500, 3)
         assert np.all((a >= 0) & (a < 1))
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_points_are_not_the_data_of_an_equal_seed(self, seed):
+        # `diagnose --seed 0` once integrated over `synth --seed 0`'s x, row for row
+        x = draw_points(IntegrationConfig(n_mc=300, seed=seed), p=2)
+        data_x = generate_synthetic(REFERENCE_TRUTH, 300, seed=seed).x
+        assert not np.any((x[:, None, :] == data_x[None, :, :]).all(axis=2))
+
+    def test_points_are_the_documented_stream(self):
+        stream = np.random.default_rng(np.random.SeedSequence(entropy=11, spawn_key=(4,)))
+        np.testing.assert_array_equal(draw_points(IntegrationConfig(n_mc=500, seed=11), p=3),
+                                      stream.random((500, 3)))
 
     def test_n_mc_floor(self):
         with pytest.raises(ValueError):

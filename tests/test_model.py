@@ -382,7 +382,8 @@ class TestPairedKernel:
 
     def test_x_of_another_width_names_both_widths(self, rng):
         mean, scale = self.moments(rng, BENCH_SHAPE, 1.0)
-        with pytest.raises(ShapeMismatchError, match=r"\(R, p=2\) .*, got \(3, 3\)"):
+        with pytest.raises(ShapeMismatchError,
+                           match=r"\(n, p=2\) matching the network input width, got \(3, 3\)"):
             scores(rng.standard_normal((3, 4, 5)),
                    score_factors(np.zeros((3, 3)), mean, scale, BENCH_SHAPE), slice(None))
 
@@ -541,6 +542,13 @@ class TestPriorAndJoint:
         assert log_prior(theta, prior) == pytest.approx(
             -13 / 2 * math.log(2 * math.pi), rel=1e-14
         )
+
+    @pytest.mark.parametrize("K", [0, 2.5, True])
+    def test_standard_prior_count_is_refused_by_name(self, K):
+        # 0 once built an empty prior, and 2.5 or True raised numpy's TypeError
+        rule = "must be >= 1" if K == 0 else f"must be an integer, got {K!r}"
+        with pytest.raises(ValueError, match=rf"^K {rule}$"):
+            PriorConfig.standard(K)
 
     def test_matches_scipy_norm_oracle(self, rng):
         mu = rng.normal(0, 1, 9)

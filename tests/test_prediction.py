@@ -202,7 +202,8 @@ class TestPredictiveProbability:
         post = posterior(VariationalParams(mean=rng.normal(0, 1, BENCH_SHAPE.K),
                                            raw_scale=np.zeros(BENCH_SHAPE.K)))
         x = rng.uniform(0, 1, (6, p))
-        with pytest.raises(ShapeMismatchError, match=rf"p=2\) for this posterior, got \(6, {p}\)"):
+        with pytest.raises(ShapeMismatchError,
+                           match=rf"\(n, p=2\) matching the network input width, got \(6, {p}\)"):
             predictive_probabilities(post, x, PredictiveConfig(M=10, seed=0))
 
 

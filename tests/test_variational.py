@@ -68,6 +68,13 @@ class TestInitialization:
         np.testing.assert_array_equal(q.mean, np.zeros(5))
         np.testing.assert_allclose(q.scale, np.ones(5), rtol=1e-15)
 
+    @pytest.mark.parametrize("K", [0, 2.5, True])
+    def test_count_is_refused_by_name(self, K):
+        # 0 once built an empty q, and 2.5 or True raised numpy's TypeError
+        rule = "must be >= 1" if K == 0 else f"must be an integer, got {K!r}"
+        with pytest.raises(ValueError, match=rf"^K {rule}$"):
+            initial_params(K)
+
     def test_scale_positivity_survives_extreme_raw_values(self):
         # softplus underflows to 0.0 below r ~ -745; the scale property must
         # still be strictly positive for every finite r.
