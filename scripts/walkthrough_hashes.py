@@ -4,13 +4,20 @@
 Runs the walkthrough's ``vbnn`` lines other than ``sweep`` (synth, train,
 predict, evaluate, diagnose), read from README.md, through ``vbnn.cli.main``
 in a temporary directory, and prints ``sha256  name`` for each artifact.
-``fit/summary.json`` is left out because it holds wall time.
+``fit/summary.json`` is left out because it holds wall time.  A first line
+states numpy's version and its active SIMD dispatch targets: the bytes are
+the same for any ``--threads`` on one host and one numpy build, but numpy's
+float32 kernels round differently at another SIMD level, so the hashes may
+differ there.  ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"``
+runs an AVX-512 host's numpy at its AVX2 (X86_V3) level.
 
 ``--against OLD.txt`` compares the hashes with a saved run's output, the
 same lines run on another tree: it then prints each artifact whose hash
 differs (or that OLD.txt lacks) and exits 1 if any does.  An OLD.txt that
-cannot be read, or has a line that is not ``sha256  name``, is a usage error
-(exit 2), found before the walkthrough runs.
+cannot be read, has a line that is neither ``sha256  name`` nor the level
+statement, or states another numpy version or SIMD level, is a usage error
+(exit 2), found before the walkthrough runs.  An OLD.txt without the level
+statement is compared as it stands.
 
 Usage:
     python3 scripts/walkthrough_hashes.py > old.txt
@@ -24,6 +31,9 @@ import shlex
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from vbnn.cli import main as vbnn_main
 
@@ -39,17 +49,29 @@ def walkthrough_commands(readme: str) -> list[list[str]]:
             if line.startswith("vbnn ") and not line.startswith("vbnn sweep")]
 
 
-def read_hashes(path: str) -> dict[str, str]:
-    """{name: sha256} of a saved run's output; a line that is not
-    ``sha256  name`` raises ValueError naming its line."""
-    hashes = {}
+LEVEL = "# numpy "
+
+
+def simd_level() -> str:
+    """The level statement: numpy's version and its active dispatch targets."""
+    active = [target for target in __cpu_dispatch__ if __cpu_features__.get(target)]
+    return f"{LEVEL}{np.__version__}, SIMD dispatch: {' '.join(active) or 'none'}"
+
+
+def read_hashes(path: str) -> tuple[str | None, dict[str, str]]:
+    """(level statement or None, {name: sha256}) of a saved run's output; a
+    line that is neither raises ValueError naming its line."""
+    level, hashes = None, {}
     with open(path, encoding="utf-8") as fh:
         for number, line in enumerate(fh, start=1):
+            if line.startswith(LEVEL):
+                level = line.rstrip("\n")
+                continue
             digest, sep, name = line.rstrip("\n").partition("  ")
             if not (sep and name and len(digest) == 64):
                 raise ValueError(f"line {number} is not 'sha256  name': {line.rstrip()!r:.80}")
             hashes[name] = digest
-    return hashes
+    return level, hashes
 
 
 def main() -> int:
@@ -58,10 +80,14 @@ def main() -> int:
     ap.add_argument("--against", default=None, metavar="OLD.txt",
                     help="compare each hash with a saved run's output")
     args = ap.parse_args()
+    level = simd_level()
     try:
-        old = read_hashes(args.against) if args.against else None
+        old_level, old = read_hashes(args.against) if args.against else (None, None)
     except (OSError, ValueError) as exc:
         ap.error(f"--against {args.against}: {exc.strerror if isinstance(exc, OSError) else exc}")
+    if old_level not in (None, level):
+        ap.error(f"--against {args.against}: its hashes are not comparable with this run's: "
+                 f"it states {old_level[2:]!r}, this run {level[2:]!r}")
 
     commands = walkthrough_commands(README.read_text(encoding="utf-8"))
     cwd = os.getcwd()
@@ -77,6 +103,7 @@ def main() -> int:
                       for name in ARTIFACTS}
         finally:
             os.chdir(cwd)
+    print(level)
     for name, digest in hashes.items():
         print(f"{digest}  {name}")
     if old is None:

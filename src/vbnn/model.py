@@ -433,6 +433,8 @@ def scores(z: np.ndarray, factors: tuple, rows: slice) -> np.ndarray:
     draw times a scale near that maximum gives an infinite pre-activation
     (tanh = +-1) or score (a saturated probability), which is not reported.
     Memory is the O(n * k) factors plus four (R, M) float32 arrays per block.
+    z and the factors are only read: a float32 z is used as it is, not
+    copied, and nothing is written into it.
     """
     loc, sd, half_m, half_s, offset, var0, c = factors
     loc, sd, k = loc[rows], sd[rows], loc.shape[1]

@@ -27,9 +27,11 @@ laid out (D, M).  So its p_hat depends only on the seed, its index and its
 features, and its Monte Carlo error is independent of every other row's.
 Since 1 - U1 >= 2^-24, every |z| <= sqrt(48 ln 2) ~ 5.768 (see
 :func:`predictive_probabilities`).  Blocks of rows fill one reused float32
-buffer of about 0.5 MB from one ``random_raw`` call each, whose words are
-turned straight into 1 - U1 and A, and the normals are built in place
-there, with cos A held in the words' spent U2 halves.  The score factors
+buffer of about 0.5 MB from one ``random_raw`` call each: the words' U1 and
+U2 halves are read once each into the buffer's two contiguous halves as
+1 - U1 and A, the transform runs on those, R cos A and R sin A are made in
+the spent words, and two copies lay them out in the buffer in the
+documented order.  The score factors
 of every row (``model.score_factors``) are made once per call, and each
 block is scored from its rows of them (``model.scores``).  The scores and
 their sigmoids, taken in place, are float32 (see ``model.scores`` for the
@@ -84,7 +86,10 @@ def _normal_blocks(seed: int, n: int, D: int, M: int):
     ``Generator.random`` gives on SFC64.  A row's first h uniforms are U1 and
     its next h are U2.  z is a view of one reused buffer of 2h float32 per
     row, so it is valid until the next block; while a block is filled, its
-    words (h uint64 per row) are the only other buffer.
+    words (h uint64 per row), which end up holding R cos A and R sin A, are
+    the only other buffer.  The buffer is reused, not made per block: with
+    ~1 MB freed after every block, glibc's malloc hands the memory back to
+    the system and faults it in again for the next, which measured slower.
     """
     h = (D * M + 1) // 2
     rows = max(1, _BLOCK_FLOATS // (2 * h))
@@ -100,23 +105,34 @@ def _normal_blocks(seed: int, n: int, D: int, M: int):
 def _box_muller(words: np.ndarray, u: np.ndarray) -> None:
     """Fill u (R, 2, h) float32 with the normals of R*h raw words, R cos A in
     u[:, 0] and R sin A in u[:, 1].  The words are read as little-endian
-    uint32 halves, low half first on any host, and used up in place: the
-    spent U2 halves hold cos A, so no other array is made.
+    uint32 halves, low half first on any host, and used up in place.
+
+    numpy runs a strided (R, h) view such as u[:, 0] one row at a time, so
+    the transform runs on contiguous (R, h) arrays: the U1 and U2 halves are
+    read once each into u's two contiguous halves, R cos A and R sin A are
+    made in the spent words' two halves, and two copies put them in u's
+    (R, 2, h) order.  No other array is made.
     """
+    R, _, h = u.shape
     m = words.astype("<u8", copy=False).view("<u4").reshape(u.shape)
     m >>= 8  # each half's top 24 bits, m: U = m 2^-24
-    r, a = u[:, 0], u[:, 1]
-    np.subtract(np.uint32(2**24), m[:, 0], out=m[:, 0])
-    np.multiply(m[:, 0], np.float32(2.0**-24), out=r, dtype=np.float32)  # 1 - U1, exact
-    np.multiply(m[:, 1], _ANGLE_PER_STEP, out=a, dtype=np.float32)  # A
-    c = m[:, 1].view(np.float32)
+    i = m.view("<i4")  # every m < 2^24; int32 casts to float32 faster than uint32
+    r, a = u.reshape(2, R, h)
+    np.copyto(r, i[:, 0], casting="unsafe")
+    r *= np.float32(-(2.0**-24))
+    r += np.float32(1)  # 1 - U1, exact: a multiple of 2^-24 in (0, 1]
+    np.copyto(a, i[:, 1], casting="unsafe")
+    a *= _ANGLE_PER_STEP  # A
     np.log(r, out=r)
     r *= np.float32(-2)
     np.sqrt(r, out=r)  # R
+    c, s = m.view(np.float32).reshape(2, R, h)
     np.cos(a, out=c)
-    np.sin(a, out=a)
-    a *= r  # R sin A
-    r *= c  # R cos A
+    c *= r  # R cos A
+    np.sin(a, out=s)
+    s *= r  # R sin A
+    u[:, 0] = c
+    u[:, 1] = s
 
 
 def predictive_probabilities(

@@ -359,7 +359,8 @@ def test_criterion_7_risk_bound_inequality(consistency_runs, capsys):
 
 
 # ---------------------------------------------------------------------------
-# 8. training artifacts are byte-reproducible, independent of thread count
+# 8. training artifacts are byte-reproducible, independent of thread count, on
+# one host and one numpy build (another SIMD level may round differently)
 
 
 def test_criterion_8_determinism(tmp_path, capsys):

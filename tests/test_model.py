@@ -363,6 +363,17 @@ class TestPairedKernel:
                              score_factors(x, mean, s, BENCH_SHAPE), slice(None))
             assert np.all(np.isfinite(out))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_leaves_its_normals_and_factors_alone(self, rng, dtype):
+        # float32 normals are read in place, not copied: a write into them
+        # would reach the caller's array
+        mean, scale = self.moments(rng, BENCH_SHAPE, 1.0)
+        z = rng.standard_normal((4, 4, 9)).astype(dtype)  # rows 2-5 of 7
+        factors = score_factors(rng.uniform(-1, 1, (7, 2)), mean, scale, BENCH_SHAPE)
+        before = z.tobytes(), [np.asarray(f).tobytes() for f in factors]
+        scores(z, factors, slice(2, 6))
+        assert (z.tobytes(), [np.asarray(f).tobytes() for f in factors]) == before
+
     def test_mismatched_shapes_raise(self, rng):
         mean, scale = self.moments(rng, BENCH_SHAPE, 1.0)
         z = rng.standard_normal((3, 4, 5))

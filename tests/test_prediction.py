@@ -2,12 +2,17 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__
 from scipy import stats
 from scipy.special import expit, logit
 
@@ -195,6 +200,15 @@ class TestPredictiveProbability:
                                              PredictiveConfig(M=50, seed=0))
         assert np.all((probs >= 0) & (probs <= 1))
 
+    def test_leaves_its_inputs_alone(self, rng):
+        post = posterior(VariationalParams(mean=rng.normal(0, 1, BENCH_SHAPE.K),
+                                           raw_scale=rng.normal(0, 1, BENCH_SHAPE.K)))
+        x = rng.uniform(-1, 1, (2 * block_rows(50, BENCH_SHAPE) + 3, 2))
+        arrays = (x, post.q.mean, post.q.raw_scale, post.q.scale, post.prior.mu, post.prior.zeta)
+        before = [a.tobytes() for a in arrays]
+        predictive_probabilities(post, x, PredictiveConfig(M=50, seed=3))
+        assert [a.tobytes() for a in arrays] == before
+
     @pytest.mark.parametrize("p", [1, 4])
     def test_wrong_width_names_both_widths(self, rng, p):
         # K = 13 is also the flat length of a p=1, k=4 and a p=4, k=2 network,
@@ -279,12 +293,14 @@ class TestRowBlocks:
         assert np.all(np.abs(probs - expected) <= bound)
 
     def test_large_budget_allocates_about_one_rows_draws(self, rng, wide_q):
-        # In rows of (k+1) M float32 normals: the block of uniforms (one row)
-        # and its raw words (one row) are the largest pair alive at once;
-        # scores' four (R, M) arrays (one row at k=3) are made after the words go.
-        # Measured 2.05 rows; the bound adds one (R, M) array (1 / (k+1)
-        # row), so a block's scores kept alive into the next draw (2.30
-        # rows) or a copy of the block crosses it.
+        # In rows of (k+1) M float32 normals, the arrays alive at once are:
+        # while a block is made, the reused block buffer (one row; it holds
+        # 1 - U1 and A, then the normals) and the block's raw words (one row;
+        # they hold R cos A and R sin A before the copies); while it is
+        # scored, the buffer and scores' four (R, M) arrays (one row at k=3),
+        # made after the words go.  Measured 2.01 rows; the bound adds one
+        # (R, M) array (1 / (k+1) row), so a block's scores kept alive into
+        # the next draw (2.26 rows) or a copy of the block crosses it.
         M = 50_000
         row = (BENCH_SHAPE.k + 1) * M * 4
         x = rng.uniform(0, 1, (3, 2))
@@ -344,6 +360,28 @@ class TestNormals:
         assert abs(z.var() - 1) < 5 * math.sqrt(2) * se
         assert np.abs(z).max() <= math.sqrt(48 * math.log(2))  # 1 - U1 >= 2^-24
         assert stats.kstest(z, "norm").pvalue > 1e-3
+
+
+@pytest.mark.skipif(not __cpu_features__.get("X86_V4"), reason="numpy runs below AVX-512 here")
+def test_normals_and_prefixes_hold_at_the_avx2_level():
+    # numpy reads NPY_DISABLE_CPU_FEATURES once, at import, so the stream and
+    # block tests run again in a child process at the AVX2 (X86_V3) level
+    here = Path(__file__)
+    child = ("import sys, pytest\n"
+             "from numpy._core._multiarray_umath import __cpu_features__\n"
+             "assert not __cpu_features__.get('X86_V4'), 'X86_V4 is still active'\n"
+             "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', '-o', 'addopts=',"
+             " *sys.argv[1:]]))")
+    tests = [f"{here}::TestNormals::test_served_normals_are_the_documented_stream",
+             f"{here}::TestRowBlocks::test_prefixes_are_byte_identical"]
+    path = os.pathsep.join(filter(None, [str(here.parents[1] / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", child, *tests], capture_output=True,
+                          text=True, cwd=here.parents[1], timeout=300,
+                          env=dict(os.environ, PYTHONPATH=path,
+                                   NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"))
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert "8 passed" in proc.stdout  # 4 stream cases, 4 prefix cases (one odd count)
 
 
 def constant_truth(score: float) -> TrueFunction:

@@ -13,8 +13,10 @@ missing table, a cell that is not a number or a table that lacks a requested
 fit before fitting anything.  Each study script refuses an output path it
 could not write before fitting anything.
 walkthrough_hashes.py runs the README walkthrough through the CLI; its line
-count is checked, not its hashes, and its ``--against`` must find no change
-against its own output and name the one artifact whose saved hash is edited.
+count and its numpy level statement are checked, not its hashes, and its
+``--against`` must find no change against its own output, name the one
+artifact whose saved hash is edited in an output without the level
+statement, and refuse an output whose level statement is edited.
 """
 
 import csv
@@ -155,8 +157,9 @@ def test_unwritable_output_path_is_a_usage_error(tmp_path, script, args, error):
 def test_walkthrough_hashes_prints_one_line_per_artifact(tmp_path):
     # the hashes themselves are not gated: the script exists to diff two trees
     lines = run_script("walkthrough_hashes.py", [], tmp_path).stdout.splitlines()
-    assert len(lines) == 8
-    assert all(len(line.split("  ")[0]) == 64 for line in lines)
+    assert len(lines) == 9
+    assert lines[0].startswith(f"# numpy {np.__version__}, SIMD dispatch: ")
+    assert all(len(line.split("  ")[0]) == 64 for line in lines[1:])
 
 
 def test_walkthrough_hashes_against_names_each_changed_artifact(tmp_path):
@@ -165,7 +168,8 @@ def test_walkthrough_hashes_against_names_each_changed_artifact(tmp_path):
     out = run_script("walkthrough_hashes.py", ["--against", "old.txt"], tmp_path).stdout
     assert out == saved + "against old.txt:\n0 of 8 artifacts differ\n"
 
-    lines = saved.splitlines(keepends=True)
+    # an output saved before the level statement existed is compared as it stands
+    level, *lines = saved.splitlines(keepends=True)
     digest, name = lines[5].rstrip("\n").split("  ")
     assert name == "predictions.csv"
     lines[5] = f"{'0' * 64}  {name}\n"
@@ -174,6 +178,16 @@ def test_walkthrough_hashes_against_names_each_changed_artifact(tmp_path):
                      code=1).stdout
     assert out.splitlines()[-2:] == [f"DIFFERS predictions.csv: {'0' * 64} -> {digest}",
                                      "1 of 8 artifacts differ"]
+
+    # an output that states another level is refused before the walkthrough runs
+    edited = level.replace("SIMD dispatch: ", "SIMD dispatch: NOT_THIS_LEVEL ")
+    (tmp_path / "other.txt").write_text(edited + saved[len(level):])
+    proc = run_script("walkthrough_hashes.py", ["--against", "other.txt"], tmp_path, code=2)
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert errors == ["walkthrough_hashes.py: error: --against other.txt: its hashes are not "
+                      f"comparable with this run's: it states {edited[2:].rstrip()!r}, "
+                      f"this run {level[2:].rstrip()!r}"]
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("script, flag, value, minimum", [
