@@ -228,9 +228,9 @@ def _load_truth(source: str) -> TrueFunction:
 
 def _load_feature_rows(path: str, schema: TableSchema) -> np.ndarray:
     """Features for prediction; accepts full columns or feature columns only."""
-    with _open_table(path) as (header, reader):
+    with _open_table(path) as (header, body):
         if header == [c.name for c in schema.feature_columns]:
-            return _parse_table(path, header, list(reader), schema)
+            return _parse_table(path, header, body, schema)
     batch, _ = load_csv(path, schema)
     return batch.x
 

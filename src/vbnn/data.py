@@ -8,14 +8,17 @@ carried inside the schema, so held-out data is transformed with the training
 statistics rather than its own.  ``split`` cuts a batch into seeded k-fold
 cross-validation pairs.  Every data CSV is opened by ``_open_table``, which
 reads it as UTF-8 and drops a byte order mark; an empty file, or one holding
-bytes that are not UTF-8, raises ValueError naming the file.  Data, predictions
-and training reports are written by one block writer, ``_write_rows``: CRLF
-line ends, numbers as ``repr``.
+bytes that are not UTF-8, raises ValueError naming the file.  ``_parse_table``
+reads a plain table's body with ``np.loadtxt`` and any other with
+``csv.reader``, to the same values and errors.  Data, predictions and training
+reports are written by one block writer, ``_write_rows``: CRLF line ends,
+numbers as ``repr``.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 import math
 from contextlib import contextmanager
@@ -158,6 +161,10 @@ def default_schema(p: int) -> TableSchema:
 # Bad cells that a malformed-row error quotes; its list of lines stays complete.
 _CELLS_QUOTED = 3
 
+# Rows that _plain_values reads, and _write_rows formats and writes, at once, so
+# that their memory stays near one block's strings whatever the row count.
+_BLOCK_ROWS = 1024
+
 
 def _is_plain(text: str) -> bool:
     """False for text holding what Python's ``float`` reads but a plain ASCII
@@ -174,9 +181,45 @@ def _is_finite_number(cell: str) -> bool:
         return False
 
 
-def _parse_table(path, names: list, rows: list, schema: TableSchema) -> np.ndarray:
-    """The (len(rows), len(names)) values of the data rows under a header of
-    ``names``, which holds the schema's columns, or its feature columns only.
+def _plain_values(lines, ncol: int, binary: list) -> np.ndarray | None:
+    """The (rows, ncol) values of a table body's ``lines``, read by ``np.loadtxt``
+    ``_BLOCK_ROWS`` lines at a time, or None at the first block that is not plain.
+
+    A block is plain when its text is ASCII with no ``_`` or ``"``, every line
+    ends in ``\n`` or ``\r\n`` with no other ``\r`` and none is blank, and
+    ``np.loadtxt`` reads one finite value per cell, with 0 or 1 in each column of
+    ``binary``.  Its cells are then what ``csv.reader`` splits the lines into, and
+    ``np.loadtxt`` reads each with Python's own parser (``PyOS_string_to_double``),
+    so the values are those ``float`` gives, bit for bit.  Only the values and
+    one block's lines are held, where a list of ``csv.reader`` rows would hold
+    every cell as a ``str``.
+    """
+    blocks = []
+    while block := list(itertools.islice(lines, _BLOCK_ROWS)):
+        text = "".join(block)
+        if not (_is_plain(text) and '"' not in text
+                and text.count("\n") == len(block) and text.count("\r") == text.count("\r\n")
+                and "\n" not in block and "\r\n" not in block):
+            return None
+        try:
+            values = np.loadtxt(block, delimiter=",", comments=None, ndmin=2)
+        except ValueError:  # a cell that is not a number, or a row of another width
+            return None
+        if (values.shape != (len(block), ncol) or not np.isfinite(values).all()
+                or not np.isin(values[:, binary], (0.0, 1.0)).all()):
+            return None
+        blocks.append(values)
+    return np.concatenate(blocks) if blocks else np.empty((0, ncol))
+
+
+def _parse_table(path, names: list, body, schema: TableSchema) -> np.ndarray:
+    """The values of the data rows of ``body``, an open table after its header
+    of ``names``, which holds the schema's columns, or its feature columns only.
+
+    A plain table (see ``_plain_values``) is read by ``np.loadtxt``.  Any other,
+    or one that cannot be read twice, such as a pipe, is read by ``csv.reader``
+    from the start of the file: that path alone reads quoted cells and
+    CR-only line ends, and alone builds the errors.  Both give the same values.
 
     A row with the wrong cell count, or with a cell that is missing, not a
     plain ASCII number (``1_0`` and a full-width digit are not), nan or
@@ -187,6 +230,15 @@ def _parse_table(path, names: list, rows: list, schema: TableSchema) -> np.ndarr
     and its cell.
     """
     ncol = len(names)
+    binary = {names.index(col.name): col for col in schema.columns
+              if col.kind != "numeric" and col.name in names}
+    if body.seekable():
+        values = _plain_values(body, ncol, list(binary))
+        if values is not None:
+            return values
+        body.seek(0)
+        next(csv.reader(body))  # the header, read again
+    rows = list(csv.reader(body))
     try:  # numpy reads each str cell with Python's float
         values = np.array(rows, dtype=float).reshape(len(rows), ncol)
         if not (np.isfinite(values).all() and _is_plain("".join(map("".join, rows)))):
@@ -209,10 +261,7 @@ def _parse_table(path, names: list, rows: list, schema: TableSchema) -> np.ndarr
             + ", ".join(str(b) for b in bad_lines)
             + f" ({'; '.join(cells[:_CELLS_QUOTED])})"
         ) from None
-    for col in schema.columns:
-        if col.kind == "numeric" or col.name not in names:
-            continue
-        j = names.index(col.name)
+    for j, col in binary.items():
         bad = np.flatnonzero(~np.isin(values[:, j], (0.0, 1.0)))
         if bad.size:
             i = int(bad[0])
@@ -224,20 +273,19 @@ def _parse_table(path, names: list, rows: list, schema: TableSchema) -> np.ndarr
 
 @contextmanager
 def _open_table(path):
-    """Yield a data CSV's header, its names stripped, and a ``csv.reader``
-    over the rows that follow.
+    """Yield a data CSV's header, read by ``csv.reader`` (a name may be quoted)
+    and its names stripped, and the open file after it, for ``_parse_table``.
 
-    The file is read as UTF-8 and a byte order mark is dropped.  An empty
-    file, or bytes that are not UTF-8 anywhere in the block, raise ValueError
-    naming the file.
+    The file is read as UTF-8, with no newline translation, and a byte order
+    mark is dropped.  An empty file, or bytes that are not UTF-8 anywhere in
+    the block, raise ValueError naming the file.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
+            header = next(csv.reader(fh), None)
             if header is None:
                 raise ValueError(f"{path}: empty file, expected a header row")
-            yield [h.strip() for h in header], reader
+            yield [h.strip() for h in header], fh
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: "
                          f"{exc.reason})") from None
@@ -253,44 +301,37 @@ def load_csv(path, schema: TableSchema | None = None) -> tuple[LabeledBatch, Tab
     appears); a header with a repeated name or with no feature column then
     raises SchemaError naming the file.
     """
-    with _open_table(path) as (header, reader):
-        rows = list(reader)
-
-    if schema is None:
-        if "y" in header:
-            label = header.index("y")
-        elif "label" in header:
-            label = header.index("label")
+    with _open_table(path) as (header, body):
+        if schema is None:
+            if "y" in header:
+                label = header.index("y")
+            elif "label" in header:
+                label = header.index("label")
+            else:
+                label = len(header) - 1
+            cols = [
+                ColumnSchema(name=h, kind="label" if i == label else "numeric")
+                for i, h in enumerate(header)
+            ]
+            try:
+                schema = TableSchema(columns=tuple(cols))
+            except SchemaError as exc:  # a repeated column name
+                raise SchemaError(f"{path}: {exc}") from None
+            if schema.p == 0:
+                raise SchemaError(f"{path}: needs a label and at least one feature column, "
+                                  f"found header {header}")
         else:
-            label = len(header) - 1
-        cols = [
-            ColumnSchema(name=h, kind="label" if i == label else "numeric")
-            for i, h in enumerate(header)
-        ]
-        try:
-            schema = TableSchema(columns=tuple(cols))
-        except SchemaError as exc:  # a repeated column name
-            raise SchemaError(f"{path}: {exc}") from None
-        if schema.p == 0:
-            raise SchemaError(f"{path}: needs a label and at least one feature column, "
-                              f"found header {header}")
-    else:
-        expected = [c.name for c in schema.columns]
-        if header != expected:
-            raise SchemaError(
-                f"{path}: header {header} does not match schema columns {expected}"
-            )
+            expected = [c.name for c in schema.columns]
+            if header != expected:
+                raise SchemaError(
+                    f"{path}: header {header} does not match schema columns {expected}"
+                )
 
-    values = _parse_table(path, header, rows, schema)
+        values = _parse_table(path, header, body, schema)
     label_idx = schema.label_index
     feature_idx = [i for i in range(len(header)) if i != label_idx]
     y = values[:, label_idx].astype(np.int64)
     return LabeledBatch(x=values[:, feature_idx], y=y), schema
-
-
-# Rows that _write_rows formats and writes at once, so its memory stays near
-# one block's strings whatever the row count.
-_BLOCK_ROWS = 1024
 
 
 def _write_rows(path, header: list, columns: list) -> None:
@@ -298,14 +339,14 @@ def _write_rows(path, header: list, columns: list) -> None:
     columns of unequal lengths raise ValueError.
 
     Each cell is its number's ``repr`` (full precision), which needs no quoting,
-    so the rows are the bytes ``csv.writer`` gives (CRLF line ends), formatted
-    and written a block of ``_BLOCK_ROWS`` at a time.
+    so the rows are the bytes ``csv.writer`` gives (CRLF line ends).  Each block
+    of ``_BLOCK_ROWS`` rows is formatted as one string and written by one call.
     """
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
         for start in range(0, len(columns[0]), _BLOCK_ROWS):
             cells = [map(repr, col[start:start + _BLOCK_ROWS].tolist()) for col in columns]
-            fh.writelines(",".join(row) + "\r\n" for row in zip(*cells, strict=True))
+            fh.write("\r\n".join(map(",".join, zip(*cells, strict=True))) + "\r\n")
 
 
 def write_csv(batch: LabeledBatch, path, schema: TableSchema) -> None:

@@ -2,15 +2,22 @@
 
 import csv
 import hashlib
+import itertools
 import json
 import math
+import os
 import re
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_cli import CELL_VALUES, CSV_ROWS, CSV_STRUCTURES, csv_bytes
 
+from vbnn import data as data_module
+from vbnn.cli import _load_feature_rows
 from vbnn.data import (
     _BLOCK_ROWS,
     REFERENCE_TRUTH,
@@ -130,6 +137,120 @@ class TestLoadCsv:
         write_text(path, "x1,x2,y\n")
         batch, _ = load_csv(path)
         assert batch.n == 0 and batch.p == 2
+
+
+# the schema of CSV_ROWS: x1, a 0/1 flag and the label y
+PARITY_SCHEMA = TableSchema(columns=(ColumnSchema(name="x1"),
+                                     ColumnSchema(name="flag", kind="categorical_binary"),
+                                     ColumnSchema(name="y", kind="label")))
+
+
+def parity_tables(rng) -> dict:
+    """Each table the two readers must agree on, by name: CSV_ROWS and its two
+    feature columns alone, with each cell set to each of CELL_VALUES and under
+    each of CSV_STRUCTURES, then line ends, blocks and extreme values."""
+    tables = {}
+    for rows in (CSV_ROWS, [row[:2] for row in CSV_ROWS]):
+        width = len(rows[0])
+        for i, j in itertools.product(range(1, len(rows)), range(width)):
+            for value in CELL_VALUES:
+                mutated = [list(row) for row in rows]
+                mutated[i][j] = value
+                tables[f"{width} columns, line {i + 1}, column {j} = {value!r}"] = csv_bytes(mutated)
+        for name, mutate in CSV_STRUCTURES.items():
+            tables[f"{width} columns, {name}"] = mutate(rows)
+    for name, end in (("lf", b"\n"), ("crlf", b"\r\n"), ("cr", b"\r")):
+        tables[name] = csv_bytes(CSV_ROWS, end=end)
+    tables["no final newline"] = csv_bytes(CSV_ROWS)[:-1]
+    tables["whitespace-only line"] = csv_bytes(CSV_ROWS[:2] + [[b"  "]] + CSV_ROWS[2:])
+    n = 2 * _BLOCK_ROWS + 1
+    rows = [[repr(v).encode(), str(f).encode(), str(y).encode()] for v, f, y in
+            zip(rng.normal(0, 10, n).tolist(), rng.integers(0, 2, n), rng.integers(0, 2, n))]
+    tables["three blocks"] = csv_bytes(CSV_ROWS[:1] + rows)
+    tables["three blocks, nan in the last row"] = csv_bytes(CSV_ROWS[:1] + rows[:-1]
+                                                            + [[b"nan", b"0", b"1"]])
+    tables["three blocks, crlf"] = csv_bytes(CSV_ROWS[:1] + rows, end=b"\r\n")
+    extremes = [b"-0.0", b"5e-324", b"1.7976931348623157e308", b"-1.7976931348623157e308"]
+    tables["extremes"] = csv_bytes(CSV_ROWS[:1] + [[v, b"1", b"0"] for v in extremes])
+    return tables
+
+
+def read_outcomes(path) -> dict:
+    """What each reader makes of the file: its arrays' dtype, shape and bytes,
+    or its error's type and message."""
+    readers = {
+        "load_csv": lambda: load_csv(path)[0],
+        "load_csv with a schema": lambda: load_csv(path, PARITY_SCHEMA)[0],
+        "_load_feature_rows": lambda: _load_feature_rows(path, PARITY_SCHEMA),
+    }
+    outcomes = {}
+    for name, read in readers.items():
+        try:
+            got = read()
+        except ValueError as exc:  # SchemaError too
+            outcomes[name] = (type(exc), str(exc))
+        else:
+            arrays = (got.x, got.y) if isinstance(got, LabeledBatch) else (got,)
+            outcomes[name] = [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+    return outcomes
+
+
+class TestTwoReaders:
+    def test_loadtxt_path_reads_what_the_csv_path_reads(self, tmp_path, monkeypatch, rng):
+        # every reader gives the same bytes, or the same error, with the np.loadtxt
+        # path on as with the csv.reader path alone; the plain tables take it
+        path = tmp_path / "d.csv"
+        loadtxt_path = data_module._plain_values
+        taken = []
+
+        def spy(*args):
+            values = loadtxt_path(*args)
+            taken.append(values is not None)
+            return values
+
+        failures, plain = [], set()
+        for name, content in parity_tables(rng).items():
+            path.write_bytes(content)
+            taken.clear()
+            monkeypatch.setattr(data_module, "_plain_values", spy)
+            both = read_outcomes(path)
+            if any(taken):
+                plain.add(name)
+            monkeypatch.setattr(data_module, "_plain_values", lambda *args: None)
+            if both != read_outcomes(path):
+                failures.append(name)
+        assert not failures, failures
+        assert {"lf", "crlf", "three blocks", "three blocks, crlf", "extremes", "3 columns, bom",
+                "3 columns, line 2, column 0 = b'-0'"} <= plain
+        assert not {"cr", "no final newline", "whitespace-only line",
+                    "3 columns, line 2, column 0 = b'\"1\"'"} & plain
+
+    def test_a_pipe_is_read_by_the_csv_path(self, tmp_path):
+        # a pipe cannot be read twice, so a table that the np.loadtxt path
+        # declines, such as one with CR line ends, must not be half read by it
+        path = tmp_path / "pipe.csv"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_bytes, daemon=True,
+                                  args=(csv_bytes(CSV_ROWS, end=b"\r"),))
+        writer.start()
+        batch, _ = load_csv(path, PARITY_SCHEMA)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        np.testing.assert_array_equal(batch.x, [[0.1, 0.0], [0.5, 1.0], [0.9, 1.0]])
+        np.testing.assert_array_equal(batch.y, [1, 0, 1])
+
+    def test_reading_20k_rows_holds_about_the_values(self, tmp_path):
+        # the values are 0.48 MB; a list of csv.reader rows peaks at 7.8 MB of str cells
+        path = tmp_path / "d.csv"
+        write_csv(generate_synthetic(REFERENCE_TRUTH, 20_000, seed=0), path, default_schema(2))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            load_csv(path)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2e6
 
 
 def reference_write_csv(batch, path, schema):
