@@ -13,7 +13,6 @@ logged to stderr; VBNN_LOG={error,info,debug} sets another level.
 from __future__ import annotations
 
 import argparse
-import csv
 import errno
 import itertools
 import json
@@ -32,6 +31,7 @@ from .data import (
     _is_plain,
     _open_table,
     _parse_table,
+    _write_rows,
     default_schema,
     fit_normalization,
     generate_synthetic,
@@ -416,6 +416,7 @@ def cmd_sweep(args) -> int:
             cells.append((algo, _train_config_from(args, TrainConfig.from_json_dict(doc))))
         pairs = split(batch, folds, args.seed)
 
+    keys = list(itertools.chain(*SCHEDULE_KEYS.values()))
     rows = []
     for algo, config in cells:
         accs, iters, wall = [], [], 0.0
@@ -435,27 +436,15 @@ def cmd_sweep(args) -> int:
                 ) from None
             iters.append(report.iterations_run)
             wall += report.wall_time
-        rows.append(
-            {
-                "S": config.S,
-                "schedule": _schedule_label(config.schedule),
-                "algo": algo,
-                "accuracy_mean": float(np.mean(accs)),
-                "accuracy_sd": float(np.std(accs, ddof=1)),
-                "iterations_mean": float(np.mean(iters)),
-                "wall_time_s": wall,
-            }
-        )
-        logger.info("cell S=%s %s %s: accuracy %.4f +/- %.4f", config.S, rows[-1]["schedule"],
-                    algo, rows[-1]["accuracy_mean"], rows[-1]["accuracy_sd"])
+        own = config.schedule.to_json_dict()
+        mean, sd = np.mean(accs), np.std(accs, ddof=1)
+        rows.append([config.S, own["kind"], *(repr(own[key]) if key in own else "" for key in keys),
+                     algo, mean, sd, np.mean(iters)])
+        logger.info("cell S=%s %s %s: accuracy %.4f +/- %.4f, fit time %.3f s", config.S,
+                    _schedule_label(config.schedule), algo, mean, sd, wall)
 
-    def write(tmp):
-        with open(tmp, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(rows)
-
-    _atomic_write(args.out, write)
+    header = ["S", "kind", *keys, "algo", "accuracy_mean", "accuracy_sd", "iterations_mean"]
+    _atomic_write(args.out, lambda tmp: _write_rows(tmp, header, list(map(np.array, zip(*rows)))))
     return 0
 
 

@@ -10,9 +10,9 @@ cross-validation pairs.  Every data CSV is opened by ``_open_table``, which
 reads it as UTF-8 and drops a byte order mark; an empty file, or one holding
 bytes that are not UTF-8, raises ValueError naming the file.  ``_parse_table``
 reads a plain table's body with ``np.loadtxt`` and any other with
-``csv.reader``, to the same values and errors.  Data, predictions and training
-reports are written by one block writer, ``_write_rows``: CRLF line ends,
-numbers as ``repr``.
+``csv.reader``, to the same values and errors.  Data, predictions, training
+reports and sweep results are written by one block writer, ``_write_rows``:
+CRLF line ends, numbers as ``repr``, strings as their text.
 """
 
 from __future__ import annotations
@@ -335,17 +335,20 @@ def load_csv(path, schema: TableSchema | None = None) -> tuple[LabeledBatch, Tab
 
 
 def _write_rows(path, header: list, columns: list) -> None:
-    """Write a header and numeric columns (1-d arrays of one length) as a CSV;
-    columns of unequal lengths raise ValueError.
+    """Write a header and columns (1-d arrays of one length) as a CSV; columns
+    of unequal lengths raise ValueError.
 
-    Each cell is its number's ``repr`` (full precision), which needs no quoting,
-    so the rows are the bytes ``csv.writer`` gives (CRLF line ends).  Each block
-    of ``_BLOCK_ROWS`` rows is formatted as one string and written by one call.
+    A numeric column's cell is its number's ``repr`` (full precision), a string
+    column's (numpy dtype kind ``U``, as in sweep results) its text, which must
+    need no quoting, so the rows are the bytes ``csv.writer`` gives (CRLF line
+    ends).  Each block of ``_BLOCK_ROWS`` rows is formatted as one string and
+    written by one call.
     """
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
         for start in range(0, len(columns[0]), _BLOCK_ROWS):
-            cells = [map(repr, col[start:start + _BLOCK_ROWS].tolist()) for col in columns]
+            cells = [map(str if col.dtype.kind == "U" else repr,
+                         col[start:start + _BLOCK_ROWS].tolist()) for col in columns]
             fh.write("\r\n".join(map(",".join, zip(*cells, strict=True))) + "\r\n")
 
 

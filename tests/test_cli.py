@@ -682,8 +682,8 @@ class TestSweep:
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1
-        assert [*rows[0]] == ["S", "schedule", "algo", "accuracy_mean",
-                              "accuracy_sd", "iterations_mean", "wall_time_s"]
+        assert [*rows[0]] == ["S", "kind", "rho", "rho0", "b", "c", "algo", "accuracy_mean",
+                              "accuracy_sd", "iterations_mean"]
         assert 0.0 <= float(rows[0]["accuracy_mean"]) <= 1.0
         assert rows[0]["S"] == "8"
 
@@ -744,12 +744,29 @@ class TestSweep:
             assert main(["sweep", "--grid", str(grid), "--data", str(workdir["data"]),
                          "--out", str(out), "--M", "5", *flags]) == 0
             with open(out) as fh:
-                rows = list(csv.DictReader(fh))
-            assert len(rows) == 2
-            return [{k: v for k, v in row.items() if k != "wall_time_s"} for row in rows]
+                assert len(list(csv.DictReader(fh))) == 2
+            return out.read_bytes()
 
         assert sweep("--threads", "2") == sweep("--threads", "1")
         assert sweep("--seed", "5") != sweep()
+
+    def test_bytes_match_the_row_at_a_time_writer(self, tmp_path, workdir):
+        from test_data import reference_rows_csv  # test_data imports this module
+
+        # each kind leaves the other kind's schedule cells empty
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({**GRID, "schedule": [
+            {"kind": "fixed", "rho": 0.05}, {"kind": "rm", "rho0": 1.0, "b": 100.0, "c": 0.3}],
+            "base": {"max_iters": 4}}))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--grid", str(grid), "--data", str(workdir["data"]),
+                     "--out", str(out), "--M", "5"]) == 0
+        with open(out, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert [row[1:6] for row in rows] == [["fixed", "0.05", "", "", ""],
+                                              ["rm", "", "1.0", "100.0", "0.3"]]
+        reference_rows_csv(tmp_path / "rows.csv", header, rows)
+        assert out.read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
     @pytest.mark.parametrize("base, keys", [
         ({"S": "abc", "algo": 7, "schedule": 1}, "S, algo, schedule"),
