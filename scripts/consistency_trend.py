@@ -39,7 +39,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from vbnn.data import REFERENCE_TRUTH, generate_synthetic
+from vbnn.data import REFERENCE_TRUTH, _write_rows, generate_synthetic
 from vbnn.metrics import IntegrationConfig, diagnostics_dict
 from vbnn.model import PriorConfig
 from vbnn.optimizer import TrainConfig, train
@@ -195,10 +195,8 @@ def main() -> int:
         print(f"--- median hellinger at n={n}: {med:.4f}")
 
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(rows)
+        _write_rows(args.out, list(rows[0]),
+                    list(map(np.array, zip(*(row.values() for row in rows)))))
         print(f"wrote {len(rows)} rows to {args.out}")
     if old is not None:
         lines, flagged = compare(rows, old)

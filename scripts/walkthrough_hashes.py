@@ -5,10 +5,11 @@ Runs the walkthrough's ``vbnn`` lines other than ``sweep`` (synth, train,
 predict, evaluate, diagnose), read from README.md, through ``vbnn.cli.main``
 in a temporary directory, and prints ``sha256  name`` for each artifact.
 ``fit/summary.json`` is left out because it holds wall time.  A first line
-states numpy's version and its active SIMD dispatch targets: the bytes are
-the same for any ``--threads`` on one host and one numpy build, but numpy's
-float32 kernels round differently at another SIMD level, so the hashes may
-differ there.  ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"``
+states numpy's version and its active SIMD dispatch targets, as
+``vbnn.model.numpy_build`` gives them and ``summary.json`` records them: the
+bytes are the same for any ``--threads`` on one host and one numpy build, but
+numpy's float32 kernels round differently at another SIMD level, so the
+hashes may differ there.  ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"``
 runs an AVX-512 host's numpy at its AVX2 (X86_V3) level.
 
 ``--against OLD.txt`` compares the hashes with a saved run's output, the
@@ -32,10 +33,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-
 from vbnn.cli import main as vbnn_main
+from vbnn.model import numpy_build
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 ARTIFACTS = ("train.csv", "test.csv", "truth.json", "fit/model.json", "fit/report.csv",
@@ -53,9 +52,9 @@ LEVEL = "# numpy "
 
 
 def simd_level() -> str:
-    """The level statement: numpy's version and its active dispatch targets."""
-    active = [target for target in __cpu_dispatch__ if __cpu_features__.get(target)]
-    return f"{LEVEL}{np.__version__}, SIMD dispatch: {' '.join(active) or 'none'}"
+    """The level statement: ``numpy_build()``'s version and active dispatch targets."""
+    build = numpy_build()
+    return f"{LEVEL}{build['numpy']}, SIMD dispatch: {' '.join(build['simd']) or 'none'}"
 
 
 def read_hashes(path: str) -> tuple[str | None, dict[str, str]]:

@@ -50,6 +50,7 @@ from .model import (
     ShapeMismatchError,
     check_keys,
     json_field,
+    numpy_build,
 )
 from .optimizer import (
     SCHEDULE_KEYS,
@@ -320,7 +321,7 @@ def cmd_train(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     _atomic_write_json(model_out, _model_artifact(post, config, schema))
     _atomic_write(report_out, lambda tmp: save_report_csv(report, tmp))
-    _atomic_write_json(summary_out, report_summary(report))
+    _atomic_write_json(summary_out, {**report_summary(report), **numpy_build()})
 
     if report.diverged:
         under = f" under config file {args.config!r}" if args.config else ""
@@ -466,7 +467,7 @@ def _plain(kind):
 _plain_int, _plain_float = _plain(int), _plain(float)
 
 
-def _add_predictive_flags(sub, default_m=1000):
+def _add_predictive_flags(sub, default_m=PredictiveConfig.M):
     sub.add_argument("--M", type=_plain_int, default=default_m,
                      help="posterior draws per prediction")
     sub.add_argument("--seed", type=_plain_int, default=0)
@@ -531,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("--truth", required=True,
                         help="'reference' or a truth JSON path")
     p_diag.add_argument("--out", required=True)
-    p_diag.add_argument("--n-mc", type=_plain_int, default=20000, dest="n_mc")
+    p_diag.add_argument("--n-mc", type=_plain_int, default=IntegrationConfig.n_mc, dest="n_mc")
     _add_predictive_flags(p_diag, default_m=200)
     p_diag.set_defaults(func=cmd_diagnose, sizes="--M or --n-mc")
 

@@ -11,8 +11,9 @@ reads it as UTF-8 and drops a byte order mark; an empty file, or one holding
 bytes that are not UTF-8, raises ValueError naming the file.  ``_parse_table``
 reads a plain table's body with ``np.loadtxt`` and any other with
 ``csv.reader``, to the same values and errors.  Data, predictions, training
-reports and sweep results are written by one block writer, ``_write_rows``:
-CRLF line ends, numbers as ``repr``, strings as their text.
+reports, sweep results and the consistency study's table are written by one
+block writer, ``_write_rows``: CRLF line ends, numbers and booleans as
+``repr``, strings as their text.
 """
 
 from __future__ import annotations
@@ -338,11 +339,11 @@ def _write_rows(path, header: list, columns: list) -> None:
     """Write a header and columns (1-d arrays of one length) as a CSV; columns
     of unequal lengths raise ValueError.
 
-    A numeric column's cell is its number's ``repr`` (full precision), a string
-    column's (numpy dtype kind ``U``, as in sweep results) its text, which must
-    need no quoting, so the rows are the bytes ``csv.writer`` gives (CRLF line
-    ends).  Each block of ``_BLOCK_ROWS`` rows is formatted as one string and
-    written by one call.
+    A numeric or boolean column's cell is its value's ``repr`` (full precision,
+    ``True``/``False``), a string column's (numpy dtype kind ``U``, as in sweep
+    results) its text, which must need no quoting, so the rows are the bytes
+    ``csv.writer`` gives (CRLF line ends).  Each block of ``_BLOCK_ROWS`` rows
+    is formatted as one string and written by one call.
     """
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)

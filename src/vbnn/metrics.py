@@ -72,7 +72,7 @@ PROB_CLAMP_EPS = 1e-12
 class IntegrationConfig:
     """Monte Carlo integration budget over the unit cube."""
 
-    n_mc: int = 100_000
+    n_mc: int = 20_000
     seed: int = 0
 
     def __post_init__(self) -> None:

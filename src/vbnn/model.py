@@ -40,6 +40,9 @@ output probabilities (``sigmoid``) and ``softplus`` stay tail-exact in their
 precision, float32 for a float32 input and float64 otherwise; ``sigmoid`` is
 numpy's 1 / (1 + exp(-z)).
 
+The float32 bytes also depend on the numpy build, which picks its SIMD
+kernels at run time; :func:`numpy_build` names it.
+
 Everything here is pure and side-effect free, so the functions are safe to
 call from worker threads.
 """
@@ -50,6 +53,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 __all__ = [
     "NetworkShape",
@@ -72,6 +76,7 @@ __all__ = [
     "log_prior",
     "log_joint_many",
     "normal_logpdf_total",
+    "numpy_build",
 ]
 
 
@@ -123,6 +128,14 @@ def check_keys(doc: dict, allowed, what: str) -> None:
     unknown = sorted(set(doc) - set(allowed))
     if unknown:
         raise ValueError(f"unknown key(s) for {what}: {', '.join(unknown)}")
+
+
+def numpy_build() -> dict:
+    """{"numpy": numpy's version, "simd": its active SIMD dispatch targets, in
+    ``__cpu_dispatch__`` order}: the build that a float32 kernel's bytes depend
+    on.  ``NPY_DISABLE_CPU_FEATURES``, read by numpy at import, turns targets off."""
+    return {"numpy": np.__version__,
+            "simd": [target for target in __cpu_dispatch__ if __cpu_features__.get(target)]}
 
 
 def _float_array(z) -> np.ndarray:

@@ -15,7 +15,8 @@ import pytest
 
 from vbnn.cli import _atomic_write, main
 from vbnn.data import REFERENCE_TRUTH, load_csv, split, write_csv
-from vbnn.model import flatten
+from vbnn.model import flatten, numpy_build
+from vbnn.optimizer import TrainReport, report_summary
 from vbnn.prediction import PredictiveConfig, predictive_probabilities
 from vbnn.variational import Posterior, softplus_inverse
 
@@ -85,6 +86,13 @@ class TestTrain:
             rows = list(csv.DictReader(fh))
         assert len(rows) == summary["iterations_run"]
         assert [*rows[0]] == ["iteration", "elbo", "grad_var", "rho_t"]
+
+    def test_summary_records_the_numpy_build_after_the_report(self, workdir):
+        summary = read_json(workdir["summary"])
+        traces = {name: np.zeros(1) for name in ("elbo_trace", "grad_var_trace", "rho_trace")}
+        report_keys = list(report_summary(TrainReport(**traces, converged=True, wall_time=0.0)))
+        assert list(summary) == [*report_keys, "numpy", "simd"]
+        assert {key: summary[key] for key in ("numpy", "simd")} == numpy_build()
 
     def test_no_training_flag_fits_the_readme_data(self, tmp_path):
         # TrainConfig()'s defaults are the paper's fit, so the README's

@@ -8,7 +8,9 @@ An exception class of its own is kept only where some ``except`` clause in
 name stays in a module's ``__all__`` only while something besides the unit
 tests reads it: ``src/vbnn``, the programs, the acceptance tests or README.md's
 code.  Every dataclass field annotated ``int`` refuses 2.5 and True with a
-``ValueError`` that names the field and says it must be an integer."""
+``ValueError`` that names the field and says it must be an integer.  Only
+``vbnn.model.numpy_build`` reads numpy's private dispatch tables: no other file
+under src/vbnn, scripts or tests names their module."""
 
 import argparse
 import ast
@@ -184,3 +186,13 @@ def test_every_dataclass_with_an_int_field_has_a_valid_instance():
 def test_int_field_refuses_a_non_integer_by_name(cls, field, value):
     with pytest.raises(ValueError, match=rf"\b{field}\b.* integers?\b"):
         dataclasses.replace(VALID_INSTANCES[cls], **{field: value})
+
+
+def test_only_numpy_build_reads_numpys_private_module():
+    private = b"_multiarray" + b"_umath"  # in two pieces, so this file does not match
+    readers = [path.relative_to(ROOT).as_posix()
+               for folder in ("src/vbnn", "scripts", "tests")
+               for path in sorted((ROOT / folder).rglob("*"))
+               if path.is_file() and "__pycache__" not in path.parts
+               and private in path.read_bytes()]
+    assert readers == ["src/vbnn/model.py"]

@@ -12,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy._core._multiarray_umath import __cpu_features__
 from scipy import stats
 from scipy.special import expit, logit
 
@@ -25,6 +24,7 @@ from vbnn.model import (
     PriorConfig,
     ShapeMismatchError,
     flatten,
+    numpy_build,
     scores_many,
     sigmoid,
     unflatten,
@@ -362,14 +362,15 @@ class TestNormals:
         assert stats.kstest(z, "norm").pvalue > 1e-3
 
 
-@pytest.mark.skipif(not __cpu_features__.get("X86_V4"), reason="numpy runs below AVX-512 here")
+@pytest.mark.skipif("X86_V4" not in numpy_build()["simd"],
+                    reason="numpy runs below AVX-512 here")
 def test_normals_and_prefixes_hold_at_the_avx2_level():
     # numpy reads NPY_DISABLE_CPU_FEATURES once, at import, so the stream and
     # block tests run again in a child process at the AVX2 (X86_V3) level
     here = Path(__file__)
     child = ("import sys, pytest\n"
-             "from numpy._core._multiarray_umath import __cpu_features__\n"
-             "assert not __cpu_features__.get('X86_V4'), 'X86_V4 is still active'\n"
+             "from vbnn.model import numpy_build\n"
+             "assert 'X86_V4' not in numpy_build()['simd'], 'X86_V4 is still active'\n"
              "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', '-o', 'addopts=',"
              " *sys.argv[1:]]))")
     tests = [f"{here}::TestNormals::test_served_normals_are_the_documented_stream",

@@ -10,16 +10,21 @@ window of the trace CSV it writes.
 consistency_trend.py's ``--against`` must find no change between two runs of
 one tree, flag a fit whose final-window ELBO a table moves, and refuse a
 missing table, a cell that is not a number or a table that lacks a requested
-fit before fitting anything.  Each study script refuses an output path it
+fit before fitting anything.  Its ``--out`` table must be the bytes
+``csv.DictWriter`` writes for the rows ``run_study`` returns, and ``read_rows``
+must read those rows back.  Each study script refuses an output path it
 could not write before fitting anything.
 walkthrough_hashes.py runs the README walkthrough through the CLI; its line
-count and its numpy level statement are checked, not its hashes, and its
-``--against`` must find no change against its own output, name the one
-artifact whose saved hash is edited in an output without the level
-statement, and refuse an output whose level statement is edited.
+count and its whole level statement, built from ``numpy_build()``, are
+checked, not its hashes, and its ``--against`` must find no change against
+its own output, name the one artifact whose saved hash is edited in an
+output without the level statement, and refuse an output whose level
+statement is edited.
 """
 
 import csv
+import importlib.util
+import io
 import os
 import subprocess
 import sys
@@ -27,6 +32,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from vbnn.model import numpy_build
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -75,6 +82,23 @@ def test_consistency_against_compares_two_tables(tmp_path):
                      code=1).stdout
     assert "d_elbo=-4.50e+00 SE" in out and "FLAG ELBO>4SE" in out
     assert out.splitlines()[-1].startswith("1 of 1 fits flagged; ")
+
+
+def test_consistency_out_is_the_table_dictwriter_writes(tmp_path):
+    run_script("consistency_trend.py", ["--sizes", "40", "--seeds", "1", "--S", "10",
+                                        "--n-mc", "200", "--M", "10", "--out", "rows.csv"],
+               tmp_path)
+    spec = importlib.util.spec_from_file_location("consistency_trend",
+                                                  ROOT / "scripts" / "consistency_trend.py")
+    trend = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trend)
+    rows = trend.run_study(sizes=[40], seeds=1, S=10, n_mc=200, M=10)
+    expected = io.StringIO(newline="")
+    writer = csv.DictWriter(expected, fieldnames=list(rows[0]))
+    writer.writeheader()
+    writer.writerows(rows)
+    assert (tmp_path / "rows.csv").read_bytes() == expected.getvalue().encode()
+    assert trend.read_rows(str(tmp_path / "rows.csv")) == rows
 
 
 def test_variance_study_window_sizes_only_the_profile(tmp_path):
@@ -158,7 +182,9 @@ def test_walkthrough_hashes_prints_one_line_per_artifact(tmp_path):
     # the hashes themselves are not gated: the script exists to diff two trees
     lines = run_script("walkthrough_hashes.py", [], tmp_path).stdout.splitlines()
     assert len(lines) == 9
-    assert lines[0].startswith(f"# numpy {np.__version__}, SIMD dispatch: ")
+    build = numpy_build()
+    simd = " ".join(build["simd"]) or "none"
+    assert lines[0] == f"# numpy {build['numpy']}, SIMD dispatch: {simd}"
     assert all(len(line.split("  ")[0]) == 64 for line in lines[1:])
 
 
