@@ -39,7 +39,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from vbnn.data import REFERENCE_TRUTH, _write_rows, generate_synthetic
+from vbnn.data import REFERENCE_TRUTH, _is_plain, _write_rows, generate_synthetic
 from vbnn.metrics import IntegrationConfig, diagnostics_dict
 from vbnn.model import PriorConfig
 from vbnn.optimizer import TrainConfig, train
@@ -156,8 +156,11 @@ def compare(rows: list[dict], old: list[dict]) -> tuple[list[str], int]:
 
 
 def at_least(minimum: int):
-    """argparse type for a count that must be >= minimum."""
+    """argparse type for a count that must be >= minimum, read as ``vbnn``'s
+    flags are: ``1_0`` and a full-width digit are refused."""
     def count(text: str) -> int:
+        if not _is_plain(text):
+            raise ValueError(text)
         value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")

@@ -9,11 +9,11 @@ statistics rather than its own.  ``split`` cuts a batch into seeded k-fold
 cross-validation pairs.  Every data CSV is opened by ``_open_table``, which
 reads it as UTF-8 and drops a byte order mark; an empty file, or one holding
 bytes that are not UTF-8, raises ValueError naming the file.  ``_parse_table``
-reads a plain table's body with ``np.loadtxt`` and any other with
-``csv.reader``, to the same values and errors.  Data, predictions, training
-reports, sweep results and the consistency study's table are written by one
-block writer, ``_write_rows``: CRLF line ends, numbers and booleans as
-``repr``, strings as their text.
+reads a table once: plain blocks with ``np.loadtxt``, then, from the first block
+that is not plain, the rest with ``csv.reader``, which alone builds the errors.
+Data, predictions, training reports, sweep results and the consistency
+study's table are written by one block writer, ``_write_rows``: CRLF line
+ends, numbers and booleans as ``repr``, strings as their text.
 """
 
 from __future__ import annotations
@@ -182,9 +182,10 @@ def _is_finite_number(cell: str) -> bool:
         return False
 
 
-def _plain_values(lines, ncol: int, binary: list) -> np.ndarray | None:
-    """The (rows, ncol) values of a table body's ``lines``, read by ``np.loadtxt``
-    ``_BLOCK_ROWS`` lines at a time, or None at the first block that is not plain.
+def _plain_values(lines, ncol: int, binary: list) -> tuple[list, list]:
+    """The (rows, ncol) value blocks of a table body's ``lines`` that ``np.loadtxt``
+    reads, ``_BLOCK_ROWS`` lines at a time, and the lines of the first block that
+    is not plain, for ``csv.reader`` to read (empty when every block was plain).
 
     A block is plain when its text is ASCII with no ``_`` or ``"``, every line
     ends in ``\n`` or ``\r\n`` with no other ``\r`` and none is blank, and
@@ -201,26 +202,26 @@ def _plain_values(lines, ncol: int, binary: list) -> np.ndarray | None:
         if not (_is_plain(text) and '"' not in text
                 and text.count("\n") == len(block) and text.count("\r") == text.count("\r\n")
                 and "\n" not in block and "\r\n" not in block):
-            return None
+            break
         try:
             values = np.loadtxt(block, delimiter=",", comments=None, ndmin=2)
         except ValueError:  # a cell that is not a number, or a row of another width
-            return None
+            break
         if (values.shape != (len(block), ncol) or not np.isfinite(values).all()
                 or not np.isin(values[:, binary], (0.0, 1.0)).all()):
-            return None
+            break
         blocks.append(values)
-    return np.concatenate(blocks) if blocks else np.empty((0, ncol))
+    return blocks, block
 
 
 def _parse_table(path, names: list, body, schema: TableSchema) -> np.ndarray:
     """The values of the data rows of ``body``, an open table after its header
     of ``names``, which holds the schema's columns, or its feature columns only.
 
-    A plain table (see ``_plain_values``) is read by ``np.loadtxt``.  Any other,
-    or one that cannot be read twice, such as a pipe, is read by ``csv.reader``
-    from the start of the file: that path alone reads quoted cells and
-    CR-only line ends, and alone builds the errors.  Both give the same values.
+    The file is read once.  Its plain blocks (see ``_plain_values``) are read by
+    ``np.loadtxt``; from the first block that is not plain, the rest of the file
+    is read by ``csv.reader``, which alone reads quoted cells and CR-only line
+    ends, and alone builds the errors, since a plain block holds no bad row.
 
     A row with the wrong cell count, or with a cell that is missing, not a
     plain ASCII number (``1_0`` and a full-width digit are not), nan or
@@ -233,23 +234,21 @@ def _parse_table(path, names: list, body, schema: TableSchema) -> np.ndarray:
     ncol = len(names)
     binary = {names.index(col.name): col for col in schema.columns
               if col.kind != "numeric" and col.name in names}
-    if body.seekable():
-        values = _plain_values(body, ncol, list(binary))
-        if values is not None:
-            return values
-        body.seek(0)
-        next(csv.reader(body))  # the header, read again
-    rows = list(csv.reader(body))
+    blocks, declined = _plain_values(body, ncol, list(binary))
+    if not declined:  # every block was plain; the empty tail below raises peak RSS
+        return np.concatenate(blocks) if blocks else np.empty((0, ncol))
+    first = 2 + _BLOCK_ROWS * len(blocks)  # the file line of the reader's first row
+    rows = list(csv.reader(itertools.chain(declined, body)))
     try:  # numpy reads each str cell with Python's float
         values = np.array(rows, dtype=float).reshape(len(rows), ncol)
         if not (np.isfinite(values).all() and _is_plain("".join(map("".join, rows)))):
             raise ValueError
     except ValueError:  # a row of the wrong width, or a cell that is not a plain finite number
-        bad_lines = [i + 2 for i, row in enumerate(rows)
+        bad_lines = [first + i for i, row in enumerate(rows)
                      if len(row) != ncol or not all(map(_is_finite_number, row))]
         cells = []
         for line in bad_lines:
-            row = rows[line - 2]
+            row = rows[line - first]
             if len(row) != ncol:
                 cells.append(f"line {line} has {len(row)} cell(s), expected {ncol}")
             else:
@@ -268,8 +267,8 @@ def _parse_table(path, names: list, body, schema: TableSchema) -> np.ndarray:
             i = int(bad[0])
             what = ("label column must contain only 0/1 values" if col.kind == "label"
                     else f"categorical column {col.name!r} must be 0/1")
-            raise SchemaError(f"{path}: {what} (line {i + 2}: {rows[i][j]!r})")
-    return values
+            raise SchemaError(f"{path}: {what} (line {first + i}: {rows[i][j]!r})")
+    return np.concatenate(blocks + [values])
 
 
 @contextmanager

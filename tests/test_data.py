@@ -170,9 +170,24 @@ def parity_tables(rng) -> dict:
     tables["three blocks, nan in the last row"] = csv_bytes(CSV_ROWS[:1] + rows[:-1]
                                                             + [[b"nan", b"0", b"1"]])
     tables["three blocks, crlf"] = csv_bytes(CSV_ROWS[:1] + rows, end=b"\r\n")
+    tables.update(later_block_tables(rows))
     extremes = [b"-0.0", b"5e-324", b"1.7976931348623157e308", b"-1.7976931348623157e308"]
     tables["extremes"] = csv_bytes(CSV_ROWS[:1] + [[v, b"1", b"0"] for v in extremes])
     return tables
+
+
+def later_block_tables(rows) -> dict:
+    """Tables of ``2 * _BLOCK_ROWS + 1`` data rows whose first row that is not
+    plain is their last, in the third block, by name."""
+    table = csv_bytes(CSV_ROWS[:1] + rows)
+    return {
+        "three blocks, quoted cell in the last row": csv_bytes(
+            CSV_ROWS[:1] + rows[:-1] + [[b'"0.5"', b"0", b"1"]]),
+        "three blocks, label 2 in the last row": csv_bytes(
+            CSV_ROWS[:1] + rows[:-1] + [[b"0.5", b"0", b"2"]]),
+        "three blocks, cr-only last line": table[:-1] + b"\r",
+        "three blocks, no final newline": table[:-1],
+    }
 
 
 def read_outcomes(path) -> dict:
@@ -195,20 +210,26 @@ def read_outcomes(path) -> dict:
     return outcomes
 
 
+def loadtxt_spy():
+    """A stand-in for ``_plain_values``, and the list to which it appends, per
+    call, how many blocks ``np.loadtxt`` read."""
+    loadtxt_path, taken = data_module._plain_values, []
+
+    def spy(*args):
+        blocks, declined = loadtxt_path(*args)
+        taken.append(len(blocks))
+        return blocks, declined
+
+    return spy, taken
+
+
 class TestTwoReaders:
     def test_loadtxt_path_reads_what_the_csv_path_reads(self, tmp_path, monkeypatch, rng):
         # every reader gives the same bytes, or the same error, with the np.loadtxt
         # path on as with the csv.reader path alone; the plain tables take it
         path = tmp_path / "d.csv"
-        loadtxt_path = data_module._plain_values
-        taken = []
-
-        def spy(*args):
-            values = loadtxt_path(*args)
-            taken.append(values is not None)
-            return values
-
-        failures, plain = [], set()
+        spy, taken = loadtxt_spy()
+        failures, plain, blocks_read = [], set(), {}
         for name, content in parity_tables(rng).items():
             path.write_bytes(content)
             taken.clear()
@@ -216,10 +237,14 @@ class TestTwoReaders:
             both = read_outcomes(path)
             if any(taken):
                 plain.add(name)
-            monkeypatch.setattr(data_module, "_plain_values", lambda *args: None)
+            blocks_read[name] = set(taken)
+            # np.loadtxt declines the first block, so csv.reader reads from the start
+            monkeypatch.setattr(data_module, "_plain_values",
+                                lambda lines, *args: ([], list(lines)))
             if both != read_outcomes(path):
                 failures.append(name)
         assert not failures, failures
+        assert all(blocks_read[name] == {2} for name in later_block_tables([])), blocks_read
         assert {"lf", "crlf", "three blocks", "three blocks, crlf", "extremes", "3 columns, bom",
                 "3 columns, line 2, column 0 = b'-0'"} <= plain
         assert not {"cr", "no final newline", "whitespace-only line",
@@ -239,10 +264,32 @@ class TestTwoReaders:
         np.testing.assert_array_equal(batch.x, [[0.1, 0.0], [0.5, 1.0], [0.9, 1.0]])
         np.testing.assert_array_equal(batch.y, [1, 0, 1])
 
-    def test_reading_20k_rows_holds_about_the_values(self, tmp_path):
-        # the values are 0.48 MB; a list of csv.reader rows peaks at 7.8 MB of str cells
+    def test_a_plain_pipe_is_read_by_the_loadtxt_path(self, tmp_path, monkeypatch):
+        # a pipe is read once either way, so a plain one takes np.loadtxt's blocks
+        content = csv_bytes(CSV_ROWS)
+        (tmp_path / "file.csv").write_bytes(content)
+        expected = load_csv(tmp_path / "file.csv", PARITY_SCHEMA)[0]
+        spy, taken = loadtxt_spy()
+        monkeypatch.setattr(data_module, "_plain_values", spy)
+        path = tmp_path / "pipe.csv"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_bytes, daemon=True, args=(content,))
+        writer.start()
+        batch, _ = load_csv(path, PARITY_SCHEMA)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert taken == [1]
+        assert (batch.x.tobytes(), batch.y.tobytes()) == (expected.x.tobytes(),
+                                                          expected.y.tobytes())
+
+    @pytest.mark.parametrize("end", ["crlf", "no final crlf"])
+    def test_reading_20k_rows_holds_about_the_values(self, tmp_path, end):
+        # the values are 0.48 MB; a list of csv.reader rows peaks at 7.8 MB of str cells,
+        # and without its final CRLF only the last block is read by csv.reader
         path = tmp_path / "d.csv"
         write_csv(generate_synthetic(REFERENCE_TRUTH, 20_000, seed=0), path, default_schema(2))
+        if end == "no final crlf":
+            path.write_bytes(path.read_bytes()[:-2])
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]

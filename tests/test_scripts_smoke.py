@@ -3,8 +3,9 @@
 The two study scripts build ``TrainConfig`` and call ``train`` directly, so
 an API change that breaks them shows up here.  Tiny sizes; the exit status is
 checked, and the header line of a report CSV that variance_study.py writes;
-a count flag below its minimum (``--seeds 0``, ``--n-mc 1``, ``--S 1``) must
-be a usage error that writes no file.  variance_study.py's ``--window`` must not
+a count flag below its minimum (``--seeds 0``, ``--n-mc 1``, ``--S 1``), or one
+that is not a plain ASCII number (``1_0``, a full-width digit), must be a
+usage error that writes no file.  variance_study.py's ``--window`` must not
 change its fits, and each window line it prints must be the mean of that
 window of the trace CSV it writes.
 consistency_trend.py's ``--against`` must find no change between two runs of
@@ -232,4 +233,20 @@ def test_size_below_its_minimum_is_a_usage_error(tmp_path, script, flag, value, 
     extra = ["--out", "rows.csv"] if script == "consistency_trend.py" else []
     proc = run_script(script, [flag, value, *extra], tmp_path, code=2)
     assert f"argument {flag}: must be >= {minimum}, got {value}" in proc.stderr
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("script, flag", [
+    ("consistency_trend.py", "--seeds"), ("consistency_trend.py", "--sizes"),
+    ("consistency_trend.py", "--S"), ("consistency_trend.py", "--n-mc"),
+    ("consistency_trend.py", "--M"), ("variance_study.py", "--seeds"),
+    ("variance_study.py", "--n"), ("variance_study.py", "--S"),
+    ("variance_study.py", "--max-iters"), ("variance_study.py", "--window"),
+])
+@pytest.mark.parametrize("value", ["1_0", "１２"])
+def test_count_that_is_not_a_plain_number_is_a_usage_error(tmp_path, script, flag, value):
+    # int() reads 1_0 as 10 and a full-width 12 as 12; every vbnn flag refuses both
+    extra = ["--out", "rows.csv"] if script == "consistency_trend.py" else []
+    proc = run_script(script, [flag, value, *extra], tmp_path, code=2)
+    assert f"argument {flag}: invalid count value: {value!r}" in proc.stderr
     assert not any(tmp_path.iterdir())
