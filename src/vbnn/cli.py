@@ -509,7 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--k", type=_plain_int, default=None, help="hidden nodes")
     p_train.add_argument("--seed", type=_plain_int, default=None)
     p_train.add_argument("--threads", type=_plain_int, default=None,
-                         help="training threads; results do not depend on it")
+                         help="training threads, the calling thread included (it alone "
+                              "scores a one-block likelihood); results do not depend on it")
     p_train.set_defaults(func=cmd_train, sizes="--S or --k")
 
     p_pred = sub.add_parser("predict", help="posterior-predictive probabilities")
@@ -544,7 +545,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--M", type=_plain_int, default=200)
     p_sweep.add_argument("--seed", type=_plain_int, default=0)
     p_sweep.add_argument("--threads", type=_plain_int, default=None,
-                         help="training threads; fold scoring is single-threaded")
+                         help="training threads, the calling thread included; "
+                              "fold scoring is single-threaded")
     p_sweep.set_defaults(func=cmd_sweep, sizes="the grid's S or k, or --M")
 
     return parser

@@ -9,8 +9,10 @@ statistics rather than its own.  ``split`` cuts a batch into seeded k-fold
 cross-validation pairs.  Every data CSV is opened by ``_open_table``, which
 reads it as UTF-8 and drops a byte order mark; an empty file, or one holding
 bytes that are not UTF-8, raises ValueError naming the file.  ``_parse_table``
-reads a table once: plain blocks with ``np.loadtxt``, then, from the first block
-that is not plain, the rest with ``csv.reader``, which alone builds the errors.
+reads a table once: plain blocks with ``np.loadtxt``, quoted cells, CR-only line
+ends and a missing final newline included, then, from the first block that is
+not plain (a blank line, a quoted line break or a bad cell), the rest with
+``csv.reader``, which alone builds the errors.
 Data, predictions, training reports, sweep results and the consistency
 study's table are written by one block writer, ``_write_rows``: CRLF line
 ends, numbers and booleans as ``repr``, strings as their text.
@@ -162,6 +164,9 @@ def default_schema(p: int) -> TableSchema:
 # Bad cells that a malformed-row error quotes; its list of lines stays complete.
 _CELLS_QUOTED = 3
 
+# The lines that csv.reader reads as an empty row and np.loadtxt skips.
+_BLANK_LINES = frozenset(("\n", "\r\n", "\r"))
+
 # Rows that _plain_values reads, and _write_rows formats and writes, at once, so
 # that their memory stays near one block's strings whatever the row count.
 _BLOCK_ROWS = 1024
@@ -187,24 +192,26 @@ def _plain_values(lines, ncol: int, binary: list) -> tuple[list, list]:
     reads, ``_BLOCK_ROWS`` lines at a time, and the lines of the first block that
     is not plain, for ``csv.reader`` to read (empty when every block was plain).
 
-    A block is plain when its text is ASCII with no ``_`` or ``"``, every line
-    ends in ``\n`` or ``\r\n`` with no other ``\r`` and none is blank, and
-    ``np.loadtxt`` reads one finite value per cell, with 0 or 1 in each column of
-    ``binary``.  Its cells are then what ``csv.reader`` splits the lines into, and
-    ``np.loadtxt`` reads each with Python's own parser (``PyOS_string_to_double``),
-    so the values are those ``float`` gives, bit for bit.  Only the values and
-    one block's lines are held, where a list of ``csv.reader`` rows would hold
-    every cell as a ``str``.
+    A block is plain when its text is ASCII with no ``_``, none of its lines is
+    blank (``\n``, ``\r\n`` or ``\r``), its last line holds an even number of
+    ``"`` (so no quoted cell runs on into the next block), and ``np.loadtxt``
+    reads one row of finite values per line, one per cell, with 0 or 1 in each
+    column of ``binary``.  Quoted cells, CR-only line ends and a missing final
+    newline are plain, but a quoted line break is not: it joins two lines into
+    one row.  A plain block's cells are then what ``csv.reader`` splits the
+    lines into, and ``np.loadtxt`` reads each with Python's own parser
+    (``PyOS_string_to_double``), so the values are those ``float`` gives, bit
+    for bit.  Only the values and one block's lines are held, where a list of
+    ``csv.reader`` rows would hold every cell as a ``str``.
     """
     blocks = []
     while block := list(itertools.islice(lines, _BLOCK_ROWS)):
-        text = "".join(block)
-        if not (_is_plain(text) and '"' not in text
-                and text.count("\n") == len(block) and text.count("\r") == text.count("\r\n")
-                and "\n" not in block and "\r\n" not in block):
+        if not (_is_plain("".join(block)) and _BLANK_LINES.isdisjoint(block)
+                and block[-1].count('"') % 2 == 0):
             break
         try:
-            values = np.loadtxt(block, delimiter=",", comments=None, ndmin=2)
+            values = np.loadtxt(block, delimiter=",", comments=None, quotechar='"',
+                                ndmin=2)
         except ValueError:  # a cell that is not a number, or a row of another width
             break
         if (values.shape != (len(block), ncol) or not np.isfinite(values).all()
@@ -218,10 +225,11 @@ def _parse_table(path, names: list, body, schema: TableSchema) -> np.ndarray:
     """The values of the data rows of ``body``, an open table after its header
     of ``names``, which holds the schema's columns, or its feature columns only.
 
-    The file is read once.  Its plain blocks (see ``_plain_values``) are read by
+    The file is read once.  Its plain blocks (see ``_plain_values``), quoted
+    cells, CR-only line ends and a missing final newline included, are read by
     ``np.loadtxt``; from the first block that is not plain, the rest of the file
-    is read by ``csv.reader``, which alone reads quoted cells and CR-only line
-    ends, and alone builds the errors, since a plain block holds no bad row.
+    is read by ``csv.reader``, which alone reads blank lines and quoted line
+    breaks, and alone builds the errors, since a plain block holds no bad row.
 
     A row with the wrong cell count, or with a cell that is missing, not a
     plain ASCII number (``1_0`` and a full-width digit are not), nan or

@@ -23,8 +23,9 @@ scoring all S rows at once.  Its scores and softplus terms are float32 and
 each row is summed in float64; its docstring bounds the relative error and
 states float32's range (about 3.4e38) and tail (a term below e^-87.3 is
 denormal, below about e^-103.9 it is 0).  These blocks are training's only
-unit of parallel work: given a thread pool, the likelihood runs its blocks
-there, with a result that does not depend on the pool.
+unit of parallel work: the calling thread scores them, helped by up to
+``threads`` - 1 pool threads when there is more than one block, with a
+result that does not depend on which thread scores which block.
 Serving scores posterior-predictive draws at each row of x from k+1
 normals per draw: the exact Gaussian marginals of the hidden
 pre-activations, then the exact Gaussian law of the score given the hidden
@@ -50,6 +51,8 @@ call from worker threads.
 from __future__ import annotations
 
 import math
+from collections import deque
+from concurrent.futures import wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -511,11 +514,15 @@ def log_likelihood_many(
 
     The rows are scored ``_BLOCK_FLOATS // (k * n)`` at a time (at least
     one), so memory is O(_BLOCK_FLOATS + S + n) rather than O(S * k * n).
-    The blocks run on ``pool`` (an executor) when one is given, else in
-    turn, each under the caller's floating-point error settings
-    (``np.errstate`` is per thread).  Row s depends only on parameter row s
-    and the block size only on k and n, so the result is byte-identical to
-    scoring all S rows at once, with or without a pool of any size.  The
+    The calling thread scores blocks itself.  ``pool``, when given, is a pair
+    (executor, helpers): up to min(helpers, blocks - 1) tasks on the executor
+    take blocks from the same queue, so a one-block likelihood starts none.
+    Every block runs under the caller's floating-point error settings
+    (``np.errstate`` is per thread), and the call returns, or raises a
+    block's error, only once every task it started has ended.  Row s
+    depends only on parameter row s and the block size only on k and n, so
+    the result is byte-identical to scoring all S rows at once, whichever
+    thread scores which block.  The
     per-call work (the halved weights, the C-ordered design [x.T; 1], see
     :func:`_score_terms`, and the casts) is done once, not per block.  Each
     block computes :func:`softplus` in place on its own score array, so only
@@ -527,14 +534,30 @@ def log_likelihood_many(
     block = max(1, _BLOCK_FLOATS // (shape.k * max(batch.n, 1)))
     out = np.empty(thetas.shape[0])
     errors = np.geterr()
+    starts = deque(range(0, thetas.shape[0], block))
 
-    def score(lo: int) -> None:
+    def drain() -> None:
         with np.errstate(**errors):
-            z = _score_rows(terms, slice(lo, lo + block))
-            z *= sign
-            out[lo : lo + block] = -softplus(z, out=z).sum(axis=1, dtype=float)
+            while True:
+                try:
+                    lo = starts.popleft()
+                except IndexError:  # every block is taken
+                    return
+                z = _score_rows(terms, slice(lo, lo + block))
+                z *= sign
+                out[lo : lo + block] = -softplus(z, out=z).sum(axis=1, dtype=float)
+                del z  # so that one block's scores are alive at a time
 
-    list((pool.map if pool else map)(score, range(0, thetas.shape[0], block)))
+    executor, helpers = pool or (None, 0)
+    tasks = [executor.submit(drain) for _ in range(min(helpers, len(starts) - 1))]
+    try:
+        drain()
+    finally:
+        if tasks:
+            starts.clear()  # after a failure the helpers stop at their current block
+            wait(tasks)
+    for task in tasks:
+        task.result()
     return out
 
 
@@ -557,7 +580,8 @@ def log_joint_many(
     thetas: np.ndarray, batch: LabeledBatch, prior: PriorConfig, shape: NetworkShape, pool=None
 ) -> np.ndarray:
     """Unnormalized log posterior log p(y | theta, x) + log p(theta) of S flat
-    vectors; ``pool`` runs the likelihood's blocks (see log_likelihood_many)."""
+    vectors; ``pool``'s helpers share the likelihood's blocks (see
+    log_likelihood_many)."""
     return (log_likelihood_many(thetas, batch, shape, pool)
             + log_prior(np.atleast_2d(thetas), prior))
 

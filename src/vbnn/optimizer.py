@@ -32,15 +32,17 @@ below the first estimate.
 
 Determinism: the sampling RNG for iteration t is spawned as
 SeedSequence(entropy=seed, spawn_key=(1, t)), so traces are reproducible for
-a given seed and independent of thread count.  Threads only run the blocks
-of sample rows into which ``model.log_likelihood_many`` cuts the log-joint
-evaluation.  The block size depends on k and n alone, so with one block (at
-S=200 and k=3, any n <= 436) there is nothing to run in parallel.  Rows are
+a given seed and independent of thread count.  Threads only score the
+blocks of sample rows into which ``model.log_likelihood_many`` cuts the
+log-joint evaluation, and ``threads`` counts the calling thread: it scores
+blocks itself, helped by up to ``threads`` - 1 pool workers.  The block size
+depends on k and n alone, so with one block (at S=200 and k=3, any n <= 436)
+there is nothing to run in parallel and no helper is used.  Rows are
 independent (each depends only on its own theta), so the results are
 byte-identical for any thread count; every reduction happens in a single
-deterministic pass afterwards.  ``train`` keeps one thread pool for the whole
-run, and each ``estimate_*`` call makes its own.  ``data.save_report_csv``
-writes a ``TrainReport``'s traces.
+deterministic pass afterwards.  ``train`` keeps one pool of helpers for the
+whole run, and each ``estimate_*`` call makes its own.
+``data.save_report_csv`` writes a ``TrainReport``'s traces.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,7 +155,11 @@ class Schedule:
 @dataclass(frozen=True)
 class TrainConfig:
     """Everything that determines a training run besides the data itself.  The
-    defaults are the paper's synthetic-study fit (its network is REFERENCE_TRUTH's)."""
+    defaults are the paper's synthetic-study fit (its network is REFERENCE_TRUTH's).
+
+    ``threads`` counts the calling thread: a likelihood of two or more blocks
+    is scored by it and up to ``threads`` - 1 helpers, one of a single block
+    by the calling thread alone.  It never changes a result."""
 
     S: int = 200
     schedule: Schedule = field(default_factory=Schedule)
@@ -234,10 +240,18 @@ class TrainReport:
         return self.diverged_at is not None
 
 
+@contextmanager
 def _pool(threads: int):
-    """A pool of ``threads`` workers for the likelihood's blocks, or, for one
-    thread, a context that gives None (the blocks then run in turn)."""
-    return ThreadPoolExecutor(threads) if threads > 1 else nullcontext()
+    """A context that gives the likelihood's helpers for a run of ``threads``
+    threads, the calling thread included: (executor, threads - 1) with an
+    executor of threads - 1 workers, or None for one thread (the calling
+    thread then scores every block).  A worker starts only when a likelihood
+    of two or more blocks first asks for a helper."""
+    if threads == 1:
+        yield None
+    else:
+        with ThreadPoolExecutor(threads - 1) as executor:
+            yield executor, threads - 1
 
 
 def _iterate(
@@ -247,7 +261,7 @@ def _iterate(
     shape: NetworkShape,
     draws: SampleMatrix,
     cv: bool | None,
-    pool: ThreadPoolExecutor | None,
+    pool: tuple[ThreadPoolExecutor, int] | None,
 ) -> tuple[float, np.ndarray | None, float | None]:
     """ELBO estimate, gradient estimate and gradient variance of one set of draws.
 
@@ -256,7 +270,8 @@ def _iterate(
     one row).  ``cv`` picks the rows: ``False`` the plain terms
     u[i] = v[i] * w[i]; ``True`` u[i] - a_hat * v[i] with the in-sample
     coefficients; ``None`` no rows at all, for the ELBO alone, with None for
-    the other two.  ``pool`` runs the log-likelihood's blocks.
+    the other two.  ``pool``, from :func:`_pool`, gives the log-likelihood's
+    helpers.
     """
     thetas = draws.thetas
     weights = log_joint_many(thetas, batch, prior, shape, pool) - log_q(q, thetas)

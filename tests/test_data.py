@@ -170,23 +170,42 @@ def parity_tables(rng) -> dict:
     tables["three blocks, nan in the last row"] = csv_bytes(CSV_ROWS[:1] + rows[:-1]
                                                             + [[b"nan", b"0", b"1"]])
     tables["three blocks, crlf"] = csv_bytes(CSV_ROWS[:1] + rows, end=b"\r\n")
-    tables.update(later_block_tables(rows))
+    tables.update({name: table for name, (table, _) in later_block_tables(rows).items()})
+    tables["quoted line break"] = csv_bytes(CSV_ROWS[:2] + [[b'"0.5\n"', b"1", b"0"]]
+                                            + CSV_ROWS[3:])
     extremes = [b"-0.0", b"5e-324", b"1.7976931348623157e308", b"-1.7976931348623157e308"]
     tables["extremes"] = csv_bytes(CSV_ROWS[:1] + [[v, b"1", b"0"] for v in extremes])
+    # 17-digit, denormal and extreme values, every cell quoted, in three blocks
+    # of CR-only lines with no final line end
+    specials = itertools.cycle(extremes + [b"2.5e-310", None, None])
+    quoted = [[b'"' + cell + b'"' for cell in ([v] + row[1:] if v else row)]
+              for v, row in zip(specials, rows)]
+    tables["three blocks, quoted extremes, cr"] = csv_bytes(CSV_ROWS[:1] + quoted,
+                                                            end=b"\r")[:-1]
     return tables
 
 
 def later_block_tables(rows) -> dict:
-    """Tables of ``2 * _BLOCK_ROWS + 1`` data rows whose first row that is not
-    plain is their last, in the third block, by name."""
+    """Tables of ``2 * _BLOCK_ROWS + 1`` data rows that differ from ``rows`` only
+    in their last row, in the third block, or across the first two blocks, by
+    name, each with how many blocks ``np.loadtxt`` reads of it."""
     table = csv_bytes(CSV_ROWS[:1] + rows)
+
+    def last(*cells):
+        return csv_bytes(CSV_ROWS[:1] + rows[:-1] + [list(cells)])
+
     return {
-        "three blocks, quoted cell in the last row": csv_bytes(
-            CSV_ROWS[:1] + rows[:-1] + [[b'"0.5"', b"0", b"1"]]),
-        "three blocks, label 2 in the last row": csv_bytes(
-            CSV_ROWS[:1] + rows[:-1] + [[b"0.5", b"0", b"2"]]),
-        "three blocks, cr-only last line": table[:-1] + b"\r",
-        "three blocks, no final newline": table[:-1],
+        "three blocks, quoted cell in the last row": (last(b'"0.5"', b"0", b"1"), 3),
+        "three blocks, cr-only last line": (table[:-1] + b"\r", 3),
+        "three blocks, no final newline": (table[:-1], 3),
+        "three blocks, label 2 in the last row": (last(b"0.5", b"0", b"2"), 2),
+        "three blocks, quoted line break in the last row": (last(b'"0.5\n"', b"0", b"1"), 2),
+        "three blocks, blank line before the last row": (
+            csv_bytes(CSV_ROWS[:1] + rows[:-1] + [[]] + rows[-1:]), 2),
+        # the first block's last line ends inside a quoted cell
+        "quoted line break across blocks 1 and 2": (csv_bytes(
+            CSV_ROWS[:1] + rows[: _BLOCK_ROWS - 1] + [rows[_BLOCK_ROWS - 1][:2] + [b'"1\n"']]
+            + rows[_BLOCK_ROWS:]), 0),
     }
 
 
@@ -244,19 +263,24 @@ class TestTwoReaders:
             if both != read_outcomes(path):
                 failures.append(name)
         assert not failures, failures
-        assert all(blocks_read[name] == {2} for name in later_block_tables([])), blocks_read
-        assert {"lf", "crlf", "three blocks", "three blocks, crlf", "extremes", "3 columns, bom",
-                "3 columns, line 2, column 0 = b'-0'"} <= plain
-        assert not {"cr", "no final newline", "whitespace-only line",
-                    "3 columns, line 2, column 0 = b'\"1\"'"} & plain
+        rows = [[b"0", b"0", b"0"]] * (2 * _BLOCK_ROWS + 1)
+        later = {name: {blocks} for name, (_, blocks) in later_block_tables(rows).items()}
+        assert {name: blocks_read[name] for name in later} == later
+        assert {"lf", "crlf", "cr", "no final newline", "three blocks", "three blocks, crlf",
+                "extremes", "three blocks, quoted extremes, cr", "3 columns, bom",
+                "3 columns, cr-line-ends",
+                "3 columns, line 2, column 0 = b'-0'",
+                "3 columns, line 2, column 0 = b'\"1\"'"} <= plain
+        assert not {"quoted line break", "whitespace-only line", "3 columns, blank-line",
+                    "3 columns, unclosed-quote"} & plain
 
     def test_a_pipe_is_read_by_the_csv_path(self, tmp_path):
         # a pipe cannot be read twice, so a table that the np.loadtxt path
-        # declines, such as one with CR line ends, must not be half read by it
+        # declines, such as one with a quoted line break, must not be half read by it
         path = tmp_path / "pipe.csv"
         os.mkfifo(path)
-        writer = threading.Thread(target=path.write_bytes, daemon=True,
-                                  args=(csv_bytes(CSV_ROWS, end=b"\r"),))
+        content = csv_bytes(CSV_ROWS[:2] + [[b'"0.5\n"', b"1", b"0"]] + CSV_ROWS[3:])
+        writer = threading.Thread(target=path.write_bytes, daemon=True, args=(content,))
         writer.start()
         batch, _ = load_csv(path, PARITY_SCHEMA)
         writer.join(timeout=10)
@@ -285,7 +309,7 @@ class TestTwoReaders:
     @pytest.mark.parametrize("end", ["crlf", "no final crlf"])
     def test_reading_20k_rows_holds_about_the_values(self, tmp_path, end):
         # the values are 0.48 MB; a list of csv.reader rows peaks at 7.8 MB of str cells,
-        # and without its final CRLF only the last block is read by csv.reader
+        # and np.loadtxt reads every block, the last one without its final CRLF too
         path = tmp_path / "d.csv"
         write_csv(generate_synthetic(REFERENCE_TRUTH, 20_000, seed=0), path, default_schema(2))
         if end == "no final crlf":

@@ -44,6 +44,7 @@ from vbnn.model import (
     unflatten,
     unflatten_many,
 )
+from vbnn import optimizer
 from vbnn.optimizer import TrainConfig, train
 
 from conftest import BENCH_SHAPE, TOY_SHAPE, implied_thetas, scores_bound
@@ -70,6 +71,28 @@ def float32_bound(thetas, x, shape: NetworkShape) -> np.ndarray:
     B = np.abs(beta0) + np.abs(beta).sum(axis=1)
     H = ((np.abs(gamma0)[:, :, None] + np.abs(gamma) @ np.abs(x).T) / 2).max(axis=(1, 2))
     return (shape.p + shape.k + 8) * 2.0**-24 * (1 + B * (1 + H))
+
+
+def overflowing_thetas() -> np.ndarray:
+    """200 networks whose scores overflow float32 on any x in [0, 1]^2: output
+    weights of 2e38 fit float32 (its maximum is ~3.4e38), and so does the
+    offset sum(beta)/2 = 3e38, but on saturated hidden units each score is 6e38."""
+    thetas = np.zeros((200, BENCH_SHAPE.K))
+    thetas[:, 1 : 1 + BENCH_SHAPE.k] = 2e38
+    thetas[:, 1 + BENCH_SHAPE.k : 1 + 2 * BENCH_SHAPE.k] = 40.0
+    return thetas
+
+
+class RecordingExecutor(ThreadPoolExecutor):
+    """A thread pool that keeps its worker count and every task submitted to it."""
+
+    def __init__(self, workers):
+        super().__init__(workers)
+        self.workers, self.tasks = workers, []
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.tasks.append(super().submit(fn, *args, **kwargs))
+        return self.tasks[-1]
 
 
 def one_network_scores(theta: NetworkParams, x) -> np.ndarray:
@@ -204,11 +227,12 @@ class TestKernelRows:
             for name, other in layouts.items():
                 assert fn(thetas, *args(other)).tobytes() == whole.tobytes(), name
 
-    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("workers", [1, 2, 7])
     def test_pool_runs_the_blocks_byte_identically(self, rng, workers):
         # n=2000 and S=200 give five blocks of at most 43 rows, each written
-        # into its own slice of the output; frequent thread switches would
-        # expose a lost or misplaced write
+        # into its own slice of the output by the calling thread or one of
+        # fewer (1, 2) or more (7) helpers than the other four blocks;
+        # frequent thread switches would expose a lost or misplaced write
         n = 2000
         thetas = rng.normal(0, 2, (200, BENCH_SHAPE.K))
         batch = LabeledBatch(x=rng.uniform(0, 1, (n, 2)), y=rng.integers(0, 2, n))
@@ -218,41 +242,49 @@ class TestKernelRows:
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(workers) as pool:
-                pooled = log_joint_many(thetas, batch, prior, BENCH_SHAPE, pool)
+                pooled = log_joint_many(thetas, batch, prior, BENCH_SHAPE, (pool, workers))
         finally:
             sys.setswitchinterval(interval)
         assert pooled.tobytes() == serial.tobytes()
 
     @pytest.mark.filterwarnings("error")
     def test_pool_blocks_run_under_the_callers_error_settings(self, rng):
-        # output weights of 2e38 fit float32 (its maximum is ~3.4e38), and so
-        # does the offset sum(beta)/2 = 3e38, but on saturated hidden units
-        # each score is 6e38: it overflows inside the blocks, on the workers
+        # the scores overflow in every block, on the helpers as on the caller
         n = 1000
-        thetas = np.zeros((200, BENCH_SHAPE.K))
-        thetas[:, 1 : 1 + BENCH_SHAPE.k] = 2e38
-        thetas[:, 1 + BENCH_SHAPE.k : 1 + 2 * BENCH_SHAPE.k] = 40.0
+        thetas = overflowing_thetas()
         batch = LabeledBatch(x=rng.uniform(0, 1, (n, 2)), y=rng.integers(0, 2, n))
         with pytest.raises(RuntimeWarning, match="overflow"):
             log_likelihood_many(thetas, batch, BENCH_SHAPE)
         with np.errstate(over="ignore"), ThreadPoolExecutor(2) as pool:
-            out = log_likelihood_many(thetas, batch, BENCH_SHAPE, pool)
+            out = log_likelihood_many(thetas, batch, BENCH_SHAPE, (pool, 2))
         assert np.all(np.isneginf(out))
 
-    @pytest.mark.parametrize("n, blocks", [(436, 1), (437, 2)])
-    def test_reference_fit_needs_a_second_block_past_n_436(self, rng, n, blocks):
-        # S=200 rows at k=3 fit one block of _BLOCK_FLOATS float32 values up
-        # to n=436; the pool is handed the block starts
-        class RecordingPool:
-            def map(self, fn, starts):
-                self.starts = list(starts)
-                return map(fn, self.starts)
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_an_overflowing_block_raises_once_every_helper_has_ended(self, rng, monkeypatch,
+                                                                     threads):
+        # n=1000 gives three blocks, so threads - 1 helpers are started, and
+        # every block overflows
+        monkeypatch.setattr(optimizer, "ThreadPoolExecutor", RecordingExecutor)
+        n = 1000
+        batch = LabeledBatch(x=rng.uniform(0, 1, (n, 2)), y=rng.integers(0, 2, n))
+        with optimizer._pool(threads) as pool:
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                log_likelihood_many(overflowing_thetas(), batch, BENCH_SHAPE, pool)
+            tasks = pool[0].tasks
+            assert len(tasks) == threads - 1
+            assert all(task.done() for task in tasks)
 
-        pool = RecordingPool()
+    @pytest.mark.parametrize("n, helpers", [(436, 0), (437, 1)])
+    def test_reference_fit_needs_a_second_block_past_n_436(self, rng, monkeypatch, n, helpers):
+        # S=200 rows at k=3 fit one block of _BLOCK_FLOATS float32 values up
+        # to n=436; at threads=2 the calling thread scores it alone, and past
+        # it one helper of the pool's one worker shares the blocks
+        monkeypatch.setattr(optimizer, "ThreadPoolExecutor", RecordingExecutor)
         thetas = rng.normal(0, 2, (200, BENCH_SHAPE.K))
         batch = LabeledBatch(x=rng.uniform(0, 1, (n, 2)), y=rng.integers(0, 2, n))
-        out = log_likelihood_many(thetas, batch, BENCH_SHAPE, pool)
-        assert len(pool.starts) == blocks
+        with optimizer._pool(2) as pool:
+            out = log_likelihood_many(thetas, batch, BENCH_SHAPE, pool)
+        assert (pool[0].workers, len(pool[0].tasks)) == (1, helpers)
         assert out.tobytes() == log_likelihood_many(thetas, batch, BENCH_SHAPE).tobytes()
 
     def test_large_batch_allocates_about_one_block(self, rng):

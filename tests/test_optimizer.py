@@ -509,8 +509,9 @@ class TestTrain:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_is_silent_on_worker_threads(self):
         # train suppresses overflow warnings while it detects divergence;
-        # the log-joint blocks evaluated on pool threads must honour that too
-        batch = bench_batch(n=60)
+        # the log-joint blocks evaluated on helper threads must honour that
+        # too: n=1800 cuts S=50 into two blocks, of 48 and 2 rows, so one helper runs
+        batch = bench_batch(n=1800)
         prior = PriorConfig.standard(BENCH_SHAPE.K)
         cfg = TrainConfig(S=50, schedule=Schedule(kind="fixed", rho=1e60),
                           max_iters=50, seed=0, threads=2)
