@@ -18,6 +18,7 @@ import itertools
 import json
 import logging
 import os
+import stat
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -80,42 +81,38 @@ _DEFAULT_K = 10
 # atomic output helpers
 
 def _atomic_write(path: str, writer) -> None:
-    """Run ``writer(tmp_path)`` then atomically rename over ``path``."""
+    """Run ``writer(tmp_path)`` then atomically rename over ``path``; an OSError
+    of any step, such as a full disk, is raised naming ``path``, with no file left."""
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
                        f".tmp.{os.urandom(8).hex()}.part")
     try:  # exclusive, with the mode open(path, "w") gives
         os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+        try:
+            writer(tmp)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
     except OSError as exc:  # name the destination, not the temporary file
         raise type(exc)(exc.errno, exc.strerror, path) from None
-    try:
-        writer(tmp)
-        try:
-            os.replace(tmp, path)
-        except OSError as exc:  # such as a directory at path
-            raise type(exc)(exc.errno, exc.strerror, path) from None
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-def _below_a_file(path: str) -> bool:
-    """Whether the nearest existing ancestor of ``path`` is not a directory."""
-    parent = os.path.dirname(os.path.abspath(path))
-    while not os.path.exists(parent):
-        parent = os.path.dirname(parent)
-    return not os.path.isdir(parent)
 
 
 def _check_outputs(*paths: str) -> None:
-    """Raise, naming the path, the OSError that ``_atomic_write`` would raise for
-    a path below a file, whose directory is missing or that is a directory,
-    before any work."""
+    """Raise, before any work, an error naming the first path that an earlier one
+    resolves to as well, that is a directory, or whose directory cannot be used:
+    the OS's error from one ``os.stat`` of it, such as ENOENT, ENOTDIR or EACCES."""
+    seen = set()
     for path in paths:
-        code = (errno.ENOTDIR if _below_a_file(path)
-                else errno.ENOENT if not os.path.isdir(os.path.dirname(os.path.abspath(path)))
-                else errno.EISDIR if os.path.isdir(path) else None)
-        if code:
-            raise OSError(code, os.strerror(code), path)
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ValueError(f"output {path!r} is named twice")
+        seen.add(real)
+        try:
+            os.stat(os.path.join(os.path.dirname(os.path.abspath(path)), "."))
+        except OSError as exc:
+            raise type(exc)(exc.errno, exc.strerror, path) from None
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 def _atomic_write_json(path: str, doc: dict) -> None:
@@ -292,12 +289,13 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     model_out, report_out, summary_out = (os.path.join(args.out, name) for name in
                                           ("model.json", "report.csv", "summary.json"))
-    if os.path.isdir(args.out):
+    try:  # the OS's error for a file among its parents, or one that cannot be searched
+        if not stat.S_ISDIR(os.stat(args.out).st_mode):  # os.makedirs would refuse it
+            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), args.out)
+    except FileNotFoundError:  # os.makedirs makes it, and any missing parent, after the fit
+        pass
+    else:
         _check_outputs(model_out, report_out, summary_out)
-    elif os.path.exists(args.out):  # os.makedirs would refuse it after the fit
-        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), args.out)
-    elif _below_a_file(args.out):  # as it would a file among its parents
-        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), args.out)
     batch, schema = _load_labeled(args.data, args.schema)
     if batch.n == 0:
         raise ValueError(f"{args.data}: training needs at least one data row")

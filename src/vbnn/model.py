@@ -569,10 +569,12 @@ def normal_logpdf_total(x, mean, sd) -> np.ndarray:
 
 
 def log_prior(thetas: np.ndarray, prior: PriorConfig):
-    """Gaussian prior log-density of flat (..., K) parameter vectors."""
+    """Gaussian prior log-density of flat (..., K) parameter vectors; vectors of
+    another length than the prior's raise ShapeMismatchError naming both."""
     thetas = np.asarray(thetas, dtype=float)
     if thetas.shape[-1] != prior.K:
-        raise ShapeMismatchError("parameter length does not match prior length")
+        raise ShapeMismatchError(f"prior length {prior.K} does not match parameter length "
+                                 f"K={thetas.shape[-1]}")
     return normal_logpdf_total(thetas, prior.mu, prior.zeta)
 
 

@@ -385,14 +385,9 @@ def train(
     checkable at iteration 2w - 1.  Without the second condition a fit whose
     ELBO has blown up to a huge negative value would pass the relative test.
     A NaN/Inf ELBO or gradient marks the run diverged and returns the last
-    healthy iterate.
+    healthy iterate.  A batch or prior of another width or length than ``shape``
+    raises ShapeMismatchError naming both, from log_likelihood_many or log_prior.
     """
-    if batch.p != shape.p:
-        raise ShapeMismatchError(f"batch width {batch.p} does not match network shape p={shape.p}")
-    if prior.K != shape.K:
-        raise ShapeMismatchError(f"prior length {prior.K} does not match network shape "
-                                 f"K={shape.K}")
-
     q = initial_params(shape.K)
     elbos, gvars, rhos = [], [], []
     converged = False

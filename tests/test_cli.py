@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import errno
 import itertools
 import json
 import math
@@ -1023,6 +1024,17 @@ class TestUnwritableOutputs:
             f"error: [Errno 21] Is a directory: {str(tmp_path / blocked)!r}\n")
         assert os.listdir(tmp_path) == [blocked]
 
+    @pytest.mark.parametrize("truth_out", ["d.csv", "./d.csv", "d.csv.schema.json"],
+                             ids=["data", "data-by-another-name", "sidecar"])
+    def test_synth_refuses_an_output_named_twice(self, tmp_path, capsys, monkeypatch,
+                                                 truth_out):
+        monkeypatch.setattr("vbnn.cli.generate_synthetic", refuse_work)
+        truth_out = f"{tmp_path}/{truth_out}"
+        argv = ["synth", "--n", "3", "--out", str(tmp_path / "d.csv"), "--truth-out", truth_out]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: output {truth_out!r} is named twice\n"
+        assert os.listdir(tmp_path) == []
+
 
 class TestOutputModes:
     # flags that keep each run small; synth also writes a truth file
@@ -1071,6 +1083,19 @@ class TestAtomicWrite:
             _atomic_write(str(path), self.write_partial)
         assert info.value.filename == str(path)
         assert os.listdir(tmp_path) == ["out.json"] and os.listdir(path) == []
+
+    @pytest.mark.parametrize("code, names_tmp", [(errno.ENOSPC, False), (errno.EIO, True)],
+                             ids=["ENOSPC-unnamed", "EIO-naming-the-temporary-file"])
+    def test_writer_oserror_names_the_destination(self, tmp_path, code, names_tmp):
+        def failing(tmp):
+            self.write_partial(tmp)
+            raise OSError(code, os.strerror(code), *([tmp] if names_tmp else []))
+
+        path = tmp_path / "out.json"
+        with pytest.raises(OSError) as info:
+            _atomic_write(str(path), failing)
+        assert (info.value.errno, info.value.filename) == (code, str(path))
+        assert os.listdir(tmp_path) == []
 
     def test_missing_directory_is_named(self, tmp_path):
         path = tmp_path / "no" / "out.json"

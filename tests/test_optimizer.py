@@ -533,7 +533,7 @@ class TestTrain:
 
     def test_shape_mismatches_rejected(self):
         batch = bench_batch(n=10)
-        with pytest.raises(ShapeMismatchError, match="batch width 2 .* p=1"):
+        with pytest.raises(ShapeMismatchError, match=r"p=1\) .* got \(10, 2\)"):
             train(batch, PriorConfig.standard(TOY_SHAPE.K), TOY_SHAPE, TrainConfig())
         with pytest.raises(ShapeMismatchError, match="prior length 5 .* K=13"):
             train(batch, PriorConfig.standard(5), BENCH_SHAPE, TrainConfig())
