@@ -90,6 +90,11 @@ def run_study(sizes=(200, 800, 3200), seeds=5, S=200, n_mc=20_000, M=200, log=No
     return rows
 
 
+def write_rows(path: str, rows: list[dict]) -> None:
+    """Write ``run_study``'s rows as the ``--out`` table, through ``vbnn``'s CSV writer."""
+    _write_rows(path, list(rows[0]), list(map(np.array, zip(*(row.values() for row in rows)))))
+
+
 def read_rows(path: str) -> list[dict]:
     """The rows of a table written by ``--out``, numbers parsed; a cell that is
     neither a number nor True/False raises ValueError naming its line and column."""
@@ -198,8 +203,7 @@ def main() -> int:
         print(f"--- median hellinger at n={n}: {med:.4f}")
 
     if args.out:
-        _write_rows(args.out, list(rows[0]),
-                    list(map(np.array, zip(*(row.values() for row in rows)))))
+        write_rows(args.out, rows)
         print(f"wrote {len(rows)} rows to {args.out}")
     if old is not None:
         lines, flagged = compare(rows, old)

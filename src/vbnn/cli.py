@@ -270,6 +270,10 @@ def _run_training(batch, config: TrainConfig, shape: NetworkShape):
     return Posterior(shape, q, prior), report
 
 
+def _diverged(report) -> str:
+    return f"training diverged (non-finite estimate) at iteration {report.diverged_at}"
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -323,8 +327,7 @@ def cmd_train(args) -> int:
 
     if report.diverged:
         under = f" under config file {args.config!r}" if args.config else ""
-        raise ValueError(f"training diverged (non-finite estimate) at iteration "
-                         f"{report.diverged_at}{under}")
+        raise ValueError(_diverged(report) + under)
     logger.info(
         "finished after %d iterations (converged=%s)",
         report.iterations_run,
@@ -424,8 +427,7 @@ def cmd_sweep(args) -> int:
                 fitted = fit_normalization(schema, train_part)
                 post, report = _run_training(normalize(train_part, fitted), config, shape)
                 if report.diverged:
-                    raise ValueError(f"training diverged (non-finite estimate) at iteration "
-                                     f"{report.diverged_at}")
+                    raise ValueError(_diverged(report))
                 accs.append(test_accuracy(post, normalize(test_part, fitted), cfg))
             except ValueError as exc:  # raised on one fold's rows under one cell's config
                 raise ValueError(

@@ -41,8 +41,9 @@ output probabilities (``sigmoid``) and ``softplus`` stay tail-exact in their
 precision, float32 for a float32 input and float64 otherwise; ``sigmoid`` is
 numpy's 1 / (1 + exp(-z)).
 
-The float32 bytes also depend on the numpy build, which picks its SIMD
-kernels at run time; :func:`numpy_build` names it.
+The bytes also depend on the numpy build, which picks its SIMD kernels at
+run time, and on the kernel its bundled OpenBLAS picks at load time;
+:func:`numpy_build` names both.
 
 Everything here is pure and side-effect free, so the functions are safe to
 call from worker threads.
@@ -50,7 +51,10 @@ call from worker threads.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
+import os
 from collections import deque
 from concurrent.futures import wait
 from dataclasses import dataclass
@@ -135,10 +139,20 @@ def check_keys(doc: dict, allowed, what: str) -> None:
 
 def numpy_build() -> dict:
     """{"numpy": numpy's version, "simd": its active SIMD dispatch targets, in
-    ``__cpu_dispatch__`` order}: the build that a float32 kernel's bytes depend
-    on.  ``NPY_DISABLE_CPU_FEATURES``, read by numpy at import, turns targets off."""
+    ``__cpu_dispatch__`` order, "openblas_core": the kernel its bundled
+    scipy-openblas chose, or None where numpy bundles no such library}: the
+    build that the fit's bytes depend on.  ``NPY_DISABLE_CPU_FEATURES``, read by
+    numpy at import, turns targets off; ``OPENBLAS_CORETYPE`` picks the kernel."""
+    core = None
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                       "libscipy_openblas64_-*.so")):
+        corename = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            core = corename().decode()
     return {"numpy": np.__version__,
-            "simd": [target for target in __cpu_dispatch__ if __cpu_features__.get(target)]}
+            "simd": [target for target in __cpu_dispatch__ if __cpu_features__.get(target)],
+            "openblas_core": core}
 
 
 def _float_array(z) -> np.ndarray:

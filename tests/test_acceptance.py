@@ -2,7 +2,8 @@
 
 Each test prints one `[criterion N] PASS/FAIL` line (visible under
 ``pytest -s`` or in captured output on failure) and enforces both the
-numerical tolerance and the runtime budget of its claim.
+numerical tolerance and the runtime budget of its claim.  One more test
+holds the committed ``scripts/consistency_table.csv`` to criteria 6-7's fits.
 """
 
 import math
@@ -356,6 +357,22 @@ def test_criterion_7_risk_bound_inequality(consistency_runs, capsys):
         f"(worst slack {worst:.2e})",
         capsys=capsys,
     )
+
+
+def test_consistency_table_is_the_fixtures_rows(consistency_runs, tmp_path):
+    # scripts/walkthrough_hashes.txt's first line names the build that wrote the table
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(ROOT / "scripts"))
+        from consistency_trend import write_rows
+        from walkthrough_hashes import build_statement
+    recorded = (ROOT / "scripts" / "walkthrough_hashes.txt").read_text().splitlines()[0]
+    if recorded != f"scripts/consistency_table.csv: {build_statement()}":
+        pytest.skip(f"this run's build is not the table's: {build_statement()!r}, {recorded!r}")
+    write_rows(str(tmp_path / "table.csv"), consistency_runs["results"])
+    # line by line, so that a failure names the first row that moved
+    table = (ROOT / "scripts" / "consistency_table.csv").read_bytes()
+    written = (tmp_path / "table.csv").read_bytes()
+    assert written.splitlines(keepends=True) == table.splitlines(keepends=True)
 
 
 # ---------------------------------------------------------------------------

@@ -92,8 +92,18 @@ class TestTrain:
         summary = read_json(workdir["summary"])
         traces = {name: np.zeros(1) for name in ("elbo_trace", "grad_var_trace", "rho_trace")}
         report_keys = list(report_summary(TrainReport(**traces, converged=True, wall_time=0.0)))
-        assert list(summary) == [*report_keys, "numpy", "simd"]
-        assert {key: summary[key] for key in ("numpy", "simd")} == numpy_build()
+        assert list(summary) == [*report_keys, "numpy", "simd", "openblas_core"]
+        assert {key: summary[key] for key in ("numpy", "simd", "openblas_core")} == numpy_build()
+
+    @pytest.mark.skipif(numpy_build()["openblas_core"] is None,
+                        reason="numpy bundles no scipy-openblas here")
+    def test_numpy_build_names_the_openblas_kernel_picked_at_load(self):
+        # OpenBLAS reads OPENBLAS_CORETYPE once, when numpy loads it
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "from vbnn.model import numpy_build; print(numpy_build()['openblas_core'])"],
+            capture_output=True, text=True, env=dict(os.environ, OPENBLAS_CORETYPE="Haswell"))
+        assert (proc.returncode, proc.stdout) == (0, "Haswell\n"), proc.stderr
 
     def test_no_training_flag_fits_the_readme_data(self, tmp_path):
         # TrainConfig()'s defaults are the paper's fit, so the README's
@@ -121,18 +131,23 @@ class TestTrain:
         assert "control variates require S" in capsys.readouterr().err
 
     def test_byte_identical_across_threads(self, tmp_path, workdir):
-        outs = []
-        for threads in ("1", "8"):
-            out = tmp_path / f"t{threads}"
-            code = main([
-                "train", "--data", str(workdir["data"]), "--out", str(out),
-                "--S", "300", "--max-iters", "12", "--k", "2", "--seed", "3",
-                "--threads", threads,
-            ])
-            assert code in (0, 2)
-            outs.append(out)
-        for name in ("model.json", "report.csv"):
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        # at S=300, k=2 a likelihood block holds 2**18 // (2 n) rows: one block
+        # at n=60, so no helper thread starts, and two at n=600, so one does
+        big = tmp_path / "train600.csv"
+        assert main(["synth", "--n", "600", "--seed", "5", "--out", str(big)]) == 0
+        for data in (workdir["data"], big):
+            outs = []
+            for threads in ("1", "8"):
+                out = tmp_path / f"{data.stem}-t{threads}"
+                code = main([
+                    "train", "--data", str(data), "--out", str(out),
+                    "--S", "300", "--max-iters", "12", "--k", "2", "--seed", "3",
+                    "--threads", threads,
+                ])
+                assert code in (0, 2)
+                outs.append(out)
+            for name in ("model.json", "report.csv"):
+                assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_exit_two_when_budget_too_small_to_converge(self, tmp_path, workdir):
         code = main(["train", "--data", str(workdir["data"]),
