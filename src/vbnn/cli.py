@@ -336,13 +336,17 @@ def cmd_train(args) -> int:
     return 0 if report.converged else 2
 
 
+def _predictive_config(args) -> PredictiveConfig:
+    return PredictiveConfig(M=args.M, seed=args.seed, threads=args.threads)
+
+
 def cmd_predict(args) -> int:
     _check_outputs(args.out)
+    cfg = _predictive_config(args)
     post, schema = _load_model(args.model)
     with _read_against(args.model, "model"):
         x = _load_feature_rows(args.data, schema)
     x = normalize(LabeledBatch(x=x, y=np.zeros(x.shape[0], dtype=np.int64)), schema).x
-    cfg = PredictiveConfig(M=args.M, seed=args.seed)
     probs = predictive_probabilities(post, x, cfg)
     labels = plug_in_labels(probs)
     _atomic_write(args.out, lambda tmp: save_predictions_csv(tmp, probs, labels))
@@ -352,13 +356,13 @@ def cmd_predict(args) -> int:
 
 def cmd_evaluate(args) -> int:
     _check_outputs(args.out)
+    cfg = _predictive_config(args)
     post, schema = _load_model(args.model)
     with _read_against(args.model, "model"):
         batch, _ = load_csv(args.data, schema)
     if batch.n == 0:
         raise ValueError(f"{args.data}: accuracy is undefined on a file with no data rows")
     batch = normalize(batch, schema)
-    cfg = PredictiveConfig(M=args.M, seed=args.seed)
     doc = evaluation_dict(post, batch, cfg)
     _atomic_write_json(args.out, doc)
     logger.info("accuracy %.4f on %d rows", doc["accuracy"], doc["n"])
@@ -367,6 +371,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_diagnose(args) -> int:
     _check_outputs(args.out)
+    pred_cfg = _predictive_config(args)
+    int_cfg = IntegrationConfig(n_mc=args.n_mc, seed=args.seed)
     post, schema = _load_model(args.model)
     for col in schema.feature_columns:
         if col.normalization != "none":
@@ -376,8 +382,6 @@ def cmd_diagnose(args) -> int:
                 f"{col.name!r}, so the comparison space would not match"
             )
     truth = _load_truth(args.truth)
-    pred_cfg = PredictiveConfig(M=args.M, seed=args.seed)
-    int_cfg = IntegrationConfig(n_mc=args.n_mc, seed=args.seed)
     try:
         doc = diagnostics_dict(post, truth, pred_cfg, int_cfg)
     except ShapeMismatchError as exc:  # a truth of another width than the model's
@@ -422,13 +426,15 @@ def cmd_sweep(args) -> int:
     rows = []
     for algo, config in cells:
         accs, iters, wall = [], [], 0.0
+        # each fold is scored on as many threads as it was fitted on
+        cell_cfg = replace(cfg, threads=config.threads)
         for fold, (train_part, test_part) in enumerate(pairs):
             try:
                 fitted = fit_normalization(schema, train_part)
                 post, report = _run_training(normalize(train_part, fitted), config, shape)
                 if report.diverged:
                     raise ValueError(_diverged(report))
-                accs.append(test_accuracy(post, normalize(test_part, fitted), cfg))
+                accs.append(test_accuracy(post, normalize(test_part, fitted), cell_cfg))
             except ValueError as exc:  # raised on one fold's rows under one cell's config
                 raise ValueError(
                     f"{exc} in cell S={config.S}, schedule {_schedule_label(config.schedule)}, "
@@ -472,7 +478,8 @@ def _add_predictive_flags(sub, default_m=PredictiveConfig.M):
                      help="posterior draws per prediction")
     sub.add_argument("--seed", type=_plain_int, default=0)
     sub.add_argument("--threads", type=_plain_int, default=1,
-                     help="ignored: serving is single-threaded")
+                     help="serving threads, the calling thread included (it alone serves "
+                          "a one-block call); results do not depend on it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -545,8 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--M", type=_plain_int, default=200)
     p_sweep.add_argument("--seed", type=_plain_int, default=0)
     p_sweep.add_argument("--threads", type=_plain_int, default=None,
-                         help="training threads, the calling thread included; "
-                              "fold scoring is single-threaded")
+                         help="training and fold-scoring threads, the calling thread "
+                              "included; results do not depend on it")
     p_sweep.set_defaults(func=cmd_sweep, sizes="the grid's S or k, or --M")
 
     return parser

@@ -23,9 +23,10 @@ scoring all S rows at once.  Its scores and softplus terms are float32 and
 each row is summed in float64; its docstring bounds the relative error and
 states float32's range (about 3.4e38) and tail (a term below e^-87.3 is
 denormal, below about e^-103.9 it is 0).  These blocks are training's only
-unit of parallel work: the calling thread scores them, helped by up to
-``threads`` - 1 pool threads when there is more than one block, with a
-result that does not depend on which thread scores which block.
+unit of parallel work, as serving's row blocks are serving's: in both, the
+calling thread scores them, helped by up to ``threads`` - 1 pool threads
+when there is more than one block (one queue, :func:`_share_blocks`), with
+a result that does not depend on which thread scores which block.
 Serving scores posterior-predictive draws at each row of x from k+1
 normals per draw: the exact Gaussian marginals of the hidden
 pre-activations, then the exact Gaussian law of the score given the hidden
@@ -55,8 +56,9 @@ import ctypes
 import glob
 import math
 import os
-from collections import deque
-from concurrent.futures import wait
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -491,6 +493,64 @@ def scores(z: np.ndarray, factors: tuple, rows: slice) -> np.ndarray:
     return out
 
 
+@contextmanager
+def _pool(threads: int):
+    """A context that gives :func:`_share_blocks`' helpers for a run of
+    ``threads`` threads, the calling thread included: (executor, threads - 1)
+    with an executor of threads - 1 workers, or None for one thread (the
+    calling thread then runs every block).  A worker starts only when a call
+    of two or more blocks first asks for a helper."""
+    if threads == 1:
+        yield None
+    else:
+        with ThreadPoolExecutor(threads - 1) as executor:
+            yield executor, threads - 1
+
+
+def _share_blocks(blocks, count: int, work, pool=None) -> None:
+    """Run ``work(take)`` on the calling thread and on up to
+    min(helpers, count - 1) tasks of ``pool`` (executor, helpers), so a call
+    of one block starts none.
+
+    ``take()`` hands out the next item of the iterator ``blocks`` (``count``
+    items) under one lock, so items leave it in its order and whatever
+    ``next`` does is one critical section, and returns None once it is
+    spent or any thread has failed; ``work`` runs ``for item in iter(take,
+    None)``.  Every thread runs under the caller's floating-point error
+    settings (``np.errstate`` is per thread).  After a failure the other
+    threads stop at their next ``take``.  The call returns, or raises the
+    calling thread's error (else the first failed task's), only once every
+    task it started has ended.
+    """
+    errors = np.geterr()
+    lock = threading.Lock()
+    failed = False
+
+    def take():
+        with lock:
+            return None if failed else next(blocks, None)
+
+    def drain() -> None:
+        nonlocal failed
+        try:
+            with np.errstate(**errors):
+                work(take)
+        except BaseException:
+            with lock:
+                failed = True
+            raise
+
+    executor, helpers = pool or (None, 0)
+    tasks = [executor.submit(drain) for _ in range(min(helpers, count - 1))]
+    try:
+        drain()
+    finally:
+        if tasks:
+            wait(tasks)
+    for task in tasks:
+        task.result()
+
+
 # The likelihood scores its S rows in blocks whose (rows, k, n) float32 hidden
 # array holds about 1 MiB, half of a 2 MiB per-core L2 (at least one row).
 _BLOCK_FLOATS = 2**18
@@ -529,11 +589,12 @@ def log_likelihood_many(
     The rows are scored ``_BLOCK_FLOATS // (k * n)`` at a time (at least
     one), so memory is O(_BLOCK_FLOATS + S + n) rather than O(S * k * n).
     The calling thread scores blocks itself.  ``pool``, when given, is a pair
-    (executor, helpers): up to min(helpers, blocks - 1) tasks on the executor
-    take blocks from the same queue, so a one-block likelihood starts none.
-    Every block runs under the caller's floating-point error settings
-    (``np.errstate`` is per thread), and the call returns, or raises a
-    block's error, only once every task it started has ended.  Row s
+    (executor, helpers) from :func:`_pool`: up to min(helpers, blocks - 1)
+    tasks on the executor take blocks from the same queue
+    (:func:`_share_blocks`), so a one-block likelihood starts none.  Every
+    block runs under the caller's floating-point error settings, and the
+    call returns, or raises a block's error, only once every task it
+    started has ended.  Row s
     depends only on parameter row s and the block size only on k and n, so
     the result is byte-identical to scoring all S rows at once, whichever
     thread scores which block.  The
@@ -547,31 +608,16 @@ def log_likelihood_many(
     sign = (1 - 2 * batch.y).astype(np.float32)
     block = max(1, _BLOCK_FLOATS // (shape.k * max(batch.n, 1)))
     out = np.empty(thetas.shape[0])
-    errors = np.geterr()
-    starts = deque(range(0, thetas.shape[0], block))
+    starts = range(0, thetas.shape[0], block)
 
-    def drain() -> None:
-        with np.errstate(**errors):
-            while True:
-                try:
-                    lo = starts.popleft()
-                except IndexError:  # every block is taken
-                    return
-                z = _score_rows(terms, slice(lo, lo + block))
-                z *= sign
-                out[lo : lo + block] = -softplus(z, out=z).sum(axis=1, dtype=float)
-                del z  # so that one block's scores are alive at a time
+    def work(take) -> None:
+        for lo in iter(take, None):
+            z = _score_rows(terms, slice(lo, lo + block))
+            z *= sign
+            out[lo : lo + block] = -softplus(z, out=z).sum(axis=1, dtype=float)
+            del z  # so that one block's scores are alive at a time
 
-    executor, helpers = pool or (None, 0)
-    tasks = [executor.submit(drain) for _ in range(min(helpers, len(starts) - 1))]
-    try:
-        drain()
-    finally:
-        if tasks:
-            starts.clear()  # after a failure the helpers stop at their current block
-            wait(tasks)
-    for task in tasks:
-        task.result()
+    _share_blocks(iter(starts), len(starts), work, pool)
     return out
 
 

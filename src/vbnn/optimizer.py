@@ -49,8 +49,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +60,7 @@ from .model import (
     ShapeMismatchError,
     _check_counts,
     _is_kind,
+    _pool,
     check_keys,
     json_field,
     log_joint_many,
@@ -240,20 +239,6 @@ class TrainReport:
         return self.diverged_at is not None
 
 
-@contextmanager
-def _pool(threads: int):
-    """A context that gives the likelihood's helpers for a run of ``threads``
-    threads, the calling thread included: (executor, threads - 1) with an
-    executor of threads - 1 workers, or None for one thread (the calling
-    thread then scores every block).  A worker starts only when a likelihood
-    of two or more blocks first asks for a helper."""
-    if threads == 1:
-        yield None
-    else:
-        with ThreadPoolExecutor(threads - 1) as executor:
-            yield executor, threads - 1
-
-
 def _iterate(
     q: VariationalParams,
     batch: LabeledBatch,
@@ -261,7 +246,7 @@ def _iterate(
     shape: NetworkShape,
     draws: SampleMatrix,
     cv: bool | None,
-    pool: tuple[ThreadPoolExecutor, int] | None,
+    pool: tuple | None,
 ) -> tuple[float, np.ndarray | None, float | None]:
     """ELBO estimate, gradient estimate and gradient variance of one set of draws.
 

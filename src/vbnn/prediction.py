@@ -26,17 +26,20 @@ R = sqrt(-2 log(1 - U1)) and A = 2 pi U2 in float32, cut to D*M values and
 laid out (D, M).  So its p_hat depends only on the seed, its index and its
 features, and its Monte Carlo error is independent of every other row's.
 Since 1 - U1 >= 2^-24, every |z| <= sqrt(48 ln 2) ~ 5.768 (see
-:func:`predictive_probabilities`).  Blocks of rows fill one reused float32
-buffer of about 0.5 MB from one ``random_raw`` call each: the words' U1 and
-U2 halves are read once each into the buffer's two contiguous halves as
-1 - U1 and A, the transform runs on those, R cos A and R sin A are made in
-the spent words, and two copies lay them out in the buffer in the
-documented order.  The score factors
+:func:`predictive_probabilities`).  Blocks of rows fill a reused float32
+buffer of about 0.5 MB (1 MB at two or more threads) from one
+``random_raw`` call each: the words' U1 and U2 halves are read once each
+into the buffer's two contiguous halves as 1 - U1 and A, the transform runs
+on those, R cos A and R sin A are made in the spent words, and two copies
+lay them out in the buffer in the documented order.  The score factors
 of every row (``model.score_factors``) are made once per call, and each
 block is scored from its rows of them (``model.scores``).  The scores and
 their sigmoids, taken in place, are float32 (see ``model.scores`` for the
 error bound and the range), and each row's mean is taken in float64.
-Serving is single-threaded.
+``PredictiveConfig.threads`` threads, the calling thread included, share
+the blocks: each takes the next block and draws its words in one critical
+section, so the stream is drawn in row order, and transforms and scores
+it in a buffer of its own, so no byte depends on the thread count.
 """
 
 from __future__ import annotations
@@ -45,7 +48,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LabeledBatch, _check_counts, score_factors, scores, sigmoid
+from .model import (
+    LabeledBatch,
+    _check_counts,
+    _pool,
+    _share_blocks,
+    score_factors,
+    scores,
+    sigmoid,
+)
 from .variational import Posterior
 
 __all__ = [
@@ -58,48 +69,56 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PredictiveConfig:
-    """Monte Carlo budget M and base seed."""
+    """Monte Carlo budget M, base seed and serving threads (the calling
+    thread included; the output does not depend on them)."""
 
     M: int = 1000
     seed: int = 0
+    threads: int = 1
 
     def __post_init__(self) -> None:
-        _check_counts(M=(self.M, 1), seed=(self.seed, 0))
+        _check_counts(M=(self.M, 1), seed=(self.seed, 0), threads=(self.threads, 1))
 
 
 # Rows are served in blocks whose float32 uniforms fill about 0.5 MB (at least
 # one row), so memory stays near one row's (D, M) normals whatever M is.
 _BLOCK_FLOATS = 131_072
+# At two or more threads a block holds this many times as many, so that a
+# block's work outweighs handing the GIL back and forth between its numpy
+# calls (see predictive_probabilities).
+_THREADED_BLOCKS = 2
 
 # A = 2 pi U2 with U2 = m 2^-24: 2^-24 is a power of two, so folding it into
 # the factor rounds A exactly as float32(2 pi) * U2 does.
 _ANGLE_PER_STEP = np.float32(2 * np.pi) * np.float32(2.0**-24)
 
 
-def _normal_blocks(seed: int, n: int, D: int, M: int):
-    """Yield (start, stop, z) over n rows, z the rows' float32 normals
-    (stop - start, D, M) in the documented stream's order.
-
-    Row r owns the stream's 64-bit words r*h to (r+1)*h - 1, h = ceil(D*M/2).
-    Each word gives two uniforms, its low 32 bits first, and each uniform is
-    its half's top 24 bits times 2^-24: the same floats that numpy's float32
-    ``Generator.random`` gives on SFC64.  A row's first h uniforms are U1 and
-    its next h are U2.  z is a view of one reused buffer of 2h float32 per
-    row, so it is valid until the next block; while a block is filled, its
-    words (h uint64 per row), which end up holding R cos A and R sin A, are
-    the only other buffer.  The buffer is reused, not made per block: with
-    ~1 MB freed after every block, glibc's malloc hands the memory back to
-    the system and faults it in again for the next, which measured slower.
-    """
-    h = (D * M + 1) // 2
-    rows = max(1, _BLOCK_FLOATS // (2 * h))
-    block = np.empty((min(rows, n), 2, h), dtype=np.float32)
+def _word_blocks(seed: int, n: int, h: int, rows: int):
+    """Yield (start, stop, words) over n rows, ``rows`` at a time: the raw
+    64-bit words of rows start to stop - 1, row r owning the stream's words
+    r*h to (r+1)*h - 1."""
     bits = np.random.SFC64(np.random.SeedSequence(entropy=seed, spawn_key=(3,)))
     for start in range(0, n, rows):
         stop = min(start + rows, n)
-        u = block[: stop - start]
-        _box_muller(bits.random_raw((stop - start) * h), u)
-        yield start, stop, u.reshape(stop - start, 2 * h)[:, : D * M].reshape(-1, D, M)
+        yield start, stop, bits.random_raw((stop - start) * h)
+
+
+def _normals(words: np.ndarray, buffer: np.ndarray, D: int, M: int) -> np.ndarray:
+    """The float32 normals (R, D, M), in the documented order, of R rows'
+    words (R*h uint64, h = ceil(D*M/2)), which are used up.
+
+    The result is a view of ``buffer``, a float32 (rows, 2, h) array with
+    rows >= R that the caller reuses from block to block, so it is valid
+    until the buffer's next block.  The buffer is reused, not made per
+    block: with ~1 MB freed after every block, glibc's malloc hands the
+    memory back to the system and faults it in again for the next, which
+    measured slower.
+    """
+    h = buffer.shape[2]
+    R = words.size // h
+    u = buffer[:R]
+    _box_muller(words, u)
+    return u.reshape(R, 2 * h)[:, : D * M].reshape(R, D, M)
 
 
 def _box_muller(words: np.ndarray, u: np.ndarray) -> None:
@@ -149,14 +168,42 @@ def predictive_probabilities(
     (k+1) * 2^-24, 2.4e-7 at k=3, four orders of magnitude below a row's
     Monte Carlo standard error at M=200 (~2.5e-3).
     Raises ShapeMismatchError unless x is 2-d with the posterior's input width p.
+
+    Rows are scored in blocks, by the calling thread and by up to
+    ``cfg.threads`` - 1 helpers (``model._share_blocks``; a call of one block
+    starts none).  Taking a block and drawing its words is one critical
+    section, so the words leave the stream in row order and every byte is
+    the same at any thread count; the Box-Muller, the scores, the sigmoid
+    and the row means run outside it, each thread in its own reused buffer.
+    A block holds about ``_BLOCK_FLOATS`` uniforms (0.5 MB) at one thread
+    and ``_THREADED_BLOCKS`` = 2 times as many (1 MB) at two or more: of 1,
+    2 and 4 times, 2 ran fastest at 2 threads on 800, 3,200 and 20,000 rows
+    at M=200 on a two-core host (0.5-0.75x one thread's time from 3,200 rows
+    on), and 4 leaves 800 rows two uneven blocks.  At one thread the larger
+    block measured slower at 800 rows.  Memory is about two blocks per
+    thread (its buffer, and the words while it is filled or the scores while
+    it is scored): ~1 MB at one thread, ~4 MB at two.
     """
     factors = score_factors(x, post.q.mean, post.q.scale, post.shape)
     n, k = factors[0].shape
+    D, M = k + 1, cfg.M
+    h = (D * M + 1) // 2
+    floats = _BLOCK_FLOATS * (_THREADED_BLOCKS if cfg.threads > 1 else 1)
+    rows = max(1, floats // (2 * h))
+    count = -(-n // rows)
     out = np.empty(n)
-    for start, stop, z in _normal_blocks(cfg.seed, n, k + 1, cfg.M):
-        p = scores(z, factors, slice(start, stop))
-        out[start:stop] = sigmoid(p, out=p).mean(axis=1, dtype=float)
-        del p  # else it lives on while the next block's words are drawn
+
+    def work(take) -> None:
+        buffer = np.empty((min(rows, n), 2, h), dtype=np.float32)
+        for start, stop, words in iter(take, None):
+            z = _normals(words, buffer, D, M)
+            del words  # freed before the block is scored
+            p = scores(z, factors, slice(start, stop))
+            out[start:stop] = sigmoid(p, out=p).mean(axis=1, dtype=float)
+            del p  # else it lives on while the next block's words are drawn
+
+    with _pool(cfg.threads) as pool:
+        _share_blocks(_word_blocks(cfg.seed, n, h, rows), count, work, pool)
     return out
 
 

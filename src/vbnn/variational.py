@@ -100,6 +100,16 @@ class VariationalParams:
         s.flags.writeable = False
         return s
 
+    @cached_property
+    def floored_scale(self) -> np.ndarray:
+        """``scale`` floored at SCALE_FLOOR, the s of the gradient formulas.
+
+        Computed once per q, on first use, and read-only, like ``scale``.
+        """
+        s = np.maximum(self.scale, SCALE_FLOOR)
+        s.flags.writeable = False
+        return s
+
     def to_json_dict(self) -> dict:
         return {"m": [float(v) for v in self.mean], "r": [float(v) for v in self.raw_scale]}
 
@@ -176,19 +186,15 @@ def log_q(q: VariationalParams, theta: np.ndarray):
     return normal_logpdf_total(theta, q.mean, q.scale)
 
 
-def _clamped_scale(q: VariationalParams) -> np.ndarray:
-    return np.maximum(q.scale, SCALE_FLOOR)
-
-
 def grad_log_q_mean(q: VariationalParams, theta: np.ndarray) -> np.ndarray:
     """d log q / dm, evaluated coordinate-wise: (theta - m) / s^2."""
-    s = _clamped_scale(q)
+    s = q.floored_scale
     return (np.asarray(theta, dtype=float) - q.mean) / (s * s)
 
 
 def grad_log_q_scale(q: VariationalParams, theta: np.ndarray) -> np.ndarray:
     """d log q / ds: (theta - m)^2 / s^3 - 1 / s."""
-    s = _clamped_scale(q)
+    s = q.floored_scale
     d = np.asarray(theta, dtype=float) - q.mean
     return d * d / (s * s * s) - 1.0 / s
 

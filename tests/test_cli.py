@@ -599,21 +599,46 @@ class TestEvaluate:
 
 class TestServingThreads:
     def test_threads_flag_does_not_change_outputs(self, tmp_path, workdir):
+        # at M=400 and k=2 a serving block holds 109 rows at one thread and 218
+        # at two or more, so 700 rows (and 700 points) are seven blocks at one
+        # thread and three full and a partial fourth at 2 and 8
+        data = tmp_path / "serve.csv"
+        assert main(["synth", "--n", "700", "--seed", "8", "--out", str(data)]) == 0
+
         def serve(threads):
             out = tmp_path / f"t{threads}"
             out.mkdir()
-            common = ["--model", str(workdir["model"]), "--M", "40", "--seed", "6",
+            common = ["--model", str(workdir["model"]), "--M", "400", "--seed", "6",
                       "--threads", threads]
-            assert main(["predict", "--data", str(workdir["data"]),
+            assert main(["predict", "--data", str(data),
                          "--out", str(out / "predictions.csv")] + common) == 0
-            assert main(["evaluate", "--data", str(workdir["data"]),
+            assert main(["evaluate", "--data", str(data),
                          "--out", str(out / "eval.json")] + common) == 0
-            assert main(["diagnose", "--truth", "reference", "--n-mc", "300",
+            assert main(["diagnose", "--truth", "reference", "--n-mc", "700",
                          "--out", str(out / "diag.json")] + common) == 0
             return {name: (out / name).read_bytes()
                     for name in ("predictions.csv", "eval.json", "diag.json")}
 
-        assert serve("1") == serve("8")
+        one = serve("1")
+        assert serve("2") == one
+        assert serve("8") == one
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("predict", ["--threads", "0"], "threads must be >= 1"),
+        ("evaluate", ["--threads", "0"], "threads must be >= 1"),
+        ("diagnose", ["--threads", "-2"], "threads must be >= 1"),
+        ("diagnose", ["--n-mc", "1"], "n_mc must be >= 2"),
+    ])
+    @pytest.mark.parametrize("model", ["model", "missing"])
+    def test_bad_flag_is_refused_before_the_model_is_read(self, tmp_path, capsys, workdir,
+                                                          command, flags, message, model):
+        inputs = (["--truth", "reference"] if command == "diagnose"
+                  else ["--data", str(workdir["data"])])
+        path = workdir["model"] if model == "model" else tmp_path / "missing.json"
+        out = tmp_path / "out"
+        assert main([command, "--model", str(path), *inputs, "--out", str(out), *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 def hand_built_model(path, schema_doc=None, spread=1e-6):
@@ -760,13 +785,15 @@ class TestSweep:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_flags_reach_every_cell(self, tmp_path, workdir):
+        # at M=9000 and k=2 a serving block holds 4 rows at one thread and 9 at
+        # two, so each fold's 20 test rows are 5 blocks, or 3 at --threads 2
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({**GRID, "S": [6, 8], "base": {"max_iters": 4}}))
 
         def sweep(*flags):
             out = tmp_path / f"s{''.join(flags)}.csv"
             assert main(["sweep", "--grid", str(grid), "--data", str(workdir["data"]),
-                         "--out", str(out), "--M", "5", *flags]) == 0
+                         "--out", str(out), "--M", "9000", *flags]) == 0
             with open(out) as fh:
                 assert len(list(csv.DictReader(fh))) == 2
             return out.read_bytes()

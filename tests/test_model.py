@@ -44,7 +44,7 @@ from vbnn.model import (
     unflatten,
     unflatten_many,
 )
-from vbnn import optimizer
+from vbnn import model
 from vbnn.optimizer import TrainConfig, train
 
 from conftest import BENCH_SHAPE, TOY_SHAPE, implied_thetas, scores_bound
@@ -264,10 +264,10 @@ class TestKernelRows:
                                                                      threads):
         # n=1000 gives three blocks, so threads - 1 helpers are started, and
         # every block overflows
-        monkeypatch.setattr(optimizer, "ThreadPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(model, "ThreadPoolExecutor", RecordingExecutor)
         n = 1000
         batch = LabeledBatch(x=rng.uniform(0, 1, (n, 2)), y=rng.integers(0, 2, n))
-        with optimizer._pool(threads) as pool:
+        with model._pool(threads) as pool:
             with np.errstate(over="raise"), pytest.raises(FloatingPointError):
                 log_likelihood_many(overflowing_thetas(), batch, BENCH_SHAPE, pool)
             tasks = pool[0].tasks
@@ -279,10 +279,10 @@ class TestKernelRows:
         # S=200 rows at k=3 fit one block of _BLOCK_FLOATS float32 values up
         # to n=436; at threads=2 the calling thread scores it alone, and past
         # it one helper of the pool's one worker shares the blocks
-        monkeypatch.setattr(optimizer, "ThreadPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(model, "ThreadPoolExecutor", RecordingExecutor)
         thetas = rng.normal(0, 2, (200, BENCH_SHAPE.K))
         batch = LabeledBatch(x=rng.uniform(0, 1, (n, 2)), y=rng.integers(0, 2, n))
-        with optimizer._pool(2) as pool:
+        with model._pool(2) as pool:
             out = log_likelihood_many(thetas, batch, BENCH_SHAPE, pool)
         assert (pool[0].workers, len(pool[0].tasks)) == (1, helpers)
         assert out.tobytes() == log_likelihood_many(thetas, batch, BENCH_SHAPE).tobytes()

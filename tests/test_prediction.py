@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -35,7 +37,7 @@ from vbnn.prediction import (
     plug_in_labels,
     predictive_probabilities,
 )
-from vbnn.prediction import _BLOCK_FLOATS, _normal_blocks
+from vbnn.prediction import _BLOCK_FLOATS, _THREADED_BLOCKS, _normals, _word_blocks
 from vbnn.prediction import test_accuracy as accuracy_of  # dodge pytest collection
 from vbnn.variational import Posterior, VariationalParams, softplus_inverse
 
@@ -221,20 +223,23 @@ class TestPredictiveProbability:
             predictive_probabilities(post, x, PredictiveConfig(M=10, seed=0))
 
 
-def block_rows(M: int, shape: NetworkShape) -> int:
+def block_rows(M: int, shape: NetworkShape, threads: int = 1) -> int:
     """Rows per serving block for a posterior of this network shape: each row
-    takes (k+1) M uniforms, padded to an even count."""
-    return max(1, _BLOCK_FLOATS // (2 * math.ceil((shape.k + 1) * M / 2)))
+    takes (k+1) M uniforms, padded to an even count, and a block at two or
+    more threads holds _THREADED_BLOCKS times as many."""
+    floats = _BLOCK_FLOATS * (_THREADED_BLOCKS if threads > 1 else 1)
+    return max(1, floats // (2 * math.ceil((shape.k + 1) * M / 2)))
+
+
+@pytest.fixture
+def wide_q(rng):
+    return posterior(VariationalParams(
+        mean=rng.normal(0, 1, BENCH_SHAPE.K),
+        raw_scale=softplus_inverse(np.full(BENCH_SHAPE.K, 0.7))))
 
 
 class TestRowBlocks:
     """Rows are served in blocks; no row's p_hat depends on its block."""
-
-    @pytest.fixture
-    def wide_q(self, rng):
-        return posterior(VariationalParams(
-            mean=rng.normal(0, 1, BENCH_SHAPE.K),
-            raw_scale=softplus_inverse(np.full(BENCH_SHAPE.K, 0.7))))
 
     @pytest.mark.parametrize("shape, M", [
         pytest.param(BENCH_SHAPE, 7, id="7"),
@@ -292,7 +297,8 @@ class TestRowBlocks:
         bound = p_hat_bound(wide_q.q.mean, wide_q.q.scale, z, x, wide_q.shape)
         assert np.all(np.abs(probs - expected) <= bound)
 
-    def test_large_budget_allocates_about_one_rows_draws(self, rng, wide_q):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_large_budget_allocates_about_one_rows_draws(self, rng, wide_q, threads):
         # In rows of (k+1) M float32 normals, the arrays alive at once are:
         # while a block is made, the reused block buffer (one row; it holds
         # 1 - U1 and A, then the normals) and the block's raw words (one row;
@@ -300,23 +306,112 @@ class TestRowBlocks:
         # scored, the buffer and scores' four (R, M) arrays (one row at k=3),
         # made after the words go.  Measured 2.01 rows; the bound adds one
         # (R, M) array (1 / (k+1) row), so a block's scores kept alive into
-        # the next draw (2.26 rows) or a copy of the block crosses it.
+        # the next draw (2.26 rows) or a copy of the block crosses it.  A row
+        # at M=50,000 outgrows a threaded block too, so the three rows are
+        # three one-row blocks at either thread count, and each of two
+        # threads holds its own buffer and block: two blocks alive at once.
         M = 50_000
         row = (BENCH_SHAPE.k + 1) * M * 4
+        assert block_rows(M, BENCH_SHAPE, threads) == 1
         x = rng.uniform(0, 1, (3, 2))
-        cfg = PredictiveConfig(M=M, seed=0)
+        cfg = PredictiveConfig(M=M, seed=0, threads=threads)
         tracemalloc.start()
         try:
             predictive_probabilities(wide_q, x, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < (2 + 1 / (BENCH_SHAPE.k + 1)) * row
+        assert peak < threads * (2 + 1 / (BENCH_SHAPE.k + 1)) * row
+
+
+class TestThreads:
+    """threads=T scores the row blocks on the calling thread and T - 1 helpers,
+    with the words drawn in row order, so no byte depends on T."""
+
+    @pytest.mark.parametrize("M", [7, 200])
+    def test_threads_give_one_threads_bytes(self, rng, wide_q, M):
+        # three full threaded blocks and a partial fourth (seven one-thread blocks)
+        x = rng.uniform(0, 1, (3 * block_rows(M, BENCH_SHAPE, threads=2) + 5, 2))
+        one = predictive_probabilities(wide_q, x, PredictiveConfig(M=M, seed=9))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # frequent switches would expose a misplaced write
+        try:
+            for threads in (2, 3):
+                served = predictive_probabilities(wide_q, x, PredictiveConfig(M=M, seed=9,
+                                                                              threads=threads))
+                assert served.tobytes() == one.tobytes(), threads
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_slow_draw_does_not_reorder_the_stream(self, rng, wide_q, monkeypatch):
+        # every other block's words take 10 ms to draw; were they drawn outside
+        # the critical section that hands out the blocks, another thread would
+        # draw the slow block's words in the meantime
+        class SlowSFC64(np.random.SFC64):
+            draws = 0
+
+            def random_raw(self, size=None, output=True):
+                SlowSFC64.draws += 1
+                if SlowSFC64.draws % 2:
+                    time.sleep(0.01)
+                return super().random_raw(size, output)
+
+        x = rng.uniform(0, 1, (6 * block_rows(200, BENCH_SHAPE, threads=2) + 5, 2))
+        one = predictive_probabilities(wide_q, x, PredictiveConfig(M=200, seed=4))
+        monkeypatch.setattr(np.random, "SFC64", SlowSFC64)
+        for threads in (2, 3):
+            served = predictive_probabilities(wide_q, x, PredictiveConfig(M=200, seed=4,
+                                                                          threads=threads))
+            assert served.tobytes() == one.tobytes(), threads
+        assert SlowSFC64.draws == 2 * 7
+
+    def test_one_block_starts_no_helper(self, rng, wide_q, monkeypatch):
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda self: pytest.fail("a helper thread started"))
+        x = rng.uniform(0, 1, (block_rows(200, BENCH_SHAPE, threads=2), 2))
+        predictive_probabilities(wide_q, x, PredictiveConfig(M=200, seed=0, threads=4))
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_a_helpers_error_reaches_the_caller_after_every_task_has_ended(
+            self, rng, wide_q, monkeypatch, threads):
+        # a helper's first scores call fails; every other call waits for that
+        # failure and then runs on, so the caller (and at threads=3 the other
+        # helper) is still scoring a block when the error is raised
+        real, caller = prediction.scores, threading.get_ident()
+        failed, lock, running = threading.Event(), threading.Lock(), []
+
+        def scores(z, factors, rows):
+            with lock:
+                running.append(rows)
+            try:
+                if threading.get_ident() != caller and not failed.is_set():
+                    failed.set()
+                    raise RuntimeError("a helper's block failed")
+                assert failed.wait(30)
+                time.sleep(0.02)
+                return real(z, factors, rows)
+            finally:
+                with lock:
+                    running.remove(rows)
+
+        monkeypatch.setattr(prediction, "scores", scores)
+        x = rng.uniform(0, 1, (20 * block_rows(200, BENCH_SHAPE, threads=2), 2))
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="^a helper's block failed$"):
+            try:
+                predictive_probabilities(wide_q, x, PredictiveConfig(M=200, seed=0,
+                                                                     threads=threads))
+            finally:
+                assert running == []  # no block is still being scored
+        assert threading.active_count() == before
 
 
 def served_normals(seed: int, n: int, shape: NetworkShape, M: int) -> np.ndarray:
     """The normals (n, k+1, M) that predictive_probabilities scores."""
-    return np.concatenate([z.copy() for _, _, z in _normal_blocks(seed, n, shape.k + 1, M)])
+    D, rows, h = shape.k + 1, block_rows(M, shape), math.ceil((shape.k + 1) * M / 2)
+    buffer = np.empty((rows, 2, h), dtype=np.float32)
+    return np.concatenate([_normals(words, buffer, D, M).copy()
+                           for _, _, words in _word_blocks(seed, n, h, rows)])
 
 
 class TestNormals:
@@ -512,8 +607,11 @@ class TestPredictionsCsv:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             PredictiveConfig(M=0)
+        with pytest.raises(ValueError, match="^threads must be >= 1$"):
+            PredictiveConfig(threads=0)
 
-    @pytest.mark.parametrize("field, value", [("M", 2.5), ("seed", 1.5), ("M", True)])
+    @pytest.mark.parametrize("field, value", [("M", 2.5), ("seed", 1.5), ("M", True),
+                                              ("threads", 2.0), ("threads", True)])
     def test_non_integer_field_is_refused_by_name(self, field, value):
         with pytest.raises(ValueError, match=rf"^{field} must be an integer, got {value!r}$"):
             PredictiveConfig(**{field: value})
