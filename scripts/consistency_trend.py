@@ -39,7 +39,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from vbnn.data import REFERENCE_TRUTH, _is_plain, _write_rows, generate_synthetic
+from vbnn.cli import _plain_int
+from vbnn.data import REFERENCE_TRUTH, _write_rows, generate_synthetic
 from vbnn.metrics import IntegrationConfig, diagnostics_dict
 from vbnn.model import PriorConfig
 from vbnn.optimizer import TrainConfig, train
@@ -55,7 +56,8 @@ SERVING_SEED = 99
 POINTS_SEED = 77
 
 
-def run_study(sizes=(200, 800, 3200), seeds=5, S=200, n_mc=20_000, M=200, log=None):
+def run_study(sizes=(200, 800, 3200), seeds=5, S=TrainConfig.S, n_mc=IntegrationConfig.n_mc,
+              M=200, log=None):
     """One row per fit of the reference config (max_iters 1500) on n rows of
     data seed 1000 + s with train seed s, for each n in ``sizes`` and s below
     ``seeds``.  A row holds n, seed, iterations, converged, diverged, the mean
@@ -162,11 +164,9 @@ def compare(rows: list[dict], old: list[dict]) -> tuple[list[str], int]:
 
 def at_least(minimum: int):
     """argparse type for a count that must be >= minimum, read as ``vbnn``'s
-    flags are: ``1_0`` and a full-width digit are refused."""
+    flags are (``cli._plain_int``)."""
     def count(text: str) -> int:
-        if not _is_plain(text):
-            raise ValueError(text)
-        value = int(text)
+        value = _plain_int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
         return value
@@ -178,8 +178,9 @@ def main() -> int:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--sizes", type=at_least(1), nargs="+", default=[200, 800, 3200])
     ap.add_argument("--seeds", type=at_least(1), default=5)
-    ap.add_argument("--S", type=at_least(2), default=200)  # control variates need two draws
-    ap.add_argument("--n-mc", type=at_least(2), default=20_000)
+    # control variates need two draws
+    ap.add_argument("--S", type=at_least(2), default=TrainConfig.S)
+    ap.add_argument("--n-mc", type=at_least(2), default=IntegrationConfig.n_mc)
     ap.add_argument("--M", type=at_least(1), default=200)
     ap.add_argument("--out", default=None, help="optional CSV for the raw rows")
     ap.add_argument("--against", default=None, metavar="OLD.csv",

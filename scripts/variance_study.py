@@ -25,7 +25,8 @@ from vbnn.optimizer import TrainConfig, train
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", type=at_least(1), default=300)
-    ap.add_argument("--S", type=at_least(2), default=200)  # control variates need two draws
+    # control variates need two draws
+    ap.add_argument("--S", type=at_least(2), default=TrainConfig.S)
     ap.add_argument("--seeds", type=at_least(1), default=3, help="number of paired seeds")
     ap.add_argument("--max-iters", type=at_least(1), default=400)
     ap.add_argument("--window", type=at_least(1), default=50,

@@ -496,10 +496,11 @@ def scores(z: np.ndarray, factors: tuple, rows: slice) -> np.ndarray:
 @contextmanager
 def _pool(threads: int):
     """A context that gives :func:`_share_blocks`' helpers for a run of
-    ``threads`` threads, the calling thread included: (executor, threads - 1)
-    with an executor of threads - 1 workers, or None for one thread (the
-    calling thread then runs every block).  A worker starts only when a call
-    of two or more blocks first asks for a helper."""
+    ``threads`` threads (an int >= 1), the calling thread included:
+    (executor, threads - 1) with an executor of threads - 1 workers, or None
+    for one thread (the calling thread then runs every block).  A worker
+    starts only when a call of two or more blocks first asks for a helper."""
+    _check_counts(threads=(threads, 1))
     if threads == 1:
         yield None
     else:

@@ -26,20 +26,16 @@ R = sqrt(-2 log(1 - U1)) and A = 2 pi U2 in float32, cut to D*M values and
 laid out (D, M).  So its p_hat depends only on the seed, its index and its
 features, and its Monte Carlo error is independent of every other row's.
 Since 1 - U1 >= 2^-24, every |z| <= sqrt(48 ln 2) ~ 5.768 (see
-:func:`predictive_probabilities`).  Blocks of rows fill a reused float32
-buffer of about 0.5 MB (1 MB at two or more threads) from one
-``random_raw`` call each: the words' U1 and U2 halves are read once each
-into the buffer's two contiguous halves as 1 - U1 and A, the transform runs
-on those, R cos A and R sin A are made in the spent words, and two copies
-lay them out in the buffer in the documented order.  The score factors
-of every row (``model.score_factors``) are made once per call, and each
-block is scored from its rows of them (``model.scores``).  The scores and
-their sigmoids, taken in place, are float32 (see ``model.scores`` for the
-error bound and the range), and each row's mean is taken in float64.
+:func:`predictive_probabilities`).  The score factors of every row
+(``model.score_factors``) are made once per call, and each block of rows is
+scored from its rows of them (``model.scores``).  The scores and their
+sigmoids, taken in place, are float32 (see ``model.scores`` for the error
+bound and the range), and each row's mean is taken in float64.
 ``PredictiveConfig.threads`` threads, the calling thread included, share
 the blocks: each takes the next block and draws its words in one critical
-section, so the stream is drawn in row order, and transforms and scores
-it in a buffer of its own, so no byte depends on the thread count.
+section (:func:`_word_blocks`), so the stream is drawn in row order, and
+turns them into normals (:func:`_normals`) and scores them in a buffer of
+its own, so no byte depends on the thread count.
 """
 
 from __future__ import annotations
@@ -105,34 +101,24 @@ def _word_blocks(seed: int, n: int, h: int, rows: int):
 
 def _normals(words: np.ndarray, buffer: np.ndarray, D: int, M: int) -> np.ndarray:
     """The float32 normals (R, D, M), in the documented order, of R rows'
-    words (R*h uint64, h = ceil(D*M/2)), which are used up.
+    words (R*h uint64, h = ceil(D*M/2)), read as little-endian uint32 halves,
+    low half first on any host, and used up in place.
 
     The result is a view of ``buffer``, a float32 (rows, 2, h) array with
     rows >= R that the caller reuses from block to block, so it is valid
     until the buffer's next block.  The buffer is reused, not made per
     block: with ~1 MB freed after every block, glibc's malloc hands the
     memory back to the system and faults it in again for the next, which
-    measured slower.
+    measured slower.  numpy runs a strided (R, h) view such as buffer[:R, 0]
+    one row at a time, so the transform runs on contiguous (R, h) arrays:
+    the U1 and U2 halves are read once each into the buffer's two contiguous
+    halves as 1 - U1 and A, R cos A and R sin A are made in the spent words'
+    two halves, and two copies put them in (R, 2, h) order, R cos A first.
+    No other array is made.
     """
     h = buffer.shape[2]
     R = words.size // h
     u = buffer[:R]
-    _box_muller(words, u)
-    return u.reshape(R, 2 * h)[:, : D * M].reshape(R, D, M)
-
-
-def _box_muller(words: np.ndarray, u: np.ndarray) -> None:
-    """Fill u (R, 2, h) float32 with the normals of R*h raw words, R cos A in
-    u[:, 0] and R sin A in u[:, 1].  The words are read as little-endian
-    uint32 halves, low half first on any host, and used up in place.
-
-    numpy runs a strided (R, h) view such as u[:, 0] one row at a time, so
-    the transform runs on contiguous (R, h) arrays: the U1 and U2 halves are
-    read once each into u's two contiguous halves, R cos A and R sin A are
-    made in the spent words' two halves, and two copies put them in u's
-    (R, 2, h) order.  No other array is made.
-    """
-    R, _, h = u.shape
     m = words.astype("<u8", copy=False).view("<u4").reshape(u.shape)
     m >>= 8  # each half's top 24 bits, m: U = m 2^-24
     i = m.view("<i4")  # every m < 2^24; int32 casts to float32 faster than uint32
@@ -152,6 +138,7 @@ def _box_muller(words: np.ndarray, u: np.ndarray) -> None:
     s *= r  # R sin A
     u[:, 0] = c
     u[:, 1] = s
+    return u.reshape(R, 2 * h)[:, : D * M].reshape(R, D, M)
 
 
 def predictive_probabilities(
@@ -173,8 +160,8 @@ def predictive_probabilities(
     ``cfg.threads`` - 1 helpers (``model._share_blocks``; a call of one block
     starts none).  Taking a block and drawing its words is one critical
     section, so the words leave the stream in row order and every byte is
-    the same at any thread count; the Box-Muller, the scores, the sigmoid
-    and the row means run outside it, each thread in its own reused buffer.
+    the same at any thread count; the normals, the scores, the sigmoid and
+    the row means run outside it, each thread in its own reused buffer.
     A block holds about ``_BLOCK_FLOATS`` uniforms (0.5 MB) at one thread
     and ``_THREADED_BLOCKS`` = 2 times as many (1 MB) at two or more: of 1,
     2 and 4 times, 2 ran fastest at 2 threads on 800, 3,200 and 20,000 rows

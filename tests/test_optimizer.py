@@ -186,12 +186,15 @@ class TestElboEstimator:
         )
 
     def test_threading_does_not_change_the_estimate(self):
-        batch, prior = toy_problem(n=30)
-        q = initial_params(TOY_SHAPE.K)
-        draws = sample(q, 500, seed=11)
-        assert estimate_elbo(q, batch, prior, draws, threads=1) == estimate_elbo(
-            q, batch, prior, draws, threads=4
-        )
+        # n=30 scores all S=500 rows in one block, so no helper runs; at n=2000
+        # a block is 2**18 // 2000 = 131 rows, so S=500 is 4 blocks
+        for n in (30, 2000):
+            batch, prior = toy_problem(n=n)
+            q = initial_params(TOY_SHAPE.K)
+            draws = sample(q, 500, seed=11)
+            assert estimate_elbo(q, batch, prior, draws, threads=1) == estimate_elbo(
+                q, batch, prior, draws, threads=4
+            )
 
     def test_matches_quadrature_oracle(self):
         batch, prior = toy_problem(n=8)
@@ -238,12 +241,14 @@ class TestGradientEstimator:
         )
 
     def test_deterministic_and_thread_invariant(self):
-        batch, prior = toy_problem(n=20)
-        q = initial_params(TOY_SHAPE.K)
-        draws = sample(q, 400, seed=7)
-        g1 = estimate_gradient(q, batch, prior, draws, threads=1)
-        g4 = estimate_gradient(q, batch, prior, draws, threads=4)
-        np.testing.assert_array_equal(g1, g4)
+        # n=20 is one block of S=400 rows; n=2000 is 4 blocks of at most 131 rows
+        for n in (20, 2000):
+            batch, prior = toy_problem(n=n)
+            q = initial_params(TOY_SHAPE.K)
+            draws = sample(q, 400, seed=7)
+            g1 = estimate_gradient(q, batch, prior, draws, threads=1)
+            g4 = estimate_gradient(q, batch, prior, draws, threads=4)
+            np.testing.assert_array_equal(g1, g4)
 
     def test_mean_over_replicates_matches_quadrature_gradient(self):
         batch, prior = toy_problem(n=6)
@@ -259,6 +264,15 @@ class TestGradientEstimator:
         ])
         se = reps.std(axis=0, ddof=1) / math.sqrt(reps.shape[0])
         assert np.all(np.abs(reps.mean(axis=0) - oracle) < 6 * se)
+
+
+@pytest.mark.parametrize("estimator", [estimate_elbo, estimate_gradient, estimate_gradient_cv])
+@pytest.mark.parametrize("threads", [True, np.int64(2), 0, 2.5])
+def test_estimators_refuse_a_thread_count_that_is_not_a_count(estimator, threads):
+    batch, prior = toy_problem()
+    q = initial_params(TOY_SHAPE.K)
+    with pytest.raises(ValueError, match="threads must be"):
+        estimator(q, batch, prior, sample(q, 8, seed=0), threads=threads)
 
 
 class TestControlVariates:
@@ -345,18 +359,21 @@ class TestTrain:
         assert np.all(np.abs(report.elbo_trace) < 1e-10)
 
     def test_bit_identical_across_runs_and_thread_counts(self):
-        batch = bench_batch(n=80)
+        # n=80 is one block of S=300 rows; at n=800 (k=3) a block is
+        # 2**18 // 2400 = 109 rows, so S=300 is 3 blocks
         prior = PriorConfig.standard(BENCH_SHAPE.K)
         base = dict(S=300, max_iters=12, conv_window=5, seed=42,
                     schedule=Schedule(kind="fixed", rho=0.005))
-        runs = [train(batch, prior, BENCH_SHAPE, TrainConfig(threads=t, **base))
-                for t in (1, 1, 4)]
-        for q, report in runs[1:]:
-            np.testing.assert_array_equal(q.mean, runs[0][0].mean)
-            np.testing.assert_array_equal(q.raw_scale, runs[0][0].raw_scale)
-            np.testing.assert_array_equal(report.elbo_trace, runs[0][1].elbo_trace)
-            np.testing.assert_array_equal(report.grad_var_trace,
-                                          runs[0][1].grad_var_trace)
+        for n in (80, 800):
+            batch = bench_batch(n=n)
+            runs = [train(batch, prior, BENCH_SHAPE, TrainConfig(threads=t, **base))
+                    for t in (1, 1, 4)]
+            for q, report in runs[1:]:
+                np.testing.assert_array_equal(q.mean, runs[0][0].mean)
+                np.testing.assert_array_equal(q.raw_scale, runs[0][0].raw_scale)
+                np.testing.assert_array_equal(report.elbo_trace, runs[0][1].elbo_trace)
+                np.testing.assert_array_equal(report.grad_var_trace,
+                                              runs[0][1].grad_var_trace)
 
     def test_byte_identical_for_one_two_and_three_threads(self):
         # at n=150 the likelihood scores all S=200 rows in one block, which
