@@ -1,9 +1,10 @@
 """Subcommand CLI: synth, train, predict, evaluate, diagnose, sweep.
 
 Structured artifacts are JSON, traces and predictions are CSV.  Every output
-path is checked before the command's work starts, and every output is written
-to a temporary file in the destination directory and atomically renamed, so a
-failing command never leaves a partial artifact behind.
+path is checked before the command's work starts (none may be one of the
+command's inputs), and every output is written to a temporary file in the
+destination directory and atomically renamed, so a failing command never
+leaves a partial artifact behind.
 
 Exit codes: 0 success (training converged), 2 training hit max_iters without
 converging, 1 any error, a usage error included.  Warnings and errors are
@@ -97,15 +98,19 @@ def _atomic_write(path: str, writer) -> None:
         raise type(exc)(exc.errno, exc.strerror, path) from None
 
 
-def _check_outputs(*paths: str) -> None:
+def _check_outputs(args, *paths: str) -> None:
     """Raise, before any work, an error naming the first path that an earlier one
-    resolves to as well, that is a directory, or whose directory cannot be used:
-    the OS's error from one ``os.stat`` of it, such as ENOENT, ENOTDIR or EACCES."""
+    resolves to as well, that one of the command's inputs resolves to, that is a
+    directory, or whose directory cannot be used: the OS's error from one
+    ``os.stat`` of it, such as ENOENT, ENOTDIR or EACCES."""
+    inputs = {os.path.realpath(path): flag for flag, path in _inputs(args).items()}
     seen = set()
     for path in paths:
         real = os.path.realpath(path)
         if real in seen:
             raise ValueError(f"output {path!r} is named twice")
+        if real in inputs:
+            raise ValueError(f"output {path!r} is the {inputs[real]} input")
         seen.add(real)
         try:
             os.stat(os.path.join(os.path.dirname(os.path.abspath(path)), "."))
@@ -206,10 +211,28 @@ def _load_model(path: str) -> tuple[Posterior, TableSchema]:
         return post, schema
 
 
+def _schema_source(data_path: str, schema_path: str | None) -> str | None:
+    """The --schema file, else the data file's sidecar if there is one."""
+    path = schema_path or data_path + ".schema.json"
+    return path if schema_path or os.path.exists(path) else None
+
+
+def _inputs(args) -> dict[str, str]:
+    """Each file the command reads, by the flag that names it."""
+    inputs = {f"--{flag}": getattr(args, flag)
+              for flag in ("model", "data", "config", "grid", "truth")
+              if getattr(args, flag, None) not in (None, "reference")}
+    if "schema" in vars(args):  # train and sweep: the data's --schema or sidecar
+        path = _schema_source(args.data, args.schema)
+        if path:
+            inputs["--schema" if args.schema else "--data sidecar"] = path
+    return inputs
+
+
 def _load_labeled(data_path: str, schema_path: str | None) -> tuple[LabeledBatch, TableSchema]:
     """The data read against its --schema file or sidecar, if there is one."""
-    path = schema_path or data_path + ".schema.json"
-    if not schema_path and not os.path.exists(path):
+    path = _schema_source(data_path, schema_path)
+    if path is None:
         return load_csv(data_path)  # no --schema and no sidecar: infer the columns
     with _json_input(path, "schema") as doc:
         schema = TableSchema.from_json_dict(doc)
@@ -278,7 +301,7 @@ def _diverged(report) -> str:
 # subcommands
 
 def cmd_synth(args) -> int:
-    _check_outputs(args.out, args.out + ".schema.json", *filter(None, [args.truth_out]))
+    _check_outputs(args, args.out, args.out + ".schema.json", *filter(None, [args.truth_out]))
     truth = _load_truth(args.truth)
     batch = generate_synthetic(truth, args.n, seed=args.seed)
     schema = default_schema(truth.p)
@@ -299,7 +322,7 @@ def cmd_train(args) -> int:
     except FileNotFoundError:  # os.makedirs makes it, and any missing parent, after the fit
         pass
     else:
-        _check_outputs(model_out, report_out, summary_out)
+        _check_outputs(args, model_out, report_out, summary_out)
     batch, schema = _load_labeled(args.data, args.schema)
     if batch.n == 0:
         raise ValueError(f"{args.data}: training needs at least one data row")
@@ -341,7 +364,7 @@ def _predictive_config(args) -> PredictiveConfig:
 
 
 def cmd_predict(args) -> int:
-    _check_outputs(args.out)
+    _check_outputs(args, args.out)
     cfg = _predictive_config(args)
     post, schema = _load_model(args.model)
     with _read_against(args.model, "model"):
@@ -355,7 +378,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    _check_outputs(args.out)
+    _check_outputs(args, args.out)
     cfg = _predictive_config(args)
     post, schema = _load_model(args.model)
     with _read_against(args.model, "model"):
@@ -370,7 +393,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    _check_outputs(args.out)
+    _check_outputs(args, args.out)
     pred_cfg = _predictive_config(args)
     int_cfg = IntegrationConfig(n_mc=args.n_mc, seed=args.seed)
     post, schema = _load_model(args.model)
@@ -397,7 +420,7 @@ def _schedule_label(schedule: Schedule) -> str:
 
 
 def cmd_sweep(args) -> int:
-    _check_outputs(args.out)
+    _check_outputs(args, args.out)
     batch, schema = _load_labeled(args.data, args.schema)
     if batch.n < 2:  # before the grid's folds are checked against the rows
         raise ValueError(f"{args.data}: a sweep needs at least 2 rows, found {batch.n}")
@@ -482,80 +505,96 @@ def _add_predictive_flags(sub, default_m=PredictiveConfig.M):
                           "a one-block call); results do not depend on it")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _synth_flags(p):
+    p.add_argument("--truth", default="reference", help="'reference' or a truth JSON path")
+    p.add_argument("--n", type=_plain_int, required=True)
+    p.add_argument("--seed", type=_plain_int, default=0)
+    p.add_argument("--out", required=True, help="output CSV path")
+    p.add_argument("--truth-out", default=None, help="also save the truth function JSON here")
+
+
+def _train_flags(p):
+    p.add_argument("--data", required=True)
+    p.add_argument("--schema", default=None)
+    p.add_argument("--config", default=None, help="training config JSON")
+    p.add_argument("--out", default=".", help="output directory")
+    p.add_argument("--algo", choices=["bbvi", "bbvi-cv"], default=None,
+                   help="gradient estimator (default bbvi-cv: control variates)")
+    p.add_argument("--S", type=_plain_int, default=None)
+    p.add_argument("--lr", type=_plain_float, default=None,
+                   help="fixed learning rate (default: the decaying rm schedule)")
+    p.add_argument("--rho0", type=_plain_float, default=None)
+    p.add_argument("--b", type=_plain_float, default=None)
+    p.add_argument("--c", type=_plain_float, default=None)
+    p.add_argument("--max-iters", type=_plain_int, default=None, dest="max_iters")
+    p.add_argument("--k", type=_plain_int, default=None, help="hidden nodes")
+    p.add_argument("--seed", type=_plain_int, default=None)
+    p.add_argument("--threads", type=_plain_int, default=None,
+                   help="training threads, the calling thread included (it alone "
+                        "scores a one-block likelihood); results do not depend on it")
+
+
+def _serving_flags(p):  # predict and evaluate
+    p.add_argument("--model", required=True)
+    p.add_argument("--data", required=True)
+    p.add_argument("--out", required=True)
+    _add_predictive_flags(p)
+
+
+def _diagnose_flags(p):
+    p.add_argument("--model", required=True)
+    p.add_argument("--truth", required=True, help="'reference' or a truth JSON path")
+    p.add_argument("--out", required=True)
+    p.add_argument("--n-mc", type=_plain_int, default=IntegrationConfig.n_mc, dest="n_mc")
+    _add_predictive_flags(p, default_m=200)
+
+
+def _sweep_flags(p):
+    p.add_argument("--grid", required=True, help="grid JSON path")
+    p.add_argument("--data", required=True)
+    p.add_argument("--schema", default=None)
+    p.add_argument("--out", required=True)
+    p.add_argument("--M", type=_plain_int, default=200)
+    p.add_argument("--seed", type=_plain_int, default=0)
+    p.add_argument("--threads", type=_plain_int, default=None,
+                   help="training and fold-scoring threads, the calling thread "
+                        "included; results do not depend on it")
+
+
+# each subcommand's help line, the function that adds its flags, the function
+# that runs it and the flags that size its arrays
+_COMMANDS = {
+    "synth": ("generate a labeled synthetic dataset", _synth_flags, cmd_synth, "--n"),
+    "train": ("fit the variational posterior", _train_flags, cmd_train, "--S or --k"),
+    "predict": ("posterior-predictive probabilities", _serving_flags, cmd_predict, "--M"),
+    "evaluate": ("accuracy on labeled data", _serving_flags, cmd_evaluate, "--M"),
+    "diagnose": ("distances and risk gap against a known truth", _diagnose_flags,
+                 cmd_diagnose, "--M or --n-mc"),
+    "sweep": ("hyper-parameter grid with k-fold CV", _sweep_flags, cmd_sweep,
+              "the grid's S or k, or --M"),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone.
+
+    For an argv that starts with ``command`` both give the same Namespace, help
+    and errors; the second is the cheaper to build by every other command's
+    flags, as argparse sets up a help formatter for each flag it adds."""
     parser = argparse.ArgumentParser(
         prog="vbnn",
         description="Variational Bayes for single-hidden-layer binary classifiers",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_synth = sub.add_parser("synth", help="generate a labeled synthetic dataset")
-    p_synth.add_argument("--truth", default="reference",
-                         help="'reference' or a truth JSON path")
-    p_synth.add_argument("--n", type=_plain_int, required=True)
-    p_synth.add_argument("--seed", type=_plain_int, default=0)
-    p_synth.add_argument("--out", required=True, help="output CSV path")
-    p_synth.add_argument("--truth-out", default=None,
-                         help="also save the truth function JSON here")
-    p_synth.set_defaults(func=cmd_synth, sizes="--n")
-
-    p_train = sub.add_parser("train", help="fit the variational posterior")
-    p_train.add_argument("--data", required=True)
-    p_train.add_argument("--schema", default=None)
-    p_train.add_argument("--config", default=None, help="training config JSON")
-    p_train.add_argument("--out", default=".", help="output directory")
-    p_train.add_argument("--algo", choices=["bbvi", "bbvi-cv"], default=None,
-                         help="gradient estimator (default bbvi-cv: control variates)")
-    p_train.add_argument("--S", type=_plain_int, default=None)
-    p_train.add_argument("--lr", type=_plain_float, default=None,
-                         help="fixed learning rate (default: the decaying rm schedule)")
-    p_train.add_argument("--rho0", type=_plain_float, default=None)
-    p_train.add_argument("--b", type=_plain_float, default=None)
-    p_train.add_argument("--c", type=_plain_float, default=None)
-    p_train.add_argument("--max-iters", type=_plain_int, default=None, dest="max_iters")
-    p_train.add_argument("--k", type=_plain_int, default=None, help="hidden nodes")
-    p_train.add_argument("--seed", type=_plain_int, default=None)
-    p_train.add_argument("--threads", type=_plain_int, default=None,
-                         help="training threads, the calling thread included (it alone "
-                              "scores a one-block likelihood); results do not depend on it")
-    p_train.set_defaults(func=cmd_train, sizes="--S or --k")
-
-    p_pred = sub.add_parser("predict", help="posterior-predictive probabilities")
-    p_pred.add_argument("--model", required=True)
-    p_pred.add_argument("--data", required=True)
-    p_pred.add_argument("--out", required=True)
-    _add_predictive_flags(p_pred)
-    p_pred.set_defaults(func=cmd_predict, sizes="--M")
-
-    p_eval = sub.add_parser("evaluate", help="accuracy on labeled data")
-    p_eval.add_argument("--model", required=True)
-    p_eval.add_argument("--data", required=True)
-    p_eval.add_argument("--out", required=True)
-    _add_predictive_flags(p_eval)
-    p_eval.set_defaults(func=cmd_evaluate, sizes="--M")
-
-    p_diag = sub.add_parser("diagnose",
-                            help="distances and risk gap against a known truth")
-    p_diag.add_argument("--model", required=True)
-    p_diag.add_argument("--truth", required=True,
-                        help="'reference' or a truth JSON path")
-    p_diag.add_argument("--out", required=True)
-    p_diag.add_argument("--n-mc", type=_plain_int, default=IntegrationConfig.n_mc, dest="n_mc")
-    _add_predictive_flags(p_diag, default_m=200)
-    p_diag.set_defaults(func=cmd_diagnose, sizes="--M or --n-mc")
-
-    p_sweep = sub.add_parser("sweep", help="hyper-parameter grid with k-fold CV")
-    p_sweep.add_argument("--grid", required=True, help="grid JSON path")
-    p_sweep.add_argument("--data", required=True)
-    p_sweep.add_argument("--schema", default=None)
-    p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--M", type=_plain_int, default=200)
-    p_sweep.add_argument("--seed", type=_plain_int, default=0)
-    p_sweep.add_argument("--threads", type=_plain_int, default=None,
-                         help="training and fold-scoring threads, the calling thread "
-                              "included; results do not depend on it")
-    p_sweep.set_defaults(func=cmd_sweep, sizes="the grid's S or k, or --M")
-
+    # a one-command parser still names every subcommand in the usage line of an
+    # unrecognized-argument error; the full parser's default line names them too,
+    # and a metavar would rename `command` in its missing-command error
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, add_flags, func, sizes) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            add_flags(p)
+            p.set_defaults(func=func, sizes=sizes)
     return parser
 
 
@@ -569,8 +608,9 @@ def main(argv=None) -> int:
     if level and level not in _LOG_LEVELS:
         logger.error("unknown VBNN_LOG level %r, logging warnings and errors", level)
 
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     except SystemExit as exc:  # argparse's exit 2 for a usage error means max_iters here
         return 1 if exc.code else 0
     try:

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: artifacts, exit codes, error messages."""
 
+import argparse
 import copy
 import csv
 import errno
@@ -7,6 +8,8 @@ import itertools
 import json
 import math
 import os
+import shlex
+import shutil
 import subprocess
 import sys
 import warnings
@@ -14,7 +17,8 @@ import warnings
 import numpy as np
 import pytest
 
-from vbnn.cli import _atomic_write, main
+from test_exports import readme_commands
+from vbnn.cli import _atomic_write, build_parser, main
 from vbnn.data import REFERENCE_TRUTH, load_csv, split, write_csv
 from vbnn.model import flatten, numpy_build
 from vbnn.optimizer import TrainReport, report_summary
@@ -921,6 +925,44 @@ class TestUsage:
         assert main(["--help"]) == 0
         assert capsys.readouterr().out.startswith("usage: vbnn")
 
+    def test_per_command_parser_parses_as_the_full_parser(self):
+        subcommands = next(action.choices for action in build_parser()._actions
+                           if isinstance(action, argparse._SubParsersAction))
+        assert [argv[0] for argv in EVERY_FLAG] == list(subcommands)
+        for argv in EVERY_FLAG:
+            flags = {option for action in subcommands[argv[0]]._actions
+                     if not isinstance(action, argparse._HelpAction)
+                     for option in action.option_strings}
+            assert sorted(flags - set(argv)) == [], argv[0]
+        for argv in [shlex.split(command)[1:] for command in readme_commands()] + EVERY_FLAG:
+            full = build_parser().parse_args(argv)
+            assert build_parser(argv[0]).parse_args(argv) == full, argv
+
+    def test_per_command_parser_prints_what_the_full_parser_prints(self, capsys, monkeypatch):
+        built = []
+
+        def per_command(command=None):
+            built.append(command)
+            return build_parser(command)
+
+        def run(argv, parser):
+            monkeypatch.setattr("vbnn.cli.build_parser", parser)
+            code = main(argv)
+            return code, *capsys.readouterr()
+
+        names = [argv[0] for argv in EVERY_FLAG]
+        cases = [[], ["--help"], ["nosuch"], ["-h", "predict"]]
+        for argv in EVERY_FLAG:  # help, required flags missing, a bad value, an extra argument
+            cases += [[argv[0], "--help"], [argv[0]], [argv[0], "--seed", "x"], argv + ["extra"]]
+        for argv in cases:
+            built.clear()
+            assert run(argv, per_command) == run(argv, lambda command=None: build_parser()), argv
+            assert built == [argv[0] if argv and argv[0] in names else None], argv
+        monkeypatch.setattr(sys, "argv", ["vbnn", "diagnose", "--help"])
+        built.clear()
+        assert run(None, per_command) == run(["diagnose", "--help"], per_command)
+        assert built == ["diagnose", "diagnose"]
+
     @pytest.mark.parametrize("command", ["synth", "predict", "evaluate", "diagnose"])
     def test_negative_seed_is_named(self, tmp_path, capsys, workdir, command):
         data, model, out = str(workdir["data"]), str(workdir["model"]), str(tmp_path / "out")
@@ -947,6 +989,22 @@ class TestUsage:
         assert err.startswith("error: ") and err.rstrip().endswith(f"{str(out)!r}")
         assert ".part" not in err
         assert not [f for f in os.listdir(tmp_path) if f.startswith(".tmp.")]
+
+
+# one argv per command that sets each of its flags
+EVERY_FLAG = [
+    ["synth", "--truth", "t.json", "--n", "5", "--seed", "1", "--out", "d.csv",
+     "--truth-out", "u.json"],
+    ["train", "--data", "d.csv", "--schema", "s.json", "--config", "c.json", "--out", "fit",
+     "--algo", "bbvi", "--S", "5", "--lr", "0.1", "--rho0", "1", "--b", "2", "--c", "0.5",
+     "--max-iters", "9", "--k", "2", "--seed", "3", "--threads", "2"],
+    *([command, "--model", "m.json", "--data", "d.csv", "--out", "p.csv", "--M", "7",
+       "--seed", "2", "--threads", "2"] for command in ("predict", "evaluate")),
+    ["diagnose", "--model", "m.json", "--truth", "t.json", "--out", "g.json", "--n-mc", "50",
+     "--M", "7", "--seed", "2", "--threads", "2"],
+    ["sweep", "--grid", "g.json", "--data", "d.csv", "--schema", "s.json", "--out", "s.csv",
+     "--M", "7", "--seed", "2", "--threads", "2"],
+]
 
 
 # every numeric flag of every command, and its type's name in argparse's message
@@ -1076,6 +1134,29 @@ class TestUnwritableOutputs:
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: output {truth_out!r} is named twice\n"
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("command, flag", [("diagnose", "--model"), ("predict", "--data"),
+                                               ("sweep", "--grid"), ("sweep", "--data sidecar")])
+    def test_refuses_an_output_that_is_an_input(self, tmp_path, capsys, workdir, monkeypatch,
+                                                command, flag):
+        callee = {c: f for c, f, _ in WORK}[command]
+        monkeypatch.setattr(f"vbnn.cli.{callee}", refuse_work)
+        # copies, so that a failing run cannot spoil the module's files
+        for path in (workdir["data"], workdir["model"], f"{workdir['data']}.schema.json"):
+            shutil.copy(path, tmp_path)
+        copies = {str(workdir[name]): str(tmp_path / workdir[name].name)
+                  for name in ("data", "model")}
+        argv = [copies.get(arg, arg) for arg in command_argv(command, workdir, tmp_path)]
+        path = argv[argv.index(flag.split()[0]) + 1]
+        if flag.endswith("sidecar"):
+            path += ".schema.json"
+        argv[argv.index("--out") + 1] = path
+        with open(path, "rb") as fh:
+            before = fh.read()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: output {path!r} is the {flag} input\n"
+        with open(path, "rb") as fh:
+            assert fh.read() == before
 
 
 class TestOutputModes:
