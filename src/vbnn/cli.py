@@ -50,6 +50,7 @@ from .model import (
     NetworkShape,
     PriorConfig,
     ShapeMismatchError,
+    _check_counts,
     check_keys,
     json_field,
     numpy_build,
@@ -323,6 +324,11 @@ def cmd_train(args) -> int:
         pass
     else:
         _check_outputs(args, model_out, report_out, summary_out)
+    # every flag is checked before any file is read; a --config may turn control
+    # variates off, so only the flags' own --algo can refuse --S 1 this early
+    _train_config_from(args, TrainConfig(use_control_variates=args.config is None))
+    if args.k is not None:
+        _check_counts(k=(args.k, 1))
     batch, schema = _load_labeled(args.data, args.schema)
     if batch.n == 0:
         raise ValueError(f"{args.data}: training needs at least one data row")
@@ -421,12 +427,12 @@ def _schedule_label(schedule: Schedule) -> str:
 
 def cmd_sweep(args) -> int:
     _check_outputs(args, args.out)
+    # checked before any file is read, so that a bad flag is not blamed on one
+    _train_config_from(args, TrainConfig())
+    cfg = PredictiveConfig(M=args.M, seed=args.seed)
     batch, schema = _load_labeled(args.data, args.schema)
     if batch.n < 2:  # before the grid's folds are checked against the rows
         raise ValueError(f"{args.data}: a sweep needs at least 2 rows, found {batch.n}")
-    # checked before the grid, so that a bad flag is not blamed on it nor found after a fit
-    _train_config_from(args, TrainConfig())
-    cfg = PredictiveConfig(M=args.M, seed=args.seed)
     with _json_input(args.grid, "grid") as grid:
         check_keys(grid, ("S", "schedule", "algo", "base", "k", "folds"), "a sweep grid")
         axes = [json_field(grid, key, list, []) for key in ("S", "schedule", "algo")]

@@ -79,10 +79,6 @@ class PredictiveConfig:
 # Rows are served in blocks whose float32 uniforms fill about 0.5 MB (at least
 # one row), so memory stays near one row's (D, M) normals whatever M is.
 _BLOCK_FLOATS = 131_072
-# At two or more threads a block holds this many times as many, so that a
-# block's work outweighs handing the GIL back and forth between its numpy
-# calls (see predictive_probabilities).
-_THREADED_BLOCKS = 2
 
 # A = 2 pi U2 with U2 = m 2^-24: 2^-24 is a power of two, so folding it into
 # the factor rounds A exactly as float32(2 pi) * U2 does.
@@ -162,21 +158,18 @@ def predictive_probabilities(
     section, so the words leave the stream in row order and every byte is
     the same at any thread count; the normals, the scores, the sigmoid and
     the row means run outside it, each thread in its own reused buffer.
-    A block holds about ``_BLOCK_FLOATS`` uniforms (0.5 MB) at one thread
-    and ``_THREADED_BLOCKS`` = 2 times as many (1 MB) at two or more: of 1,
-    2 and 4 times, 2 ran fastest at 2 threads on 800, 3,200 and 20,000 rows
-    at M=200 on a two-core host (0.5-0.75x one thread's time from 3,200 rows
-    on), and 4 leaves 800 rows two uneven blocks.  At one thread the larger
-    block measured slower at 800 rows.  Memory is about two blocks per
+    A block holds about ``_BLOCK_FLOATS`` uniforms (0.5 MB; 163 rows at
+    M=200, k=3) at any thread count, so memory is about two blocks per
     thread (its buffer, and the words while it is filled or the scores while
-    it is scored): ~1 MB at one thread, ~4 MB at two.
+    it is scored): ~1 MB at one thread, ~2 MB at two.  At M=200 on a
+    two-core host, two threads served 3,200 rows in ~0.73x one thread's time
+    and 20,000 in ~0.71x, and ~1.04x and ~1.03x with one core to run on.
     """
     factors = score_factors(x, post.q.mean, post.q.scale, post.shape)
     n, k = factors[0].shape
     D, M = k + 1, cfg.M
     h = (D * M + 1) // 2
-    floats = _BLOCK_FLOATS * (_THREADED_BLOCKS if cfg.threads > 1 else 1)
-    rows = max(1, floats // (2 * h))
+    rows = max(1, _BLOCK_FLOATS // (2 * h))
     count = -(-n // rows)
     out = np.empty(n)
 

@@ -603,9 +603,8 @@ class TestEvaluate:
 
 class TestServingThreads:
     def test_threads_flag_does_not_change_outputs(self, tmp_path, workdir):
-        # at M=400 and k=2 a serving block holds 109 rows at one thread and 218
-        # at two or more, so 700 rows (and 700 points) are seven blocks at one
-        # thread and three full and a partial fourth at 2 and 8
+        # at M=400 and k=2 a serving block holds 109 rows at any thread count,
+        # so 700 rows (and 700 points) are six full blocks and a partial seventh
         data = tmp_path / "serve.csv"
         assert main(["synth", "--n", "700", "--seed", "8", "--out", str(data)]) == 0
 
@@ -643,6 +642,38 @@ class TestServingThreads:
         assert main([command, "--model", str(path), *inputs, "--out", str(out), *flags]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("train", ["--S", "0"], "S must be >= 1"),
+    ("train", ["--S", "1"], "control variates require S >= 2"),
+    ("train", ["--algo", "bbvi-cv", "--S", "1", "--config", "missing.json"],
+     "control variates require S >= 2"),
+    ("train", ["--k", "0"], "k must be >= 1"),
+    ("train", ["--max-iters", "0"], "max_iters must be >= 1"),
+    ("train", ["--threads", "0"], "threads must be >= 1"),
+    ("train", ["--lr", "0"], "schedule 'rho' must be a positive finite number, got 0.0"),
+    ("sweep", ["--M", "0"], "M must be >= 1"),
+    ("sweep", ["--seed", "-1"], "seed must be >= 0"),
+    ("sweep", ["--threads", "0"], "threads must be >= 1"),
+])
+def test_bad_flag_is_refused_before_the_data_is_read(tmp_path, capsys, monkeypatch,
+                                                     command, flags, message):
+    monkeypatch.chdir(tmp_path)  # none of the files named exists
+    argv = [command, "--data", "missing.csv", "--out", "out", *flags]
+    if command == "sweep":
+        argv += ["--grid", "missing.json"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert os.listdir(tmp_path) == []
+
+
+def test_one_sample_is_valid_under_a_config_without_control_variates(tmp_path, workdir):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"algo": "bbvi", "max_iters": 3}))
+    assert main(["train", "--data", str(workdir["data"]), "--out", str(tmp_path / "m"),
+                 "--config", str(config), "--S", "1", "--k", "2", "--lr", "0.05"]) in (0, 2)
+    assert read_json(tmp_path / "m" / "model.json")["config"]["S"] == 1
 
 
 def hand_built_model(path, schema_doc=None, spread=1e-6):

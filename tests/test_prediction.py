@@ -37,7 +37,7 @@ from vbnn.prediction import (
     plug_in_labels,
     predictive_probabilities,
 )
-from vbnn.prediction import _BLOCK_FLOATS, _THREADED_BLOCKS, _normals, _word_blocks
+from vbnn.prediction import _BLOCK_FLOATS, _normals, _word_blocks
 from vbnn.prediction import test_accuracy as accuracy_of  # dodge pytest collection
 from vbnn.variational import Posterior, VariationalParams, softplus_inverse
 
@@ -223,12 +223,10 @@ class TestPredictiveProbability:
             predictive_probabilities(post, x, PredictiveConfig(M=10, seed=0))
 
 
-def block_rows(M: int, shape: NetworkShape, threads: int = 1) -> int:
-    """Rows per serving block for a posterior of this network shape: each row
-    takes (k+1) M uniforms, padded to an even count, and a block at two or
-    more threads holds _THREADED_BLOCKS times as many."""
-    floats = _BLOCK_FLOATS * (_THREADED_BLOCKS if threads > 1 else 1)
-    return max(1, floats // (2 * math.ceil((shape.k + 1) * M / 2)))
+def block_rows(M: int, shape: NetworkShape) -> int:
+    """Rows per serving block for a posterior of this network shape, at any
+    thread count: each row takes (k+1) M uniforms, padded to an even count."""
+    return max(1, _BLOCK_FLOATS // (2 * math.ceil((shape.k + 1) * M / 2)))
 
 
 @pytest.fixture
@@ -307,12 +305,12 @@ class TestRowBlocks:
         # made after the words go.  Measured 2.01 rows; the bound adds one
         # (R, M) array (1 / (k+1) row), so a block's scores kept alive into
         # the next draw (2.26 rows) or a copy of the block crosses it.  A row
-        # at M=50,000 outgrows a threaded block too, so the three rows are
-        # three one-row blocks at either thread count, and each of two
-        # threads holds its own buffer and block: two blocks alive at once.
+        # at M=50,000 outgrows a block, so the three rows are three one-row
+        # blocks at either thread count, and each of two threads holds its
+        # own buffer and block: two blocks alive at once.
         M = 50_000
         row = (BENCH_SHAPE.k + 1) * M * 4
-        assert block_rows(M, BENCH_SHAPE, threads) == 1
+        assert block_rows(M, BENCH_SHAPE) == 1
         x = rng.uniform(0, 1, (3, 2))
         cfg = PredictiveConfig(M=M, seed=0, threads=threads)
         tracemalloc.start()
@@ -330,8 +328,8 @@ class TestThreads:
 
     @pytest.mark.parametrize("M", [7, 200])
     def test_threads_give_one_threads_bytes(self, rng, wide_q, M):
-        # three full threaded blocks and a partial fourth (seven one-thread blocks)
-        x = rng.uniform(0, 1, (3 * block_rows(M, BENCH_SHAPE, threads=2) + 5, 2))
+        # three full blocks and a partial fourth
+        x = rng.uniform(0, 1, (3 * block_rows(M, BENCH_SHAPE) + 5, 2))
         one = predictive_probabilities(wide_q, x, PredictiveConfig(M=M, seed=9))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # frequent switches would expose a misplaced write
@@ -356,7 +354,7 @@ class TestThreads:
                     time.sleep(0.01)
                 return super().random_raw(size, output)
 
-        x = rng.uniform(0, 1, (6 * block_rows(200, BENCH_SHAPE, threads=2) + 5, 2))
+        x = rng.uniform(0, 1, (6 * block_rows(200, BENCH_SHAPE) + 5, 2))
         one = predictive_probabilities(wide_q, x, PredictiveConfig(M=200, seed=4))
         monkeypatch.setattr(np.random, "SFC64", SlowSFC64)
         for threads in (2, 3):
@@ -368,8 +366,35 @@ class TestThreads:
     def test_one_block_starts_no_helper(self, rng, wide_q, monkeypatch):
         monkeypatch.setattr(threading.Thread, "start",
                             lambda self: pytest.fail("a helper thread started"))
-        x = rng.uniform(0, 1, (block_rows(200, BENCH_SHAPE, threads=2), 2))
+        x = rng.uniform(0, 1, (block_rows(200, BENCH_SHAPE), 2))
         predictive_probabilities(wide_q, x, PredictiveConfig(M=200, seed=0, threads=4))
+
+    def test_each_thread_holds_a_one_thread_block(self, rng, wide_q, monkeypatch):
+        # four blocks at threads=2: each scores call waits at a barrier until
+        # the other thread's has returned too, so both threads hold a block
+        # and its scores at once.  Each thread keeps the one-thread bound of
+        # test_large_budget_allocates_about_one_rows_draws, 2 + 1/(k+1)
+        # blocks; a block twice as large would hold 2.5 of these per thread
+        # at the barrier and cross it.
+        M = 200
+        rows = block_rows(M, BENCH_SHAPE)
+        block = rows * (BENCH_SHAPE.k + 1) * M * 4
+        real, barrier = prediction.scores, threading.Barrier(2)
+
+        def scores(z, factors, part):
+            p = real(z, factors, part)
+            barrier.wait(30)
+            return p
+
+        monkeypatch.setattr(prediction, "scores", scores)
+        x = rng.uniform(0, 1, (4 * rows, 2))
+        tracemalloc.start()
+        try:
+            predictive_probabilities(wide_q, x, PredictiveConfig(M=M, seed=0, threads=2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (2 + 1 / (BENCH_SHAPE.k + 1)) * block
 
     @pytest.mark.parametrize("threads", [2, 3])
     def test_a_helpers_error_reaches_the_caller_after_every_task_has_ended(
@@ -395,7 +420,7 @@ class TestThreads:
                     running.remove(rows)
 
         monkeypatch.setattr(prediction, "scores", scores)
-        x = rng.uniform(0, 1, (20 * block_rows(200, BENCH_SHAPE, threads=2), 2))
+        x = rng.uniform(0, 1, (20 * block_rows(200, BENCH_SHAPE), 2))
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="^a helper's block failed$"):
             try:
